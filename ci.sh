@@ -84,6 +84,12 @@ DAAS_SCALE=0.25 DAAS_ROBUSTNESS_OUT="$ROB_TMP/BENCH_robustness.json" \
 test -s "$ROB_TMP/BENCH_robustness.json"
 rm -rf "$ROB_TMP"
 
+# ---- Benchmark self-test: builds perfbench/ (which compiles against
+#      the engine, snapshot and CowMap APIs) and runs every workload at
+#      micro scale, traced and untraced, including the checks that a
+#      corrupted oracle fails the run (~25 s plus a build). ----
+python3 perfbench/tests/selftest.py
+
 # ---- Everything else. ----
 cargo test -q --workspace
 

@@ -9,8 +9,8 @@
 //! * `window_update` — apply one more window (poll + ingest + clustering
 //!   snapshot) to a mid-chain streaming state; the state clone happens in
 //!   the untimed setup, so this is the true steady-state per-poll cost
-//!   (cloning is O(shards) Arc bumps on the persistent maps, but keeping
-//!   it out of the measurement makes the number honest either way).
+//!   (the clone deep-copies the detector's and clusterer's hash maps;
+//!   only the incident set is a copy-on-write chunk map).
 //! * `window_update_delta` — the clustering snapshot alone on a state
 //!   with no pending changes: the floor a no-news poll pays, isolating
 //!   snapshot cost (Arc-cached family reuse) from ingest cost.

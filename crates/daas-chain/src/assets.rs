@@ -21,10 +21,9 @@
 use std::hash::Hash;
 use std::sync::Arc;
 
-use eth_types::{AddrId, Address};
+use eth_types::{AddrId, Address, FxHashMap, FxHashSet};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-use crate::hash::{FxHashMap, FxHashSet};
 use crate::shard::{shard_index, shard_index_id, DEFAULT_SHARDS};
 
 /// Deterministic shard placement for an asset-state key. Implementations

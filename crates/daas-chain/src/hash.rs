@@ -1,90 +1,15 @@
-//! A fast, deterministic hasher for the chain's internal maps.
+//! [`DetMap`]: the chain's Fx-hashed account and token tables.
 //!
-//! `std`'s default `RandomState` (SipHash-1-3 with per-process random
-//! keys) is the right default against hash-flooding, but the ledger's
-//! keys are keccak-derived addresses and tx ids — already uniform and
-//! attacker-free — and every `record_tx` performs a handful of map
-//! operations, so the hash itself shows up in the ingestion profile.
-//! [`FxHasher`] is the rustc-style multiply-xor hash: a few cycles per
-//! word, deterministic across runs.
-//!
-//! Determinism here is a *layout* property only: every serialized
-//! artifact sorts map entries (the serde shim sorts `HashMap` keys, and
-//! the sharded state maps sort their flattened entry lists), so swapping
-//! hashers can never change a released byte. It does, however, make
-//! in-memory iteration order reproducible run-to-run, which keeps
-//! debugging sane.
+//! The hasher itself ([`eth_types::FxHasher`]) lives in `eth-types`,
+//! shared with every other crate's internal maps. Determinism here is a
+//! *layout* property only: every serialized artifact sorts map entries
+//! (the serde shim sorts `HashMap` keys, and the sharded state maps sort
+//! their flattened entry lists), so swapping hashers can never change a
+//! released byte.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
 
-/// Multiplicative constant from the Firefox/rustc Fx hash (the golden
-/// ratio scaled to 64 bits).
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// The rustc-style Fx hasher: `hash = (hash rotl 5 ^ word) * SEED` per
-/// input word. Not DoS-resistant — only for keccak-derived, trusted keys.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail) ^ rest.len() as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`] (zero-sized, deterministic).
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A `HashMap` keyed by the deterministic Fx hash.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` keyed by the deterministic Fx hash.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+use eth_types::FxHashMap;
 
 /// An Fx-hashed map that serializes byte-identically to a default
 /// `HashMap` field: at serialize time the entries are re-collected into
@@ -177,40 +102,5 @@ where
         let mut inner = FxHashMap::default();
         inner.extend(flat);
         Ok(DetMap { inner })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::hash::BuildHasher;
-
-    #[test]
-    fn deterministic_across_builders() {
-        let a = FxBuildHasher::default().hash_one([1u8; 20]);
-        let b = FxBuildHasher::default().hash_one([1u8; 20]);
-        assert_eq!(a, b);
-        assert_ne!(a, FxBuildHasher::default().hash_one([2u8; 20]));
-    }
-
-    #[test]
-    fn tail_bytes_distinguish_lengths() {
-        let h = |bytes: &[u8]| {
-            let mut hasher = FxHasher::default();
-            hasher.write(bytes);
-            hasher.finish()
-        };
-        assert_ne!(h(&[0u8; 3]), h(&[0u8; 4]));
-        assert_ne!(h(&[7u8; 8]), h(&[7u8; 9]));
-    }
-
-    #[test]
-    fn map_and_set_behave() {
-        let mut m: FxHashMap<u64, u64> = FxHashMap::default();
-        m.insert(1, 2);
-        assert_eq!(m.get(&1), Some(&2));
-        let mut s: FxHashSet<u64> = FxHashSet::default();
-        assert!(s.insert(9));
-        assert!(s.contains(&9));
     }
 }

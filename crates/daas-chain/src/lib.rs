@@ -48,7 +48,7 @@ pub use block::{
 };
 pub use chain::{Chain, ChainStats};
 pub use error::ChainError;
-pub use hash::{DetMap, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::DetMap;
 pub use labels::{Label, LabelCategory, LabelSource, LabelStore};
 pub use memo::{MemoStats, ShardKey, ShardedMemo};
 pub use shard::{shard_index, shard_index_id, ChainReader, ShardedHistories, DEFAULT_SHARDS};

@@ -21,9 +21,8 @@
 
 use std::sync::Arc;
 
-use eth_types::{AddrId, Address};
+use eth_types::{AddrId, Address, FxHashMap};
 
-use crate::hash::FxHashMap;
 use crate::store::{TxStore, TxView};
 use crate::tx::TxId;
 

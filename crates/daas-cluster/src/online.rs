@@ -10,7 +10,7 @@
 //!
 //! ## O(delta) state
 //!
-//! The retained state lives on [`txgraph::CowMap`] shards and explicit
+//! The retained state lives on plain Fx-hashed maps and explicit
 //! per-component records, so a window update touches only what the
 //! window changed:
 //!
@@ -34,22 +34,30 @@
 //!   full union-find rebuild; `stats().rebuilds` counts these scoped
 //!   events.
 //! * **Family cache.** Assembled families are `Arc`-shared per
-//!   component id. A snapshot re-votes the dirty targets, drops the
-//!   assemblies of dirty components and serves every other family as
-//!   an `Arc` clone — an idle snapshot allocates nothing.
+//!   component id. A snapshot re-votes the dirty targets and serves
+//!   every family as an `Arc` clone of its cached assembly, except
+//!   that a component which only *grew* — new profit-sharing
+//!   transactions, or contracts and affiliates the re-vote assigned to
+//!   it — has the sorted additions merged into its cached family
+//!   (`stats().families_patched`), and a *structurally* dirty one —
+//!   merged, split, new, or having lost a target — is re-assembled
+//!   (`families_assembled`). An idle snapshot allocates nothing; a
+//!   patch whose family the previous epoch still holds copies that one
+//!   family (`Arc::make_mut`).
 //!
-//! Because every retained map is copy-on-write, cloning the whole
-//! clusterer (bench setup, future reader epochs in daas-serve) is
-//! O(shards), and the clone diverges per written shard only.
+//! None of this state is shared with a reader — a published snapshot
+//! holds only the `Arc<Family>` values — so it stays on ordinary hash
+//! maps: an address-keyed lookup costs one hash and probe, and cloning
+//! the clusterer (a bench's untimed setup) is a deep copy.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use daas_chain::{Chain, LabelStore, TxId};
 use daas_detector::{ClassificationCache, ClassifierConfig, Dataset, DetectorEvent};
-use eth_types::Address;
+use eth_types::{Address, FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
-use txgraph::{CowMap, CowSet, UnionFind};
+use txgraph::UnionFind;
 
 use crate::families::{family_name, is_labeled_phishing, Clustering, Family};
 
@@ -69,8 +77,9 @@ pub struct OnlineClustererStats {
     pub families_reused: usize,
     /// Families (re-)assembled across all snapshots.
     pub families_assembled: usize,
-    /// Cached families updated in place by a sorted splice of new
-    /// transaction ids (no structural change, so no re-assembly).
+    /// Cached families updated in place by a sorted merge of new
+    /// transactions, contracts and affiliates (the component only grew,
+    /// so no re-assembly).
     pub families_patched: usize,
 }
 
@@ -131,8 +140,8 @@ pub struct CompCheckpoint {
 /// Serialized [`OnlineClusterer`] state (DESIGN.md §13).
 ///
 /// Everything is address-keyed (no interned ids), so the checkpoint is
-/// portable across process restarts; unordered copy-on-write shards are
-/// sorted by key on export so checkpoint bytes are deterministic, while
+/// portable across process restarts; unordered hash maps are sorted by
+/// key on export so checkpoint bytes are deterministic, while
 /// order-bearing vectors (vote multisets, member/edge lists, the
 /// `txs_new` splice queue) are preserved verbatim. The assembled-family
 /// cache is *not* serialized: it is a pure performance cache, rebuilt
@@ -180,28 +189,28 @@ pub struct OnlineClusterer {
     /// Fast membership test for the hot window scan.
     operators: HashSet<Address>,
     next_cid: Cid,
-    comps: CowMap<Cid, CompState>,
+    comps: FxHashMap<Cid, CompState>,
     /// Operator → owning component.
-    op_comp: CowMap<Address, Cid>,
+    op_comp: FxHashMap<Address, Cid>,
     /// Normalized (min, max) direct edges, global dedup.
-    direct_edges: CowSet<(Address, Address)>,
+    direct_edges: FxHashSet<(Address, Address)>,
     /// Labeled-phish account → operators that touched it. Entries are
     /// revoked (and the owning component rebuilt) when the account
     /// joins the dataset.
-    phish_touch: CowMap<Address, BTreeSet<Address>>,
+    phish_touch: FxHashMap<Address, BTreeSet<Address>>,
     /// Vote multisets, one entry per observation (batch step 2).
-    contract_ops: CowMap<Address, Vec<Address>>,
-    affiliate_ops: CowMap<Address, Vec<Address>>,
+    contract_ops: FxHashMap<Address, Vec<Address>>,
+    affiliate_ops: FxHashMap<Address, Vec<Address>>,
     /// Profit-sharing transactions per contract.
-    contract_txs: CowMap<Address, BTreeSet<TxId>>,
+    contract_txs: FxHashMap<Address, BTreeSet<TxId>>,
     /// Operator → targets that voted for it (the reverse index that
     /// turns a merge delta into a dirty-target set).
-    op_votes: CowMap<Address, BTreeSet<Target>>,
+    op_votes: FxHashMap<Address, BTreeSet<Target>>,
     /// Target → component it is currently assigned to. Invariant: the
     /// component is live and lists the target in its assigned sets.
-    target_assign: CowMap<Target, Cid>,
+    target_assign: FxHashMap<Target, Cid>,
     /// Assembled families per component id.
-    assembled: CowMap<Cid, Arc<Family>>,
+    assembled: FxHashMap<Cid, Arc<Family>>,
     /// Targets whose vote inputs changed since the last snapshot.
     dirty_targets: BTreeSet<Target>,
     /// Components whose cached assembly is invalid.
@@ -232,16 +241,16 @@ impl OnlineClusterer {
             watermark: 0,
             operators: HashSet::new(),
             next_cid: 0,
-            comps: CowMap::new(),
-            op_comp: CowMap::new(),
-            direct_edges: CowSet::new(),
-            phish_touch: CowMap::new(),
-            contract_ops: CowMap::new(),
-            affiliate_ops: CowMap::new(),
-            contract_txs: CowMap::new(),
-            op_votes: CowMap::new(),
-            target_assign: CowMap::new(),
-            assembled: CowMap::new(),
+            comps: FxHashMap::default(),
+            op_comp: FxHashMap::default(),
+            direct_edges: FxHashSet::default(),
+            phish_touch: FxHashMap::default(),
+            contract_ops: FxHashMap::default(),
+            affiliate_ops: FxHashMap::default(),
+            contract_txs: FxHashMap::default(),
+            op_votes: FxHashMap::default(),
+            target_assign: FxHashMap::default(),
+            assembled: FxHashMap::default(),
             dirty_targets: BTreeSet::new(),
             dirty_comps: BTreeSet::new(),
             txs_new: Vec::new(),
@@ -265,7 +274,7 @@ impl OnlineClusterer {
     /// membership set and the operator→component index are derivable
     /// from the component records and are rebuilt on restore.
     pub fn checkpoint(&self) -> ClustererCheckpoint {
-        fn sorted_map<V: Clone>(map: &CowMap<Address, V>) -> Vec<(Address, V)> {
+        fn sorted_map<V: Clone>(map: &FxHashMap<Address, V>) -> Vec<(Address, V)> {
             let mut out: Vec<(Address, V)> =
                 map.iter().map(|(&k, v)| (k, v.clone())).collect();
             out.sort_unstable_by_key(|&(k, _)| k);
@@ -408,16 +417,14 @@ impl OnlineClusterer {
                         .cache
                         .classify(chain, *tx, &self.classifier)
                         .expect("a PsTransaction event classifies positively");
-                    self.contract_ops.get_or_insert_with(*contract, Vec::new).push(obs.operator);
-                    self.affiliate_ops
-                        .get_or_insert_with(obs.affiliate, Vec::new)
-                        .push(obs.operator);
-                    let votes = self.op_votes.get_or_insert_with(obs.operator, BTreeSet::new);
+                    self.contract_ops.entry(*contract).or_default().push(obs.operator);
+                    self.affiliate_ops.entry(obs.affiliate).or_default().push(obs.operator);
+                    let votes = self.op_votes.entry(obs.operator).or_default();
                     votes.insert((T_CONTRACT, *contract));
                     votes.insert((T_AFFILIATE, obs.affiliate));
                     self.dirty_targets.insert((T_CONTRACT, *contract));
                     self.dirty_targets.insert((T_AFFILIATE, obs.affiliate));
-                    if self.contract_txs.get_or_insert_with(*contract, BTreeSet::new).insert(*tx) {
+                    if self.contract_txs.entry(*contract).or_default().insert(*tx) {
                         self.txs_new.push((*contract, *tx));
                     }
                 }
@@ -555,7 +562,7 @@ impl OnlineClusterer {
 
     fn add_phish_touch(&mut self, party: Address, op: Address) {
         let (inserted, other) = {
-            let set = self.phish_touch.get_or_insert_with(party, BTreeSet::new);
+            let set = self.phish_touch.entry(party).or_default();
             if set.insert(op) {
                 // Chain the newcomer to any existing member:
                 // transitively identical to the batch `windows(2)`
@@ -728,7 +735,11 @@ impl OnlineClusterer {
     /// the component with the most votes, ties to the smallest key —
     /// identical to the batch rule (batch components are index-sorted
     /// by smallest member, so smaller index ⟺ smaller key).
-    fn revote_target(&mut self, t: Target) {
+    ///
+    /// The component that lost the target is structurally dirty; the
+    /// one that gained it is returned instead, because a gain alone can
+    /// be patched into its cached family.
+    fn revote_target(&mut self, t: Target) -> Option<Cid> {
         let (kind, addr) = t;
         let new_cid = {
             let ops: &[Address] = match if kind == T_CONTRACT {
@@ -755,7 +766,7 @@ impl OnlineClusterer {
         };
         let old_cid = self.target_assign.get(&t).copied();
         if old_cid == new_cid {
-            return;
+            return None;
         }
         if let Some(oc) = old_cid {
             if let Some(comp) = self.comps.get_mut(&oc) {
@@ -775,57 +786,66 @@ impl OnlineClusterer {
                 } else {
                     comp.affiliates.insert(addr);
                 }
-                self.dirty_comps.insert(nc);
                 self.target_assign.insert(t, nc);
             }
             None => {
                 self.target_assign.remove(&t);
             }
         }
+        new_cid
     }
 
     /// The current clustering — byte-identical to
     /// [`crate::cluster_prefix`] run at [`Self::watermark`] with the
     /// same dataset. O(changed components): the dirty targets re-vote,
-    /// their components re-assemble, and every other family is served
-    /// as an `Arc` clone of the cached assembly — an idle snapshot
-    /// allocates nothing. `labels` must be the same (immutable) store
-    /// every ingest saw — cached names assume it.
+    /// components that only grew are patched, structurally changed ones
+    /// re-assemble, and every other family is served as an `Arc` clone
+    /// of the cached assembly — an idle snapshot allocates nothing.
+    /// `labels` must be the same (immutable) store every ingest saw —
+    /// cached names assume it.
     pub fn clustering(&mut self, labels: &LabelStore) -> Clustering {
         let _snapshot_span = daas_obs::span!("cluster.snapshot");
         let stats_before = self.stats;
 
-        // 1. Settle the dirty vote assignments.
+        // 1. Settle the dirty vote assignments, collecting what each
+        //    winning component gained.
+        let mut patches: BTreeMap<Cid, Patch> = BTreeMap::new();
         let dirty_targets = std::mem::take(&mut self.dirty_targets);
         for t in dirty_targets {
-            self.revote_target(t);
-        }
-        // 2. New transaction attributions. A component whose *only*
-        //    change is transaction growth keeps its cached family: the
-        //    new ids are spliced in with a sorted merge (identical to
-        //    re-unioning the contract sets, since a transaction belongs
-        //    to exactly one contract). Structurally dirty components
-        //    fall through to full re-assembly.
-        let txs_new = std::mem::take(&mut self.txs_new);
-        let mut patches: BTreeMap<Cid, Vec<TxId>> = BTreeMap::new();
-        for (c, tx) in txs_new {
-            // Unassigned contracts contribute to no family — if the
-            // contract is assigned later, that re-vote dirties the
-            // component and the full re-assembly reads `contract_txs`.
-            if let Some(&cid) = self.target_assign.get(&(T_CONTRACT, c)) {
-                patches.entry(cid).or_default().push(tx);
+            let Some(cid) = self.revote_target(t) else { continue };
+            let patch = patches.entry(cid).or_default();
+            match t {
+                (T_CONTRACT, c) => {
+                    patch.contracts.push(c);
+                    if let Some(txs) = self.contract_txs.get(&c) {
+                        patch.txs.extend(txs.iter().copied());
+                    }
+                }
+                (_, a) => patch.affiliates.push(a),
             }
         }
-        for (cid, mut new_txs) in patches {
+        // 2. New transaction attributions. Unassigned contracts
+        //    contribute to no family — if the contract is assigned
+        //    later, that re-vote carries its whole `contract_txs`.
+        for (c, tx) in std::mem::take(&mut self.txs_new) {
+            if let Some(&cid) = self.target_assign.get(&(T_CONTRACT, c)) {
+                patches.entry(cid).or_default().txs.push(tx);
+            }
+        }
+        //    A component whose only change is growth — new transactions,
+        //    newly assigned contracts or affiliates — keeps its cached
+        //    family and has the sorted additions merged in (identical to
+        //    re-assembling, since a transaction belongs to exactly one
+        //    contract and a target to at most one component). A
+        //    component that also merged, split or lost a target is
+        //    structurally dirty and falls through to full re-assembly,
+        //    as does one with no cached family yet.
+        for (cid, patch) in patches {
             if self.dirty_comps.contains(&cid) {
                 continue;
             }
-            let Some(slot) = self.assembled.get_mut(&cid) else {
-                self.dirty_comps.insert(cid);
-                continue;
-            };
-            new_txs.sort_unstable();
-            merge_sorted(&mut Arc::make_mut(slot).ps_txs, &new_txs);
+            let Some(slot) = self.assembled.get_mut(&cid) else { continue };
+            patch.apply(Arc::make_mut(slot), labels);
             self.stats.families_patched += 1;
         }
         // 3. Drop the invalidated assemblies.
@@ -912,10 +932,42 @@ impl OnlineClusterer {
     }
 }
 
+/// What one snapshot adds to a component whose structure did not
+/// change (see step 2 of [`OnlineClusterer::clustering`]).
+#[derive(Default)]
+struct Patch {
+    /// New transactions, plus every transaction of a newly assigned
+    /// contract — which may repeat one listed as new.
+    txs: Vec<TxId>,
+    /// Newly assigned contracts.
+    contracts: Vec<Address>,
+    /// Newly assigned affiliates.
+    affiliates: Vec<Address>,
+}
+
+impl Patch {
+    /// Merges the additions into a family assembled before them. The
+    /// name is re-derived when contracts joined, since a contract's
+    /// label can name an otherwise unlabeled family.
+    fn apply(mut self, family: &mut Family, labels: &LabelStore) {
+        if !self.contracts.is_empty() {
+            self.contracts.sort_unstable();
+            merge_sorted(&mut family.contracts, &self.contracts);
+            family.name = family_name(labels, &family.operators, &family.contracts);
+        }
+        self.affiliates.sort_unstable();
+        merge_sorted(&mut family.affiliates, &self.affiliates);
+        self.txs.sort_unstable();
+        self.txs.dedup();
+        merge_sorted(&mut family.ps_txs, &self.txs);
+    }
+}
+
 /// Merges sorted `add` into sorted `dst`. The two sides are disjoint
-/// (each transaction belongs to exactly one contract, recorded once),
-/// and in the common case the new ids all land past the current tail.
-fn merge_sorted(dst: &mut Vec<TxId>, add: &[TxId]) {
+/// (a transaction belongs to exactly one contract, recorded once; a
+/// target is assigned to one component), and in the common case of
+/// new transactions the additions all land past the current tail.
+fn merge_sorted<T: Ord + Copy>(dst: &mut Vec<T>, add: &[T]) {
     if add.is_empty() {
         return;
     }
@@ -1112,6 +1164,74 @@ mod tests {
         );
         let batch = cluster_with(&chain, &labels, &dataset, &ClusterConfig::sequential());
         assert_eq!(json(&live), json(&batch));
+    }
+
+    /// A component that only gains targets — a new contract (whose
+    /// label renames the family) and a new affiliate, then more
+    /// transactions — is patched in place, never re-assembled, and
+    /// still equals the batch oracle at every poll boundary.
+    #[test]
+    fn grown_components_are_patched_not_reassembled() {
+        let (mut chain, mut labels, mut dataset, [.., op_c]) = setup();
+        let contract = chain
+            .deploy_contract(
+                op_c,
+                ContractKind::ProfitSharing(ProfitSharingSpec {
+                    operator: op_c,
+                    operator_bps: 2000,
+                    entry: EntryStyle::PayableFallback,
+                }),
+            )
+            .unwrap();
+        labels.add(Label {
+            address: contract,
+            source: LabelSource::Etherscan,
+            category: LabelCategory::DrainerFamily,
+            text: "Pink Drainer".into(),
+        });
+        let aff = chain.create_eoa(b"aff-late").unwrap();
+
+        // One poll: ingest to the chain tip, then compare with the batch
+        // oracle at that watermark.
+        let poll = |online: &mut OnlineClusterer,
+                    chain: &Chain,
+                    dataset: &Dataset,
+                    events: &[DetectorEvent]| {
+            let watermark = chain.transactions().len() as TxId;
+            online.ingest(chain, &labels, dataset, events, watermark);
+            let live = online.clustering(&labels);
+            let cfg = ClusterConfig::sequential();
+            let batch = crate::cluster_prefix(chain, &labels, dataset, watermark, &cfg);
+            assert_eq!(json(&live), json(&batch));
+            live
+        };
+        let mut online = OnlineClusterer::new(ClassifierConfig::default());
+        poll(&mut online, &chain, &dataset, &events_for(&dataset));
+        let assembled = online.stats().families_assembled;
+
+        // Poll 1 assigns the new contract and affiliate to C's
+        // component; poll 2 only adds a transaction.
+        for (i, first_claim) in [true, false].into_iter().enumerate() {
+            let victim =
+                chain.create_eoa_funded(format!("v-late{i}").as_bytes(), ether(50)).unwrap();
+            chain.advance(12);
+            let tx = chain.claim_eth(victim, contract, ether(5), aff).unwrap();
+            let obs = daas_detector::classify_tx(chain.tx(tx), &Default::default()).unwrap();
+            dataset.absorb(obs);
+            let mut events = vec![DetectorEvent::PsTransaction { tx, contract }];
+            if first_claim {
+                let via = Admission::SeedLabel;
+                events.insert(0, DetectorEvent::ContractAdmitted { contract, via });
+                events.push(DetectorEvent::AffiliateObserved(aff));
+            }
+            let patched = online.stats().families_patched;
+            let live = poll(&mut online, &chain, &dataset, &events);
+            assert_eq!(online.stats().families_patched, patched + 1, "poll {i}: patched");
+            assert_eq!(online.stats().families_assembled, assembled, "poll {i}: re-assembled");
+            let family = live.families.iter().find(|f| f.operators == [op_c]).unwrap();
+            assert_eq!(family.name, "Pink Drainer", "the new contract's label names the family");
+            assert_eq!((family.contracts.len(), family.affiliates.len()), (2, 2));
+        }
     }
 
     /// A phish-touch chain is revoked — and the owning component

@@ -150,33 +150,6 @@ impl<'a> FeatureCache<'a> {
         self.memo.stats()
     }
 
-    /// Warms the memo for `accounts`, fanning the pure extraction over
-    /// `threads` workers. With `threads <= 1` this is a no-op — the
-    /// sequential oracle computes lazily through [`Self::features`].
-    /// Same argument as the classification cache: workers only insert
-    /// results of a pure function keyed by address, so the schedule
-    /// cannot change what any reader later observes.
-    pub fn prewarm(&self, accounts: &[Address], threads: usize) {
-        if threads <= 1 || accounts.is_empty() {
-            return;
-        }
-        let mut addrs: Vec<Address> = accounts.to_vec();
-        addrs.sort_unstable();
-        addrs.dedup();
-        let workers = threads.min(addrs.len());
-        let chunk = addrs.len().div_ceil(workers);
-        crossbeam::scope(|scope| {
-            for part in addrs.chunks(chunk) {
-                scope.spawn(move |_| {
-                    for &a in part {
-                        self.features(a);
-                    }
-                });
-            }
-        })
-        .expect("feature workers do not panic");
-    }
-
     /// The pure extraction: one history walk plus O(1) index lookups.
     fn compute(&self, account: Address) -> AccountFeatures {
         let reader = self.chain.reader();
@@ -237,20 +210,5 @@ mod tests {
         assert_eq!(f, AccountFeatures::default());
         assert!(cache.is_empty(), "unknown accounts have no id and are not memoised");
         assert!(cache.observation(0).is_none());
-    }
-
-    #[test]
-    fn prewarm_sequential_is_noop() {
-        use eth_types::units::ether;
-        let mut chain = Chain::new();
-        let a = chain.create_eoa_funded(b"fc/a", ether(2)).unwrap();
-        let b = chain.create_eoa(b"fc/b").unwrap();
-        chain.transfer_eth(a, b, ether(1)).unwrap();
-        let dataset = Dataset::default();
-        let cache = FeatureCache::new(&chain, &dataset);
-        cache.prewarm(&[a], 1);
-        assert!(cache.is_empty());
-        cache.prewarm(&[a, b], 2);
-        assert_eq!(cache.len(), 2);
     }
 }

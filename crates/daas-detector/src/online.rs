@@ -24,7 +24,7 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use daas_chain::{Chain, LabelStore, TxId};
-use eth_types::{AddrId, Address};
+use eth_types::{AddrId, Address, FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::ClassificationCache;
@@ -108,7 +108,7 @@ pub struct DetectorCheckpoint {
     /// The maintained dataset at the cursor.
     pub dataset: Dataset,
     /// The first-contact index, resolved to addresses and sorted by
-    /// address (the in-memory map shards are unordered; sorting makes
+    /// address (the in-memory map is unordered; sorting makes
     /// checkpoint bytes deterministic).
     pub touch_min: Vec<(Address, TxId)>,
 }
@@ -127,12 +127,12 @@ pub struct OnlineDetector {
     /// transaction, and by a one-time history walk when a member joins)
     /// so the guard is an O(1) lookup instead of an O(history) rescan
     /// per candidate.
-    touch_min: txgraph::CowMap<AddrId, TxId>,
+    touch_min: FxHashMap<AddrId, TxId>,
     /// Flat union of the dataset's contract/operator/affiliate sets as
     /// interned ids — the membership probe hashes 4 bytes. Maintained by
     /// [`Self::absorb_noting`], the only place the detector's dataset
     /// grows.
-    members: txgraph::FxHashSet<AddrId>,
+    members: FxHashSet<AddrId>,
     /// Present only while a poll is in flight (see [`WindowMask`]).
     window: Option<WindowMask>,
     /// Scratch buffer for touched-id extraction, reused across
@@ -156,8 +156,8 @@ impl OnlineDetector {
             dataset: Dataset::default(),
             cursor: 0,
             cache,
-            touch_min: txgraph::CowMap::new(),
-            members: txgraph::FxHashSet::default(),
+            touch_min: FxHashMap::default(),
+            members: FxHashSet::default(),
             window: None,
             touched_scratch: Vec::new(),
         }
@@ -406,7 +406,7 @@ impl OnlineDetector {
     }
 
     fn note_touch(&mut self, addr: AddrId, txid: TxId) {
-        let slot = self.touch_min.get_or_insert_with(addr, || txid);
+        let slot = self.touch_min.entry(addr).or_insert(txid);
         if *slot > txid {
             *slot = txid;
         }

@@ -43,11 +43,11 @@ pub struct StatBundle {
 }
 
 /// Builds the bundle from incidents. Callers pass the set in canonical
-/// (transaction-id) order; the float sums then depend only on the
-/// incident set, so any two readers of the same snapshot — or the same
-/// engine before and after a checkpoint/restore cycle — agree
-/// byte-for-byte.
-pub fn stat_bundle(incidents: &[MeasuredIncident]) -> StatBundle {
+/// (transaction-id) order — a snapshot's key-ordered incident map reads
+/// out in it — so the float sums depend only on the incident set, and
+/// any two readers of the same snapshot — or the same engine before and
+/// after a checkpoint/restore cycle — agree byte-for-byte.
+pub fn stat_bundle<'i>(incidents: impl IntoIterator<Item = &'i MeasuredIncident>) -> StatBundle {
     let mut loss_per_victim: BTreeMap<Address, f64> = BTreeMap::new();
     let mut profit_per_operator: BTreeMap<Address, f64> = BTreeMap::new();
     let mut profit_per_affiliate: BTreeMap<Address, f64> = BTreeMap::new();
@@ -55,7 +55,9 @@ pub fn stat_bundle(incidents: &[MeasuredIncident]) -> StatBundle {
     let mut by_month = MonthAccum::new();
     let (mut first_ts, mut last_ts) = (u64::MAX, 0u64);
     let mut total_usd = 0.0;
+    let mut count = 0;
     for inc in incidents {
+        count += 1;
         *loss_per_victim.entry(inc.victim).or_insert(0.0) += inc.usd;
         *profit_per_operator.entry(inc.operator).or_insert(0.0) += inc.operator_usd;
         *profit_per_affiliate.entry(inc.affiliate).or_insert(0.0) += inc.affiliate_usd;
@@ -69,7 +71,7 @@ pub fn stat_bundle(incidents: &[MeasuredIncident]) -> StatBundle {
         total_usd += inc.usd;
     }
     StatBundle {
-        incidents: incidents.len(),
+        incidents: count,
         victims: loss_per_victim.len(),
         total_usd,
         victim_report: victim_report_from(&loss_per_victim, span_days(first_ts, last_ts)),

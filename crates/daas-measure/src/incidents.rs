@@ -96,18 +96,6 @@ impl<'a> MeasureCtx<'a> {
         &self.features
     }
 
-    /// Warms the feature memo for every victim and operator across
-    /// `threads` workers (no-op when `threads <= 1`) — the reports then
-    /// read memoised features instead of walking histories inline.
-    pub fn prewarm_features(&self, threads: usize) {
-        if threads <= 1 {
-            return;
-        }
-        let mut accounts = self.victims();
-        accounts.extend(self.dataset.operators.iter().copied());
-        self.features.prewarm(&accounts, threads);
-    }
-
     /// Distinct victim accounts.
     pub fn victims(&self) -> Vec<Address> {
         let mut v: Vec<Address> = self.incidents.iter().map(|i| i.victim).collect();

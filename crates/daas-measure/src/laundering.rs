@@ -66,7 +66,15 @@ impl<'a> MeasureCtx<'a> {
             }
         }
 
-        let total: f64 = outflows.values().map(|v| v.to_f64_lossy()).sum();
+        // Float addition is not associative, so the total is summed in
+        // a fixed kind order — never in the map's (per-run random)
+        // iteration order.
+        use SinkKind::{Exchange, InternalDaas, Mixer, Other};
+        let total: f64 = [Mixer, Exchange, InternalDaas, Other]
+            .iter()
+            .filter_map(|kind| outflows.get(kind))
+            .map(|v| v.to_f64_lossy())
+            .sum();
         let pct = |kind: SinkKind| {
             if total <= 0.0 {
                 0.0
@@ -187,6 +195,47 @@ mod tests {
         assert!((report.operator_mixer_pct - 60.0 / 95.0 * 100.0).abs() < 0.1);
         assert!((report.operator_exchange_pct - 20.0 / 95.0 * 100.0).abs() < 0.1);
         assert_eq!(report.operators_using_mixers, 1);
+    }
+
+    /// Summed in a hash map's (per-instance random) iteration order,
+    /// the float total — and so both percentages — changed in the last
+    /// digit between runs. Here the order matters: each small flow is
+    /// half an ulp of the large one, so `big + s + s` rounds to `big`
+    /// while `big + (s + s)` does not.
+    #[test]
+    fn percentages_are_bit_identical_across_runs() {
+        let mut chain = Chain::new();
+        let mut labels = LabelStore::new();
+        let big = U256::from_u128(1 << 70);
+        let small = U256::from_u128(1 << 17);
+        let op = chain.create_eoa_funded(b"d/op", big.saturating_add(ether(10))).unwrap();
+        let deployer = chain.create_eoa_funded(b"d/d", ether(1)).unwrap();
+        let mixer = chain.deploy_contract(deployer, ContractKind::Mixer).unwrap();
+        let cex = chain.create_eoa(b"d/cex").unwrap();
+        labels.add(daas_chain::Label {
+            address: cex,
+            source: daas_chain::LabelSource::Etherscan,
+            category: daas_chain::LabelCategory::Benign,
+            text: "Binance 14".into(),
+        });
+        let friend = chain.create_eoa(b"d/friend").unwrap();
+        chain.advance(12);
+        chain.transfer_eth(op, mixer, big).unwrap();
+        chain.transfer_eth(op, cex, small).unwrap();
+        chain.transfer_eth(op, friend, small).unwrap();
+        let mut dataset = Dataset::default();
+        dataset.operators.insert(op);
+
+        let oracle = Oracle::new();
+        let ctx = MeasureCtx::new(&chain, &dataset, &oracle);
+        let first = ctx.laundering_report(&labels);
+        assert_eq!(first.operator_outflows.len(), 3);
+        let bits = |r: &LaunderingReport| {
+            (r.operator_mixer_pct.to_bits(), r.operator_exchange_pct.to_bits())
+        };
+        for _ in 0..32 {
+            assert_eq!(bits(&ctx.laundering_report(&labels)), bits(&first));
+        }
     }
 
     #[test]

@@ -11,18 +11,22 @@
 //! in event-arrival order and are monitoring-grade (ulp-level) only.
 //!
 //! The canonical numbers come from [`LiveMeasure::reports`]: it hands a
-//! [`MeasureCtx`] the *cached* canonical incident vector (sorted to
-//! transaction order — the same canonical order `MeasureCtx::new`
-//! produces) and routes through the identical §6 report bundle, so the
-//! streaming path and the batch path share one implementation per
-//! report and agree byte-for-byte. See DESIGN.md §10.
+//! [`MeasureCtx`] the *cached* canonical incident vector (transaction
+//! order — the same canonical order `MeasureCtx::new` produces) and
+//! routes through the identical §6 report bundle, so the streaming path
+//! and the batch path share one implementation per report and agree
+//! byte-for-byte. See DESIGN.md §10.
 //!
-//! The incident set lives on a [`txgraph::CowMap`], and the canonical
-//! vector is `Arc`-shared and revision-stamped: polls that add no
-//! incidents re-serve the previous allocation, so `reports()` between
-//! quiet windows re-canonicalises nothing. Float accumulators stay on
-//! plain ordered maps — their values depend on accumulation order, and
-//! the ordered in-place updates keep every poll deterministic.
+//! The incident set lives on a key-ordered [`txgraph::CowMap`], shared
+//! with every published daas-serve snapshot: a window's incidents
+//! append to its tail chunk, so ingesting while the previous epoch is
+//! still held copies O(window) entries, not the whole set, and the
+//! canonical order is the map's own iteration order — the canonical
+//! vector and the checkpoint read it out without a sort. The vector is
+//! `Arc`-shared and revision-stamped: polls that add no incidents
+//! re-serve the previous allocation. Float accumulators stay on plain
+//! ordered maps — their values depend on accumulation order, and the
+//! ordered in-place updates keep every poll deterministic.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -100,10 +104,9 @@ pub struct MeasureCheckpoint {
 pub struct LiveMeasure {
     cfg: ClassifierConfig,
     cache: Arc<ClassificationCache>,
-    /// Attributed incidents keyed by transaction id, on copy-on-write
-    /// shards: cloning the accumulator (bench setup, reader snapshots)
-    /// is O(shards), and a post-clone window copies only the shards it
-    /// writes.
+    /// Attributed incidents keyed by transaction id, in copy-on-write
+    /// chunks: cloning the map for a reader snapshot is O(chunks), and a
+    /// post-clone window copies only the chunks it writes.
     incidents: txgraph::CowMap<TxId, MeasuredIncident>,
     /// Bumped whenever `incidents` changes; stamps the canonical cache.
     rev: u64,
@@ -185,7 +188,7 @@ impl LiveMeasure {
         delta
     }
 
-    /// An O(shards) copy-on-write clone of the incident set — the cheap
+    /// An O(chunks) copy-on-write clone of the incident set — the cheap
     /// handle a published reader snapshot holds (daas-serve); readers
     /// derive their lazy per-epoch indices from it without touching the
     /// accumulator again.
@@ -196,10 +199,8 @@ impl LiveMeasure {
     /// Exports the accumulator's full state. See [`MeasureCheckpoint`]
     /// for the float-exactness contract.
     pub fn checkpoint(&self) -> MeasureCheckpoint {
-        let mut incidents: Vec<MeasuredIncident> = self.incidents.values().cloned().collect();
-        incidents.sort_unstable_by_key(|inc| inc.tx);
         MeasureCheckpoint {
-            incidents,
+            incidents: self.incidents.values().cloned().collect(),
             loss_per_victim: self.loss_per_victim.iter().map(|(&a, &v)| (a, v)).collect(),
             profit_per_operator: self.profit_per_operator.iter().map(|(&a, &v)| (a, v)).collect(),
             profit_per_affiliate: self.profit_per_affiliate.iter().map(|(&a, &v)| (a, v)).collect(),
@@ -300,7 +301,7 @@ impl LiveMeasure {
     /// Materialises a full [`MeasureCtx`] around the running incident
     /// set — incidents are *not* re-attributed, and the canonical
     /// vector is cached per revision, so repeated calls between quiet
-    /// polls hand the same `Arc` over without sorting or copying.
+    /// polls hand the same `Arc` over without copying.
     pub fn ctx<'a>(
         &mut self,
         chain: &'a Chain,
@@ -310,10 +311,8 @@ impl LiveMeasure {
         let canonical = match &self.canonical {
             Some((rev, cached)) if *rev == self.rev => cached.clone(),
             _ => {
-                let mut incidents: Vec<MeasuredIncident> =
-                    self.incidents.values().cloned().collect();
-                incidents.sort_unstable_by_key(|inc| inc.tx);
-                let incidents = Arc::new(incidents);
+                let incidents: Arc<Vec<MeasuredIncident>> =
+                    Arc::new(self.incidents.values().cloned().collect());
                 self.canonical = Some((self.rev, incidents.clone()));
                 incidents
             }

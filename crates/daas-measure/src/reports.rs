@@ -4,11 +4,12 @@
 //! The reports — victims, repeat victims, operators, lifecycles,
 //! affiliates, associations, ratios, timeline, laundering — all read the
 //! same immutable [`MeasureCtx`] and never each other, so they are
-//! embarrassingly parallel. With `threads > 1` the bundle prewarms the
-//! shared feature memo and then distributes the report tasks across the
-//! pool; each task is a pure function of the context, so the bundle is
-//! byte-identical for every thread count (`threads == 1` is the
-//! sequential oracle the equivalence suite diffs against).
+//! embarrassingly parallel. With `threads > 1` the bundle distributes
+//! the report tasks across the pool; each task is a pure function of the
+//! context (the shared feature memo fills lazily, with the same values
+//! whichever task computes them first), so the bundle is byte-identical
+//! for every thread count (`threads == 1` is the sequential oracle the
+//! equivalence suite diffs against).
 //!
 //! This bundle is the *single* implementation of every report: the
 //! streaming path (`LiveMeasure::reports`) materialises a context from
@@ -99,9 +100,9 @@ enum Slot {
 
 impl<'a> MeasureCtx<'a> {
     /// Computes the full §6 report bundle. With `cfg.threads > 1` the
-    /// shared feature memo is prewarmed and the independent reports fan
-    /// out across the pool; results are merged in a fixed task order, so
-    /// the bundle is identical to the sequential (`threads == 1`) run.
+    /// independent reports fan out across the pool; results are merged
+    /// in a fixed task order, so the bundle is identical to the
+    /// sequential (`threads == 1`) run.
     ///
     /// `inactive_secs` / `as_of` parameterise the operator-lifecycle
     /// report (the callers' inactivity threshold and census date).
@@ -172,10 +173,6 @@ impl<'a> MeasureCtx<'a> {
         let slots: Vec<Slot> = if threads <= 1 {
             tasks.into_iter().map(|t| t()).collect()
         } else {
-            // Warm the per-account feature memo once across the pool so
-            // the report tasks read memoised features instead of racing
-            // to fill the cache behind its shard locks.
-            self.prewarm_features(threads);
             let workers = threads.min(tasks.len());
             let chunk = tasks.len().div_ceil(workers);
             let mut parts: Vec<Vec<Task<'_>>> = Vec::with_capacity(workers);

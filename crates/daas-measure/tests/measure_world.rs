@@ -161,25 +161,6 @@ fn family_table_reproduces_table2() {
 }
 
 #[test]
-fn prewarmed_features_change_no_report() {
-    let cold = ctx();
-    let cold_ops = cold.operator_lifecycles(30 * 86_400, collection_end());
-    let cold_repeat = cold.repeat_victim_report();
-
-    let warm = ctx();
-    warm.prewarm_features(4);
-    assert!(!warm.features().is_empty(), "prewarm must fill the memo");
-    let warm_ops = warm.operator_lifecycles(30 * 86_400, collection_end());
-    let warm_repeat = warm.repeat_victim_report();
-
-    assert_eq!(cold_ops.inactive_operators, warm_ops.inactive_operators);
-    assert_eq!(cold_ops.lifecycle_days, warm_ops.lifecycle_days);
-    assert_eq!(cold_repeat.repeat_victims, warm_repeat.repeat_victims);
-    assert_eq!(cold_repeat.simultaneous_pct, warm_repeat.simultaneous_pct);
-    assert_eq!(cold_repeat.unrevoked_pct, warm_repeat.unrevoked_pct);
-}
-
-#[test]
 fn measured_counts_match_dataset() {
     let f = fix();
     let c = ctx();

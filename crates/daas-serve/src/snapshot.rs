@@ -11,6 +11,13 @@
 //! bundle) are *lazy*: built by the first reader that needs them via
 //! `OnceLock`, shared by every later reader of the same epoch, and
 //! never paid for by the ingest thread.
+//!
+//! The incident map is the one large structure a snapshot shares with
+//! the engine. It is a key-ordered copy-on-write [`CowMap`] of sorted
+//! chunks, so a published epoch costs the next window only the chunks
+//! that window writes — not a copy of every incident — and the derived
+//! views read incidents in canonical (transaction-id) order straight
+//! off the map.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -64,7 +71,8 @@ impl AddressRisk {
 /// Construction is cheap by design: the family vector and the role sets
 /// are `Arc`-shared with the engine (role sets are refreshed only when
 /// a dataset count actually changed), and the incident map is a
-/// copy-on-write clone (O(shards), not O(incidents)).
+/// copy-on-write clone — O(chunks) pointer copies, not O(incidents),
+/// and the next window copies only the chunks it writes (module docs).
 pub struct Snapshot {
     /// Publication sequence number (strictly increasing per engine).
     pub epoch: u64,
@@ -87,12 +95,12 @@ pub struct Snapshot {
     pub operators: Arc<BTreeSet<Address>>,
     /// Affiliate accounts discovered so far.
     pub affiliates: Arc<BTreeSet<Address>>,
-    /// Measured incidents keyed by transaction id.
+    /// Measured incidents keyed by transaction id; iteration is in
+    /// canonical (transaction-id) order.
     pub incidents: CowMap<TxId, MeasuredIncident>,
     /// Running USD total (the engine's order-dependent accumulator).
     pub total_usd: f64,
     risk_index: OnceLock<HashMap<Address, (u8, Option<usize>)>>,
-    canonical: OnceLock<Vec<MeasuredIncident>>,
     victim_losses: OnceLock<BTreeMap<Address, (f64, usize)>>,
     stats: OnceLock<StatBundle>,
 }
@@ -129,7 +137,6 @@ impl Snapshot {
             incidents,
             total_usd,
             risk_index: OnceLock::new(),
-            canonical: OnceLock::new(),
             victim_losses: OnceLock::new(),
             stats: OnceLock::new(),
         }
@@ -206,22 +213,11 @@ impl Snapshot {
         self.risk_index().get(&address).and_then(|&(_, family)| family)
     }
 
-    /// Incidents in canonical (transaction-id) order — the order every
-    /// deterministic derived view sums in.
-    pub fn canonical_incidents(&self) -> &[MeasuredIncident] {
-        self.canonical.get_or_init(|| {
-            let mut incidents: Vec<MeasuredIncident> =
-                self.incidents.values().cloned().collect();
-            incidents.sort_unstable_by_key(|inc| inc.tx);
-            incidents
-        })
-    }
-
     /// (USD lost, incident count) per victim, summed in canonical order.
     pub fn victim_losses(&self) -> &BTreeMap<Address, (f64, usize)> {
         self.victim_losses.get_or_init(|| {
             let mut losses: BTreeMap<Address, (f64, usize)> = BTreeMap::new();
-            for inc in self.canonical_incidents() {
+            for inc in self.incidents.values() {
                 let entry = losses.entry(inc.victim).or_insert((0.0, 0));
                 entry.0 += inc.usd;
                 entry.1 += 1;
@@ -232,7 +228,7 @@ impl Snapshot {
 
     /// The §6 quick-stat bundle for this epoch.
     pub fn stat_bundle(&self) -> &StatBundle {
-        self.stats.get_or_init(|| stat_bundle(self.canonical_incidents()))
+        self.stats.get_or_init(|| stat_bundle(self.incidents.values()))
     }
 }
 

@@ -134,3 +134,39 @@ fn idle_window_publishes_cheap_epochs() {
     assert!(eng.done());
     assert!(eng.snapshot().done);
 }
+
+/// Holding epoch k while window k+1 ingests — as the publication cell
+/// does — must cost the window, not the incident set: the new epoch's
+/// incident map still shares every chunk of epoch k's except the tail
+/// the window appended to and one per retroactive incident (a
+/// late-admitted contract's older transactions).
+#[test]
+fn next_window_shares_all_but_its_own_incident_chunks() {
+    let mut eng = engine(&WorldConfig::small(3));
+    let mut checked = 0;
+    loop {
+        let prev = eng.snapshot();
+        if eng.ingest_window(500).is_none() {
+            break;
+        }
+        let next = eng.snapshot();
+        let (old, new) = (&prev.incidents, &next.incidents);
+        let added = new.len() - old.len();
+        if added < 200 {
+            continue;
+        }
+        let last = old.iter().map(|(&tx, _)| tx).last().unwrap_or(0);
+        let retroactive =
+            new.iter().filter(|&(&tx, _)| tx < last && !old.contains_key(&tx)).count();
+        let diverged = old.chunk_count() - old.shared_chunks_with(new);
+        assert!(
+            diverged <= 1 + retroactive,
+            "epoch {}: {diverged} of {} chunks copied for {added} new incidents \
+             ({retroactive} retroactive)",
+            next.epoch,
+            old.chunk_count()
+        );
+        checked += 1;
+    }
+    assert!(checked >= 5, "only {checked} windows added 200+ incidents");
+}

@@ -14,6 +14,8 @@
 //! * [`rlp`] — the minimal subset of RLP encoding required for `CREATE`
 //!   address derivation.
 //! * [`units`] — wei/gwei/ether conversions and display helpers.
+//! * [`FxHasher`] / [`FxHashMap`] / [`FxHashSet`] — the deterministic
+//!   multiply-xor hash every crate's internal maps use.
 //!
 //! Everything here is deterministic and allocation-light, in keeping with
 //! the event-driven, no-surprises style of the networking guides this
@@ -23,6 +25,7 @@
 #![warn(missing_docs)]
 
 mod address;
+mod fxhash;
 mod hash;
 mod hexcodec;
 mod intern;
@@ -31,6 +34,7 @@ mod u256;
 pub mod units;
 
 pub use address::Address;
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{AddrId, AddrInterner};
 pub use hash::{keccak256, H256};
 pub use hexcodec::{decode_hex, encode_hex, HexError};

@@ -1,120 +1,49 @@
-//! Copy-on-write sharded maps for incrementally-maintained state.
+//! A key-ordered copy-on-write map for state shared with readers.
 //!
-//! The streaming pipeline retains large edge/vote/assembly maps across
-//! block-window polls, and a deployed observatory needs two things from
-//! them that a plain `HashMap` cannot give:
+//! The streaming pipeline publishes an immutable snapshot after every
+//! block window while the single writer keeps growing the same state.
+//! The measured incident set is the one large map both sides hold, and
+//! it needs two things a plain map cannot give:
 //!
-//! * **O(shards) snapshots.** Cloning the holder (the bench harness, a
-//!   future reader epoch in `daas-serve`) must not deep-copy the state.
-//!   [`CowMap`] keeps its entries in a fixed power-of-two number of
-//!   `Arc`-shared shards, so a clone copies shard *pointers* only.
+//! * **O(chunks) snapshots.** [`CowMap`] keeps its entries in sorted
+//!   chunks of at most `CHUNK` entries, each behind an `Arc`; a clone
+//!   copies the chunk *pointers* only (~340 for the paper world's
+//!   87k incidents).
 //! * **O(delta) divergence.** After a clone, a write copies exactly the
-//!   touched shard (`Arc::make_mut`); untouched shards stay structurally
-//!   shared between the snapshot and the evolving state, mirroring the
-//!   `daas-chain` `ShardedHistories` discipline.
+//!   chunk it lands in; every other chunk stays physically shared with
+//!   the snapshot. Keys here are transaction ids and arrive nearly in
+//!   order, so a window of appends copies one partial tail chunk and
+//!   then fills fresh chunks nobody else holds — a retroactive key (a
+//!   late-admitted contract's old transactions) copies the one chunk it
+//!   falls in. (A hash-sharded map would spread every window across all
+//!   of its shards, and so copy the whole map per window while the
+//!   previous epoch is still published.)
 //!
-//! Shard selection uses the same deterministic Fx hash the chain's
-//! internal maps use (see `daas-chain`'s `hash` module): keys here are
-//! keccak-derived addresses, tx ids and small integers — uniform and
-//! attacker-free — so the rustc-style multiply-xor hash is both safe and
-//! a few cycles per key. The shard index is taken from the *middle* bits
-//! of the hash: the inner tables re-use the low bits for bucket
-//! placement and the top bits for control bytes, so carving the shard
-//! out of either would cluster every shard-mate into the same buckets.
-//!
-//! Iteration order is unspecified (per-shard hash order). Every consumer
-//! that emits artifacts sorts what it extracts — the same contract the
-//! chain's Fx-hashed maps already follow.
+//! Iteration is in key order, so a consumer that needs the canonical
+//! (transaction-id) order reads it straight off the map without a sort.
+//! Lookups are two binary searches: fine for the incident set, and the
+//! reason state that is never shared with a reader (the clusterer's
+//! address-keyed indices) stays on plain [`eth_types::FxHashMap`]s.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Multiplicative constant from the Firefox/rustc Fx hash (the golden
-/// ratio scaled to 64 bits) — kept identical to `daas-chain`'s hasher so
-/// layout behaviour matches across the workspace.
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+/// Most entries one chunk holds: the unit a post-snapshot write copies.
+/// Full tail chunks stay full (appends open a new chunk); an insert
+/// into a full chunk mid-map splits it in half.
+const CHUNK: usize = 256;
 
-/// The rustc-style Fx hasher: `hash = (hash rotl 5 ^ word) * SEED` per
-/// input word. Not DoS-resistant — only for keccak-derived, trusted keys.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail) ^ rest.len() as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`] (zero-sized, deterministic).
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A `HashMap` keyed by the deterministic Fx hash.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` keyed by the deterministic Fx hash.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
-/// Default shard count: enough that a post-snapshot write copies ~1.5%
-/// of the entries, small enough that cloning stays a pointer memcpy.
-const DEFAULT_SHARDS: usize = 64;
-
-/// An `Arc`-sharded copy-on-write hash map. See the module docs for the
-/// cost model; the API is the `HashMap` subset the streaming state
-/// machines need.
+/// An ordered map of `Arc`-shared sorted chunks. See the module docs
+/// for the cost model. Invariants: no chunk is empty, every chunk is
+/// sorted by key, and the chunks' key ranges are disjoint and ascending.
 pub struct CowMap<K, V> {
-    shards: Vec<Arc<FxHashMap<K, V>>>,
-    mask: u64,
+    chunks: Vec<Arc<Vec<(K, V)>>>,
     len: usize,
 }
 
 impl<K, V> Clone for CowMap<K, V> {
     fn clone(&self) -> Self {
-        CowMap { shards: self.shards.clone(), mask: self.mask, len: self.len }
+        CowMap { chunks: self.chunks.clone(), len: self.len }
     }
 }
 
@@ -131,19 +60,9 @@ impl<K, V> Default for CowMap<K, V> {
 }
 
 impl<K, V> CowMap<K, V> {
-    /// An empty map with the default shard count.
+    /// An empty map.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty map with `shards` shards (rounded up to a power of two).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        CowMap {
-            shards: (0..shards).map(|_| Arc::new(FxHashMap::default())).collect(),
-            mask: shards as u64 - 1,
-            len: 0,
-        }
+        CowMap { chunks: Vec::new(), len: 0 }
     }
 
     /// Number of entries.
@@ -156,138 +75,99 @@ impl<K, V> CowMap<K, V> {
         self.len == 0
     }
 
-    /// Iterates all entries (unordered — consumers sort what they emit).
+    /// Iterates all entries in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.shards.iter().flat_map(|s| s.iter())
+        self.chunks.iter().flat_map(|c| c.iter().map(|(k, v)| (k, v)))
     }
 
-    /// Iterates all values (unordered).
+    /// Iterates all values in ascending key order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.shards.iter().flat_map(|s| s.values())
+        self.chunks.iter().flat_map(|c| c.iter().map(|(_, v)| v))
+    }
+
+    /// Number of chunks (structural-sharing introspection for tests).
+    pub fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// How many of this map's chunks are physically shared with
+    /// `other` (structural-sharing introspection for tests).
+    pub fn shared_chunks_with(&self, other: &Self) -> usize {
+        let theirs: HashSet<*const Vec<(K, V)>> = other.chunks.iter().map(Arc::as_ptr).collect();
+        self.chunks.iter().filter(|c| theirs.contains(&Arc::as_ptr(c))).count()
     }
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> CowMap<K, V> {
+impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
+    /// The chunk whose key range covers `key`: the first chunk whose
+    /// last key is not below it, or the last chunk for a key past the
+    /// end. `None` only for an empty map.
     #[inline]
-    fn shard_of(&self, key: &K) -> usize {
-        let mut hasher = FxHasher::default();
-        key.hash(&mut hasher);
-        // Middle bits: the inner table consumes the low bits (bucket
-        // index) and top bits (control bytes).
-        ((hasher.finish() >> 32) & self.mask) as usize
+    fn chunk_for(&self, key: &K) -> Option<usize> {
+        let i = self.chunks.partition_point(|c| c.last().expect("chunks are non-empty").0 < *key);
+        (!self.chunks.is_empty()).then(|| i.min(self.chunks.len() - 1))
     }
 
     /// Looks up a key.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.shards[self.shard_of(key)].get(key)
+        let chunk = &self.chunks[self.chunk_for(key)?];
+        let i = chunk.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+        Some(&chunk[i].1)
     }
 
     /// Membership test.
     #[inline]
     pub fn contains_key(&self, key: &K) -> bool {
-        self.shards[self.shard_of(key)].contains_key(key)
+        self.get(key).is_some()
     }
 
-    /// Mutable lookup. Copies the holding shard first if it is shared
-    /// with a snapshot; absent keys never trigger a copy.
-    #[inline]
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let si = self.shard_of(key);
-        if !self.shards[si].contains_key(key) {
-            return None;
-        }
-        Arc::make_mut(&mut self.shards[si]).get_mut(key)
-    }
-
-    /// Mutable access to the value at `key`, inserting `default()` when
-    /// absent (the `entry(..).or_insert_with(..)` shape).
-    pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        let si = self.shard_of(&key);
-        if !self.shards[si].contains_key(&key) {
-            self.len += 1;
-        }
-        Arc::make_mut(&mut self.shards[si]).entry(key).or_insert_with(default)
-    }
-
-    /// Inserts `value` at `key`, returning the previous value.
+    /// Inserts `value` at `key`, returning the previous value. Copies
+    /// the one chunk the key lands in if a clone still shares it.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let si = self.shard_of(&key);
-        let prev = Arc::make_mut(&mut self.shards[si]).insert(key, value);
-        if prev.is_none() {
-            self.len += 1;
-        }
-        prev
-    }
-
-    /// Removes a key, returning its value. Absent keys never copy.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let si = self.shard_of(key);
-        if !self.shards[si].contains_key(key) {
+        let Some(ci) = self.chunk_for(&key) else {
+            self.chunks.push(Arc::new(Self::fresh_chunk(key, value)));
+            self.len = 1;
+            return None;
+        };
+        let at = match self.chunks[ci].binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => return Some(std::mem::replace(&mut self.chunk_mut(ci)[i].1, value)),
+            Err(i) => i,
+        };
+        self.len += 1;
+        if at == CHUNK {
+            // Past the end of a full tail chunk: open a new one rather
+            // than copy (or split) a chunk a snapshot may still hold.
+            self.chunks.push(Arc::new(Self::fresh_chunk(key, value)));
             return None;
         }
-        let removed = Arc::make_mut(&mut self.shards[si]).remove(key);
-        if removed.is_some() {
-            self.len -= 1;
+        let chunk = self.chunk_mut(ci);
+        chunk.insert(at, (key, value));
+        if chunk.len() > CHUNK {
+            let upper = chunk.split_off(chunk.len() / 2);
+            self.chunks.insert(ci + 1, Arc::new(upper));
         }
-        removed
+        None
     }
 
-    /// How many shards are physically shared with `other` (structural
-    /// sharing introspection, used by tests and benches).
-    pub fn shared_shards_with(&self, other: &Self) -> usize {
-        self.shards
-            .iter()
-            .zip(&other.shards)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
-    }
-}
-
-/// An `Arc`-sharded copy-on-write hash set — [`CowMap`] with `()`
-/// values.
-#[derive(Debug, Clone, Default)]
-pub struct CowSet<T> {
-    map: CowMap<T, ()>,
-}
-
-impl<T> CowSet<T> {
-    /// An empty set with the default shard count.
-    pub fn new() -> Self {
-        CowSet { map: CowMap::new() }
+    fn fresh_chunk(key: K, value: V) -> Vec<(K, V)> {
+        let mut chunk = Vec::with_capacity(CHUNK);
+        chunk.push((key, value));
+        chunk
     }
 
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Iterates members (unordered).
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.map.iter().map(|(k, ())| k)
-    }
-}
-
-impl<T: Hash + Eq + Clone> CowSet<T> {
-    /// Inserts a member; `true` when it was new.
-    pub fn insert(&mut self, value: T) -> bool {
-        self.map.insert(value, ()).is_none()
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, value: &T) -> bool {
-        self.map.contains_key(value)
-    }
-
-    /// Removes a member; `true` when it was present.
-    pub fn remove(&mut self, value: &T) -> bool {
-        self.map.remove(value).is_some()
+    /// Unique access to chunk `ci`, copying it first if it is shared.
+    /// Unlike `Arc::make_mut`, the copy reserves a full chunk (plus the
+    /// one insert that splits it), so a copied partial tail does not
+    /// grow by doubling to up to twice the memory a chunk needs.
+    fn chunk_mut(&mut self, ci: usize) -> &mut Vec<(K, V)> {
+        let slot = &mut self.chunks[ci];
+        if Arc::get_mut(slot).is_none() {
+            let mut copy = Vec::with_capacity(CHUNK + 1);
+            copy.extend_from_slice(slot);
+            *slot = Arc::new(copy);
+        }
+        Arc::get_mut(slot).expect("chunk is unshared after the copy")
     }
 }
 
@@ -296,108 +176,69 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_get_remove_len() {
+    fn insert_get_len() {
         let mut m: CowMap<u64, String> = CowMap::new();
         assert!(m.is_empty());
+        assert_eq!(m.get(&1), None);
         assert_eq!(m.insert(1, "a".into()), None);
         assert_eq!(m.insert(2, "b".into()), None);
         assert_eq!(m.insert(1, "c".into()), Some("a".into()));
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(&1).map(String::as_str), Some("c"));
         assert!(m.contains_key(&2));
-        assert_eq!(m.remove(&1).as_deref(), Some("c"));
-        assert_eq!(m.remove(&1), None);
-        assert_eq!(m.len(), 1);
+        assert!(!m.contains_key(&3));
     }
 
     #[test]
-    fn get_mut_edits_in_place() {
-        let mut m: CowMap<u64, Vec<u64>> = CowMap::new();
-        m.insert(7, vec![1]);
-        m.get_mut(&7).unwrap().push(2);
-        assert_eq!(m.get(&7), Some(&vec![1, 2]));
-        assert_eq!(m.get_mut(&99), None);
-    }
-
-    #[test]
-    fn clone_shares_structure_until_written() {
+    fn appends_fill_chunks_and_clones_share_them() {
         let mut m: CowMap<u64, u64> = CowMap::new();
-        for i in 0..1_000 {
+        for i in 0..(10 * CHUNK as u64 + 5) {
             m.insert(i, i * 2);
         }
+        assert_eq!(m.chunk_count(), 11, "in-order appends pack full chunks");
         let snapshot = m.clone();
-        assert_eq!(m.shared_shards_with(&snapshot), 64, "clone copies no shard");
+        assert_eq!(m.shared_chunks_with(&snapshot), 11, "a clone copies no chunk");
 
-        m.insert(1_000, 0);
-        let shared = m.shared_shards_with(&snapshot);
-        assert_eq!(shared, 63, "one write diverges exactly one shard");
-        // The snapshot still sees the pre-write state.
-        assert_eq!(snapshot.len(), 1_000);
-        assert!(!snapshot.contains_key(&1_000));
-        assert_eq!(m.len(), 1_001);
+        // A window of appends copies only the partial tail chunk.
+        for i in 0..300 {
+            m.insert(10 * CHUNK as u64 + 5 + i, 0);
+        }
+        assert_eq!(snapshot.shared_chunks_with(&m), 10);
+        // A retroactive overwrite copies the one chunk it lands in.
+        m.insert(3, 7);
+        assert_eq!(snapshot.shared_chunks_with(&m), 9);
+        assert_eq!(snapshot.get(&3), Some(&6), "the snapshot keeps its view");
+        assert_eq!(snapshot.len(), 10 * CHUNK + 5);
+        assert_eq!(m.len(), 10 * CHUNK + 305);
+    }
+
+    #[test]
+    fn mid_map_inserts_split_full_chunks() {
+        let mut m: CowMap<u64, ()> = CowMap::new();
+        for i in 0..(2 * CHUNK as u64) {
+            m.insert(2 * i, ());
+        }
+        assert_eq!(m.chunk_count(), 2);
+        let snapshot = m.clone();
+        m.insert(1, ());
+        assert_eq!(m.chunk_count(), 3, "a full chunk splits in half");
+        assert_eq!(m.shared_chunks_with(&snapshot), 1, "only the split chunk diverged");
+        let keys: Vec<u64> = m.iter().map(|(&k, ())| k).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(keys.len(), 2 * CHUNK + 1);
     }
 
     #[test]
     fn read_paths_never_copy() {
         let mut m: CowMap<u64, u64> = CowMap::new();
-        for i in 0..100 {
+        for i in 0..1_000 {
             m.insert(i, i);
         }
         let snapshot = m.clone();
         assert_eq!(m.get(&5), Some(&5));
         assert!(m.contains_key(&50));
-        assert_eq!(m.get_mut(&12_345), None, "absent get_mut");
-        assert_eq!(m.remove(&54_321), None, "absent remove");
-        assert_eq!(m.shared_shards_with(&snapshot), 64);
-    }
-
-    #[test]
-    fn get_or_insert_with_tracks_len() {
-        let mut m: CowMap<u64, Vec<u64>> = CowMap::new();
-        m.get_or_insert_with(3, Vec::new).push(1);
-        m.get_or_insert_with(3, Vec::new).push(2);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get(&3), Some(&vec![1, 2]));
-        m.get_or_insert_with(4, || vec![9]);
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn iteration_covers_every_entry() {
-        let mut m: CowMap<u64, u64> = CowMap::new();
-        for i in 0..500 {
-            m.insert(i, i + 1);
-        }
-        let mut entries: Vec<(u64, u64)> = m.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable();
-        assert_eq!(entries.len(), 500);
-        assert!(entries.iter().enumerate().all(|(i, &(k, v))| k == i as u64 && v == k + 1));
-        assert_eq!(m.values().count(), 500);
-    }
-
-    #[test]
-    fn set_behaves() {
-        let mut s: CowSet<(u8, u64)> = CowSet::new();
-        assert!(s.insert((1, 10)));
-        assert!(!s.insert((1, 10)));
-        assert!(s.contains(&(1, 10)));
-        assert_eq!(s.len(), 1);
-        let snap = s.clone();
-        assert!(s.remove(&(1, 10)));
-        assert!(!s.remove(&(1, 10)));
-        assert!(s.is_empty());
-        assert!(snap.contains(&(1, 10)), "snapshot unaffected by removal");
-    }
-
-    #[test]
-    fn hasher_is_deterministic() {
-        let h = |bytes: &[u8]| {
-            let mut hasher = FxHasher::default();
-            hasher.write(bytes);
-            hasher.finish()
-        };
-        assert_eq!(h(&[1u8; 20]), h(&[1u8; 20]));
-        assert_ne!(h(&[1u8; 20]), h(&[2u8; 20]));
-        assert_ne!(h(&[0u8; 3]), h(&[0u8; 4]), "tail length is mixed in");
+        assert!(!m.contains_key(&12_345));
+        assert_eq!(m.iter().count(), 1_000);
+        assert_eq!(m.shared_chunks_with(&snapshot), m.chunk_count());
     }
 }

@@ -10,8 +10,8 @@
 //! * [`FlowGraph`] — an address adjacency structure with edge weights
 //!   (transfer counts / total value), BFS reachability and component
 //!   extraction.
-//! * [`CowMap`] / [`CowSet`] — `Arc`-sharded copy-on-write maps that give
-//!   the streaming pipeline O(shards) snapshots and O(delta) divergence.
+//! * [`CowMap`] — a key-ordered map of `Arc`-shared sorted chunks that
+//!   gives published snapshots O(chunks) clones and O(delta) divergence.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +19,7 @@
 mod cow;
 mod flow;
 
-pub use cow::{CowMap, CowSet, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use cow::CowMap;
 pub use flow::ValueGraph;
 
 use std::collections::{HashMap, HashSet, VecDeque};
