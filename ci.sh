@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: the tier-1 contract (ROADMAP.md) plus the parallel-snowball
-# and parallel-clustering equivalence suites. Test threads are pinned so
-# the harness schedule is reproducible; the pipeline's own worker counts
-# are set per-test.
+# CI gate: the tier-1 contract (ROADMAP.md) plus the equivalence suites:
+# world-build and §6-report thread counts, history shard counts, and the
+# streaming stack, all against the sequential batch pipeline. Test
+# threads are pinned so the harness schedule is reproducible; the
+# pipeline's own worker counts are set per-test.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -12,9 +13,8 @@ cargo test -q
 
 # ---- Sequential-oracle equivalence suites. ----
 cargo test -q -p daas-world --test parallel_equivalence -- --test-threads 4
-cargo test -q -p daas-detector --test parallel_equivalence -- --test-threads 4
 cargo test -q -p daas-detector --test snowball_props -- --test-threads 4
-cargo test -q -p daas-cluster --test parallel_equivalence -- --test-threads 4
+cargo test -q -p daas-cluster --test shard_equivalence -- --test-threads 4
 cargo test -q -p daas-measure --test parallel_equivalence -- --test-threads 4
 cargo test -q --test determinism -- --test-threads 4
 
@@ -97,8 +97,6 @@ cargo test -q --workspace
 #      CI_FULL_SCALE=0). ----
 if [[ "${CI_FULL_SCALE:-1}" == "1" ]]; then
   cargo test -q --release -p daas-world --test parallel_equivalence -- --ignored --test-threads 1
-  cargo test -q --release -p daas-detector --test parallel_equivalence -- --ignored --test-threads 1
-  cargo test -q --release -p daas-cluster --test parallel_equivalence -- --ignored --test-threads 1
   cargo test -q --release -p daas-measure --test parallel_equivalence -- --ignored --test-threads 1
   cargo test -q --release -p daas-cluster --test live_equivalence -- --ignored --test-threads 1
   cargo test -q --release -p daas-measure --test live_equivalence -- --ignored --test-threads 1
@@ -110,8 +108,6 @@ fi
 # ---- Throughput tracking: writes BENCH_<group>.json (see BENCH_OUT_DIR)
 #      with sequential/parallel numbers for each parallelized stage. ----
 cargo bench -p daas-bench --bench world_build
-cargo bench -p daas-bench --bench snowball_parallel
-cargo bench -p daas-bench --bench cluster_parallel
 cargo bench -p daas-bench --bench measure_reports
 cargo bench -p daas-bench --bench live_pipeline
 cargo bench -p daas-bench --bench obs_overhead

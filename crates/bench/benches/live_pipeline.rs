@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use daas_cluster::{cluster_prefix, cluster_with, ClusterConfig, OnlineClusterer};
+use daas_cluster::{cluster, cluster_prefix, OnlineClusterer};
 use daas_detector::{build_dataset_with_cache, ClassificationCache, OnlineDetector};
 use daas_measure::{LiveMeasure, MeasureConfig, MeasureCtx};
 use daas_world::{collection_end, World, WorldConfig};
@@ -52,12 +52,7 @@ fn bench_live_pipeline(c: &mut Criterion) {
             let cache = ClassificationCache::new();
             let dataset =
                 build_dataset_with_cache(&world.chain, &world.labels, &snowball, &cache);
-            let clustering = cluster_with(
-                &world.chain,
-                &world.labels,
-                &dataset,
-                &ClusterConfig::sequential(),
-            );
+            let clustering = cluster(&world.chain, &world.labels, &dataset);
             let reports = MeasureCtx::new(&world.chain, &dataset, &world.oracle).reports(
                 &world.labels,
                 INACTIVE_SECS,
@@ -169,15 +164,9 @@ fn bench_live_pipeline(c: &mut Criterion) {
     let dataset_at_next = detector.dataset().clone();
     group.bench_function("recluster_scratch", |b| {
         b.iter(|| {
-            cluster_prefix(
-                &world.chain,
-                &world.labels,
-                &dataset_at_next,
-                next_mark,
-                &ClusterConfig::sequential(),
-            )
-            .families
-            .len()
+            cluster_prefix(&world.chain, &world.labels, &dataset_at_next, next_mark)
+                .families
+                .len()
         })
     });
     group.finish();

@@ -1,10 +1,7 @@
 //! Ablations A1–A5 (DESIGN.md §4): how each design choice in the
 //! pipeline affects precision/recall.
 //!
-//! Runs at `DAAS_SCALE` (default 1.0 — the round-parallel snowball
-//! makes repeated full-scale rebuilds affordable; lower it for a quick
-//! pass). `DAAS_THREADS` picks the snowball worker count (0 = all
-//! cores); the datasets are byte-identical at every setting.
+//! Runs at `DAAS_SCALE` (default 1.0; lower it for a quick pass).
 
 use daas_cli::{render_ablations, run_website_pipeline};
 use daas_detector::{build_dataset, evaluate, ClassifierConfig, SnowballConfig};
@@ -15,7 +12,7 @@ fn main() {
     let seed = std::env::var("DAAS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(42);
     let scale = std::env::var("DAAS_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(1.0);
     let base = daas_bench::snowball_config();
-    eprintln!("[exp_ablations] seed {seed}, scale {scale}, threads {}", base.effective_threads());
+    eprintln!("[exp_ablations] seed {seed}, scale {scale}");
     let config = WorldConfig { scale, ..WorldConfig::paper_scale(seed) };
     let world = World::build(&config).expect("world");
     let truth = (

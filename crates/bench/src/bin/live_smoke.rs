@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use daas_chain::TxId;
-use daas_cluster::{cluster_prefix, ClusterConfig};
+use daas_cluster::cluster_prefix;
 use daas_measure::MeasureConfig;
 use daas_world::WorldConfig;
 
@@ -71,13 +71,8 @@ fn main() {
     let scratch_ms = (0..3)
         .map(|_| {
             let t = Instant::now();
-            let clustering = cluster_prefix(
-                &run.world.chain,
-                &run.world.labels,
-                &run.dataset,
-                at,
-                &ClusterConfig::sequential(),
-            );
+            let clustering =
+                cluster_prefix(&run.world.chain, &run.world.labels, &run.dataset, at);
             assert!(!clustering.families.is_empty(), "smoke world produced no families");
             t.elapsed().as_secs_f64() * 1e3
         })

@@ -82,12 +82,7 @@ fn main() {
     let dataset =
         daas_detector::build_dataset_with_cache(&world.chain, &world.labels, &snowball, &bcache);
     let t1 = Instant::now();
-    let clustering = daas_cluster::cluster_with(
-        &world.chain,
-        &world.labels,
-        &dataset,
-        &daas_cluster::ClusterConfig::sequential(),
-    );
+    let clustering = daas_cluster::cluster(&world.chain, &world.labels, &dataset);
     let t2 = Instant::now();
     let reports = daas_measure::MeasureCtx::new(&world.chain, &dataset, &world.oracle).reports(
         &world.labels,

@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use daas_cluster::{cluster_with, ClusterConfig};
+use daas_cluster::cluster;
 use daas_detector::{build_dataset_with_cache, ClassificationCache};
 use daas_measure::{MeasureConfig, MeasureCtx};
 use daas_world::{collection_end, World, WorldConfig};
@@ -65,12 +65,7 @@ fn run_at(scale: f64) -> Run {
     let snowball_ms = ms(t);
 
     let t = Instant::now();
-    let clustering = cluster_with(
-        &world.chain,
-        &world.labels,
-        &dataset,
-        &ClusterConfig::sequential(),
-    );
+    let clustering = cluster(&world.chain, &world.labels, &dataset);
     let cluster_ms = ms(t);
 
     let t = Instant::now();

@@ -67,19 +67,12 @@ pub fn env_config() -> (u64, f64) {
 }
 
 /// The standard snowball configuration, honouring `DAAS_THREADS`
-/// (default 0 = all cores; 1 = the sequential oracle path). The
-/// discovered dataset is byte-identical at every setting.
+/// (default 0 = all cores) as the world-build thread count. Snowball
+/// sampling itself is sequential; every artifact is byte-identical at
+/// every setting.
 pub fn snowball_config() -> daas_detector::SnowballConfig {
     let threads = std::env::var("DAAS_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
     daas_detector::SnowballConfig { threads, ..Default::default() }
-}
-
-/// The standard clustering configuration, honouring `DAAS_THREADS`
-/// like [`snowball_config`]. The clustering is byte-identical at every
-/// setting.
-pub fn cluster_config() -> daas_cluster::ClusterConfig {
-    let threads = std::env::var("DAAS_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
-    daas_cluster::ClusterConfig { threads }
 }
 
 /// The standard measurement configuration, honouring `DAAS_THREADS`

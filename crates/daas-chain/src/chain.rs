@@ -11,7 +11,7 @@ use crate::block::{
 };
 use crate::error::ChainError;
 use crate::hash::DetMap;
-use crate::shard::{ChainReader, ShardedHistories};
+use crate::shard::ShardedHistories;
 use crate::store::{TxStore, TxView};
 use crate::tx::{Approval, CallInfo, Transaction, Transfer, TxId};
 
@@ -305,18 +305,10 @@ impl Chain {
         self.store.resolve(id)
     }
 
-    /// A copyable, `Sync` read-only view over the tx arena and the
-    /// sharded history index — the cheap handle worker threads take
-    /// instead of borrowing the whole chain.
-    pub fn reader(&self) -> ChainReader<'_> {
-        ChainReader::new(&self.store, &self.history)
-    }
-
-    /// An owned (`Arc`-backed) snapshot of the sharded history index.
-    /// Cloning is one `Arc` bump per shard; later chain mutations are
-    /// invisible to the snapshot (copy-on-write).
-    pub fn history_view(&self) -> ShardedHistories {
-        self.history.clone()
+    /// Accounts per history shard, in shard order — the occupancy view
+    /// the observability layer exports as `shard.histories.len{shard}`.
+    pub fn history_shard_sizes(&self) -> Vec<usize> {
+        self.history.shard_sizes()
     }
 
     /// Rebuilds the history index with a different (power-of-two) shard

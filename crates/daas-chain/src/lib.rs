@@ -51,6 +51,6 @@ pub use error::ChainError;
 pub use hash::DetMap;
 pub use labels::{Label, LabelCategory, LabelSource, LabelStore};
 pub use memo::{MemoStats, ShardKey, ShardedMemo};
-pub use shard::{shard_index, shard_index_id, ChainReader, ShardedHistories, DEFAULT_SHARDS};
+pub use shard::{shard_index, shard_index_id, ShardedHistories, DEFAULT_SHARDS};
 pub use store::{AssetRef, TransferColumns, TxStore, TxStoreIter, TxView};
 pub use tx::{Approval, CallInfo, Transaction, Transfer, TxId};

@@ -174,13 +174,6 @@ impl<K: ShardKey + Hash + Eq, V: Clone> ShardedMemo<K, V> {
         value
     }
 
-    /// Whether `key` has been memoised. Not counted as a hit or miss —
-    /// the prewarm paths probe with `contains` before computing, and a
-    /// probe-then-fill must count once, not twice.
-    pub fn contains(&self, key: &K) -> bool {
-        self.shard(key).map.read().contains_key(key)
-    }
-
     /// Total number of memoised entries.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.map.read().len()).sum()
@@ -235,7 +228,6 @@ mod tests {
         assert_eq!(v, 70, "second call must hit the memo");
         assert_eq!(calls, 1);
         assert_eq!(memo.len(), 1);
-        assert!(memo.contains(&7));
         assert_eq!(memo.get(&7), Some(70));
         memo.clear();
         assert!(memo.is_empty());
@@ -276,7 +268,6 @@ mod tests {
         memo.get_or_compute(0, || 1); // miss
         memo.get_or_compute(0, || 1); // hit
         memo.get_or_compute(1, || 2); // miss (shard 1)
-        assert!(memo.contains(&0), "contains is not counted");
         assert_eq!(memo.get(&5), None); // miss
         let stats = memo.stats();
         assert_eq!(stats.hits, 1);

@@ -1,14 +1,11 @@
-//! Sharded account-history index and the cheap read-only chain view.
+//! Sharded account-history index.
 //!
-//! The snowball sampler, the family clusterer, and the measurement
-//! analytics are all read-mostly walks over two structures: the
-//! columnar tx arena ([`TxStore`], indexed by [`TxId`]) and the
-//! per-account history index. A single flat map serves every worker
-//! from one allocation, so multi-socket hosts bottleneck on shared
-//! cache lines. [`ShardedHistories`] splits the index into N
-//! power-of-two shards; each shard lives behind its own `Arc`, so a
-//! clone of the whole index is N pointer bumps and workers can hold an
-//! owned, `Sync` view without borrowing the chain.
+//! The snowball sampler, the family clusterer and the measurement
+//! analytics all walk per-account histories (the "historical
+//! transactions of the account" of §5.1). [`ShardedHistories`] splits
+//! the index into N power-of-two shards, each behind its own `Arc`, so
+//! cloning the chain copies N pointers and a later write copies only
+//! the shard it touches.
 //!
 //! Since the columnar refactor the index is keyed by interned
 //! [`AddrId`]s: probes hash 4 bytes instead of 20 and shard placement
@@ -23,7 +20,6 @@ use std::sync::Arc;
 
 use eth_types::{AddrId, Address, FxHashMap};
 
-use crate::store::{TxStore, TxView};
 use crate::tx::TxId;
 
 /// Default shard count for the account-history index *and* the sharded
@@ -58,8 +54,7 @@ pub fn shard_index_id(id: AddrId, mask: usize) -> usize {
 /// The account-history index, split into power-of-two `Arc`-backed
 /// shards and keyed by interned [`AddrId`]. Cloning is cheap (one `Arc`
 /// bump per shard); mutation goes through copy-on-write
-/// (`Arc::make_mut`), so a clone taken by a worker pool is a stable
-/// snapshot.
+/// (`Arc::make_mut`), so a clone is a stable snapshot.
 #[derive(Debug, Clone)]
 pub struct ShardedHistories {
     mask: usize,
@@ -155,54 +150,6 @@ impl PartialEq for ShardedHistories {
     fn eq(&self, other: &Self) -> bool {
         // Shard count is layout, not data.
         self.flat() == other.flat()
-    }
-}
-
-/// A copyable, `Sync` read-only view over the chain's two hot read
-/// paths: the columnar tx arena and the sharded history index. Workers
-/// take a `ChainReader` by value instead of borrowing the whole
-/// [`Chain`](crate::Chain), so the pool never contends on (or extends)
-/// the chain borrow.
-#[derive(Debug, Clone, Copy)]
-pub struct ChainReader<'a> {
-    store: &'a TxStore,
-    histories: &'a ShardedHistories,
-}
-
-impl<'a> ChainReader<'a> {
-    pub(crate) fn new(store: &'a TxStore, histories: &'a ShardedHistories) -> Self {
-        ChainReader { store, histories }
-    }
-
-    /// Looks up a transaction by id.
-    #[inline]
-    pub fn tx(&self, id: TxId) -> TxView<'a> {
-        self.store.view(id)
-    }
-
-    /// The columnar tx arena (all transactions, in chain order).
-    #[inline]
-    pub fn transactions(&self) -> &'a TxStore {
-        self.store
-    }
-
-    /// Transaction ids touching `address`, in chain order.
-    pub fn txs_of(&self, address: Address) -> &'a [TxId] {
-        match self.store.addr_id(address) {
-            Some(id) => self.histories.txs_of(id),
-            None => &[],
-        }
-    }
-
-    /// Transaction ids touching the interned account, in chain order.
-    #[inline]
-    pub fn txs_of_id(&self, id: AddrId) -> &'a [TxId] {
-        self.histories.txs_of(id)
-    }
-
-    /// The underlying sharded history index.
-    pub fn histories(&self) -> &'a ShardedHistories {
-        self.histories
     }
 }
 

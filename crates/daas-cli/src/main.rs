@@ -6,10 +6,11 @@
 //!
 //!   --seed N     RNG seed (default 42)
 //!   --scale F    world scale, 1.0 = paper scale (default 0.1)
-//!   --threads N  worker threads for world planning, snowball sampling,
-//!                family clustering, the §6 measurement reports and the
-//!                forensics fan-out, 0 = all cores (default 0); every
-//!                artifact is byte-identical at every setting
+//!   --threads N  worker threads for world planning and the §6
+//!                measurement reports, 0 = all cores (default 0);
+//!                snowball sampling, clustering and forensics always
+//!                run sequentially; every artifact is byte-identical at
+//!                every setting
 //!   --shards N   shard count (power of two) for the chain's history
 //!                and asset-state maps and the detector's classification
 //!                memo, 0 = the default; shards are memory layout,

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use daas_chain::{Chain, Timestamp};
-use daas_cluster::{cluster_with, ClusterConfig, Clustering, FamilyForensics, OnlineClustererStats};
+use daas_cluster::{cluster, Clustering, FamilyForensics, OnlineClustererStats};
 use daas_detector::{build_dataset_with_cache, ClassificationCache, Dataset, SnowballConfig};
 use daas_measure::{MeasureConfig, MeasureCtx, MeasureReports};
 use daas_serve::Engine;
@@ -30,9 +30,6 @@ pub struct Pipeline {
     pub dataset: Dataset,
     /// The family clustering.
     pub clustering: Clustering,
-    /// Worker threads the pipeline was built with (0 = all cores) —
-    /// renderers reuse it for the measurement and forensics fan-outs.
-    pub threads: usize,
     /// Wall-clock cost of each stage: (world, snowball, clustering).
     pub timings: (Duration, Duration, Duration),
 }
@@ -61,8 +58,7 @@ impl Pipeline {
         Measured { ctx, reports }
     }
 
-    /// Per-family profile + lifecycle rows, fanned across the worker
-    /// pool with the pipeline's thread setting.
+    /// Per-family profile + lifecycle rows.
     pub fn forensics(&self, min_txs: usize, inactive_secs: u64, as_of: Timestamp) -> FamilyForensics {
         daas_cluster::family_forensics(
             &self.world.chain,
@@ -71,7 +67,6 @@ impl Pipeline {
             min_txs,
             inactive_secs,
             as_of,
-            &ClusterConfig { threads: self.threads },
         )
     }
 }
@@ -165,12 +160,7 @@ impl Pipeline {
         let batch_matches = if verify {
             let batch_dataset =
                 build_dataset_with_cache(&world.chain, &world.labels, snowball, &cache);
-            let batch_clustering = cluster_with(
-                &world.chain,
-                &world.labels,
-                &batch_dataset,
-                &ClusterConfig { threads: snowball.threads },
-            );
+            let batch_clustering = cluster(&world.chain, &world.labels, &batch_dataset);
             let batch_reports =
                 MeasureCtx::new(&world.chain, &batch_dataset, &world.oracle).reports(
                     &world.labels,
@@ -223,7 +213,7 @@ fn record_stage_obs(chain: &Chain, stages: &[(&str, Duration)]) {
     for (stage, took) in stages {
         daas_obs::gauge_l("pipeline.stage_ms", "stage", stage, took.as_secs_f64() * 1e3);
     }
-    for (i, len) in chain.reader().histories().shard_sizes().into_iter().enumerate() {
+    for (i, len) in chain.history_shard_sizes().into_iter().enumerate() {
         daas_obs::gauge_l("shard.histories.len", "shard", &i.to_string(), len as f64);
     }
     for (column, bytes) in chain.transactions().column_bytes() {
@@ -232,8 +222,8 @@ fn record_stage_obs(chain: &Chain, stages: &[(&str, Duration)]) {
 }
 
 /// Runs world generation, snowball sampling and clustering. The snowball
-/// `threads` knob drives the world planner and the clustering worker
-/// pool too.
+/// `threads` knob sets the world planner's worker count; snowball and
+/// clustering are sequential.
 pub fn run_pipeline(config: &WorldConfig, snowball: &SnowballConfig) -> Result<Pipeline, String> {
     run_pipeline_sharded(config, snowball, 0)
 }
@@ -255,8 +245,7 @@ pub fn run_pipeline_sharded(
         if shards == 0 { ClassificationCache::new() } else { ClassificationCache::with_shards(shards) };
     let dataset = build_dataset_with_cache(&world.chain, &world.labels, snowball, &cache);
     let t2 = Instant::now();
-    let cluster_cfg = ClusterConfig { threads: snowball.threads };
-    let clustering = cluster_with(&world.chain, &world.labels, &dataset, &cluster_cfg);
+    let clustering = cluster(&world.chain, &world.labels, &dataset);
     let t3 = Instant::now();
     record_stage_obs(
         &world.chain,
@@ -266,7 +255,6 @@ pub fn run_pipeline_sharded(
         world,
         dataset,
         clustering,
-        threads: snowball.threads,
         timings: (t1 - t0, t2 - t1, t3 - t2),
     })
 }

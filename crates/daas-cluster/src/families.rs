@@ -1,27 +1,19 @@
 //! Step 1 + 2 of §7.1: operator clustering and member grouping.
 //!
-//! The clustering runs in three phases (DESIGN.md §8):
+//! The clustering runs in three sequential phases (DESIGN.md §8):
 //!
-//! 1. **Extract** — chunks of the sorted operator list scan their
-//!    accounts' histories through the sharded [`ChainReader`] on a
-//!    crossbeam worker pool, emitting operator↔operator union
-//!    candidates and (labeled-phish account, operator) touches.
-//! 2. **Merge** — one thread folds the batches, in chunk order, into a
-//!    deterministic union-find. The final partition of a union-find
-//!    depends only on the edge *set* (never the order edges were
-//!    applied), and `components()` returns address-sorted output, so
-//!    any worker schedule yields the same components.
-//! 3. **Fan out** — per-component family assembly (member grouping and
-//!    naming) runs on the pool again; the heavier per-family profile /
-//!    lifecycle extraction fans out in [`crate::family_forensics`].
-//!
-//! With `threads == 1` every phase degenerates to the sequential oracle
-//! the equivalence suite compares against.
+//! 1. **Extract** — scan every operator's history for operator↔operator
+//!    union candidates and (labeled-phish account, operator) touches.
+//! 2. **Merge** — fold the candidates into a deterministic union-find.
+//!    The final partition depends only on the edge *set*, and
+//!    `components()` returns address-sorted output.
+//! 3. **Assemble** — group contracts and affiliates under their
+//!    operators' component, name each family and sort the families.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use daas_chain::{Chain, ChainReader, LabelCategory, LabelStore, TxId};
+use daas_chain::{Chain, LabelCategory, LabelStore, TxId};
 use daas_detector::Dataset;
 use eth_types::Address;
 use serde::{Deserialize, Serialize};
@@ -101,163 +93,116 @@ impl Clustering {
     }
 }
 
-/// Parallelism knob for [`cluster_with`]. `threads == 0` uses every
-/// core; `threads == 1` is the sequential oracle the equivalence suite
-/// compares against. The clustering output is byte-identical either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Accepted by [`cluster_with`] and ignored: clustering is sequential.
+/// Kept so code written against the earlier threaded API still builds;
+/// new callers use [`cluster`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterConfig {
-    /// Worker threads for the extract and fan-out phases (0 = all
-    /// cores, 1 = sequential).
+    /// Ignored.
     pub threads: usize,
 }
 
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig { threads: 0 }
-    }
-}
-
 impl ClusterConfig {
-    /// The sequential-oracle configuration.
+    /// `threads: 1`; the same clustering as every other value.
     pub fn sequential() -> Self {
         ClusterConfig { threads: 1 }
     }
-
-    /// Resolves `threads == 0` to the host's available parallelism.
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        }
-    }
 }
 
-/// Union candidates one extract worker found in its operator chunk:
-/// direct operator↔operator edges, and (labeled phish account, operator)
+/// Union candidates from the operators' histories: direct
+/// operator↔operator edges, and (labeled phish account, operator)
 /// touches whose chains are materialised at merge time.
 #[derive(Debug, Default)]
-struct EdgeBatch {
+struct Edges {
     unions: Vec<(Address, Address)>,
     phish_touches: Vec<(Address, Address)>,
 }
 
-/// Scans one chunk of operators for union candidates — a pure function
-/// of the (immutable) chain, labels and dataset, so batches are
-/// identical whichever worker produces them. Only transactions below
-/// `watermark` participate (histories are ascending, so the scan stops
-/// early); the full-chain case passes `TxId::MAX`.
+/// Scans the operators' histories for union candidates. Only
+/// transactions below `watermark` participate (histories are
+/// ascending, so the scan stops early); the full-chain case passes
+/// `TxId::MAX`.
 fn extract_edges(
-    reader: ChainReader<'_>,
+    chain: &Chain,
     ops: &[Address],
     op_set: &HashSet<Address>,
     labels: &LabelStore,
     dataset: &Dataset,
     watermark: TxId,
-) -> EdgeBatch {
-    let mut batch = EdgeBatch::default();
+) -> Edges {
+    let mut edges = Edges::default();
     for &op in ops {
-        for &txid in reader.txs_of(op) {
+        for &txid in chain.txs_of(op) {
             if txid >= watermark {
                 break;
             }
-            let tx = reader.tx(txid);
+            let tx = chain.tx(txid);
             for party in tx.touched_addresses() {
                 if party == op {
                     continue;
                 }
                 if op_set.contains(&party) {
-                    batch.unions.push((op, party));
+                    edges.unions.push((op, party));
                 } else if is_labeled_phishing(labels, party) && !dataset.contains(party) {
-                    batch.phish_touches.push((party, op));
+                    edges.phish_touches.push((party, op));
                 }
             }
         }
     }
-    batch
+    edges
 }
 
-/// Clusters the dataset into families (§7.1) using every core. Thin
-/// wrapper over [`cluster_with`].
+/// Clusters the dataset into families (§7.1) over the whole chain. See
+/// the module docs for the phase structure.
 pub fn cluster(chain: &Chain, labels: &LabelStore, dataset: &Dataset) -> Clustering {
-    cluster_with(chain, labels, dataset, &ClusterConfig::default())
+    cluster_prefix(chain, labels, dataset, TxId::MAX)
 }
 
-/// Clusters the dataset into families (§7.1) with an explicit
-/// parallelism configuration. See the module docs for the phase
-/// structure and the determinism argument.
+/// [`cluster`], ignoring `cfg` — the signature of the earlier threaded
+/// API, kept for code still written against it.
 pub fn cluster_with(
     chain: &Chain,
     labels: &LabelStore,
     dataset: &Dataset,
-    cfg: &ClusterConfig,
+    _cfg: &ClusterConfig,
 ) -> Clustering {
-    cluster_prefix(chain, labels, dataset, TxId::MAX, cfg)
+    cluster(chain, labels, dataset)
 }
 
 /// Clusters the dataset against the chain prefix `[0, watermark)` —
 /// the batch oracle the streaming [`crate::OnlineClusterer`] is proven
 /// against at every poll boundary. The dataset must itself be
 /// watermark-consistent (e.g. `OnlineDetector::dataset()` after
-/// `poll_until(watermark)`); [`cluster_with`] is the full-chain case.
+/// `poll_until(watermark)`); [`cluster`] is the full-chain case.
 pub fn cluster_prefix(
     chain: &Chain,
     labels: &LabelStore,
     dataset: &Dataset,
     watermark: TxId,
-    cfg: &ClusterConfig,
 ) -> Clustering {
     let operators: Vec<Address> = dataset.operators.iter().copied().collect();
     let op_set: HashSet<Address> = operators.iter().copied().collect();
-    let threads = cfg.effective_threads();
-    let _cluster_span =
-        daas_obs::span!("cluster.batch", operators = operators.len(), threads = threads);
+    let _cluster_span = daas_obs::span!("cluster.batch", operators = operators.len());
 
-    // ---- Step 1, extract phase: union candidates per operator chunk. ----
-    let reader = chain.reader();
+    // ---- Step 1, extract phase: union candidates. ----
     let extract_span = daas_obs::span!("cluster.extract");
-    let batches: Vec<EdgeBatch> = if threads <= 1 || operators.len() < 2 {
-        vec![extract_edges(reader, &operators, &op_set, labels, dataset, watermark)]
-    } else {
-        let workers = threads.min(operators.len());
-        let chunk = operators.len().div_ceil(workers);
-        let op_set = &op_set;
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = operators
-                .chunks(chunk)
-                .map(|part| {
-                    scope
-                        .spawn(move |_| extract_edges(reader, part, op_set, labels, dataset, watermark))
-                })
-                .collect();
-            // Joining in spawn order keeps the batch sequence — and the
-            // merge below — independent of the thread schedule.
-            handles.into_iter().map(|h| h.join().expect("extract workers do not panic")).collect()
-        })
-        .expect("extract scope does not panic")
-    };
-
+    let edges = extract_edges(chain, &operators, &op_set, labels, dataset, watermark);
     drop(extract_span);
-    if daas_obs::enabled() {
-        let unions: usize = batches.iter().map(|b| b.unions.len()).sum();
-        let touches: usize = batches.iter().map(|b| b.phish_touches.len()).sum();
-        daas_obs::add("cluster.edge_candidates", unions as u64);
-        daas_obs::add("cluster.phish_touches", touches as u64);
-    }
+    daas_obs::add("cluster.edge_candidates", edges.unions.len() as u64);
+    daas_obs::add("cluster.phish_touches", edges.phish_touches.len() as u64);
 
-    // ---- Step 1, merge phase: sequential deterministic union-find. ----
+    // ---- Step 1, merge phase: deterministic union-find. ----
     let merge_span = daas_obs::span!("cluster.merge");
     let mut uf = UnionFind::new();
     for &op in &operators {
         uf.insert(op);
     }
+    for &(op, party) in &edges.unions {
+        uf.union(op, party);
+    }
     let mut phish_touch: HashMap<Address, Vec<Address>> = HashMap::new();
-    for batch in &batches {
-        for &(op, party) in &batch.unions {
-            uf.union(op, party);
-        }
-        for &(party, op) in &batch.phish_touches {
-            phish_touch.entry(party).or_default().push(op);
-        }
+    for &(party, op) in &edges.phish_touches {
+        phish_touch.entry(party).or_default().push(op);
     }
     for (_, ops) in phish_touch {
         for pair in ops.windows(2) {
@@ -310,47 +255,25 @@ pub fn cluster_prefix(
         }
     }
 
-    // ---- Naming and assembly (fan-out phase): each component's family
-    // is built independently from immutable per-component state, so the
-    // pool just splits the component range; chunks are collected in
-    // order, making the result identical to the sequential map. ----
-    let assemble = |ci: usize, ops: &Vec<Address>| -> Family {
-        let contracts: Vec<Address> = fam_contracts[ci].iter().copied().collect();
-        let affiliates: Vec<Address> = fam_affiliates[ci].iter().copied().collect();
-        let ps_txs: Vec<TxId> = fam_txs[ci].iter().copied().collect();
-        let name = family_name(labels, ops, &contracts);
-        Family {
-            id: 0, // assigned after sorting
-            name,
-            operators: ops.clone(),
-            contracts,
-            affiliates,
-            ps_txs,
-        }
-    };
-    let mut families: Vec<Family> = if threads <= 1 || components.len() < 2 {
-        components.iter().enumerate().map(|(ci, ops)| assemble(ci, ops)).collect()
-    } else {
-        let workers = threads.min(components.len());
-        let chunk = components.len().div_ceil(workers);
-        let indexed: Vec<(usize, &Vec<Address>)> = components.iter().enumerate().collect();
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = indexed
-                .chunks(chunk)
-                .map(|part| {
-                    let assemble = &assemble;
-                    scope.spawn(move |_| {
-                        part.iter().map(|&(ci, ops)| assemble(ci, ops)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("assembly workers do not panic"))
-                .collect()
+    // ---- Naming and assembly. ----
+    let mut families: Vec<Family> = components
+        .into_iter()
+        .enumerate()
+        .map(|(ci, ops)| {
+            let contracts: Vec<Address> = fam_contracts[ci].iter().copied().collect();
+            let affiliates: Vec<Address> = fam_affiliates[ci].iter().copied().collect();
+            let ps_txs: Vec<TxId> = fam_txs[ci].iter().copied().collect();
+            let name = family_name(labels, &ops, &contracts);
+            Family {
+                id: 0, // assigned after sorting
+                name,
+                operators: ops,
+                contracts,
+                affiliates,
+                ps_txs,
+            }
         })
-        .expect("assembly scope does not panic")
-    };
+        .collect();
 
     // Dominant families first (by transaction count, then name).
     families.sort_by(|a, b| b.ps_txs.len().cmp(&a.ps_txs.len()).then_with(|| a.name.cmp(&b.name)));

@@ -1,15 +1,11 @@
-//! Per-family forensics fan-out: Table 3 contract profiles and §7.2
-//! lifecycle statistics for every family, extracted in parallel.
-//!
-//! Families are independent once the [`FeatureCache`] is built, so the
-//! fan-out just splits the family list across the worker pool; chunks
-//! are joined in spawn order, making the output identical to the
-//! sequential per-family loop the renderers used to run.
+//! Per-family forensics: Table 3 contract profiles and §7.2 lifecycle
+//! statistics for every family, read through one shared
+//! [`FeatureCache`].
 
 use daas_chain::{Chain, Timestamp};
 use daas_detector::{Dataset, FeatureCache};
 
-use crate::families::{ClusterConfig, Clustering, Family};
+use crate::families::Clustering;
 use crate::lifecycle::{primary_lifecycles_with, LifecycleStats};
 use crate::profile::{contract_profile_with, ContractProfile};
 
@@ -31,10 +27,9 @@ impl FamilyForensics {
 }
 
 /// Extracts profile and lifecycle rows for every family in
-/// `clustering`, fanning families across `cfg.threads` workers over one
-/// shared [`FeatureCache`]. Lifecycle criteria are the paper's §7.2
-/// parameters (`min_txs`, `inactive_secs`, `as_of`) — see
-/// [`crate::primary_lifecycles`].
+/// `clustering`, in order, over one shared [`FeatureCache`]. Lifecycle
+/// criteria are the paper's §7.2 parameters (`min_txs`,
+/// `inactive_secs`, `as_of`) — see [`crate::primary_lifecycles`].
 pub fn family_forensics(
     chain: &Chain,
     dataset: &Dataset,
@@ -42,39 +37,17 @@ pub fn family_forensics(
     min_txs: usize,
     inactive_secs: u64,
     as_of: Timestamp,
-    cfg: &ClusterConfig,
 ) -> FamilyForensics {
     let features = FeatureCache::new(chain, dataset);
-    let extract = |family: &std::sync::Arc<Family>| -> (ContractProfile, LifecycleStats) {
-        (
-            contract_profile_with(chain, family, &features),
-            primary_lifecycles_with(family, min_txs, inactive_secs, as_of, &features),
-        )
-    };
-
-    let threads = cfg.effective_threads();
-    let families = &clustering.families;
-    let rows: Vec<(ContractProfile, LifecycleStats)> = if threads <= 1 || families.len() < 2 {
-        families.iter().map(extract).collect()
-    } else {
-        let workers = threads.min(families.len());
-        let chunk = families.len().div_ceil(workers);
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = families
-                .chunks(chunk)
-                .map(|part| {
-                    let extract = &extract;
-                    scope.spawn(move |_| part.iter().map(extract).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("forensics workers do not panic"))
-                .collect()
+    let (profiles, lifecycles) = clustering
+        .families
+        .iter()
+        .map(|family| {
+            (
+                contract_profile_with(chain, family, &features),
+                primary_lifecycles_with(family, min_txs, inactive_secs, as_of, &features),
+            )
         })
-        .expect("forensics scope does not panic")
-    };
-
-    let (profiles, lifecycles) = rows.into_iter().unzip();
+        .unzip();
     FamilyForensics { profiles, lifecycles }
 }

@@ -12,13 +12,14 @@
 //! phishing-function style from observed call metadata (Table 3), and
 //! [`primary_lifecycles`] measures the rotation cadence of primary
 //! contracts (>100 transactions, retired for over a month).
-//! [`family_forensics`] extracts both for every family at once, fanned
-//! across the worker pool over a shared feature cache.
+//! [`family_forensics`] extracts both for every family at once over a
+//! shared feature cache.
 //!
-//! Clustering runs extract → merge → fan-out phases on the sharded
-//! chain reader ([`cluster_with`], [`ClusterConfig`]); the output is
-//! byte-identical at any thread count and any chain shard count — see
-//! `tests/parallel_equivalence.rs`.
+//! Clustering runs extract → merge → assemble phases, sequentially
+//! (DESIGN.md §8); the output is byte-identical at any chain shard
+//! count — see `tests/shard_equivalence.rs`. [`cluster_with`] and
+//! [`ClusterConfig`] remain only as a shim for the earlier threaded
+//! signature and ignore their configuration.
 //!
 //! Streaming ([`OnlineClusterer`]): families maintained incrementally
 //! from the online detector's event feed, byte-identical to the batch

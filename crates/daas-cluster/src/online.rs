@@ -994,8 +994,7 @@ fn merge_sorted<T: Ord + Copy>(dst: &mut Vec<T>, add: &[T]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::families::cluster_with;
-    use crate::ClusterConfig;
+    use crate::families::cluster;
     use daas_chain::{ContractKind, EntryStyle, Label, LabelCategory, LabelSource, ProfitSharingSpec};
     use daas_detector::Admission;
     use eth_types::units::ether;
@@ -1081,7 +1080,7 @@ mod tests {
         let watermark = chain.transactions().len() as TxId;
         online.ingest(&chain, &labels, &dataset, &events_for(&dataset), watermark);
         let live = online.clustering(&labels);
-        let batch = cluster_with(&chain, &labels, &dataset, &ClusterConfig::sequential());
+        let batch = cluster(&chain, &labels, &dataset);
         assert_eq!(json(&live), json(&batch));
         assert_eq!(live.families.len(), 2, "A+B merged, C alone");
         assert!(online.stats().merges >= 1);
@@ -1162,7 +1161,7 @@ mod tests {
             assembled_before,
             "transaction growth alone re-assembles nothing"
         );
-        let batch = cluster_with(&chain, &labels, &dataset, &ClusterConfig::sequential());
+        let batch = cluster(&chain, &labels, &dataset);
         assert_eq!(json(&live), json(&batch));
     }
 
@@ -1200,8 +1199,7 @@ mod tests {
             let watermark = chain.transactions().len() as TxId;
             online.ingest(chain, &labels, dataset, events, watermark);
             let live = online.clustering(&labels);
-            let cfg = ClusterConfig::sequential();
-            let batch = crate::cluster_prefix(chain, &labels, dataset, watermark, &cfg);
+            let batch = crate::cluster_prefix(chain, &labels, dataset, watermark);
             assert_eq!(json(&live), json(&batch));
             live
         };
@@ -1254,7 +1252,7 @@ mod tests {
         assert_eq!(merged.families.len(), 1, "shared phish account merges everything");
         assert_eq!(
             json(&merged),
-            json(&cluster_with(&chain, &labels, &dataset, &ClusterConfig::sequential()))
+            json(&cluster(&chain, &labels, &dataset))
         );
 
         // The phish account now joins the dataset as an affiliate: the
@@ -1273,7 +1271,7 @@ mod tests {
         assert_eq!(split.families.len(), 2, "A+B stay merged, C splits off");
         assert_eq!(
             json(&split),
-            json(&cluster_with(&chain, &labels, &dataset, &ClusterConfig::sequential()))
+            json(&cluster(&chain, &labels, &dataset))
         );
     }
 

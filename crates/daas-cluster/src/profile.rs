@@ -30,7 +30,7 @@ pub struct ContractProfile {
 
 /// Builds the Table 3 row for one family from its observed transactions.
 /// Thin wrapper over [`contract_profile_with`] with a throwaway
-/// [`FeatureCache`]; batch callers (Table 3, the forensics fan-out)
+/// [`FeatureCache`]; batch callers (Table 3, `family_forensics`)
 /// should share one cache across families instead.
 pub fn contract_profile(chain: &Chain, dataset: &Dataset, family: &Family) -> ContractProfile {
     contract_profile_with(chain, family, &FeatureCache::new(chain, dataset))

@@ -4,7 +4,7 @@
 //! the detector's dataset at that watermark.
 
 use daas_chain::TxId;
-use daas_cluster::{cluster_prefix, ClusterConfig, OnlineClusterer};
+use daas_cluster::{cluster_prefix, OnlineClusterer};
 use daas_detector::{OnlineDetector, SnowballConfig};
 use daas_world::{World, WorldConfig};
 
@@ -27,13 +27,7 @@ fn replay_and_check(config: &WorldConfig, steps: &[u32], check: impl Fn(usize) -
         clusterer.ingest(&world.chain, &world.labels, detector.dataset(), &events, at);
         if check(boundary) || at == total {
             let live = clusterer.clustering(&world.labels);
-            let oracle = cluster_prefix(
-                &world.chain,
-                &world.labels,
-                detector.dataset(),
-                at,
-                &ClusterConfig::sequential(),
-            );
+            let oracle = cluster_prefix(&world.chain, &world.labels, detector.dataset(), at);
             assert_eq!(
                 serde_json::to_string(&live).unwrap(),
                 serde_json::to_string(&oracle).unwrap(),

@@ -10,7 +10,7 @@
 use daas_chain::{
     Chain, ContractKind, EntryStyle, LabelSource, LabelStore, ProfitSharingSpec, TxId,
 };
-use daas_cluster::{cluster_prefix, ClusterConfig, Clustering, OnlineClusterer};
+use daas_cluster::{cluster_prefix, Clustering, OnlineClusterer};
 use daas_detector::{Admission, ClassifierConfig, Dataset, DetectorEvent};
 use eth_types::units::ether;
 use eth_types::Address;
@@ -78,7 +78,7 @@ fn assert_oracle_eq(
     dataset: &Dataset,
     at: TxId,
 ) {
-    let oracle = cluster_prefix(chain, labels, dataset, at, &ClusterConfig::sequential());
+    let oracle = cluster_prefix(chain, labels, dataset, at);
     assert_eq!(
         serde_json::to_string(live).unwrap(),
         serde_json::to_string(&oracle).unwrap(),

@@ -5,10 +5,9 @@
 //! re-qualification and the online detector all classify the same
 //! transactions repeatedly. [`ClassificationCache`] memoises the
 //! verdict — including negative verdicts — keyed by transaction id, on
-//! a [`ShardedMemo`] so parallel expansion workers do not serialise on
-//! a single lock. The shard count defaults to the chain store's
-//! [`DEFAULT_SHARDS`] and is configurable for workloads with many more
-//! (or fewer) workers.
+//! a [`ShardedMemo`], so one `Arc`-shared cache can serve the batch
+//! snowball and the online detector. The shard count defaults to the
+//! chain store's [`DEFAULT_SHARDS`] and follows the `--shards` knob.
 //!
 //! A cache is valid for exactly one [`ClassifierConfig`]; callers that
 //! sweep classifier settings (the ablation harness) must use a fresh
@@ -18,7 +17,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use daas_chain::{Chain, MemoStats, ShardedMemo, TxId};
-use eth_types::Address;
 
 use crate::classify::{classify_tx, ClassifierConfig, PsObservation};
 
@@ -73,11 +71,6 @@ impl ClassificationCache {
         self.memo.get_or_compute(txid, || classify_tx(chain.tx(txid), cfg).map(Arc::new))
     }
 
-    /// Whether a verdict for `txid` is already cached.
-    pub fn contains(&self, txid: TxId) -> bool {
-        self.memo.contains(&txid)
-    }
-
     /// Number of cached verdicts (positive and negative).
     pub fn len(&self) -> usize {
         self.memo.len()
@@ -103,48 +96,6 @@ impl ClassificationCache {
     pub fn stats(&self) -> MemoStats {
         self.memo.stats()
     }
-
-    /// Warms the cache with every transaction in the given accounts'
-    /// histories, fanning the pure classification over `threads`
-    /// workers. With `threads <= 1` this is a no-op: the sequential
-    /// oracle path computes verdicts lazily through [`Self::classify`]
-    /// and must not change shape.
-    ///
-    /// Workers only insert results of a pure function keyed by
-    /// transaction id, so the warming order — and therefore the thread
-    /// schedule — cannot influence anything a reader later observes.
-    pub fn prewarm(
-        &self,
-        chain: &Chain,
-        accounts: &[Address],
-        cfg: &ClassifierConfig,
-        threads: usize,
-    ) {
-        if threads <= 1 || accounts.is_empty() {
-            return;
-        }
-        let reader = chain.reader();
-        let mut txids: Vec<TxId> =
-            accounts.iter().flat_map(|&a| reader.txs_of(a).iter().copied()).collect();
-        txids.sort_unstable();
-        txids.dedup();
-        txids.retain(|&id| !self.contains(id));
-        if txids.is_empty() {
-            return;
-        }
-        let workers = threads.min(txids.len());
-        let chunk = txids.len().div_ceil(workers);
-        crossbeam::scope(|scope| {
-            for part in txids.chunks(chunk) {
-                scope.spawn(move |_| {
-                    for &id in part {
-                        self.classify(chain, id, cfg);
-                    }
-                });
-            }
-        })
-        .expect("classification workers do not panic");
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +107,6 @@ mod tests {
         let cache = ClassificationCache::new();
         assert!(cache.is_empty());
         assert_eq!(cache.len(), 0);
-        assert!(!cache.contains(0));
         assert_eq!(cache.shard_count(), daas_chain::DEFAULT_SHARDS);
     }
 
@@ -166,7 +116,6 @@ mod tests {
         assert_eq!(cache.shard_count(), 4);
         cache.memo.get_or_compute(3, || None);
         assert_eq!(cache.len(), 1);
-        assert!(cache.contains(3));
         cache.clear();
         assert!(cache.is_empty());
     }

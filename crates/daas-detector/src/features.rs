@@ -8,8 +8,8 @@
 //! `O(history)` scan. [`FeatureCache`] extracts them once: observation
 //! lookups are indexed eagerly at construction (one pass over the
 //! dataset), and per-account [`AccountFeatures`] are memoised on the
-//! same [`ShardedMemo`] the classification cache uses, so forensics
-//! workers on different families share results without contending.
+//! same [`ShardedMemo`] the classification cache uses, so the §6
+//! report workers share results without contending.
 //!
 //! Everything here is a pure function of one `(chain, dataset)` pair —
 //! the cache borrows both, so it cannot outlive or be reused across
@@ -54,7 +54,7 @@ struct ObsStats {
 }
 
 /// A memoised per-account feature extractor over one `(chain, dataset)`
-/// pair. `Sync` — hand `&FeatureCache` to forensics workers.
+/// pair. `Sync` — hand `&FeatureCache` to the §6 report workers.
 pub struct FeatureCache<'a> {
     chain: &'a Chain,
     dataset: &'a Dataset,
@@ -152,20 +152,20 @@ impl<'a> FeatureCache<'a> {
 
     /// The pure extraction: one history walk plus O(1) index lookups.
     fn compute(&self, account: Address) -> AccountFeatures {
-        let reader = self.chain.reader();
-        let history = reader.txs_of(account);
-        let first_tx_ts = history.first().map(|&id| reader.tx(id).timestamp());
-        let last_tx_ts = history.last().map(|&id| reader.tx(id).timestamp());
+        let chain = self.chain;
+        let history = chain.txs_of(account);
+        let first_tx_ts = history.first().map(|&id| chain.tx(id).timestamp());
+        let last_tx_ts = history.last().map(|&id| chain.tx(id).timestamp());
 
         let mut live: Vec<Address> = Vec::new();
         for &txid in history {
-            for appr in reader.tx(txid).approvals() {
+            for appr in chain.tx(txid).approvals() {
                 if appr.owner != account || !self.dataset.contracts.contains(&appr.spender) {
                     continue;
                 }
                 let erc20_live =
-                    !self.chain.erc20_allowance(appr.token, account, appr.spender).is_zero();
-                let nft_live = self.chain.nft_approved_for_all(appr.token, account, appr.spender);
+                    !chain.erc20_allowance(appr.token, account, appr.spender).is_zero();
+                let nft_live = chain.nft_approved_for_all(appr.token, account, appr.spender);
                 if erc20_live || nft_live {
                     live.push(appr.spender);
                 }

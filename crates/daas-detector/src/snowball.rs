@@ -25,10 +25,12 @@ pub struct SnowballConfig {
     pub expansion_guard: bool,
     /// Safety bound on expansion rounds.
     pub max_rounds: usize,
-    /// Worker threads for the per-round classification fan-out: `0`
-    /// uses all available cores, `1` is the sequential oracle path.
-    /// The discovered dataset is byte-identical at every setting
-    /// (enforced by `tests/parallel_equivalence.rs`).
+    /// Worker threads for the world build (`0` = all available cores);
+    /// callers reuse it for the §6 report bundle. Snowball sampling
+    /// itself is sequential and never reads this: the field rides here
+    /// because `run_pipeline` and the daemon's `Engine::new` (and its
+    /// checkpoint) take it from the snowball settings. Artifacts are
+    /// byte-identical at every value.
     pub threads: usize,
 }
 
@@ -63,10 +65,9 @@ impl SnowballConfig {
 /// 4. iteratively scan the accounts' histories for new profit-sharing
 ///    contracts (guarded), until no new account emerges.
 ///
-/// Expansion is round-synchronous: with `cfg.threads != 1` each round's
-/// frontier histories are classified in parallel into a fresh
-/// [`ClassificationCache`] before the coordinator absorbs them in batch
-/// order, so the result is byte-identical at any thread count.
+/// Expansion runs in rounds: each round drains the frontier and scans
+/// it in order, classifying lazily through a [`ClassificationCache`],
+/// so only transactions the scan reaches are ever classified.
 pub fn build_dataset(chain: &Chain, labels: &LabelStore, cfg: &SnowballConfig) -> Dataset {
     build_dataset_with_cache(chain, labels, cfg, &ClassificationCache::new())
 }
@@ -81,8 +82,7 @@ pub fn build_dataset_with_cache(
     cfg: &SnowballConfig,
     cache: &ClassificationCache,
 ) -> Dataset {
-    let threads = cfg.effective_threads();
-    let _build_span = daas_obs::span!("snowball.build", threads = threads);
+    let _build_span = daas_obs::span!("snowball.build");
     let stats_before = daas_obs::enabled().then(|| cache.stats());
     let mut dataset = Dataset::default();
     let mut rejected: HashSet<Address> = HashSet::new();
@@ -100,7 +100,6 @@ pub fn build_dataset_with_cache(
     candidates.sort_unstable();
 
     // ---- Steps 2–3: qualify candidates, build the seed dataset. ----
-    cache.prewarm(chain, &candidates, &cfg.classifier, threads);
     for contract in candidates {
         let observations = qualify_contract(chain, contract, cfg, cache);
         for obs in observations {
@@ -123,27 +122,6 @@ pub fn build_dataset_with_cache(
         rounds += 1;
         let batch: Vec<Address> = queue.drain(..).collect();
         let _round_span = daas_obs::span!("snowball.round", round = rounds, frontier = batch.len());
-        // Parallel phase: warm the cache over the whole frontier, then
-        // over the histories of every contract the frontier could
-        // surface, so step-2 re-qualification also hits the cache. The
-        // candidate set over-approximates what the replay will qualify
-        // — warming a pure cache more than needed cannot change the
-        // output.
-        cache.prewarm(chain, &batch, &cfg.classifier, threads);
-        if threads > 1 {
-            let mut surfaced: Vec<Address> = batch
-                .iter()
-                .flat_map(|&a| chain.txs_of(a).iter().copied())
-                .filter_map(|txid| cache.classify(chain, txid, &cfg.classifier))
-                .map(|obs| obs.contract)
-                .filter(|c| !dataset.contracts.contains(c) && !rejected.contains(c))
-                .collect();
-            surfaced.sort_unstable();
-            surfaced.dedup();
-            cache.prewarm(chain, &surfaced, &cfg.classifier, threads);
-        }
-        // Sequential phase: absorb in batch order, classifying through
-        // the cache (a hit for every tx the prewarm covered).
         for account in batch {
             for &txid in chain.txs_of(account) {
                 let Some(obs) = cache.classify(chain, txid, &cfg.classifier) else { continue };

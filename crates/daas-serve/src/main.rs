@@ -10,6 +10,8 @@
 //!
 //! Speaks the JSONL protocol (see `protocol.rs`) on stdin/stdout and,
 //! when `--socket` is given, on a Unix socket served by a reader pool.
+//! `--threads` sets the world build's worker count (0 = all cores);
+//! everything after the build is sequential on the engine thread.
 //! `--scrape-addr` adds a std-only HTTP listener with `GET /metrics`
 //! (Prometheus text), `/healthz` (SLO verdicts + engine liveness) and
 //! `/readyz` (first-snapshot readiness); `--slo` replaces the built-in
@@ -217,7 +219,8 @@ fn usage(error: &str) -> ExitCode {
          \x20                 [--threads N] [--shards N] [--window BLOCKS]\n\
          \x20                 [--socket PATH] [--readers N] [--restore CKPT.json]\n\
          \x20                 [--scrape-addr HOST:PORT] [--slo SPEC.json]\n\
-         \x20                 [--metrics-out PATH] [--trace-out PATH]"
+         \x20                 [--metrics-out PATH] [--trace-out PATH]\n\
+         --threads N: world-build worker threads (0 = all cores)"
     );
     if error.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE }
 }

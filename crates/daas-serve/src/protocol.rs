@@ -31,6 +31,7 @@
 //! engine, and without recording anything (DESIGN.md §15's drain-purity
 //! rule).
 
+use std::io::{self, BufRead, Read};
 use std::str::FromStr;
 use std::time::Instant;
 
@@ -101,6 +102,48 @@ pub fn json_escape(s: &str) -> String {
 /// The uniform failure response.
 pub fn error_response(message: &str) -> String {
     format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(message))
+}
+
+/// The longest request line any listener reads, in bytes, line ending
+/// excluded. The longest valid request is a `checkpoint` naming a
+/// filesystem path, far below this.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// One line read by [`read_request_line`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum RequestLine {
+    /// A line without its `\n` / `\r\n` ending (the last line may
+    /// lack one).
+    Line(String),
+    /// More than [`MAX_REQUEST_LINE`] bytes arrived before the line
+    /// ending; whatever follows them is left unread.
+    TooLong,
+    /// End of input.
+    Eof,
+}
+
+/// Reads one line, buffering at most [`MAX_REQUEST_LINE`] + 2 bytes
+/// (room for a `\r\n` ending), so a client that never sends a newline
+/// cannot grow memory without bound. Invalid UTF-8 is an `InvalidData` error, as with
+/// [`BufRead::lines`]. Every listener of the daemon (stdin, the Unix
+/// socket, the scrape port) reads through this.
+pub fn read_request_line(reader: &mut impl BufRead) -> io::Result<RequestLine> {
+    let mut buf = Vec::new();
+    if reader.take(MAX_REQUEST_LINE as u64 + 2).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(RequestLine::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    if buf.len() > MAX_REQUEST_LINE {
+        return Ok(RequestLine::TooLong);
+    }
+    String::from_utf8(buf)
+        .map(RequestLine::Line)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[derive(Serialize)]
@@ -249,6 +292,29 @@ pub fn answer_query(snap: &Snapshot, req: &Request) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn request_lines_are_capped() {
+        let line = |len: usize, end: &str| format!("{}{end}", "x".repeat(len)).into_bytes();
+        let read = |bytes: Vec<u8>| read_request_line(&mut io::Cursor::new(bytes)).unwrap();
+        let max = MAX_REQUEST_LINE;
+        assert_eq!(read(line(max, "\n")), RequestLine::Line("x".repeat(max)));
+        assert_eq!(read(line(max, "\r\n")), RequestLine::Line("x".repeat(max)));
+        assert_eq!(read(line(max, "")), RequestLine::Line("x".repeat(max)));
+        assert_eq!(read(line(max + 1, "\n")), RequestLine::TooLong);
+        assert_eq!(read(line(max + 1, "")), RequestLine::TooLong);
+        assert_eq!(read(Vec::new()), RequestLine::Eof);
+
+        // Consecutive lines, and a multi-byte character cut by the cap
+        // still reads as too long rather than as bad UTF-8.
+        let mut two = io::Cursor::new(b"{\"cmd\":\"status\"}\n\nrest".to_vec());
+        let status = RequestLine::Line("{\"cmd\":\"status\"}".into());
+        assert_eq!(read_request_line(&mut two).unwrap(), status);
+        assert_eq!(read_request_line(&mut two).unwrap(), RequestLine::Line(String::new()));
+        assert_eq!(read_request_line(&mut two).unwrap(), RequestLine::Line("rest".into()));
+        assert_eq!(read(format!("x{}", "é".repeat(max)).into_bytes()), RequestLine::TooLong);
+        assert!(read_request_line(&mut io::Cursor::new(vec![0xff, b'\n'])).is_err());
+    }
 
     #[test]
     fn parses_requests_with_optional_operands() {

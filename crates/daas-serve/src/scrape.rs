@@ -9,12 +9,16 @@
 //! * `GET /readyz` — 503 until the first snapshot publication, 200
 //!   (forever) after.
 //!
+//! A request or header line longer than
+//! [`MAX_REQUEST_LINE`](crate::protocol::MAX_REQUEST_LINE) gets a 431
+//! and the connection closes.
+//!
 //! Every response is answered from the non-destructive snapshot path
 //! and the telemetry atomics: a scrape can never block the engine
 //! thread, and — because nothing on this path writes into the metrics
 //! registry — cannot perturb drained end-of-run artifacts.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -23,6 +27,7 @@ use std::time::Duration;
 
 use daas_obs::SloVerdict;
 
+use crate::protocol::{read_request_line, RequestLine, MAX_REQUEST_LINE};
 use crate::snapshot::SnapshotCell;
 use crate::telemetry::Telemetry;
 
@@ -59,21 +64,27 @@ pub fn spawn_scrape(
 fn handle_scrape(stream: TcpStream, telemetry: &Telemetry, cell: &SnapshotCell) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    // Drain headers so well-behaved clients see a clean close.
-    let mut header = String::new();
+    // The request line, then the headers, drained so well-behaved
+    // clients see a clean close; `None` once a line is over the cap.
+    let mut request_line = None;
     loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => continue,
-            Err(_) => return,
+        match read_request_line(&mut reader) {
+            Ok(RequestLine::Line(line)) if request_line.is_none() => request_line = Some(line),
+            Ok(RequestLine::Line(header)) if header.is_empty() => break,
+            Ok(RequestLine::Line(_)) => continue,
+            Ok(RequestLine::TooLong) => {
+                request_line = None;
+                break;
+            }
+            Ok(RequestLine::Eof) if request_line.is_some() => break,
+            Ok(RequestLine::Eof) | Err(_) => return,
         }
     }
+    let Some(request_line) = request_line else {
+        let body = format!("request line exceeds {MAX_REQUEST_LINE} bytes\n");
+        respond(stream, "431 Request Header Fields Too Large", "text/plain", &body);
+        return;
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
@@ -120,14 +131,20 @@ fn handle_scrape(stream: TcpStream, telemetry: &Telemetry, cell: &SnapshotCell) 
             _ => ("404 Not Found", "text/plain", format!("no route {path}\n")),
         }
     };
-    let mut writer = stream;
-    let _ = write!(
-        writer,
+    respond(stream, status, content_type, &body);
+}
+
+/// Writes the whole response in one call: after a 431 the connection
+/// closes with request bytes unread, which resets it, and any part of
+/// the response still held back by Nagle's algorithm would be lost.
+fn respond(mut stream: TcpStream, status: &str, content_type: &str, body: &str) {
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
     );
-    let _ = writer.flush();
+    let _ = stream.write_all(response.as_bytes());
+    let _ = stream.flush();
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -24,7 +24,10 @@ use daas_obs::SloSpec;
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::engine::Engine;
-use crate::protocol::{answer_query, error_response, json_escape, Request};
+use crate::protocol::{
+    answer_query, error_response, json_escape, read_request_line, Request, RequestLine,
+    MAX_REQUEST_LINE,
+};
 use crate::scrape::spawn_scrape;
 use crate::snapshot::SnapshotCell;
 use crate::telemetry::Telemetry;
@@ -161,12 +164,10 @@ pub fn serve(mut engine: Engine, opts: ServeOptions) -> Result<(), String> {
                 .name(format!("daas-serve-reader-{i}"))
                 .spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                handle_conn(stream, &cell, &ctl_tx, &stop, &telemetry)
-                            }
-                            Err(_) => break,
-                        }
+                        let Ok((stream, _)) = listener.accept() else { break };
+                        let Ok(read_half) = stream.try_clone() else { continue };
+                        let reader = BufReader::new(read_half);
+                        answer_lines(reader, stream, &cell, &ctl_tx, &stop, &telemetry);
                     }
                 })
                 .map_err(|e| e.to_string())?;
@@ -177,20 +178,12 @@ pub fn serve(mut engine: Engine, opts: ServeOptions) -> Result<(), String> {
         let cell = Arc::clone(&cell);
         let ctl_tx = ctl_tx.clone();
         let telemetry = Arc::clone(&telemetry);
+        let stop = Arc::clone(&stop);
         thread::Builder::new()
             .name("daas-serve-stdin".into())
             .spawn(move || {
-                let stdin = std::io::stdin();
-                for line in stdin.lock().lines() {
-                    let Ok(line) = line else { break };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let reply = dispatch(&line, &cell, &ctl_tx, &telemetry);
-                    let mut out = std::io::stdout().lock();
-                    let _ = writeln!(out, "{reply}");
-                    let _ = out.flush();
-                }
+                let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout());
+                answer_lines(stdin, stdout, &cell, &ctl_tx, &stop, &telemetry);
             })
             .map_err(|e| e.to_string())?;
     }
@@ -303,26 +296,32 @@ pub fn answer_live(req: &Request, cell: &SnapshotCell, telemetry: &Telemetry) ->
     }
 }
 
-fn handle_conn(
-    stream: UnixStream,
+/// Answers one connection (a socket client, or stdin/stdout) line by
+/// line until end of input, a failed write or shutdown. A line longer
+/// than [`MAX_REQUEST_LINE`] gets one error reply and ends the
+/// connection.
+fn answer_lines(
+    mut reader: impl BufRead,
+    mut writer: impl Write,
     cell: &SnapshotCell,
     ctl_tx: &Sender<Control>,
     stop: &AtomicBool,
     telemetry: &Telemetry,
 ) {
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut writer = stream;
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = dispatch(&line, cell, ctl_tx, telemetry);
-        if writeln!(writer, "{reply}").and_then(|_| writer.flush()).is_err() {
-            break;
-        }
-        if stop.load(Ordering::Relaxed) {
+    loop {
+        let (reply, close) = match read_request_line(&mut reader) {
+            Ok(RequestLine::Line(line)) if line.trim().is_empty() => continue,
+            Ok(RequestLine::Line(line)) => (dispatch(&line, cell, ctl_tx, telemetry), false),
+            Ok(RequestLine::TooLong) => (
+                error_response(&format!("request line exceeds {MAX_REQUEST_LINE} bytes")),
+                true,
+            ),
+            Ok(RequestLine::Eof) | Err(_) => break,
+        };
+        if writeln!(writer, "{reply}").and_then(|_| writer.flush()).is_err()
+            || close
+            || stop.load(Ordering::Relaxed)
+        {
             break;
         }
     }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use daas_cluster::{cluster_with, ClusterConfig};
+use daas_cluster::cluster;
 use daas_detector::{build_dataset_with_cache, ClassificationCache, SnowballConfig};
 use daas_measure::{MeasureConfig, MeasureCtx};
 use daas_world::{collection_end, World, WorldConfig};
@@ -171,12 +171,7 @@ fn killed_daemon_restores_and_matches_batch_under_query_load() {
     let snowball = SnowballConfig::default();
     let cache = ClassificationCache::new();
     let dataset = build_dataset_with_cache(&world.chain, &world.labels, &snowball, &cache);
-    let clustering = cluster_with(
-        &world.chain,
-        &world.labels,
-        &dataset,
-        &ClusterConfig { threads: 0 },
-    );
+    let clustering = cluster(&world.chain, &world.labels, &dataset);
     let reports = MeasureCtx::new(&world.chain, &dataset, &world.oracle).reports(
         &world.labels,
         30 * 86_400,

@@ -6,7 +6,7 @@
 //! cargo run --release --example family_forensics
 //! ```
 
-use daas_lab::cluster::{cluster, family_forensics, ClusterConfig};
+use daas_lab::cluster::{cluster, family_forensics};
 use daas_lab::detector::{build_dataset, SnowballConfig};
 use daas_lab::measure::{dominant_share, family_table, MeasureCtx};
 use daas_lab::world::{collection_end, World, WorldConfig};
@@ -37,7 +37,7 @@ fn main() {
     println!("\ndominant three hold {:.1}% of profits (paper: 93.9%)", dominant_share(&rows, 3));
 
     // Table 3 + §7.2 in one pass: profiles and lifecycles for every
-    // family, fanned across the worker pool over a shared feature cache.
+    // family over a shared feature cache.
     let forensics = family_forensics(
         &world.chain,
         &dataset,
@@ -45,7 +45,6 @@ fn main() {
         5,
         30 * 86_400,
         collection_end(),
-        &ClusterConfig::default(),
     );
 
     println!("\ncontract implementation (recovered from call metadata):");

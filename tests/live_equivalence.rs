@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 
 use daas_cli::Pipeline;
 use daas_lab::chain::TxId;
-use daas_lab::cluster::{cluster_prefix, ClusterConfig, OnlineClusterer};
+use daas_lab::cluster::{cluster_prefix, OnlineClusterer};
 use daas_lab::detector::{OnlineDetector, SnowballConfig};
 use daas_lab::measure::{LiveMeasure, MeasureConfig, MeasureCtx};
 use daas_lab::world::{collection_end, World, WorldConfig};
@@ -110,8 +110,7 @@ proptest! {
 
         let dataset = detector.dataset();
         let live_clustering = clusterer.clustering(&world.labels);
-        let batch_clustering =
-            cluster_prefix(&world.chain, &world.labels, dataset, total, &ClusterConfig::sequential());
+        let batch_clustering = cluster_prefix(&world.chain, &world.labels, dataset, total);
         prop_assert_eq!(
             serde_json::to_string(&live_clustering).unwrap(),
             serde_json::to_string(&batch_clustering).unwrap()
