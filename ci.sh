@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 contract (ROADMAP.md) plus the equivalence suites:
-# world-build and §6-report thread counts, history shard counts, and the
-# streaming stack, all against the sequential batch pipeline. Test
-# threads are pinned so the harness schedule is reproducible; the
-# pipeline's own worker counts are set per-test.
+# world-build and §6-report thread counts and the streaming stack, all
+# against the sequential batch pipeline. Test threads are pinned so the
+# harness schedule is reproducible; the pipeline's own worker counts are
+# set per-test.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -14,7 +14,6 @@ cargo test -q
 # ---- Sequential-oracle equivalence suites. ----
 cargo test -q -p daas-world --test parallel_equivalence -- --test-threads 4
 cargo test -q -p daas-detector --test snowball_props -- --test-threads 4
-cargo test -q -p daas-cluster --test shard_equivalence -- --test-threads 4
 cargo test -q -p daas-measure --test parallel_equivalence -- --test-threads 4
 cargo test -q --test determinism -- --test-threads 4
 

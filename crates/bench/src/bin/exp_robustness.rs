@@ -10,12 +10,12 @@
 //! * a human scenario-matrix report on stdout.
 //!
 //! Environment: `DAAS_SCALE` multiplies every scenario's own scale
-//! (CI smoke runs use a fraction); `DAAS_THREADS` / `DAAS_SHARDS` /
-//! `DAAS_TRACE` / `DAAS_METRICS` behave as in every other `exp_*`
-//! harness. Scenario seeds are pinned by the scenario files themselves
-//! so the scores are reproducible artifacts, not run-dependent noise.
+//! (CI smoke runs use a fraction); `DAAS_THREADS` / `DAAS_TRACE` /
+//! `DAAS_METRICS` behave as in every other `exp_*` harness. Scenario
+//! seeds are pinned by the scenario files themselves so the scores are
+//! reproducible artifacts, not run-dependent noise.
 
-use daas_cli::run_pipeline_sharded;
+use daas_cli::run_pipeline;
 use daas_detector::{evaluate, pairwise_family_scores, ClassScores, LossAttribution};
 use daas_world::WorldConfig;
 use serde::Serialize;
@@ -82,7 +82,6 @@ fn main() {
     let scale_mult: f64 =
         std::env::var("DAAS_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(1.0);
     let snowball = daas_bench::snowball_config();
-    let shards = daas_bench::shard_count();
     let measure = daas_bench::measure_config();
 
     let dir = scenario_dir();
@@ -111,7 +110,7 @@ fn main() {
         let adversarial = !config.adversarial.is_default()
             || config.families.iter().any(|f| f.kind_mix.is_some());
 
-        let pipeline = run_pipeline_sharded(&config, &snowball, shards)
+        let pipeline = run_pipeline(&config, &snowball)
             .unwrap_or_else(|e| panic!("scenario {name} failed: {e}"));
         let truth = &pipeline.world.truth;
         let eval = evaluate(

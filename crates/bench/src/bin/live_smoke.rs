@@ -39,9 +39,9 @@ fn main() {
     let run = daas_cli::Pipeline::live(
         &config,
         &snowball,
-        0,
         window_blocks,
         &MeasureConfig::sequential(),
+        true,
         |_| {},
     )
     .unwrap_or_else(|e| fail(&format!("pipeline failed: {e}")));

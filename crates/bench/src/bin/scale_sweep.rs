@@ -10,7 +10,7 @@
 //! Environment:
 //! * `DAAS_SCALES` — comma-separated scale multipliers (default `2`;
 //!   scale 1.0 is the paper-calibrated world, ~218k txs).
-//! * `DAAS_THREADS` / `DAAS_SHARDS` — as everywhere else.
+//! * `DAAS_THREADS` — as everywhere else.
 //! * `DAAS_RSS_CEILING_MB` — optional gate: exit non-zero if peak RSS
 //!   exceeds the ceiling after the sweep (the ci.sh smoke sets this).
 //! * `DAAS_SCALE_SWEEP_OUT` — output path (default

@@ -1,17 +1,16 @@
 //! The ledger: state, execution engine, and explorer-style query API.
 
-use eth_types::{keccak256, AddrId, Address, U256};
+use std::collections::BTreeMap;
+
+use eth_types::{keccak256, AddrId, Address, FxHashMap, FxHashSet, U256};
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 
 use crate::account::{AccountKind, ContractKind, ProfitSharingSpec};
 use crate::asset::{Asset, TokenKind, TokenMeta};
-use crate::assets::{ShardedMap, ShardedSet};
 use crate::block::{
     block_number_at, BlockHeader, Timestamp, GENESIS_TIMESTAMP, SECONDS_PER_BLOCK,
 };
 use crate::error::ChainError;
-use crate::hash::DetMap;
-use crate::shard::ShardedHistories;
 use crate::store::{TxStore, TxView};
 use crate::tx::{Approval, CallInfo, Transaction, Transfer, TxId};
 
@@ -44,25 +43,25 @@ pub struct ChainStats {
 ///
 /// Storage is columnar since the interned-address refactor: transactions
 /// live in a [`TxStore`] arena and every hot map (history, asset state)
-/// is keyed by interned [`AddrId`]s. The serialized artifact is
-/// **byte-identical** to the pre-columnar format — the manual serde
-/// impls below materialize transactions and resolve every id back to
-/// its address (ids are instance-local and never reach disk).
+/// is keyed by interned [`AddrId`]s. Every map is a plain Fx-hashed
+/// table (deterministic hasher, no shards), so a clone deep-copies the
+/// whole ledger. The serialized artifact is **byte-identical** to the
+/// pre-columnar format — the manual serde impls below materialize
+/// transactions, resolve every id back to its address (ids are
+/// instance-local and never reach disk) and sort every map.
 #[derive(Debug, Clone, Default)]
 pub struct Chain {
     now: Timestamp,
     blocks: Vec<BlockHeader>,
     store: TxStore,
-    accounts: DetMap<Address, AccountInfo>,
-    tokens: DetMap<Address, TokenMeta>,
-    // Tuple-keyed asset state lives in sharded maps (see `assets`):
-    // power-of-two Arc-backed shards, copy-on-write, keyed by interned
-    // ids so every probe hashes 4-byte integers.
-    erc20_balances: ShardedMap<(AddrId, AddrId), U256>,
-    erc20_allowances: ShardedMap<(AddrId, AddrId, AddrId), U256>,
-    nft_owners: ShardedMap<(AddrId, u64), AddrId>,
-    nft_operators: ShardedSet<(AddrId, AddrId, AddrId)>,
-    history: ShardedHistories,
+    accounts: FxHashMap<Address, AccountInfo>,
+    tokens: FxHashMap<Address, TokenMeta>,
+    erc20_balances: FxHashMap<(AddrId, AddrId), U256>,
+    erc20_allowances: FxHashMap<(AddrId, AddrId, AddrId), U256>,
+    nft_owners: FxHashMap<(AddrId, u64), AddrId>,
+    nft_operators: FxHashSet<(AddrId, AddrId, AddrId)>,
+    /// Per-account transaction ids, in chain order.
+    history: FxHashMap<AddrId, Vec<TxId>>,
 }
 
 impl Chain {
@@ -130,7 +129,7 @@ impl Chain {
         self.expect_token(token, TokenKind::Erc20)?;
         self.expect_account(to)?;
         let key = (self.store.intern(token), self.store.intern(to));
-        let entry = self.erc20_balances.get_mut_or_insert(key, U256::ZERO);
+        let entry = self.erc20_balances.entry(key).or_insert(U256::ZERO);
         *entry = entry.saturating_add(amount);
         Ok(())
     }
@@ -281,7 +280,7 @@ impl Chain {
     /// walks (§5.1).
     pub fn txs_of(&self, address: Address) -> &[TxId] {
         match self.store.addr_id(address) {
-            Some(id) => self.history.txs_of(id),
+            Some(id) => self.txs_of_id(id),
             None => &[],
         }
     }
@@ -290,7 +289,7 @@ impl Chain {
     /// the zero-hash hot-path form of [`Chain::txs_of`].
     #[inline]
     pub fn txs_of_id(&self, id: AddrId) -> &[TxId] {
-        self.history.txs_of(id)
+        self.history.get(&id).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The interned id of `address`, if the chain has seen it.
@@ -303,33 +302,6 @@ impl Chain {
     #[inline]
     pub fn resolve_addr(&self, id: AddrId) -> Address {
         self.store.resolve(id)
-    }
-
-    /// Accounts per history shard, in shard order — the occupancy view
-    /// the observability layer exports as `shard.histories.len{shard}`.
-    pub fn history_shard_sizes(&self) -> Vec<usize> {
-        self.history.shard_sizes()
-    }
-
-    /// Rebuilds the history index with a different (power-of-two) shard
-    /// count. Data — and the serialized artifact — are unchanged; only
-    /// the memory layout moves. Used by the shard-count equivalence
-    /// suite.
-    pub fn set_history_shards(&mut self, shards: usize) {
-        self.history = self.history.resharded(shards);
-    }
-
-    /// Rebuilds *every* sharded structure — the history index and the
-    /// four asset-state maps — with the same (power-of-two) shard count.
-    /// This is the single knob `daas-cli --shards` / `DAAS_SHARDS`
-    /// expose; like [`Chain::set_history_shards`], it changes memory
-    /// layout only, never data or the serialized artifact.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.history = self.history.resharded(shards);
-        self.erc20_balances = self.erc20_balances.resharded(shards);
-        self.erc20_allowances = self.erc20_allowances.resharded(shards);
-        self.nft_owners = self.nft_owners.resharded(shards);
-        self.nft_operators = self.nft_operators.resharded(shards);
     }
 
     /// Looks up a transaction by id — a cheap `Copy` view into the
@@ -859,8 +831,8 @@ impl Chain {
         let t = self.store.intern(token);
         let f = self.store.intern(from);
         let d = self.store.intern(to);
-        *self.erc20_balances.get_mut_or_insert((t, f), U256::ZERO) = have - amount;
-        let dst = self.erc20_balances.get_mut_or_insert((t, d), U256::ZERO);
+        self.erc20_balances.insert((t, f), have - amount);
+        let dst = self.erc20_balances.entry((t, d)).or_insert(U256::ZERO);
         *dst = dst.saturating_add(amount);
         Ok(())
     }
@@ -957,7 +929,7 @@ impl Chain {
         let mut touched = Vec::with_capacity(2 + transfers.len() * 2);
         self.store.touched_ids_into(id, &mut touched);
         for addr_id in touched {
-            self.history.push(addr_id, id);
+            self.history.entry(addr_id).or_default().push(id);
         }
         id
     }
@@ -977,6 +949,12 @@ impl Serialize for Chain {
         fn val<S: Serializer, T: Serialize + ?Sized>(v: &T) -> Result<Value, S::Error> {
             serde::to_value(v).map_err(S::Error::custom)
         }
+        // Address-keyed tables in address order, which is the order of
+        // their lowercase hex keys: the bytes a sorted default-hasher
+        // `HashMap` field produced.
+        fn sorted<V>(map: &FxHashMap<Address, V>) -> BTreeMap<&Address, &V> {
+            map.iter().collect()
+        }
 
         // Materialized transactions: identical bytes to the old
         // `Vec<Transaction>` field (one tx at a time — no full vector).
@@ -985,9 +963,9 @@ impl Serialize for Chain {
             txs.push(val::<S, _>(&self.store.to_transaction(id))?);
         }
 
-        // Asset maps: resolve ids to addresses, then emit the same
-        // sorted entry lists the address-keyed ShardedMap/Set serialize
-        // to.
+        // Asset maps: resolve ids to addresses, then emit the entry
+        // lists sorted by key, as the pre-columnar address-keyed maps
+        // serialized.
         let mut balances: Vec<((Address, Address), &U256)> = self
             .erc20_balances
             .iter()
@@ -1025,8 +1003,8 @@ impl Serialize for Chain {
         // serialized key string (addresses serialize as lowercase hex,
         // so string order == byte order) — exactly what the HashMap
         // delegate emitted pre-refactor.
-        let mut history: Vec<(String, Value)> = Vec::with_capacity(self.history.accounts());
-        for (&id, txids) in self.history.iter() {
+        let mut history: Vec<(String, Value)> = Vec::with_capacity(self.history.len());
+        for (&id, txids) in &self.history {
             history.push((self.store.resolve(id).to_hex(), val::<S, _>(txids)?));
         }
         history.sort_by(|a, b| a.0.cmp(&b.0));
@@ -1035,8 +1013,8 @@ impl Serialize for Chain {
             ("now".to_owned(), val::<S, _>(&self.now)?),
             ("blocks".to_owned(), val::<S, _>(&self.blocks)?),
             ("txs".to_owned(), Value::Seq(txs)),
-            ("accounts".to_owned(), val::<S, _>(&self.accounts)?),
-            ("tokens".to_owned(), val::<S, _>(&self.tokens)?),
+            ("accounts".to_owned(), val::<S, _>(&sorted(&self.accounts))?),
+            ("tokens".to_owned(), val::<S, _>(&sorted(&self.tokens))?),
             ("erc20_balances".to_owned(), val::<S, _>(&balances)?),
             ("erc20_allowances".to_owned(), val::<S, _>(&allowances)?),
             ("nft_owners".to_owned(), val::<S, _>(&owners)?),
@@ -1063,8 +1041,8 @@ impl<'de> Deserialize<'de> for Chain {
         let now: Timestamp = field::<D::Error, _>(&mut map, "now")?;
         let blocks: Vec<BlockHeader> = field::<D::Error, _>(&mut map, "blocks")?;
         let txs: Vec<Transaction> = field::<D::Error, _>(&mut map, "txs")?;
-        let accounts: DetMap<Address, AccountInfo> = field::<D::Error, _>(&mut map, "accounts")?;
-        let tokens: DetMap<Address, TokenMeta> = field::<D::Error, _>(&mut map, "tokens")?;
+        let accounts: BTreeMap<Address, AccountInfo> = field::<D::Error, _>(&mut map, "accounts")?;
+        let tokens: BTreeMap<Address, TokenMeta> = field::<D::Error, _>(&mut map, "tokens")?;
         let balances: Vec<((Address, Address), U256)> =
             field::<D::Error, _>(&mut map, "erc20_balances")?;
         let allowances: Vec<((Address, Address, Address), U256)> =
@@ -1078,30 +1056,30 @@ impl<'de> Deserialize<'de> for Chain {
         let _ = serde::take_field_opt(&mut map, "history");
 
         let mut store = TxStore::from_transactions(txs);
-        let mut history = ShardedHistories::new();
+        let mut history: FxHashMap<AddrId, Vec<TxId>> = FxHashMap::default();
         let mut touched = Vec::new();
         for id in 0..store.len() as TxId {
             store.touched_ids_into(id, &mut touched);
             for &addr_id in &touched {
-                history.push(addr_id, id);
+                history.entry(addr_id).or_default().push(id);
             }
         }
 
-        let mut erc20_balances = ShardedMap::default();
+        let mut erc20_balances = FxHashMap::default();
         for ((t, h), v) in balances {
             erc20_balances.insert((store.intern(t), store.intern(h)), v);
         }
-        let mut erc20_allowances = ShardedMap::default();
+        let mut erc20_allowances = FxHashMap::default();
         for ((t, o, s), v) in allowances {
             erc20_allowances.insert((store.intern(t), store.intern(o), store.intern(s)), v);
         }
-        let mut nft_owners = ShardedMap::default();
+        let mut nft_owners = FxHashMap::default();
         for ((t, id), owner) in owners {
             let key = (store.intern(t), id);
             let owner = store.intern(owner);
             nft_owners.insert(key, owner);
         }
-        let mut nft_operators = ShardedSet::default();
+        let mut nft_operators = FxHashSet::default();
         for (t, o, p) in operators {
             nft_operators.insert((store.intern(t), store.intern(o), store.intern(p)));
         }
@@ -1110,8 +1088,8 @@ impl<'de> Deserialize<'de> for Chain {
             now,
             blocks,
             store,
-            accounts,
-            tokens,
+            accounts: accounts.into_iter().collect(),
+            tokens: tokens.into_iter().collect(),
             erc20_balances,
             erc20_allowances,
             nft_owners,

@@ -28,29 +28,23 @@
 
 mod account;
 mod asset;
-mod assets;
 mod block;
 mod chain;
 mod error;
-mod hash;
 mod labels;
 mod memo;
-mod shard;
 mod store;
 mod tx;
 
 pub use account::{AccountKind, ContractKind, EntryStyle, ProfitSharingSpec};
 pub use asset::{Asset, TokenKind, TokenMeta};
-pub use assets::{AssetShardKey, ShardedMap, ShardedSet};
 pub use block::{
     block_number_at, days_between, format_date, format_year_month, month_start, unix_from_civil,
     BlockHeader, BlockNumber, Timestamp, GENESIS_TIMESTAMP, SECONDS_PER_BLOCK,
 };
 pub use chain::{Chain, ChainStats};
 pub use error::ChainError;
-pub use hash::DetMap;
 pub use labels::{Label, LabelCategory, LabelSource, LabelStore};
 pub use memo::{MemoStats, ShardKey, ShardedMemo};
-pub use shard::{shard_index, shard_index_id, ShardedHistories, DEFAULT_SHARDS};
 pub use store::{AssetRef, TransferColumns, TxStore, TxStoreIter, TxView};
 pub use tx::{Approval, CallInfo, Transaction, Transfer, TxId};

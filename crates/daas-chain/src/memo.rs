@@ -2,10 +2,10 @@
 //!
 //! This is the pattern the detector's `ClassificationCache` established
 //! in PR 1, lifted into the chain crate so every downstream consumer
-//! (classification, per-account feature extraction, family forensics)
-//! shares one implementation and one shard-count constant
-//! ([`DEFAULT_SHARDS`](crate::shard::DEFAULT_SHARDS)) with the chain
-//! store itself.
+//! (classification, per-account feature extraction) shares one
+//! implementation. The table is split over a fixed 16 locks because the
+//! §6 report workers fill the feature cache concurrently; the lock
+//! count is a private constant, not a setting.
 //!
 //! Correctness argument (same as PR 1): the memo only ever stores the
 //! result of a *pure* function of its key (plus immutable context), so
@@ -16,7 +16,7 @@
 //! Every shard keeps always-on hit/miss counters (relaxed atomics,
 //! bumped while the shard lock is already held, so they are noise next
 //! to the lock acquisition). [`ShardedMemo::stats`] aggregates them
-//! with per-shard occupancy — the raw numbers behind the
+//! with the entry count — the raw numbers behind the
 //! `cache.*.hit`/`cache.*.miss` observability counters and the
 //! `stats()` accessors of the classification and feature caches.
 
@@ -24,11 +24,13 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use eth_types::Address;
+use eth_types::AddrId;
 use parking_lot::RwLock;
 
-use crate::shard::{shard_index, DEFAULT_SHARDS};
 use crate::tx::TxId;
+
+/// Lock count of every memo (a power of two).
+const SHARDS: usize = 16;
 
 /// Keys that know which shard they live in. The mapping must be
 /// deterministic across runs (no `RandomState`).
@@ -37,6 +39,7 @@ pub trait ShardKey {
     fn shard(&self, mask: usize) -> usize;
 }
 
+/// Transaction ids are dense counters: the low bits spread evenly.
 impl ShardKey for TxId {
     #[inline]
     fn shard(&self, mask: usize) -> usize {
@@ -44,17 +47,12 @@ impl ShardKey for TxId {
     }
 }
 
-impl ShardKey for Address {
+/// Interned ids are dense first-seen counters: the low bits spread
+/// evenly.
+impl ShardKey for AddrId {
     #[inline]
     fn shard(&self, mask: usize) -> usize {
-        shard_index(*self, mask)
-    }
-}
-
-impl ShardKey for eth_types::AddrId {
-    #[inline]
-    fn shard(&self, mask: usize) -> usize {
-        crate::shard::shard_index_id(*self, mask)
+        self.raw() as usize & mask
     }
 }
 
@@ -68,8 +66,6 @@ pub struct MemoStats {
     pub misses: u64,
     /// Memoised entries.
     pub entries: usize,
-    /// Entries per shard, in shard order (the occupancy-balance view).
-    pub per_shard: Vec<usize>,
 }
 
 impl MemoStats {
@@ -99,7 +95,6 @@ impl<K, V> Default for Shard<K, V> {
 /// A sharded `RwLock<HashMap>` memo. `Sync` whenever `K`/`V` are
 /// `Send + Sync`; readers on different shards never contend.
 pub struct ShardedMemo<K, V> {
-    mask: usize,
     shards: Vec<Shard<K, V>>,
 }
 
@@ -111,38 +106,19 @@ impl<K: ShardKey + Hash + Eq, V: Clone> Default for ShardedMemo<K, V> {
 
 impl<K, V> std::fmt::Debug for ShardedMemo<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedMemo").field("shards", &self.shards.len()).finish()
+        f.debug_struct("ShardedMemo").field("shards", &SHARDS).finish()
     }
 }
 
 impl<K: ShardKey + Hash + Eq, V: Clone> ShardedMemo<K, V> {
-    /// An empty memo with [`DEFAULT_SHARDS`] shards.
+    /// An empty memo.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty memo with `shards` shards. Must be a power of two
-    /// (debug-asserted; release builds round down to one).
-    pub fn with_shards(shards: usize) -> Self {
-        debug_assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two, got {shards}"
-        );
-        let n = if shards.is_power_of_two() { shards } else { 1 };
-        ShardedMemo {
-            mask: n - 1,
-            shards: (0..n).map(|_| Shard::default()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        ShardedMemo { shards: (0..SHARDS).map(|_| Shard::default()).collect() }
     }
 
     #[inline]
     fn shard(&self, key: &K) -> &Shard<K, V> {
-        &self.shards[key.shard(self.mask)]
+        &self.shards[key.shard(SHARDS - 1)]
     }
 
     /// Returns the memoised value for `key`, computing and storing it
@@ -184,21 +160,18 @@ impl<K: ShardKey + Hash + Eq, V: Clone> ShardedMemo<K, V> {
         self.len() == 0
     }
 
-    /// Aggregated hit/miss counters and per-shard occupancy.
+    /// Aggregated hit/miss counters and the entry count.
     pub fn stats(&self) -> MemoStats {
         let mut stats = MemoStats::default();
         for shard in &self.shards {
             stats.hits += shard.hits.load(Ordering::Relaxed);
             stats.misses += shard.misses.load(Ordering::Relaxed);
-            let len = shard.map.read().len();
-            stats.entries += len;
-            stats.per_shard.push(len);
+            stats.entries += shard.map.read().len();
         }
         stats
     }
 
-    /// Drops every entry and resets the counters (keeps the shard
-    /// layout).
+    /// Drops every entry and resets the counters.
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.map.write().clear();
@@ -234,36 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn configurable_shard_count() {
-        for shards in [1, 2, 8, 64] {
-            let memo: ShardedMemo<TxId, ()> = ShardedMemo::with_shards(shards);
-            assert_eq!(memo.shard_count(), shards);
-            for id in 0..100 {
-                memo.get_or_compute(id, || ());
-            }
-            assert_eq!(memo.len(), 100);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    #[cfg(debug_assertions)]
-    fn non_power_of_two_asserts() {
-        let _: ShardedMemo<TxId, ()> = ShardedMemo::with_shards(6);
-    }
-
-    #[test]
-    fn address_keys_shard_deterministically() {
-        let memo: ShardedMemo<Address, u8> = ShardedMemo::with_shards(4);
-        let a = Address([9; 20]);
-        memo.get_or_compute(a, || 1);
-        assert_eq!(memo.get(&a), Some(1));
-    }
-
-    #[test]
     fn stats_track_hits_misses_and_occupancy() {
-        let memo: ShardedMemo<TxId, u64> = ShardedMemo::with_shards(4);
-        assert_eq!(memo.stats(), MemoStats { per_shard: vec![0; 4], ..Default::default() });
+        let memo: ShardedMemo<TxId, u64> = ShardedMemo::new();
+        assert_eq!(memo.stats(), MemoStats::default());
 
         memo.get_or_compute(0, || 1); // miss
         memo.get_or_compute(0, || 1); // hit
@@ -273,7 +219,6 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 3);
         assert_eq!(stats.entries, 2);
-        assert_eq!(stats.per_shard, vec![1, 1, 0, 0]);
         assert!((stats.hit_rate() - 0.25).abs() < 1e-12);
 
         memo.clear();

@@ -13,9 +13,7 @@ mod pipeline;
 mod render;
 mod websites;
 
-pub use pipeline::{
-    run_pipeline, run_pipeline_sharded, LiveRun, LiveWindowStats, Measured, Pipeline,
-};
+pub use pipeline::{run_pipeline, LiveRun, LiveWindowStats, Measured, Pipeline};
 pub use render::{
     render_ablations, render_community, render_fig4, render_fig6, render_fig7,
     render_lifecycles, render_ratios, render_scale_stats, render_table1, render_table2,

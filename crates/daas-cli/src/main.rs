@@ -11,10 +11,6 @@
 //!                snowball sampling, clustering and forensics always
 //!                run sequentially; every artifact is byte-identical at
 //!                every setting
-//!   --shards N   shard count (power of two) for the chain's history
-//!                and asset-state maps and the detector's classification
-//!                memo, 0 = the default; shards are memory layout,
-//!                never data
 //!   --timings    enable the observability recorder and print the
 //!                per-stage wall-clock breakdown (read back from the
 //!                metrics registry) plus the recorder's human summary,
@@ -28,6 +24,7 @@
 //!                streaming stack (online detector → incremental
 //!                clusterer → live measurement), then re-verify against
 //!                the one-shot batch pipeline; a mismatch fails the run
+//!   --no-verify  with --live, skip the batch re-verification
 //!   --window N   sealed blocks per live window (default 7200, one
 //!                day's worth of 12-second slots)
 //!   --exp NAME   one of: table1 table2 table3 table4 fig4 fig6 fig7
@@ -41,7 +38,7 @@ use std::time::{Duration, Instant};
 use daas_cli::{
     render_community, render_fig4, render_fig6, render_fig7, render_lifecycles, render_ratios,
     render_scale_stats, render_table1, render_table2, render_table3, render_table4,
-    render_timeline, render_validation, run_pipeline_sharded, run_website_pipeline,
+    render_timeline, render_validation, run_pipeline, run_website_pipeline,
 };
 use daas_detector::SnowballConfig;
 use daas_measure::MeasureConfig;
@@ -56,7 +53,6 @@ fn main() -> ExitCode {
     let mut seed = 42u64;
     let mut scale = 0.1f64;
     let mut threads = 0usize;
-    let mut shards = 0usize;
     let mut timings = false;
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -90,10 +86,6 @@ fn main() -> ExitCode {
             "--threads" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => threads = v,
                 None => return usage("--threads needs an integer (0 = all cores)"),
-            },
-            "--shards" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v == 0 || v.is_power_of_two() => shards = v,
-                _ => return usage("--shards needs a power of two (0 = default)"),
             },
             "--timings" => timings = true,
             "--trace-out" => match args.next() {
@@ -197,7 +189,7 @@ fn main() -> ExitCode {
     eprintln!("building world (seed {seed}, scale {scale}) …");
     let snowball = SnowballConfig { threads, ..Default::default() };
     if live {
-        let code = run_live(&config, &snowball, shards, window_blocks, threads, verify);
+        let code = run_live(&config, &snowball, window_blocks, threads, verify);
         return match finish_obs(obs_on, timings, trace_out.as_deref(), metrics_out.as_deref()) {
             Ok(()) => code,
             Err(e) => {
@@ -206,7 +198,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let pipeline = match run_pipeline_sharded(&config, &snowball, shards) {
+    let pipeline = match run_pipeline(&config, &snowball) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("pipeline failed: {e}");
@@ -354,16 +346,14 @@ fn ms(d: Duration) -> f64 {
 fn run_live(
     config: &WorldConfig,
     snowball: &SnowballConfig,
-    shards: usize,
     window_blocks: u64,
     threads: usize,
     verify: bool,
 ) -> ExitCode {
     let measure_cfg = MeasureConfig { threads };
-    let run = match daas_cli::Pipeline::live_opts(
+    let run = match daas_cli::Pipeline::live(
         config,
         snowball,
-        shards,
         window_blocks,
         &measure_cfg,
         verify,

@@ -2,8 +2,8 @@
 //! measurement bundle built once for every renderer.
 //!
 //! Two drivers share every stage implementation:
-//! * [`run_pipeline`] / [`run_pipeline_sharded`] — the one-shot batch
-//!   run the paper's tables are rendered from;
+//! * [`run_pipeline`] — the one-shot batch run the paper's tables are
+//!   rendered from;
 //! * [`Pipeline::live`] — the streaming replay, now a thin client over
 //!   the [`daas_serve::Engine`] (the chain delivered in block windows
 //!   through the online detector, incremental clusterer and live
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use daas_chain::{Chain, Timestamp};
 use daas_cluster::{cluster, Clustering, FamilyForensics, OnlineClustererStats};
-use daas_detector::{build_dataset_with_cache, ClassificationCache, Dataset, SnowballConfig};
+use daas_detector::{build_dataset, build_dataset_with_cache, Dataset, SnowballConfig};
 use daas_measure::{MeasureConfig, MeasureCtx, MeasureReports};
 use daas_serve::Engine;
 use daas_world::{collection_end, World, WorldConfig};
@@ -88,8 +88,8 @@ pub struct LiveRun {
     pub clusterer_stats: OnlineClustererStats,
     /// `true` when dataset, clustering and reports are byte-identical to
     /// a one-shot batch run over the same classification memo
-    /// (vacuously `true` when verification was skipped via
-    /// [`Pipeline::live_opts`]).
+    /// (vacuously `true` when [`Pipeline::live`] ran with
+    /// `verify = false`).
     pub batch_matches: bool,
     /// Wall-clock cost of (world, streaming replay, final reports,
     /// batch re-verification).
@@ -104,29 +104,15 @@ impl Pipeline {
     /// snowball re-run then classifies nothing twice).
     ///
     /// `on_window` fires after each window with that window's deltas and
-    /// per-stage latencies. The final artifacts are re-verified against
-    /// the one-shot batch pipeline; [`LiveRun::batch_matches`] reports
-    /// the verdict (the CLI turns a mismatch into a failing exit code).
+    /// per-stage latencies. With `verify`, the final artifacts are
+    /// re-verified against the one-shot batch pipeline and
+    /// [`LiveRun::batch_matches`] reports the verdict (the CLI turns a
+    /// mismatch into a failing exit code). Without it, the replay skips
+    /// that second snowball + clustering + measurement pass entirely
+    /// (`--no-verify`).
     pub fn live(
         config: &WorldConfig,
         snowball: &SnowballConfig,
-        shards: usize,
-        window_blocks: u64,
-        measure_cfg: &MeasureConfig,
-        on_window: impl FnMut(&LiveWindowStats),
-    ) -> Result<LiveRun, String> {
-        Self::live_opts(config, snowball, shards, window_blocks, measure_cfg, true, on_window)
-    }
-
-    /// [`Pipeline::live`] with the batch re-verification behind a flag.
-    /// A plain replay (`verify = false`) skips the full second snowball
-    /// + clustering + measurement pass entirely — the equivalence gate
-    /// stays where it belongs (tests, the CI matrix, explicit `--live`
-    /// runs) instead of taxing every streaming consumer.
-    pub fn live_opts(
-        config: &WorldConfig,
-        snowball: &SnowballConfig,
-        shards: usize,
         window_blocks: u64,
         measure_cfg: &MeasureConfig,
         verify: bool,
@@ -136,7 +122,7 @@ impl Pipeline {
             return Err("window must span at least one block".into());
         }
         let t0 = Instant::now();
-        let mut engine = Engine::new(config, snowball, shards)?;
+        let mut engine = Engine::new(config, snowball, 0)?;
         let t1 = Instant::now();
 
         let mut windows = Vec::new();
@@ -200,8 +186,7 @@ fn to_json<T: serde::Serialize>(value: &T) -> Result<String, String> {
     serde_json::to_string(value).map_err(|e| e.to_string())
 }
 
-/// Publishes the per-stage wall clocks (`pipeline.stage_ms{stage=…}`),
-/// the chain's history-shard occupancy (`shard.histories.len{shard}`),
+/// Publishes the per-stage wall clocks (`pipeline.stage_ms{stage=…}`)
 /// and the columnar arena's heap footprint
 /// (`chain.arena.bytes{column=…}`) into the obs registry. The
 /// `--timings` line and the `--metrics-out` summary read these gauges
@@ -213,9 +198,6 @@ fn record_stage_obs(chain: &Chain, stages: &[(&str, Duration)]) {
     for (stage, took) in stages {
         daas_obs::gauge_l("pipeline.stage_ms", "stage", stage, took.as_secs_f64() * 1e3);
     }
-    for (i, len) in chain.history_shard_sizes().into_iter().enumerate() {
-        daas_obs::gauge_l("shard.histories.len", "shard", &i.to_string(), len as f64);
-    }
     for (column, bytes) in chain.transactions().column_bytes() {
         daas_obs::gauge_l("chain.arena.bytes", "column", column, bytes as f64);
     }
@@ -225,25 +207,10 @@ fn record_stage_obs(chain: &Chain, stages: &[(&str, Duration)]) {
 /// `threads` knob sets the world planner's worker count; snowball and
 /// clustering are sequential.
 pub fn run_pipeline(config: &WorldConfig, snowball: &SnowballConfig) -> Result<Pipeline, String> {
-    run_pipeline_sharded(config, snowball, 0)
-}
-
-/// [`run_pipeline`] with an explicit shard count (`0` = the default,
-/// otherwise a power of two) applied consistently to the chain's history
-/// and asset-state maps *and* the detector's classification memo. Shards
-/// are memory layout, never data: every artifact is byte-identical at
-/// every setting.
-pub fn run_pipeline_sharded(
-    config: &WorldConfig,
-    snowball: &SnowballConfig,
-    shards: usize,
-) -> Result<Pipeline, String> {
     let t0 = Instant::now();
-    let world = World::build_opts(config, snowball.threads, shards)?;
+    let world = World::build_with(config, snowball.threads)?;
     let t1 = Instant::now();
-    let cache =
-        if shards == 0 { ClassificationCache::new() } else { ClassificationCache::with_shards(shards) };
-    let dataset = build_dataset_with_cache(&world.chain, &world.labels, snowball, &cache);
+    let dataset = build_dataset(&world.chain, &world.labels, snowball);
     let t2 = Instant::now();
     let clustering = cluster(&world.chain, &world.labels, &dataset);
     let t3 = Instant::now();

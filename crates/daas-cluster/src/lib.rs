@@ -16,10 +16,9 @@
 //! shared feature cache.
 //!
 //! Clustering runs extract → merge → assemble phases, sequentially
-//! (DESIGN.md §8); the output is byte-identical at any chain shard
-//! count — see `tests/shard_equivalence.rs`. [`cluster_with`] and
-//! [`ClusterConfig`] remain only as a shim for the earlier threaded
-//! signature and ignore their configuration.
+//! (DESIGN.md §8). [`cluster_with`] and [`ClusterConfig`] remain only
+//! as a shim for the earlier threaded signature and ignore their
+//! configuration.
 //!
 //! Streaming ([`OnlineClusterer`]): families maintained incrementally
 //! from the online detector's event feed, byte-identical to the batch

@@ -6,8 +6,7 @@
 //! transactions repeatedly. [`ClassificationCache`] memoises the
 //! verdict — including negative verdicts — keyed by transaction id, on
 //! a [`ShardedMemo`], so one `Arc`-shared cache can serve the batch
-//! snowball and the online detector. The shard count defaults to the
-//! chain store's [`DEFAULT_SHARDS`] and follows the `--shards` knob.
+//! snowball and the online detector.
 //!
 //! A cache is valid for exactly one [`ClassifierConfig`]; callers that
 //! sweep classifier settings (the ablation harness) must use a fresh
@@ -44,20 +43,9 @@ impl fmt::Debug for ClassificationCache {
 }
 
 impl ClassificationCache {
-    /// Creates an empty cache with [`daas_chain::DEFAULT_SHARDS`] shards.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         ClassificationCache { memo: ShardedMemo::new() }
-    }
-
-    /// Creates an empty cache with `shards` shards. Must be a power of
-    /// two (debug-asserted).
-    pub fn with_shards(shards: usize) -> Self {
-        ClassificationCache { memo: ShardedMemo::with_shards(shards) }
-    }
-
-    /// Number of shards the cache is split into.
-    pub fn shard_count(&self) -> usize {
-        self.memo.shard_count()
     }
 
     /// Classifies `txid` through the cache: returns the memoised
@@ -88,7 +76,7 @@ impl ClassificationCache {
         self.memo.clear();
     }
 
-    /// Hit/miss counters and per-shard occupancy since construction (or
+    /// Hit/miss counters and the entry count since construction (or
     /// the last [`Self::clear`]). Always on — the counters are relaxed
     /// atomics bumped under the shard lock, so reading them costs
     /// nothing on the classify path. The observability layer exports
@@ -107,13 +95,11 @@ mod tests {
         let cache = ClassificationCache::new();
         assert!(cache.is_empty());
         assert_eq!(cache.len(), 0);
-        assert_eq!(cache.shard_count(), daas_chain::DEFAULT_SHARDS);
     }
 
     #[test]
-    fn clear_resets_shards() {
-        let cache = ClassificationCache::with_shards(4);
-        assert_eq!(cache.shard_count(), 4);
+    fn clear_empties_the_cache() {
+        let cache = ClassificationCache::new();
         cache.memo.get_or_compute(3, || None);
         assert_eq!(cache.len(), 1);
         cache.clear();

@@ -12,7 +12,7 @@
 //! Membership and prior-contact state are keyed by interned
 //! [`AddrId`]s, and each poll *batches* the member-contact probe: the
 //! window's member-touching transactions are enumerated once from the
-//! sharded history index (a `partition_point` per member), so the
+//! account-history index (a `partition_point` per member), so the
 //! per-transaction loop only pays the full admissibility check for
 //! transactions that can actually change the dataset — everything else
 //! takes a seed-label-only fast path with zero membership probes.

@@ -12,6 +12,7 @@
 //! running sums — recomputing them would be a different number.
 
 use std::fs;
+use std::io::Write;
 use std::path::Path;
 
 use daas_cluster::ClustererCheckpoint;
@@ -22,6 +23,8 @@ use serde::{Deserialize, Serialize};
 
 /// Serialized engine state: stream position, full component state of
 /// every stage, and the configs needed to rebuild the world and caches.
+/// Unknown fields are ignored on load, so checkpoints that still carry
+/// the retired `shards` field restore unchanged.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
     /// Format version ([`EngineCheckpoint::VERSION`]).
@@ -30,8 +33,6 @@ pub struct EngineCheckpoint {
     pub config: WorldConfig,
     /// Snowball / classifier configuration.
     pub snowball: SnowballConfig,
-    /// Shard count for history maps and the classification memo.
-    pub shards: usize,
     /// Publication epoch at checkpoint time.
     pub epoch: u64,
     /// Windows ingested so far (continues the window index sequence).
@@ -59,10 +60,35 @@ impl EngineCheckpoint {
     }
 
     /// Writes the checkpoint to `path`, returning the byte size (also
-    /// published as the `serve.checkpoint.bytes` gauge).
+    /// published as the `serve.checkpoint.bytes` gauge). The JSON goes
+    /// to a synced temporary file in the same directory, which is then
+    /// renamed over `path` and the directory synced: a concurrent
+    /// [`EngineCheckpoint::load`] reads the old checkpoint or the new
+    /// one, never a torn file, and a crash mid-write leaves the old one
+    /// in place.
     pub fn save(&self, path: &Path) -> Result<u64, String> {
         let json = self.to_json()?;
-        fs::write(path, &json).map_err(|e| format!("write {}: {e}", path.display()))?;
+        let name = path.file_name().ok_or_else(|| format!("write {}: no file name", path.display()))?;
+        let tmp = path.with_file_name(format!(
+            ".{}.{}.tmp",
+            name.to_string_lossy(),
+            std::process::id()
+        ));
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        let written = fs::File::create(&tmp)
+            .and_then(|mut file| {
+                file.write_all(json.as_bytes())?;
+                file.sync_all()
+            })
+            .and_then(|()| fs::rename(&tmp, path))
+            .and_then(|()| fs::File::open(dir)?.sync_all());
+        if let Err(e) = written {
+            let _ = fs::remove_file(&tmp);
+            return Err(format!("write {}: {e}", path.display()));
+        }
         let bytes = json.len() as u64;
         if daas_obs::enabled() {
             daas_obs::gauge("serve.checkpoint.bytes", bytes as f64);

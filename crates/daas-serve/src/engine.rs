@@ -59,7 +59,6 @@ pub struct LiveWindowStats {
 pub struct Engine {
     config: WorldConfig,
     snowball: SnowballConfig,
-    shards: usize,
     world: World,
     cache: Arc<ClassificationCache>,
     detector: OnlineDetector,
@@ -82,18 +81,16 @@ pub struct Engine {
 
 impl Engine {
     /// Builds the world and an engine at transaction 0, publishing the
-    /// empty epoch-0 snapshot.
+    /// empty epoch-0 snapshot. `_shards` is ignored: the chain and the
+    /// caches have no shard setting any more, and the parameter stays
+    /// only so the benchmark runner's calls keep compiling.
     pub fn new(
         config: &WorldConfig,
         snowball: &SnowballConfig,
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, String> {
-        let world = World::build_opts(config, snowball.threads, shards)?;
-        let cache = Arc::new(if shards == 0 {
-            ClassificationCache::new()
-        } else {
-            ClassificationCache::with_shards(shards)
-        });
+        let world = World::build_with(config, snowball.threads)?;
+        let cache = Arc::new(ClassificationCache::new());
         let detector = OnlineDetector::with_cache(snowball.clone(), Arc::clone(&cache));
         let clusterer =
             OnlineClusterer::with_cache(snowball.classifier.clone(), Arc::clone(&cache));
@@ -102,7 +99,6 @@ impl Engine {
         Ok(Engine {
             config: config.clone(),
             snowball: snowball.clone(),
-            shards,
             world,
             cache,
             detector,
@@ -353,7 +349,6 @@ impl Engine {
             version: EngineCheckpoint::VERSION,
             config: self.config.clone(),
             snowball: self.snowball.clone(),
-            shards: self.shards,
             epoch: self.epoch,
             windows: self.windows,
             detector: self.detector.checkpoint(&self.world.chain),
@@ -375,7 +370,7 @@ impl Engine {
                 EngineCheckpoint::VERSION
             ));
         }
-        let mut engine = Engine::new(&ckpt.config, &ckpt.snowball, ckpt.shards)?;
+        let mut engine = Engine::new(&ckpt.config, &ckpt.snowball, 0)?;
         engine.detector = OnlineDetector::restore(
             ckpt.snowball.clone(),
             Arc::clone(&engine.cache),

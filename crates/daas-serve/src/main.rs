@@ -2,14 +2,14 @@
 //!
 //! ```text
 //! daas-serve [--seed N] [--scale F] [--preset paper|small|tiny|micro]
-//!            [--threads N] [--shards N] [--window BLOCKS]
-//!            [--socket PATH] [--readers N]
+//!            [--threads N] [--window BLOCKS] [--socket PATH]
 //!            [--scrape-addr HOST:PORT] [--slo SPEC.json]
 //!            [--restore CKPT.json] [--metrics-out PATH] [--trace-out PATH]
 //! ```
 //!
 //! Speaks the JSONL protocol (see `protocol.rs`) on stdin/stdout and,
-//! when `--socket` is given, on a Unix socket served by a reader pool.
+//! when `--socket` is given, on a Unix socket that answers each
+//! connection on its own thread, up to 64 at once.
 //! `--threads` sets the world build's worker count (0 = all cores);
 //! everything after the build is sequential on the engine thread.
 //! `--scrape-addr` adds a std-only HTTP listener with `GET /metrics`
@@ -36,10 +36,8 @@ fn main() -> ExitCode {
     let mut scale = 0.1f64;
     let mut preset = String::from("paper");
     let mut threads = 0usize;
-    let mut shards = 0usize;
     let mut window = 64u64;
     let mut socket: Option<PathBuf> = None;
-    let mut readers = 2usize;
     let mut restore: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
@@ -78,19 +76,11 @@ fn main() -> ExitCode {
                 Ok(v) => threads = v,
                 Err(_) => return usage("--threads needs an integer"),
             },
-            "--shards" => match operand!("--shards").parse() {
-                Ok(v) => shards = v,
-                Err(_) => return usage("--shards needs an integer"),
-            },
             "--window" => match operand!("--window").parse() {
                 Ok(v) if v > 0 => window = v,
                 _ => return usage("--window needs a positive block count"),
             },
             "--socket" => socket = Some(PathBuf::from(operand!("--socket"))),
-            "--readers" => match operand!("--readers").parse() {
-                Ok(v) if v > 0 => readers = v,
-                _ => return usage("--readers needs a positive integer"),
-            },
             "--restore" => restore = Some(PathBuf::from(operand!("--restore"))),
             "--metrics-out" => metrics_out = Some(PathBuf::from(operand!("--metrics-out"))),
             "--trace-out" => trace_out = Some(PathBuf::from(operand!("--trace-out"))),
@@ -145,7 +135,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let snowball = SnowballConfig { threads, ..Default::default() };
-            Engine::new(&config, &snowball, shards)
+            Engine::new(&config, &snowball, 0)
         }
     };
     let engine = match engine {
@@ -169,7 +159,6 @@ fn main() -> ExitCode {
 
     let opts = ServeOptions {
         socket,
-        readers,
         window_blocks: window,
         scrape_addr,
         slo,
@@ -216,10 +205,9 @@ fn usage(error: &str) -> ExitCode {
     }
     eprintln!(
         "usage: daas-serve [--seed N] [--scale F] [--preset paper|small|tiny|micro]\n\
-         \x20                 [--threads N] [--shards N] [--window BLOCKS]\n\
-         \x20                 [--socket PATH] [--readers N] [--restore CKPT.json]\n\
+         \x20                 [--threads N] [--window BLOCKS] [--socket PATH]\n\
          \x20                 [--scrape-addr HOST:PORT] [--slo SPEC.json]\n\
-         \x20                 [--metrics-out PATH] [--trace-out PATH]\n\
+         \x20                 [--restore CKPT.json] [--metrics-out PATH] [--trace-out PATH]\n\
          --threads N: world-build worker threads (0 = all cores)"
     );
     if error.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE }

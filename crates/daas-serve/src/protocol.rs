@@ -22,8 +22,8 @@
 //!
 //! Responses carry `"ok":true` plus the payload, or
 //! `{"ok":false,"error":…}`. Query commands (`status`, `risk`,
-//! `family`, `victim`, `stats`) are answered by any reader thread from
-//! the published snapshot — [`answer_query`] — and never touch the
+//! `family`, `victim`, `stats`) are answered by any connection thread
+//! from the published snapshot — [`answer_query`] — and never touch the
 //! engine; everything else is a control command the server forwards to
 //! the single engine thread. The live-telemetry queries (`obs`,
 //! `events`) are answered by the server from the telemetry state and
@@ -76,7 +76,7 @@ impl Request {
     }
 
     /// `true` when this command reads the snapshot only (answerable by
-    /// any reader thread without involving the engine).
+    /// any connection thread without involving the engine).
     pub fn is_query(&self) -> bool {
         matches!(self.cmd.as_str(), "status" | "risk" | "family" | "victim" | "stats")
     }

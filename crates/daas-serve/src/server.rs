@@ -1,13 +1,15 @@
-//! The daemon runtime: one engine thread owning all mutable state, a
-//! small pool of reader threads on a Unix socket, and a stdin/stdout
-//! JSONL loop — std only, no async runtime.
+//! The daemon runtime: one engine thread owning all mutable state, an
+//! accept thread on a Unix socket that answers each connection on a
+//! thread of its own (at most [`MAX_CONNECTIONS`] at once), and a
+//! stdin/stdout JSONL loop — std only, no async runtime.
 //!
-//! Queries never block ingestion: readers answer `status` / `risk` /
-//! `family` / `victim` / `stats` from the epoch-swapped snapshot cell.
-//! Control commands (`ingest`, `run`, `reports`, `artifact`,
-//! `checkpoint`, `shutdown`) are forwarded over an mpsc channel to the
-//! engine thread, which executes them serially — the engine is
-//! single-writer by construction.
+//! Queries never block ingestion: connection threads answer `status` /
+//! `risk` / `family` / `victim` / `stats` from the epoch-swapped
+//! snapshot cell. Control commands (`ingest`, `run`, `reports`,
+//! `artifact`, `checkpoint`, `shutdown`) are forwarded over an mpsc
+//! channel to the engine thread, which executes them serially — the
+//! engine is single-writer by construction. Each connection waits for
+//! its reply, so the channel holds at most one request per connection.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -40,12 +42,14 @@ const SAMPLE_EVERY: Duration = Duration::from_millis(250);
 /// `stall` journal event per stale period.
 const STALL_AFTER_MS: u64 = 5_000;
 
+/// Socket connections answered at once. One more gets a `busy` error
+/// line and is closed.
+const MAX_CONNECTIONS: usize = 64;
+
 /// Daemon settings.
 pub struct ServeOptions {
     /// Unix socket to listen on (`None` = stdin/stdout only).
     pub socket: Option<PathBuf>,
-    /// Reader threads accepting socket connections.
-    pub readers: usize,
     /// Default window size in blocks for `ingest` / `run` when the
     /// request doesn't name one.
     pub window_blocks: u64,
@@ -67,7 +71,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             socket: None,
-            readers: 2,
             window_blocks: 64,
             measure: MeasureConfig::sequential(),
             scrape_addr: None,
@@ -154,24 +157,14 @@ pub fn serve(mut engine: Engine, opts: ServeOptions) -> Result<(), String> {
 
     if let Some(path) = &opts.socket {
         let listener = bind_socket(path)?;
-        for i in 0..opts.readers.max(1) {
-            let listener = Arc::clone(&listener);
-            let cell = Arc::clone(&cell);
-            let ctl_tx = ctl_tx.clone();
-            let stop = Arc::clone(&stop);
-            let telemetry = Arc::clone(&telemetry);
-            thread::Builder::new()
-                .name(format!("daas-serve-reader-{i}"))
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let Ok((stream, _)) = listener.accept() else { break };
-                        let Ok(read_half) = stream.try_clone() else { continue };
-                        let reader = BufReader::new(read_half);
-                        answer_lines(reader, stream, &cell, &ctl_tx, &stop, &telemetry);
-                    }
-                })
-                .map_err(|e| e.to_string())?;
-        }
+        let cell = Arc::clone(&cell);
+        let ctl_tx = ctl_tx.clone();
+        let stop = Arc::clone(&stop);
+        let telemetry = Arc::clone(&telemetry);
+        thread::Builder::new()
+            .name("daas-serve-accept".into())
+            .spawn(move || accept_loop(&listener, &cell, &ctl_tx, &stop, &telemetry))
+            .map_err(|e| e.to_string())?;
     }
 
     {
@@ -187,7 +180,7 @@ pub fn serve(mut engine: Engine, opts: ServeOptions) -> Result<(), String> {
             })
             .map_err(|e| e.to_string())?;
     }
-    // The server's own senders die here; with no socket readers, stdin
+    // The server's own senders die here; with no socket listener, stdin
     // EOF therefore shuts the engine loop down.
     drop(ctl_tx);
 
@@ -198,8 +191,8 @@ pub fn serve(mut engine: Engine, opts: ServeOptions) -> Result<(), String> {
 
     engine_thread.join().map_err(|_| "engine thread panicked".to_string())?;
     stop.store(true, Ordering::Relaxed);
-    // Give reader threads a beat to flush the shutdown reply before the
-    // process (and its blocked accept/stdin threads) goes away.
+    // Give connection threads a beat to flush the shutdown reply before
+    // the process (and its blocked accept/stdin threads) goes away.
     thread::sleep(Duration::from_millis(100));
     if let Some(path) = &opts.socket {
         let _ = std::fs::remove_file(path);
@@ -207,13 +200,57 @@ pub fn serve(mut engine: Engine, opts: ServeOptions) -> Result<(), String> {
     Ok(())
 }
 
-fn bind_socket(path: &Path) -> Result<Arc<UnixListener>, String> {
+fn bind_socket(path: &Path) -> Result<UnixListener, String> {
     if path.exists() {
         std::fs::remove_file(path).map_err(|e| format!("remove stale socket: {e}"))?;
     }
-    let listener =
-        UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
-    Ok(Arc::new(listener))
+    UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))
+}
+
+/// Accepts socket connections until shutdown and answers each on a
+/// thread of its own, so an idle client never holds up another. Past
+/// [`MAX_CONNECTIONS`] open connections, a new one gets a `busy` error
+/// line and is closed.
+fn accept_loop(
+    listener: &UnixListener,
+    cell: &Arc<SnapshotCell>,
+    ctl_tx: &Sender<Control>,
+    stop: &Arc<AtomicBool>,
+    telemetry: &Arc<Telemetry>,
+) {
+    // Each connection thread holds a clone until it ends, however it
+    // ends: the open connections are the clones beyond this one.
+    let open = Arc::new(());
+    for stream in listener.incoming() {
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
+        let mut stream = match stream {
+            Ok(stream) => stream,
+            // Out of file descriptors, say: back off instead of spinning.
+            Err(_) => {
+                thread::sleep(Duration::from_millis(10));
+                continue;
+            }
+        };
+        // Only this thread opens connections, so the count cannot grow
+        // between the check and the clone.
+        if Arc::strong_count(&open) > MAX_CONNECTIONS {
+            let busy = error_response(&format!("busy: {MAX_CONNECTIONS} connections open"));
+            let _ = writeln!(stream, "{busy}");
+            continue;
+        }
+        let Ok(read_half) = stream.try_clone() else { continue };
+        let slot = Arc::clone(&open);
+        let (cell, ctl_tx, stop, telemetry) =
+            (Arc::clone(cell), ctl_tx.clone(), Arc::clone(stop), Arc::clone(telemetry));
+        // A failed spawn drops the closure, which closes the stream and
+        // frees the slot.
+        let _ = thread::Builder::new().name("daas-serve-conn".into()).spawn(move || {
+            let _slot = slot;
+            answer_lines(BufReader::new(read_half), stream, &cell, &ctl_tx, &stop, &telemetry);
+        });
+    }
 }
 
 /// Parses one line and answers it: live-telemetry queries from the

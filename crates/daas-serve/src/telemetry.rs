@@ -1,7 +1,7 @@
 //! Live telemetry shared between the engine thread, the scrape
-//! listener, the reader pool and the sampler: readiness and liveness
-//! state, the bounded structured event journal, SLO evaluation state
-//! and the rolling metrics window.
+//! listener, the connection threads and the sampler: readiness and
+//! liveness state, the bounded structured event journal, SLO evaluation
+//! state and the rolling metrics window.
 //!
 //! Design rule (DESIGN.md §15): the telemetry paths **read** the
 //! metrics registry (via the non-destructive `daas_obs::snapshot`) but

@@ -88,7 +88,7 @@ fn killed_daemon_restores_and_matches_batch_under_query_load() {
     // Boot #1: ingest half the chain, checkpoint, die without warning.
     let mut first = spawn_daemon(&[
         "--preset", "paper", "--seed", SEED, "--scale", SCALE, "--window", WINDOW,
-        "--socket", sock1.to_str().unwrap(), "--readers", "4",
+        "--socket", sock1.to_str().unwrap(),
     ]);
     let mut ctl = Conn::open(&sock1);
     let status = ctl.send("{\"cmd\":\"status\"}");
@@ -112,7 +112,7 @@ fn killed_daemon_restores_and_matches_batch_under_query_load() {
     // Boot #2: restore, finish the stream under concurrent query load.
     let mut second = spawn_daemon(&[
         "--restore", ckpt.to_str().unwrap(), "--window", WINDOW,
-        "--socket", sock2.to_str().unwrap(), "--readers", "4",
+        "--socket", sock2.to_str().unwrap(),
     ]);
     let mut ctl = Conn::open(&sock2);
     let status = ctl.send("{\"cmd\":\"status\"}");
@@ -167,7 +167,7 @@ fn killed_daemon_restores_and_matches_batch_under_query_load() {
     // byte-for-byte.
     let mut config = WorldConfig::paper_scale(42);
     config.scale = 0.05;
-    let world = World::build_opts(&config, 0, 0).expect("world");
+    let world = World::build_with(&config, 0).expect("world");
     let snowball = SnowballConfig::default();
     let cache = ClassificationCache::new();
     let dataset = build_dataset_with_cache(&world.chain, &world.labels, &snowball, &cache);

@@ -159,7 +159,7 @@ enum BenignKind {
 /// internal invariant violations; configuration problems are returned as
 /// `Err`.
 pub fn build(config: &WorldConfig) -> Result<World, String> {
-    build_opts(config, 0, 0)
+    build_with(config, 0)
 }
 
 /// Builds a world with an explicit planner thread count (`0` = all
@@ -168,21 +168,10 @@ pub fn build(config: &WorldConfig) -> Result<World, String> {
 /// from the master stream in a fixed order and merges results in task
 /// order, so the built world is byte-identical for every `threads`.
 pub fn build_with(config: &WorldConfig, threads: usize) -> Result<World, String> {
-    build_opts(config, threads, 0)
-}
-
-/// [`build_with`] plus an explicit chain shard count (`0` = the default,
-/// otherwise a power of two). The chain ingests under that shard layout
-/// from the first transaction; shards are memory layout, never data, so
-/// the world is byte-identical for every setting.
-pub fn build_opts(config: &WorldConfig, threads: usize, shards: usize) -> Result<World, String> {
     config.validate()?;
     let threads = effective_threads(threads);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut chain = Chain::new();
-    if shards != 0 {
-        chain.set_shards(shards);
-    }
     let mut labels = LabelStore::new();
     let mut oracle = Oracle::new();
 

@@ -75,11 +75,11 @@ impl World {
         gen::build_with(config, threads)
     }
 
-    /// [`World::build_with`] plus an explicit chain shard count (`0` =
-    /// the default, otherwise a power of two). Shards are memory layout,
-    /// never data.
-    pub fn build_opts(config: &WorldConfig, threads: usize, shards: usize) -> Result<World, String> {
-        gen::build_opts(config, threads, shards)
+    /// [`World::build_with`] under its earlier signature, kept for the
+    /// benchmark runner: the chain has no shard layout any more, so
+    /// `shards` is ignored. Workspace code calls [`World::build_with`].
+    pub fn build_opts(config: &WorldConfig, threads: usize, _shards: usize) -> Result<World, String> {
+        gen::build_with(config, threads)
     }
 
     /// A crawler over this world's website population (the urlscan.io

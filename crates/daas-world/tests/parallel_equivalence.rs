@@ -1,7 +1,6 @@
-//! The sequential-oracle contract for world generation: `build_opts`
-//! must produce a byte-identical world at every planner thread count
-//! AND every chain shard count. Threads are a schedule and shards are a
-//! memory layout — neither is ever data.
+//! The sequential-oracle contract for world generation: `build_with`
+//! must produce a byte-identical world at every planner thread count.
+//! Threads are a schedule, never data.
 
 use daas_world::{World, WorldConfig};
 
@@ -43,18 +42,18 @@ fn fingerprint(world: &World) -> u64 {
     sink.0
 }
 
-fn build_fp(config: &WorldConfig, threads: usize, shards: usize) -> u64 {
-    fingerprint(&World::build_opts(config, threads, shards).expect("world builds"))
+fn build_fp(config: &WorldConfig, threads: usize) -> u64 {
+    fingerprint(&World::build_with(config, threads).expect("world builds"))
 }
 
 #[test]
 fn thread_counts_agree_on_tiny_worlds() {
-    for seed in [7u64, 31, 99] {
+    for seed in [7u64, 13, 31, 99] {
         let config = WorldConfig::tiny(seed);
-        let oracle = build_fp(&config, 1, 0);
+        let oracle = build_fp(&config, 1);
         for threads in [2usize, 4, 8, 0] {
             assert_eq!(
-                build_fp(&config, threads, 0),
+                build_fp(&config, threads),
                 oracle,
                 "seed {seed}: world diverged from the sequential oracle at threads={threads}"
             );
@@ -65,24 +64,9 @@ fn thread_counts_agree_on_tiny_worlds() {
 #[test]
 fn thread_counts_agree_on_small_world() {
     let config = WorldConfig::small(7);
-    let oracle = build_fp(&config, 1, 0);
+    let oracle = build_fp(&config, 1);
     for threads in [2usize, 4, 0] {
-        assert_eq!(build_fp(&config, threads, 0), oracle, "diverged at threads={threads}");
-    }
-}
-
-#[test]
-fn shard_counts_change_nothing() {
-    let config = WorldConfig::tiny(13);
-    let oracle = build_fp(&config, 1, 0);
-    for shards in [1usize, 4, 16] {
-        for threads in [1usize, 2, 0] {
-            assert_eq!(
-                build_fp(&config, threads, shards),
-                oracle,
-                "world changed at shards={shards} threads={threads}"
-            );
-        }
+        assert_eq!(build_fp(&config, threads), oracle, "diverged at threads={threads}");
     }
 }
 
@@ -92,16 +76,15 @@ fn default_build_is_the_parallel_path() {
     // public single-argument API is not a separate code path.
     let config = WorldConfig::tiny(7);
     let plain = fingerprint(&World::build(&config).expect("world builds"));
-    assert_eq!(plain, build_fp(&config, 1, 0));
+    assert_eq!(plain, build_fp(&config, 1));
 }
 
 /// Full paper-scale equivalence — minutes of CPU, so opt-in:
 /// `cargo test -p daas-world --test parallel_equivalence --release -- --ignored`.
 #[test]
 #[ignore = "paper-scale world; run via ci.sh or -- --ignored"]
-fn thread_and_shard_counts_agree_at_paper_scale() {
+fn thread_counts_agree_at_paper_scale() {
     let config = WorldConfig::paper_scale(42);
-    let oracle = build_fp(&config, 1, 0);
-    assert_eq!(build_fp(&config, 0, 0), oracle, "parallel planner diverged at paper scale");
-    assert_eq!(build_fp(&config, 0, 64), oracle, "resharded build diverged at paper scale");
+    let oracle = build_fp(&config, 1);
+    assert_eq!(build_fp(&config, 0), oracle, "parallel planner diverged at paper scale");
 }

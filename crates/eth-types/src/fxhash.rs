@@ -110,8 +110,8 @@ mod tests {
     }
 
     /// Pins the hash of a few keys so a change to the mixing function
-    /// (which would silently reshuffle every shard assignment and
-    /// in-memory iteration order) fails loudly.
+    /// (which would silently reshuffle every map's in-memory iteration
+    /// order) fails loudly.
     #[test]
     fn hash_values_are_pinned() {
         let h = |bytes: &[u8]| {

@@ -1,6 +1,6 @@
 //! Address interning: dense `u32` ids for 20-byte [`Address`]es.
 //!
-//! The workspace's hot paths (history shards, asset-state maps, the
+//! The workspace's hot paths (account histories, asset-state maps, the
 //! detector's contact index) key maps by address. Hashing 20 bytes per
 //! probe and storing 20-byte keys per entry is the dominant cache cost
 //! at scale, so the chain interns every address it observes into an

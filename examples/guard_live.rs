@@ -30,7 +30,7 @@ fn main() -> Result<(), String> {
         std::env::temp_dir().display(),
         std::process::id()
     ));
-    let opts = ServeOptions { socket: Some(socket.clone()), readers: 2, ..Default::default() };
+    let opts = ServeOptions { socket: Some(socket.clone()), ..Default::default() };
     let daemon = thread::spawn(move || serve(engine, opts));
     while !socket.exists() {
         thread::sleep(std::time::Duration::from_millis(10));

@@ -48,8 +48,8 @@ fn pipeline_fingerprint(world: &World, threads: usize) -> u64 {
 
 /// One number summarising a generated world: FNV-1a over the serialized
 /// chain artifact.
-fn world_fingerprint(threads: usize, shards: usize) -> u64 {
-    let world = World::build_opts(&WorldConfig::tiny(7), threads, shards).expect("world");
+fn world_fingerprint(threads: usize) -> u64 {
+    let world = World::build_with(&WorldConfig::tiny(7), threads).expect("world");
     let mut hash = 0xcbf29ce484222325u64;
     for byte in serde_json::to_string(&world.chain).expect("chain serialises").bytes() {
         hash ^= byte as u64;
@@ -59,18 +59,16 @@ fn world_fingerprint(threads: usize, shards: usize) -> u64 {
 }
 
 #[test]
-fn world_hash_stable_across_thread_and_shard_counts() {
-    // Planner threads are a schedule and chain shards are a memory
-    // layout — the generated world never changes with either.
-    let reference = world_fingerprint(1, 1);
+fn world_hash_stable_across_thread_counts() {
+    // Planner threads are a schedule — the generated world never
+    // changes with them.
+    let reference = world_fingerprint(1);
     for threads in [1usize, 2, 4, 0] {
-        for shards in [1usize, 4, 16] {
-            assert_eq!(
-                world_fingerprint(threads, shards),
-                reference,
-                "world hash drifted at threads={threads} shards={shards}"
-            );
-        }
+        assert_eq!(
+            world_fingerprint(threads),
+            reference,
+            "world hash drifted at threads={threads}"
+        );
     }
 }
 

@@ -20,9 +20,9 @@ fn assert_live_matches(config: &WorldConfig, window_blocks: u64) {
     let run = Pipeline::live(
         config,
         &SnowballConfig::default(),
-        0,
         window_blocks,
         &MeasureConfig::sequential(),
+        true,
         |_| {},
     )
     .expect("live pipeline");
