@@ -1,9 +1,11 @@
-//! Shared scaffolding for benches and experiment harnesses: seed/scale
-//! parsing from the environment so every `exp_*` binary behaves the
-//! same.
+//! Shared scaffolding for the experiment harnesses: seed, scale,
+//! thread and sink settings read from the environment, so every
+//! `exp_*` binary behaves the same.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::path::Path;
 
 /// Observability plumbing for the experiment harnesses, mirroring the
 /// CLI's `--trace-out` / `--metrics-out` flags as environment knobs:
@@ -30,30 +32,21 @@ pub fn obs_from_env() -> ObsGuard {
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
-        if self.trace.is_none() && self.metrics.is_none() {
+        let (trace, metrics) = (self.trace.as_deref(), self.metrics.as_deref());
+        if trace.is_none() && metrics.is_none() {
             return;
         }
         let report = daas_obs::drain();
-        if let Some(path) = &self.trace {
-            let sink = std::fs::File::create(path).map(std::io::BufWriter::new);
-            let written = sink.and_then(|mut out| {
-                daas_obs::write_trace_jsonl(&report, &mut out)?;
-                std::io::Write::flush(&mut out)
-            });
-            match written {
-                Ok(()) => eprintln!("[obs] trace written to {path} ({} spans)", report.spans.len()),
-                Err(e) => eprintln!("[obs] trace sink {path} failed: {e}"),
+        match daas_obs::write_sinks(&report, trace.map(Path::new), metrics.map(Path::new)) {
+            Ok(()) => {
+                if let Some(path) = trace {
+                    eprintln!("[obs] trace written to {path} ({} spans)", report.spans.len());
+                }
+                if let Some(path) = metrics {
+                    eprintln!("[obs] metrics written to {path} (+ {path}.prom)");
+                }
             }
-        }
-        if let Some(path) = &self.metrics {
-            let prom_path = format!("{path}.prom");
-            let written = std::fs::write(path, daas_obs::summary_json(&report)).and_then(|()| {
-                std::fs::write(&prom_path, daas_obs::prometheus_text(&report.metrics))
-            });
-            match written {
-                Ok(()) => eprintln!("[obs] metrics written to {path} (+ {prom_path})"),
-                Err(e) => eprintln!("[obs] metrics sink {path} failed: {e}"),
-            }
+            Err(e) => eprintln!("[obs] sink failed: {e}"),
         }
     }
 }

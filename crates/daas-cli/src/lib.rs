@@ -2,8 +2,9 @@
 //! one function per paper table/figure to render it with
 //! paper-vs-measured columns.
 //!
-//! Used by the `daas-lab` binary and by every `exp_*` harness in the
-//! bench crate, so all experiments share the same code path.
+//! `daas-lab --exp NAME` prints each table and figure through these
+//! renderers; the bench crate's harnesses reuse the pipeline drivers
+//! for the studies `daas-lab` does not run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

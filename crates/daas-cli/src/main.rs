@@ -32,6 +32,7 @@
 //!                (default: all; ignored with --live)
 //! ```
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -293,11 +294,8 @@ fn finish_obs(
         return Ok(());
     }
     let report = daas_obs::drain();
+    daas_obs::write_sinks(&report, trace_out.map(Path::new), metrics_out.map(Path::new))?;
     if let Some(path) = trace_out {
-        let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut out = std::io::BufWriter::new(file);
-        daas_obs::write_trace_jsonl(&report, &mut out).map_err(|e| format!("{path}: {e}"))?;
-        std::io::Write::flush(&mut out).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("trace written to {path} ({} spans)", report.spans.len());
         if report.dropped_spans > 0 {
             eprintln!(
@@ -308,11 +306,7 @@ fn finish_obs(
         }
     }
     if let Some(path) = metrics_out {
-        std::fs::write(path, daas_obs::summary_json(&report)).map_err(|e| format!("{path}: {e}"))?;
-        let prom_path = format!("{path}.prom");
-        std::fs::write(&prom_path, daas_obs::prometheus_text(&report.metrics))
-            .map_err(|e| format!("{prom_path}: {e}"))?;
-        eprintln!("metrics written to {path} (+ {prom_path})");
+        eprintln!("metrics written to {path} (+ {path}.prom)");
     }
     if timings {
         eprint!("{}", daas_obs::human_summary(&report));

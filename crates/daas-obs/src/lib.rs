@@ -52,7 +52,9 @@ pub use metrics::{
     MetricsSnapshot, MS_BUCKETS,
 };
 pub use rolling::{RollingWindow, WindowView};
-pub use sink::{human_summary, metrics_json, prometheus_text, summary_json, write_trace_jsonl};
+pub use sink::{
+    human_summary, metrics_json, prometheus_text, summary_json, write_sinks, write_trace_jsonl,
+};
 pub use slo::{SloEvaluation, SloOutcome, SloRule, SloSpec, SloStat, SloVerdict};
 pub use span::{SpanGuard, SpanRecord};
 

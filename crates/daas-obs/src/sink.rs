@@ -1,5 +1,6 @@
 //! Sinks: JSONL trace log, Prometheus text exposition, JSON run summary
-//! and the human-readable `--timings` digest.
+//! and the human-readable `--timings` digest, plus [`write_sinks`], which
+//! writes the first three to the files a run asked for.
 //!
 //! Every sink walks sorted snapshots, so output is deterministic given
 //! the recorded data. The JSONL and summary-JSON schemas are stable
@@ -8,7 +9,9 @@
 //! `tests/` in this crate.
 
 use std::fmt::Write as _;
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 
 use crate::json::{escape_into, fmt_num};
 use crate::metrics::MetricsSnapshot;
@@ -36,6 +39,43 @@ pub fn write_trace_jsonl(report: &ObsReport, out: &mut impl Write) -> io::Result
         writeln!(out, "{line}")?;
     }
     Ok(())
+}
+
+/// Writes a drained report to the file sinks a run asked for: the JSONL
+/// span trace at `trace`, and the JSON run summary at `metrics` plus its
+/// Prometheus exposition at `<metrics>.prom`. Stops at the first failed
+/// write or flush, with an error naming the file.
+pub fn write_sinks(
+    report: &ObsReport,
+    trace: Option<&Path>,
+    metrics: Option<&Path>,
+) -> Result<(), String> {
+    if let Some(path) = trace {
+        write_file(path, |out| write_trace_jsonl(report, out))?;
+    }
+    if let Some(path) = metrics {
+        write_file(path, |out| out.write_all(summary_json(report).as_bytes()))?;
+        let mut prom = path.as_os_str().to_owned();
+        prom.push(".prom");
+        write_file(Path::new(&prom), |out| {
+            out.write_all(prometheus_text(&report.metrics).as_bytes())
+        })?;
+    }
+    Ok(())
+}
+
+/// Creates `path`, fills it through a buffered writer and flushes it.
+fn write_file(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), String> {
+    File::create(path)
+        .map(BufWriter::new)
+        .and_then(|mut out| {
+            fill(&mut out)?;
+            out.flush()
+        })
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn span_jsonl(out: &mut String, span: &SpanRecord) {
@@ -473,5 +513,26 @@ mod tests {
         assert!(digest.contains("counter sink.counter = 3"));
         assert!(digest.contains("gauge   sink.gauge = 1.500"));
         assert!(digest.contains("hist    sink.lat_ms{report=victims}: count 2"));
+    }
+
+    #[test]
+    fn write_sinks_writes_each_requested_file_and_names_a_failed_one() {
+        let report = sample_report();
+        let dir = std::env::temp_dir().join(format!("daas_obs_sinks_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, metrics) = (dir.join("trace.jsonl"), dir.join("metrics.json"));
+        write_sinks(&report, Some(&trace), Some(&metrics)).unwrap();
+        let mut jsonl = Vec::new();
+        write_trace_jsonl(&report, &mut jsonl).unwrap();
+        assert_eq!(std::fs::read(&trace).unwrap(), jsonl);
+        assert_eq!(std::fs::read_to_string(&metrics).unwrap(), summary_json(&report));
+        let prom = std::fs::read_to_string(dir.join("metrics.json.prom")).unwrap();
+        assert_eq!(prom, prometheus_text(&report.metrics));
+
+        let missing = dir.join("no_such_dir").join("trace.jsonl");
+        let err = write_sinks(&report, Some(&missing), None).unwrap_err();
+        assert!(err.starts_with(&format!("{}: ", missing.display())), "{err}");
+        write_sinks(&report, None, None).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

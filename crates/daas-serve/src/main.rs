@@ -165,38 +165,20 @@ fn main() -> ExitCode {
         restored: restore.is_some(),
         ..ServeOptions::default()
     };
-    let result = serve(engine, opts);
-
+    let mut code = ExitCode::SUCCESS;
+    if let Err(e) = serve(engine, opts) {
+        eprintln!("daas-serve: {e}");
+        code = ExitCode::FAILURE;
+    }
     if metrics_out.is_some() || trace_out.is_some() {
-        let report = daas_obs::drain();
-        if let Some(path) = &trace_out {
-            let trace = std::fs::File::create(path)
-                .map_err(|e| e.to_string())
-                .and_then(|file| {
-                    let mut out = std::io::BufWriter::new(file);
-                    daas_obs::write_trace_jsonl(&report, &mut out).map_err(|e| e.to_string())
-                });
-            if let Err(e) = trace {
-                eprintln!("daas-serve: trace write failed: {e}");
-            }
-        }
-        if let Some(path) = &metrics_out {
-            if let Err(e) = std::fs::write(path, daas_obs::summary_json(&report)) {
-                eprintln!("daas-serve: metrics write failed: {e}");
-            }
-            let prom_path = format!("{}.prom", path.display());
-            if let Err(e) = std::fs::write(&prom_path, daas_obs::prometheus_text(&report.metrics)) {
-                eprintln!("daas-serve: metrics write failed: {prom_path}: {e}");
-            }
+        let sinks =
+            daas_obs::write_sinks(&daas_obs::drain(), trace_out.as_deref(), metrics_out.as_deref());
+        if let Err(e) = sinks {
+            eprintln!("daas-serve: obs sink failed: {e}");
+            code = ExitCode::FAILURE;
         }
     }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("daas-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    code
 }
 
 fn usage(error: &str) -> ExitCode {

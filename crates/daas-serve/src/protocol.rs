@@ -35,6 +35,7 @@ use std::io::{self, BufRead, Read};
 use std::str::FromStr;
 use std::time::Instant;
 
+use daas_obs::json::escape_into;
 use eth_types::Address;
 use serde::{Deserialize, Serialize};
 
@@ -82,26 +83,12 @@ impl Request {
     }
 }
 
-/// Escapes a string for embedding in a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The uniform failure response.
 pub fn error_response(message: &str) -> String {
-    format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(message))
+    let mut line = String::from("{\"ok\":false,\"error\":");
+    escape_into(&mut line, message);
+    line.push('}');
+    line
 }
 
 /// The longest request line any listener reads, in bytes, line ending
@@ -343,10 +330,5 @@ mod tests {
         assert!(line.contains("\"is_daas\":false"), "{line}");
         // Control commands are not answered here.
         assert!(answer_query(&snap, &Request::parse("{\"cmd\":\"reports\"}").unwrap()).is_none());
-    }
-
-    #[test]
-    fn escapes_json_strings() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -9,7 +9,11 @@
 //! * `GET /readyz` — 503 until the first snapshot publication, 200
 //!   (forever) after.
 //!
-//! A request or header line longer than
+//! Each connection is answered on a thread of its own, at most
+//! [`MAX_CONNECTIONS`](crate::server::MAX_CONNECTIONS) at once (one more
+//! gets a 503), and has [`REQUEST_DEADLINE`] in total to deliver its
+//! request line and headers before it is closed, so a slow client never
+//! holds up another. A request or header line longer than
 //! [`MAX_REQUEST_LINE`](crate::protocol::MAX_REQUEST_LINE) gets a 431
 //! and the connection closes.
 //!
@@ -18,18 +22,23 @@
 //! thread, and — because nothing on this path writes into the metrics
 //! registry — cannot perturb drained end-of-run artifacts.
 
-use std::io::{BufReader, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use daas_obs::SloVerdict;
 
 use crate::protocol::{read_request_line, RequestLine, MAX_REQUEST_LINE};
+use crate::server::{accept_capped, MAX_CONNECTIONS};
 use crate::snapshot::SnapshotCell;
 use crate::telemetry::Telemetry;
+
+/// How long a connection has to deliver its whole request: the request
+/// line and every header line.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Binds `addr` (port 0 picks a free port), publishes the bound address
 /// into the telemetry, and spawns the accept thread. Returns the bound
@@ -46,24 +55,45 @@ pub fn spawn_scrape(
     thread::Builder::new()
         .name("daas-serve-scrape".into())
         .spawn(move || {
-            for conn in listener.incoming() {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                handle_scrape(stream, &telemetry, &cell);
-            }
+            accept_capped(
+                listener.incoming(),
+                "daas-serve-scrape-conn",
+                &stop,
+                |stream| {
+                    let body = format!("busy: {MAX_CONNECTIONS} connections open\n");
+                    respond(stream, "503 Service Unavailable", "text/plain", &body);
+                },
+                move |stream| handle_scrape(stream, &telemetry, &cell),
+            )
         })
         .map_err(|e| e.to_string())?;
     Ok(bound)
+}
+
+/// A connection's read half whose every read waits only until the
+/// request's deadline, so dripping bytes cannot keep it open longer.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "request deadline passed"));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 /// Reads one HTTP/1.x request and writes one `Connection: close`
 /// response. Only `GET` with the three known paths is served.
 fn handle_scrape(stream: TcpStream, telemetry: &Telemetry, cell: &SnapshotCell) {
     let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let mut reader = BufReader::new(DeadlineReader { stream: read_half, deadline });
     // The request line, then the headers, drained so well-behaved
     // clients see a clean close; `None` once a line is over the cap.
     let mut request_line = None;
@@ -152,7 +182,8 @@ mod tests {
     use super::*;
     use crate::snapshot::Snapshot;
     use daas_obs::SloSpec;
-    use std::io::Read;
+    use std::io::ErrorKind;
+    use std::sync::atomic::Ordering;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -211,5 +242,93 @@ mod tests {
         assert!(status.contains("404"), "{status}");
         stop.store(true, Ordering::Relaxed);
         let _ = TcpStream::connect(addr); // unblock the accept loop
+    }
+
+    /// A listener on a free port over an empty, already published
+    /// snapshot; store `true` into the flag and connect once to stop it.
+    fn ready_listener() -> (SocketAddr, Arc<AtomicBool>) {
+        let telemetry = Arc::new(Telemetry::new(SloSpec::serve_defaults(), 64));
+        telemetry.on_publish(1);
+        let cell = Arc::new(SnapshotCell::new(Snapshot::empty(128)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let addr = spawn_scrape("127.0.0.1:0".parse().unwrap(), telemetry, cell, Arc::clone(&stop))
+            .unwrap();
+        (addr, stop)
+    }
+
+    #[test]
+    fn a_dripping_client_blocks_no_one_and_is_cut_off_at_its_deadline() {
+        let (addr, stop) = ready_listener();
+        let mut drip = TcpStream::connect(addr).unwrap();
+        let started = Instant::now();
+        write!(drip, "GET /metrics HTTP/1.1\r\n").unwrap();
+        let mut writer = drip.try_clone().unwrap();
+        let dripper = thread::spawn(move || {
+            // One header line a second: each read is quick, the request
+            // never ends.
+            while started.elapsed() < Duration::from_secs(15) {
+                thread::sleep(Duration::from_secs(1));
+                if write!(writer, "X-Drip: 1\r\n").is_err() {
+                    break;
+                }
+            }
+        });
+
+        for _ in 0..3 {
+            let asked = Instant::now();
+            let mut ready = TcpStream::connect(addr).unwrap();
+            ready.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            write!(ready, "GET /readyz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+            let mut response = String::new();
+            ready.read_to_string(&mut response).expect("/readyz answers within 2 s");
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+            assert!(asked.elapsed() < Duration::from_secs(2));
+        }
+
+        // Closed: EOF, or a reset because drip lines went unread.
+        drip.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        match drip.read_to_end(&mut Vec::new()) {
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+            Err(e) => panic!("the drip connection is still open: {e}"),
+        }
+        let open_for = started.elapsed();
+        assert!(open_for >= REQUEST_DEADLINE - Duration::from_millis(100), "{open_for:?}");
+        assert!(open_for < REQUEST_DEADLINE + Duration::from_secs(3), "{open_for:?}");
+        dripper.join().unwrap();
+        stop.store(true, Ordering::Relaxed);
+        let _ = TcpStream::connect(addr);
+    }
+
+    #[test]
+    fn past_the_connection_cap_a_scrape_gets_503() {
+        let (addr, stop) = ready_listener();
+        let silent: Vec<TcpStream> =
+            (0..MAX_CONNECTIONS).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let mut refused = TcpStream::connect(addr).unwrap();
+        refused.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut response = String::new();
+        refused.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+        assert!(response.ends_with("busy: 64 connections open\n"), "{response}");
+
+        // Closing the silent clients frees their slots.
+        drop(silent);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            // A refused request's 503 may be cut off by a reset, since
+            // the request goes unread.
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut response = String::new();
+            let answered = write!(stream, "GET /readyz HTTP/1.1\r\n\r\n")
+                .and_then(|()| stream.read_to_string(&mut response));
+            if answered.is_ok() && response.starts_with("HTTP/1.1 200") {
+                break;
+            }
+            assert!(Instant::now() < deadline, "slots never freed: {response}");
+            thread::sleep(Duration::from_millis(20));
+        }
+        stop.store(true, Ordering::Relaxed);
+        let _ = TcpStream::connect(addr);
     }
 }

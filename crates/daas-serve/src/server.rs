@@ -1,7 +1,8 @@
 //! The daemon runtime: one engine thread owning all mutable state, an
 //! accept thread on a Unix socket that answers each connection on a
-//! thread of its own (at most [`MAX_CONNECTIONS`] at once), and a
-//! stdin/stdout JSONL loop — std only, no async runtime.
+//! thread of its own (at most [`MAX_CONNECTIONS`] at once, the same
+//! accept code as the scrape port), and a stdin/stdout JSONL loop — std
+//! only, no async runtime.
 //!
 //! Queries never block ingestion: connection threads answer `status` /
 //! `risk` / `family` / `victim` / `stats` from the epoch-swapped
@@ -11,9 +12,10 @@
 //! engine is single-writer by construction. Each connection waits for
 //! its reply, so the channel holds at most one request per connection.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -22,13 +24,13 @@ use std::thread;
 use std::time::Duration;
 
 use daas_measure::MeasureConfig;
+use daas_obs::json::escape_into;
 use daas_obs::SloSpec;
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::engine::Engine;
 use crate::protocol::{
-    answer_query, error_response, json_escape, read_request_line, Request, RequestLine,
-    MAX_REQUEST_LINE,
+    answer_query, error_response, read_request_line, Request, RequestLine, MAX_REQUEST_LINE,
 };
 use crate::scrape::spawn_scrape;
 use crate::snapshot::SnapshotCell;
@@ -42,9 +44,9 @@ const SAMPLE_EVERY: Duration = Duration::from_millis(250);
 /// `stall` journal event per stale period.
 const STALL_AFTER_MS: u64 = 5_000;
 
-/// Socket connections answered at once. One more gets a `busy` error
-/// line and is closed.
-const MAX_CONNECTIONS: usize = 64;
+/// Connections each listener answers at once. One more gets a `busy`
+/// error line (a `503` on the scrape port) and is closed.
+pub(crate) const MAX_CONNECTIONS: usize = 64;
 
 /// Daemon settings.
 pub struct ServeOptions {
@@ -163,7 +165,7 @@ pub fn serve(mut engine: Engine, opts: ServeOptions) -> Result<(), String> {
         let telemetry = Arc::clone(&telemetry);
         thread::Builder::new()
             .name("daas-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &cell, &ctl_tx, &stop, &telemetry))
+            .spawn(move || accept_loop(listener, cell, ctl_tx, stop, telemetry))
             .map_err(|e| e.to_string())?;
     }
 
@@ -207,26 +209,53 @@ fn bind_socket(path: &Path) -> Result<UnixListener, String> {
     UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))
 }
 
-/// Accepts socket connections until shutdown and answers each on a
-/// thread of its own, so an idle client never holds up another. Past
-/// [`MAX_CONNECTIONS`] open connections, a new one gets a `busy` error
-/// line and is closed.
+/// Accepts socket connections until shutdown and answers each with
+/// [`answer_lines`] on a thread of its own.
 fn accept_loop(
-    listener: &UnixListener,
-    cell: &Arc<SnapshotCell>,
-    ctl_tx: &Sender<Control>,
-    stop: &Arc<AtomicBool>,
-    telemetry: &Arc<Telemetry>,
+    listener: UnixListener,
+    cell: Arc<SnapshotCell>,
+    ctl_tx: Sender<Control>,
+    stop: Arc<AtomicBool>,
+    telemetry: Arc<Telemetry>,
 ) {
-    // Each connection thread holds a clone until it ends, however it
-    // ends: the open connections are the clones beyond this one.
-    let open = Arc::new(());
-    for stream in listener.incoming() {
+    let conn_stop = Arc::clone(&stop);
+    accept_capped(
+        listener.incoming(),
+        "daas-serve-conn",
+        &stop,
+        |mut stream| {
+            let busy = error_response(&format!("busy: {MAX_CONNECTIONS} connections open"));
+            let _ = writeln!(stream, "{busy}");
+        },
+        move |stream: UnixStream| {
+            let Ok(read_half) = stream.try_clone() else { return };
+            answer_lines(BufReader::new(read_half), stream, &cell, &ctl_tx, &conn_stop, &telemetry);
+        },
+    );
+}
+
+/// The accept loop every listener shares: until `stop`, answers each
+/// connection on a thread of its own, so an idle or slow client never
+/// holds up another. Past [`MAX_CONNECTIONS`] open connections of this
+/// listener, `refuse` answers a new one on the accept thread and it is
+/// closed.
+pub(crate) fn accept_capped<S: Send + 'static>(
+    incoming: impl Iterator<Item = std::io::Result<S>>,
+    thread_name: &str,
+    stop: &AtomicBool,
+    refuse: impl Fn(S),
+    answer: impl Fn(S) + Send + Sync + 'static,
+) {
+    // Each connection thread holds a clone of `answer` until it ends,
+    // however it ends: the open connections are the clones beyond this
+    // one.
+    let answer = Arc::new(answer);
+    for conn in incoming {
         if stop.load(Ordering::Relaxed) {
             break;
         }
-        let mut stream = match stream {
-            Ok(stream) => stream,
+        let conn = match conn {
+            Ok(conn) => conn,
             // Out of file descriptors, say: back off instead of spinning.
             Err(_) => {
                 thread::sleep(Duration::from_millis(10));
@@ -235,21 +264,14 @@ fn accept_loop(
         };
         // Only this thread opens connections, so the count cannot grow
         // between the check and the clone.
-        if Arc::strong_count(&open) > MAX_CONNECTIONS {
-            let busy = error_response(&format!("busy: {MAX_CONNECTIONS} connections open"));
-            let _ = writeln!(stream, "{busy}");
+        if Arc::strong_count(&answer) > MAX_CONNECTIONS {
+            refuse(conn);
             continue;
         }
-        let Ok(read_half) = stream.try_clone() else { continue };
-        let slot = Arc::clone(&open);
-        let (cell, ctl_tx, stop, telemetry) =
-            (Arc::clone(cell), ctl_tx.clone(), Arc::clone(stop), Arc::clone(telemetry));
-        // A failed spawn drops the closure, which closes the stream and
-        // frees the slot.
-        let _ = thread::Builder::new().name("daas-serve-conn".into()).spawn(move || {
-            let _slot = slot;
-            answer_lines(BufReader::new(read_half), stream, &cell, &ctl_tx, &stop, &telemetry);
-        });
+        let answer = Arc::clone(&answer);
+        // A failed spawn drops the closure, which closes the connection
+        // and frees the slot.
+        let _ = thread::Builder::new().name(thread_name.into()).spawn(move || answer(conn));
     }
 }
 
@@ -389,15 +411,11 @@ fn engine_loop(
                 let (line, shutdown) = handle_control(&mut engine, &req, default_window, measure);
                 if req.cmd == "checkpoint" {
                     if let Some(path) = &req.path {
-                        telemetry.record(
-                            "checkpoint",
-                            format!(
-                                "{{\"path\":\"{}\",\"ok\":{},\"epoch\":{}}}",
-                                json_escape(path),
-                                line.starts_with("{\"ok\":true"),
-                                engine.epoch(),
-                            ),
-                        );
+                        let mut event = String::from("{\"path\":");
+                        escape_into(&mut event, path);
+                        let ok = line.starts_with("{\"ok\":true");
+                        let _ = write!(event, ",\"ok\":{ok},\"epoch\":{}}}", engine.epoch());
+                        telemetry.record("checkpoint", event);
                     }
                 }
                 telemetry.touch();
@@ -526,17 +544,17 @@ pub fn handle_control(
             Some(path) => {
                 let ckpt = engine.checkpoint();
                 match ckpt.save(Path::new(path)) {
-                    Ok(bytes) => (
-                        format!(
-                            "{{\"ok\":true,\"path\":\"{}\",\"bytes\":{},\"epoch\":{},\
-                             \"watermark\":{}}}",
-                            json_escape(path),
-                            bytes,
+                    Ok(bytes) => {
+                        let mut line = String::from("{\"ok\":true,\"path\":");
+                        escape_into(&mut line, path);
+                        let _ = write!(
+                            line,
+                            ",\"bytes\":{bytes},\"epoch\":{},\"watermark\":{}}}",
                             engine.epoch(),
                             engine.watermark(),
-                        ),
-                        false,
-                    ),
+                        );
+                        (line, false)
+                    }
                     Err(e) => (error_response(&e), false),
                 }
             }

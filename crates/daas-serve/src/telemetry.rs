@@ -17,9 +17,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use daas_obs::json::escape_into;
 use daas_obs::{MetricsSnapshot, RollingWindow, SloSpec, SloVerdict};
 
-use crate::protocol::json_escape;
 use crate::snapshot::SnapshotCell;
 
 /// Maximum retained journal events; the oldest are dropped (counted,
@@ -285,9 +285,8 @@ impl Telemetry {
                 out.push(',');
             }
             first = false;
-            out.push('"');
-            out.push_str(&json_escape(key));
-            out.push_str("\":");
+            escape_into(&mut out, key);
+            out.push(':');
             daas_obs::json::fmt_num(&mut out, (*rate * 1e3).round() / 1e3);
         }
         out.push('}');

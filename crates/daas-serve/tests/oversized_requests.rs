@@ -123,3 +123,41 @@ fn oversized_lines_are_refused_without_stalling_other_clients() {
     stdin_flood.join().expect("stdin flood thread");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A line nested far deeper than the parser's 128-level limit, though
+/// far shorter than `MAX_REQUEST_LINE`, gets an ordinary `bad request`
+/// reply on the socket and on stdin; it does not overflow a thread's
+/// stack and take the daemon down.
+#[test]
+fn deeply_nested_lines_get_an_error_reply() {
+    let dir = std::env::temp_dir().join(format!("daas_nested_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let sock = dir.join("serve.sock");
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_daas-serve"))
+            .args(["--preset", "micro", "--seed", "42", "--socket", sock.to_str().unwrap()])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn daas-serve"),
+    );
+    let nested = "[".repeat(10_000);
+    let bad = connect(&sock);
+    let reply = request(&bad, &nested);
+    assert!(reply.starts_with("{\"ok\":false,\"error\":\"bad request: "), "{reply:?}");
+    assert!(reply.contains("limit of 128"), "{reply:?}");
+    let good = connect(&sock);
+    assert!(request(&good, "{\"cmd\":\"status\"}").contains("\"ok\":true"));
+
+    let mut stdin = daemon.0.stdin.take().expect("stdin");
+    writeln!(stdin, "{nested}").expect("send on stdin");
+    let mut line = String::new();
+    BufReader::new(daemon.0.stdout.take().expect("stdout")).read_line(&mut line).expect("reply");
+    assert!(line.starts_with("{\"ok\":false,\"error\":\"bad request: "), "{line:?}");
+    assert!(request(&bad, "{\"cmd\":\"status\"}").contains("\"ok\":true"));
+
+    assert!(request(&good, "{\"cmd\":\"shutdown\"}").contains("\"shutdown\":true"));
+    assert!(daemon.0.wait().expect("daemon exits").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}

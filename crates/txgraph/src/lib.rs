@@ -3,13 +3,11 @@
 //! The clustering step of the paper (§7.1) groups operator accounts that
 //! are connected by transactions — directly or through a shared labeled
 //! phishing account. That is a connected-components problem over a fund
-//! flow graph; this crate provides the two pieces the pipeline uses:
+//! flow graph; this crate provides the pieces the pipeline uses:
 //!
 //! * [`UnionFind`] — path-compressed, union-by-rank disjoint sets keyed
 //!   by [`Address`].
-//! * [`FlowGraph`] — an address adjacency structure with edge weights
-//!   (transfer counts / total value), BFS reachability and component
-//!   extraction.
+//! * [`ValueGraph`] — max-flow over value-weighted transfers.
 //! * [`CowMap`] — a key-ordered map of `Arc`-shared sorted chunks that
 //!   gives published snapshots O(chunks) clones and O(delta) divergence.
 
@@ -22,7 +20,7 @@ mod flow;
 pub use cow::CowMap;
 pub use flow::ValueGraph;
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 use eth_types::Address;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
@@ -176,102 +174,6 @@ impl<'de> Deserialize<'de> for UnionFind {
     }
 }
 
-/// Edge statistics between an ordered pair of addresses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EdgeStats {
-    /// Number of transfers observed along this edge.
-    pub transfers: u64,
-}
-
-/// A directed fund-flow multigraph, aggregated per ordered address pair.
-#[derive(Debug, Clone, Default)]
-pub struct FlowGraph {
-    out_edges: HashMap<Address, HashMap<Address, EdgeStats>>,
-    in_edges: HashMap<Address, HashSet<Address>>,
-}
-
-impl FlowGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a transfer from `from` to `to`.
-    pub fn add_transfer(&mut self, from: Address, to: Address) {
-        self.out_edges.entry(from).or_default().entry(to).or_default().transfers += 1;
-        self.in_edges.entry(to).or_default().insert(from);
-    }
-
-    /// Edge statistics for the ordered pair, if any transfer was seen.
-    pub fn edge(&self, from: Address, to: Address) -> Option<EdgeStats> {
-        self.out_edges.get(&from)?.get(&to).copied()
-    }
-
-    /// Outgoing neighbours of `a` (sorted for determinism).
-    pub fn successors(&self, a: Address) -> Vec<Address> {
-        let mut v: Vec<Address> = self
-            .out_edges
-            .get(&a)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
-    }
-
-    /// Incoming neighbours of `a` (sorted for determinism).
-    pub fn predecessors(&self, a: Address) -> Vec<Address> {
-        let mut v: Vec<Address> = self
-            .in_edges
-            .get(&a)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
-    }
-
-    /// Undirected neighbours (union of in and out).
-    pub fn neighbours(&self, a: Address) -> Vec<Address> {
-        let mut v = self.successors(a);
-        v.extend(self.predecessors(a));
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// `true` if funds ever moved between the two addresses, in either
-    /// direction.
-    pub fn linked(&self, a: Address, b: Address) -> bool {
-        self.edge(a, b).is_some() || self.edge(b, a).is_some()
-    }
-
-    /// Addresses reachable from `start` treating edges as undirected,
-    /// within `max_hops` (BFS). Includes `start`.
-    pub fn reachable(&self, start: Address, max_hops: usize) -> Vec<Address> {
-        let mut seen = HashSet::from([start]);
-        let mut queue = VecDeque::from([(start, 0usize)]);
-        while let Some((node, depth)) = queue.pop_front() {
-            if depth == max_hops {
-                continue;
-            }
-            for next in self.neighbours(node) {
-                if seen.insert(next) {
-                    queue.push_back((next, depth + 1));
-                }
-            }
-        }
-        let mut out: Vec<Address> = seen.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Number of distinct nodes with at least one edge.
-    pub fn node_count(&self) -> usize {
-        let mut nodes: HashSet<Address> = self.out_edges.keys().copied().collect();
-        nodes.extend(self.in_edges.keys().copied());
-        nodes.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,53 +298,5 @@ mod tests {
             serde_json::to_string(&uf).expect("serializes"),
             "round trip is byte-stable"
         );
-    }
-
-    #[test]
-    fn flow_graph_edges() {
-        let mut g = FlowGraph::new();
-        g.add_transfer(addr(1), addr(2));
-        g.add_transfer(addr(1), addr(2));
-        g.add_transfer(addr(2), addr(3));
-        assert_eq!(g.edge(addr(1), addr(2)).unwrap().transfers, 2);
-        assert_eq!(g.edge(addr(2), addr(1)), None);
-        assert!(g.linked(addr(2), addr(1)));
-        assert!(g.linked(addr(2), addr(3)));
-        assert!(!g.linked(addr(1), addr(3)));
-        assert_eq!(g.node_count(), 3);
-    }
-
-    #[test]
-    fn flow_graph_neighbours_sorted_dedup() {
-        let mut g = FlowGraph::new();
-        g.add_transfer(addr(1), addr(2));
-        g.add_transfer(addr(2), addr(1));
-        g.add_transfer(addr(3), addr(1));
-        let n = g.neighbours(addr(1));
-        assert_eq!(n.len(), 2);
-        let mut sorted = n.clone();
-        sorted.sort_unstable();
-        assert_eq!(n, sorted);
-    }
-
-    #[test]
-    fn reachability_bounded_by_hops() {
-        let mut g = FlowGraph::new();
-        // chain 1 -> 2 -> 3 -> 4
-        g.add_transfer(addr(1), addr(2));
-        g.add_transfer(addr(2), addr(3));
-        g.add_transfer(addr(3), addr(4));
-        assert_eq!(g.reachable(addr(1), 0), vec![addr(1)].into_iter().collect::<Vec<_>>());
-        assert_eq!(g.reachable(addr(1), 1).len(), 2);
-        assert_eq!(g.reachable(addr(1), 2).len(), 3);
-        assert_eq!(g.reachable(addr(1), 9).len(), 4);
-        // Undirected: reachable from the tail too.
-        assert_eq!(g.reachable(addr(4), 9).len(), 4);
-    }
-
-    #[test]
-    fn isolated_node_reachability() {
-        let g = FlowGraph::new();
-        assert_eq!(g.reachable(addr(7), 3), vec![addr(7)]);
     }
 }

@@ -144,14 +144,21 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------
 
+/// The deepest nesting of arrays and objects the parser accepts, as in
+/// serde_json. The parser recurses once per level, so the cap bounds its
+/// stack use whatever the input.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
+        Parser { bytes: s.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn parse_document(mut self) -> Result<Value, Error> {
@@ -206,11 +213,23 @@ impl<'a> Parser<'a> {
             b't' => self.eat_keyword("true", Value::Bool(true)),
             b'f' => self.eat_keyword("false", Value::Bool(false)),
             b'"' => self.parse_string().map(Value::Str),
-            b'[' => self.parse_array(),
-            b'{' => self.parse_object(),
+            b'[' => self.nested(Self::parse_array),
+            b'{' => self.nested(Self::parse_object),
             b'-' | b'0'..=b'9' => self.parse_number(),
             other => Err(self.err(&format!("unexpected character `{}`", other as char))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting exceeds the limit of {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -428,6 +447,20 @@ mod tests {
         assert_eq!(v, vec!["A".to_string(), "😀".to_string()]);
         assert!(from_str::<u64>("1 2").is_err());
         assert!(from_str::<u64>("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let parse = |s: &str| Parser::new(s).parse_document();
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.to_string(), "nesting exceeds the limit of 128 levels at byte 128");
+        // Objects count too, and an unterminated line fails the same way.
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).unwrap_err().to_string().contains("limit of 128"));
+        assert!(parse(&"[".repeat(10_000)).unwrap_err().to_string().contains("limit of 128"));
+        assert_eq!(from_str::<Vec<Vec<u64>>>("[[1],[2,3]]").unwrap(), vec![vec![1], vec![2, 3]]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn artifact_hashes(config: &WorldConfig) -> [u64; 3] {
 const TINY_PINS: [u64; 3] = [0xd7bfdbce9108f842, 0x7df13984630d694a, 0xef053cf1213057be];
 
 /// Pinned pre-refactor hashes for paper scale (seed 42, scale 1.0 —
-/// the `exp_*` harness defaults).
+/// the world `daas-lab --scale 1` builds).
 const PAPER_PINS: [u64; 3] = [0xa3fcafc0bf046eef, 0x8f8ec2ca1b481890, 0x564a09923448a033];
 
 #[test]
