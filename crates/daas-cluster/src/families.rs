@@ -42,6 +42,45 @@ impl Family {
     pub fn account_count(&self) -> usize {
         self.operators.len() + self.contracts.len() + self.affiliates.len()
     }
+
+    /// The sorted member list of one role.
+    pub fn members(&self, role: Role) -> &[Address] {
+        match role {
+            Role::Operator => &self.operators,
+            Role::Contract => &self.contracts,
+            Role::Affiliate => &self.affiliates,
+        }
+    }
+}
+
+/// A family member list: the role a member account plays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// [`Family::operators`].
+    Operator,
+    /// [`Family::contracts`].
+    Contract,
+    /// [`Family::affiliates`].
+    Affiliate,
+}
+
+/// Id of the family that lists `address` under one of `roles`, by a
+/// binary search of each family's sorted list. Per role the first
+/// family in slice order wins; across roles, the higher id. An address
+/// sits under one role in at most one family, so this is the family
+/// with the highest id among all that list it under those roles.
+pub fn family_holding(
+    families: &[Arc<Family>],
+    address: Address,
+    roles: impl IntoIterator<Item = Role>,
+) -> Option<usize> {
+    roles
+        .into_iter()
+        .filter_map(|role| {
+            families.iter().find(|f| f.members(role).binary_search(&address).is_ok())
+        })
+        .map(|f| f.id)
+        .max()
 }
 
 /// The clustering result. Families are `Arc`-shared: the streaming
@@ -56,13 +95,10 @@ pub struct Clustering {
 }
 
 impl Clustering {
-    /// Family index that contains the address (any role).
+    /// Family index that contains the address (any role; see
+    /// [`family_holding`]).
     pub fn family_of(&self, address: Address) -> Option<usize> {
-        self.families.iter().position(|f| {
-            f.operators.binary_search(&address).is_ok()
-                || f.contracts.binary_search(&address).is_ok()
-                || f.affiliates.binary_search(&address).is_ok()
-        })
+        family_holding(&self.families, address, [Role::Operator, Role::Contract, Role::Affiliate])
     }
 
     /// Family lookup by name.

@@ -34,7 +34,9 @@ mod lifecycle;
 mod online;
 mod profile;
 
-pub use families::{cluster, cluster_prefix, cluster_with, ClusterConfig, Clustering, Family};
+pub use families::{
+    cluster, cluster_prefix, cluster_with, family_holding, ClusterConfig, Clustering, Family, Role,
+};
 pub use online::{ClustererCheckpoint, CompCheckpoint, OnlineClusterer, OnlineClustererStats};
 pub use forensics::{family_forensics, FamilyForensics};
 pub use lifecycle::{primary_lifecycles, primary_lifecycles_with, LifecycleStats};

@@ -626,18 +626,25 @@ mod tests {
                     }
                 });
             }
-            for _ in 0..200 {
+            // Count only snapshots that hold the histogram: the writers
+            // may not be scheduled before the reader's first snapshots,
+            // and a snapshot of nothing checks nothing.
+            let mut checked = 0;
+            while checked < 200 {
                 let (snap, _) = snapshot_metrics();
-                if let Some(hist) = snap.histograms.get("torn.h_ms") {
-                    let bucket_total: u64 =
-                        hist.buckets.iter().map(|&(_, n)| n).sum::<u64>() + hist.overflow;
-                    assert_eq!(
-                        hist.count, bucket_total,
-                        "histogram torn: count {} vs buckets {}",
-                        hist.count, bucket_total
-                    );
-                    assert!(hist.sum_ms >= 0.0);
-                }
+                let Some(hist) = snap.histograms.get("torn.h_ms") else {
+                    std::thread::yield_now();
+                    continue;
+                };
+                let bucket_total: u64 =
+                    hist.buckets.iter().map(|&(_, n)| n).sum::<u64>() + hist.overflow;
+                assert_eq!(
+                    hist.count, bucket_total,
+                    "histogram torn: count {} vs buckets {}",
+                    hist.count, bucket_total
+                );
+                assert!(hist.sum_ms >= 0.0);
+                checked += 1;
             }
             stop.store(true, Ordering::Relaxed);
         });

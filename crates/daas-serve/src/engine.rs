@@ -229,7 +229,10 @@ impl Engine {
         windows
     }
 
+    /// Refreshes the role sets if the dataset grew, builds the next
+    /// snapshot and swaps it into the cell (`serve.publish_ms`).
     fn publish(&mut self, families: Vec<Arc<daas_cluster::Family>>) {
+        let started = daas_obs::enabled().then(Instant::now);
         self.epoch += 1;
         let counts = self.detector.dataset().counts();
         if counts != self.role_counts {
@@ -256,7 +259,8 @@ impl Engine {
             self.measure.incidents_snapshot(),
             self.measure.total_usd(),
         ));
-        if daas_obs::enabled() {
+        if let Some(started) = started {
+            daas_obs::observe_ms("serve.publish_ms", started.elapsed().as_secs_f64() * 1e3);
             daas_obs::gauge("serve.snapshot.epoch", self.epoch as f64);
         }
         if let Some(telemetry) = &self.telemetry {

@@ -7,10 +7,16 @@
 //! reader ever blocks the ingest thread and every answer is internally
 //! consistent: all fields of one snapshot describe the same watermark.
 //!
-//! Query-side indices (address → risk, victim → loss, the §6 stat
+//! Risk checks need no index of their own: [`Snapshot::risk`] answers
+//! from the epoch's `Arc`-shared parts, with one probe per role set
+//! and, for a flagged address only, a binary search of the family
+//! member lists of the roles it holds ([`daas_cluster::family_holding`]).
+//! So a new epoch's first risk query costs what every other one does.
+//! The two remaining query-side indices (victim → loss, the §6 stat
 //! bundle) are *lazy*: built by the first reader that needs them via
-//! `OnceLock`, shared by every later reader of the same epoch, and
-//! never paid for by the ingest thread.
+//! `OnceLock` (timed as `serve.index_build_ms{index}`), shared by every
+//! later reader of the same epoch, and never paid for by the ingest
+//! thread.
 //!
 //! The incident map is the one large structure a snapshot shares with
 //! the engine. It is a key-ordered copy-on-write [`CowMap`] of sorted
@@ -19,11 +25,11 @@
 //! views read incidents in canonical (transaction-id) order straight
 //! off the map.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use daas_chain::TxId;
-use daas_cluster::Family;
+use daas_cluster::{family_holding, Family, Role};
 use daas_detector::DatasetCounts;
 use daas_measure::{stat_bundle, MeasuredIncident, StatBundle};
 use eth_types::Address;
@@ -100,7 +106,6 @@ pub struct Snapshot {
     pub incidents: CowMap<TxId, MeasuredIncident>,
     /// Running USD total (the engine's order-dependent accumulator).
     pub total_usd: f64,
-    risk_index: OnceLock<HashMap<Address, (u8, Option<usize>)>>,
     victim_losses: OnceLock<BTreeMap<Address, (f64, usize)>>,
     stats: OnceLock<StatBundle>,
 }
@@ -136,7 +141,6 @@ impl Snapshot {
             affiliates,
             incidents,
             total_usd,
-            risk_index: OnceLock::new(),
             victim_losses: OnceLock::new(),
             stats: OnceLock::new(),
         }
@@ -160,46 +164,45 @@ impl Snapshot {
         )
     }
 
-    fn risk_index(&self) -> &HashMap<Address, (u8, Option<usize>)> {
-        self.risk_index.get_or_init(|| {
-            let mut index: HashMap<Address, (u8, Option<usize>)> = HashMap::with_capacity(
-                self.contracts.len() + self.operators.len() + self.affiliates.len(),
-            );
-            for (&addr, flag) in self
-                .contracts
-                .iter()
-                .map(|a| (a, ROLE_CONTRACT))
-                .chain(self.operators.iter().map(|a| (a, ROLE_OPERATOR)))
-                .chain(self.affiliates.iter().map(|a| (a, ROLE_AFFILIATE)))
-            {
-                index.entry(addr).or_insert((0, None)).0 |= flag;
-            }
-            for family in self.families.iter() {
-                for addr in family
-                    .operators
-                    .iter()
-                    .chain(&family.contracts)
-                    .chain(&family.affiliates)
-                {
-                    index.entry(*addr).or_insert((0, None)).1 = Some(family.id);
-                }
-            }
-            index
-        })
+    /// Role flags the address holds: one probe per role set.
+    fn roles(&self, address: Address) -> u8 {
+        [
+            (ROLE_CONTRACT, &self.contracts),
+            (ROLE_OPERATOR, &self.operators),
+            (ROLE_AFFILIATE, &self.affiliates),
+        ]
+        .into_iter()
+        .filter(|(_, set)| set.contains(&address))
+        .fold(0, |roles, (flag, _)| roles | flag)
+    }
+
+    /// The family of an address holding `roles`, searched only in the
+    /// member lists of those roles: every family member is in its role
+    /// set, so no other list can hold it.
+    fn family_for(&self, address: Address, roles: u8) -> Option<usize> {
+        let held = [
+            (ROLE_CONTRACT, Role::Contract),
+            (ROLE_OPERATOR, Role::Operator),
+            (ROLE_AFFILIATE, Role::Affiliate),
+        ]
+        .into_iter()
+        .filter(|&(flag, _)| roles & flag != 0)
+        .map(|(_, role)| role);
+        family_holding(&self.families, address, held)
     }
 
     /// Resolves one address against this epoch.
     pub fn risk(&self, address: Address) -> AddressRisk {
-        match self.risk_index().get(&address) {
-            Some(&(roles, family)) => AddressRisk {
-                is_daas: true,
-                roles,
-                family,
-                family_name: family
-                    .and_then(|id| self.families.get(id))
-                    .map(|f| f.name.clone()),
-            },
-            None => AddressRisk { is_daas: false, roles: 0, family: None, family_name: None },
+        let roles = self.roles(address);
+        if roles == 0 {
+            return AddressRisk { is_daas: false, roles: 0, family: None, family_name: None };
+        }
+        let family = self.family_for(address, roles);
+        AddressRisk {
+            is_daas: true,
+            roles,
+            family,
+            family_name: family.and_then(|id| self.families.get(id)).map(|f| f.name.clone()),
         }
     }
 
@@ -210,25 +213,34 @@ impl Snapshot {
 
     /// Family containing the address (any role).
     pub fn family_of(&self, address: Address) -> Option<usize> {
-        self.risk_index().get(&address).and_then(|&(_, family)| family)
+        match self.roles(address) {
+            0 => None,
+            roles => self.family_for(address, roles),
+        }
     }
 
     /// (USD lost, incident count) per victim, summed in canonical order.
     pub fn victim_losses(&self) -> &BTreeMap<Address, (f64, usize)> {
         self.victim_losses.get_or_init(|| {
-            let mut losses: BTreeMap<Address, (f64, usize)> = BTreeMap::new();
-            for inc in self.incidents.values() {
-                let entry = losses.entry(inc.victim).or_insert((0.0, 0));
-                entry.0 += inc.usd;
-                entry.1 += 1;
-            }
-            losses
+            daas_obs::timed("serve.index_build_ms", "index", "victims", || {
+                let mut losses: BTreeMap<Address, (f64, usize)> = BTreeMap::new();
+                for inc in self.incidents.values() {
+                    let entry = losses.entry(inc.victim).or_insert((0.0, 0));
+                    entry.0 += inc.usd;
+                    entry.1 += 1;
+                }
+                losses
+            })
         })
     }
 
     /// The §6 quick-stat bundle for this epoch.
     pub fn stat_bundle(&self) -> &StatBundle {
-        self.stats.get_or_init(|| stat_bundle(self.incidents.values()))
+        self.stats.get_or_init(|| {
+            daas_obs::timed("serve.index_build_ms", "index", "stats", || {
+                stat_bundle(self.incidents.values())
+            })
+        })
     }
 }
 

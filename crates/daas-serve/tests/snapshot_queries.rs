@@ -1,14 +1,17 @@
-//! Epoch-swapped snapshot reads under concurrent ingestion, and the
-//! JSONL query layer answered from published snapshots.
+//! Epoch-swapped snapshot reads under concurrent ingestion, the JSONL
+//! query layer answered from published snapshots, and risk lookups
+//! checked against a per-epoch address index built here as reference.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::thread;
 
+use daas_cluster::{Family, Role};
 use daas_detector::SnowballConfig;
 use daas_serve::protocol::{answer_query, Request};
-use daas_serve::Engine;
+use daas_serve::{AddressRisk, Engine, Snapshot, ROLE_AFFILIATE, ROLE_CONTRACT, ROLE_OPERATOR};
 use daas_world::WorldConfig;
+use eth_types::Address;
 
 fn engine(config: &WorldConfig) -> Engine {
     let snowball = SnowballConfig { threads: 1, ..Default::default() };
@@ -169,4 +172,198 @@ fn next_window_shares_all_but_its_own_incident_chunks() {
         checked += 1;
     }
     assert!(checked >= 5, "only {checked} windows added 200+ incidents");
+}
+
+/// The address index snapshots used to build on every epoch's first
+/// risk query: role flags from the three role sets, then every family's
+/// members in family order, the last write winning.
+fn reference_index(snap: &Snapshot) -> HashMap<Address, (u8, Option<usize>)> {
+    let mut index: HashMap<Address, (u8, Option<usize>)> = HashMap::new();
+    for (set, flag) in [
+        (&snap.contracts, ROLE_CONTRACT),
+        (&snap.operators, ROLE_OPERATOR),
+        (&snap.affiliates, ROLE_AFFILIATE),
+    ] {
+        for &addr in set.iter() {
+            index.entry(addr).or_insert((0, None)).0 |= flag;
+        }
+    }
+    for family in snap.families.iter() {
+        for &addr in family.operators.iter().chain(&family.contracts).chain(&family.affiliates) {
+            index.entry(addr).or_insert((0, None)).1 = Some(family.id);
+        }
+    }
+    index
+}
+
+/// What the reference index answers for `address`.
+fn reference_risk(
+    snap: &Snapshot,
+    index: &HashMap<Address, (u8, Option<usize>)>,
+    address: Address,
+) -> AddressRisk {
+    match index.get(&address) {
+        Some(&(roles, family)) => AddressRisk {
+            is_daas: true,
+            roles,
+            family,
+            family_name: family.map(|id| snap.families[id].name.clone()),
+        },
+        None => AddressRisk { is_daas: false, roles: 0, family: None, family_name: None },
+    }
+}
+
+/// The invariants the index-free lookup relies on: every family member
+/// is in its role's set, and no address is listed under one role in two
+/// families.
+fn assert_family_invariants(snap: &Snapshot) {
+    for (role, set) in [
+        (Role::Contract, &snap.contracts),
+        (Role::Operator, &snap.operators),
+        (Role::Affiliate, &snap.affiliates),
+    ] {
+        let mut listed_in: HashMap<Address, usize> = HashMap::new();
+        for family in snap.families.iter() {
+            for &addr in family.members(role) {
+                assert!(
+                    set.contains(&addr),
+                    "epoch {}: {addr} is a {role:?} of family {} but not in the {role:?} set",
+                    snap.epoch,
+                    family.id
+                );
+                if let Some(other) = listed_in.insert(addr, family.id) {
+                    panic!(
+                        "epoch {}: {addr} is a {role:?} of families {other} and {}",
+                        snap.epoch, family.id
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Checks `risk` and `family_of` against the reference index for every
+/// indexed address and 200 non-members (up to half of them one above a
+/// member in the last byte, so B-tree probes land between members).
+/// Returns the number of addresses checked.
+fn check_epoch(snap: &Snapshot) -> usize {
+    assert_family_invariants(snap);
+    let index = reference_index(snap);
+    let mut probes: Vec<Address> = index.keys().copied().collect();
+    probes.sort_unstable();
+    let neighbours = probes.iter().map(|a| {
+        let mut bytes = a.0;
+        bytes[19] = bytes[19].wrapping_add(1);
+        Address(bytes)
+    });
+    let strangers = (0u32..).map(|i| Address::from_key_seed(&i.to_be_bytes()));
+    let mut non_members: Vec<Address> =
+        neighbours.filter(|a| !index.contains_key(a)).take(100).collect();
+    let strangers_needed = 200 - non_members.len();
+    non_members.extend(strangers.filter(|a| !index.contains_key(a)).take(strangers_needed));
+    probes.extend(non_members);
+    for &addr in &probes {
+        let want = reference_risk(snap, &index, addr);
+        let got = snap.risk(addr);
+        assert_eq!(got, want, "epoch {}: risk({addr}) differs from the index", snap.epoch);
+        let got_family = snap.family_of(addr);
+        assert_eq!(
+            got_family, want.family,
+            "epoch {}: family_of({addr}) differs from the index",
+            snap.epoch
+        );
+    }
+    probes.len()
+}
+
+/// Replays `config` in `window`-block windows and checks every
+/// published epoch, the tail drain's included. Returns (epochs,
+/// addresses checked, largest family count seen).
+fn check_every_epoch(config: &WorldConfig, window: u64) -> (usize, usize, usize) {
+    let mut eng = engine(config);
+    let (mut epochs, mut checks, mut families) = (0, 0, 0);
+    loop {
+        let more = eng.ingest_window(window).is_some();
+        if !more {
+            eng.finish_stream();
+        }
+        let snap = eng.snapshot();
+        checks += check_epoch(&snap);
+        families = families.max(snap.families.len());
+        epochs += 1;
+        if !more {
+            return (epochs, checks, families);
+        }
+    }
+}
+
+#[test]
+fn risk_lookups_match_the_per_epoch_index() {
+    for (config, window) in [(WorldConfig::tiny(42), 64), (WorldConfig::tiny(7), 37)] {
+        let (epochs, checks, families) = check_every_epoch(&config, window);
+        assert!(epochs > 10, "seed {}: only {epochs} epochs", config.seed);
+        assert!(families > 1, "seed {}: only {families} families", config.seed);
+        assert!(checks > 200 * epochs, "seed {}: only {checks} addresses", config.seed);
+    }
+}
+
+/// Paper-scale variant for the CI full-scale lane: 216 epochs (215
+/// windows and the tail drain) and about a million addresses, each
+/// checked with `risk` and `family_of` (seconds in release).
+#[test]
+#[ignore = "paper scale: run in release under CI_FULL_SCALE"]
+fn paper_scale_risk_lookups_match_the_per_epoch_index() {
+    let (epochs, checks, families) = check_every_epoch(&WorldConfig::paper_scale(11), 720);
+    eprintln!("{epochs} epochs, {checks} addresses, up to {families} families");
+    assert!(epochs >= 200, "only {epochs} epochs");
+    assert!(checks >= 500_000, "only {checks} addresses");
+}
+
+/// No generated world lists one address in two families, so the
+/// cross-family rule is pinned by hand: an operator of family 0 that is
+/// also an affiliate of family 1 resolves to family 1, as the last
+/// write of the per-epoch index did.
+#[test]
+fn an_address_in_two_families_resolves_to_the_higher_id() {
+    let addr = |seed: &str| Address::from_key_seed(seed.as_bytes());
+    let shared = addr("shared");
+    let family = |id: usize, name: &str, operators: &[Address], affiliates: &[Address]| {
+        let sorted = |members: &[Address]| {
+            let mut members = members.to_vec();
+            members.sort();
+            members
+        };
+        Arc::new(Family {
+            id,
+            name: name.into(),
+            operators: sorted(operators),
+            contracts: vec![addr(name)],
+            affiliates: sorted(affiliates),
+            ps_txs: Vec::new(),
+        })
+    };
+    let families = vec![
+        family(0, "Zero", &[shared, addr("op0")], &[addr("aff0")]),
+        family(1, "One", &[addr("op1")], &[addr("aff1"), shared]),
+    ];
+    let role_set = |role: Role| -> Arc<BTreeSet<Address>> {
+        Arc::new(families.iter().flat_map(|f| f.members(role).iter().copied()).collect())
+    };
+    let mut snap = Snapshot::empty(0);
+    snap.contracts = role_set(Role::Contract);
+    snap.operators = role_set(Role::Operator);
+    snap.affiliates = role_set(Role::Affiliate);
+    snap.families = Arc::new(families);
+
+    let want = AddressRisk {
+        is_daas: true,
+        roles: ROLE_OPERATOR | ROLE_AFFILIATE,
+        family: Some(1),
+        family_name: Some("One".into()),
+    };
+    assert_eq!(snap.risk(shared), want);
+    assert_eq!(snap.family_of(shared), Some(1));
+    // The index agrees, on `shared`, every other member and 200
+    // non-members.
+    assert_eq!(check_epoch(&snap), 7 + 200);
 }

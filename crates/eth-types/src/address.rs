@@ -1,5 +1,6 @@
 //! 20-byte Ethereum account addresses.
 
+use core::cmp::Ordering;
 use core::fmt;
 use core::str::FromStr;
 
@@ -10,7 +11,11 @@ use crate::hexcodec::{decode_hex, HexError};
 use crate::rlp;
 
 /// An Ethereum address — the low 20 bytes of a Keccak-256 hash.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+///
+/// Ordered byte-lexicographically, like `[u8; 20]`, but compared as
+/// three big-endian words (see [`Ord`] below): every B-tree and sort
+/// over addresses iterates in the same order as the derived one.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Address(pub [u8; 20]);
 
 impl Address {
@@ -123,9 +128,35 @@ impl Address {
     /// First 8 bytes as a big-endian u64 — a cheap deterministic key for
     /// sampling/sharding.
     pub fn to_low_u64(&self) -> u64 {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&self.0[..8]);
-        u64::from_be_bytes(w)
+        self.words().0
+    }
+
+    /// Bytes 0–7, 8–15 and 16–19 as big-endian words. Comparing the
+    /// tuples compares the bytes lexicographically.
+    #[inline]
+    fn words(&self) -> (u64, u64, u32) {
+        let b = &self.0;
+        (
+            u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]),
+            u64::from_be_bytes([b[8], b[9], b[10], b[11], b[12], b[13], b[14], b[15]]),
+            u32::from_be_bytes([b[16], b[17], b[18], b[19]]),
+        )
+    }
+}
+
+/// The byte order of `[u8; 20]` in three word compares instead of a
+/// `memcmp` call: address sets and maps probe on every query and window.
+impl Ord for Address {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.words().cmp(&other.words())
+    }
+}
+
+impl PartialOrd for Address {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
