@@ -22,6 +22,11 @@ export BENCH_OUT_DIR
 cargo build --release
 cargo test -q
 
+# ---- U256 arithmetic in release too: debug and release builds treat
+#      integer overflow differently, and `mul_div`'s u128 path must
+#      equal its 512-bit fallback under both. ----
+cargo test -q --release -p eth-types
+
 # ---- Sequential-oracle equivalence suites. ----
 cargo test -q -p daas-world --test parallel_equivalence -- --test-threads 4
 cargo test -q -p daas-detector --test snowball_props -- --test-threads 4
@@ -69,6 +74,12 @@ cargo test -q --release -p daas-serve --test serve_gate -- --ignored --test-thre
 #      records nothing (DESIGN.md §15). ----
 cargo test -q --release -p daas-serve --test scrape_gate -- --ignored --test-threads 1
 
+# ---- Concurrent snapshot readers in release, where ingest is fast
+#      enough to finish before a late reader thread starts: the test
+#      pins its interleaving with a barrier. ----
+cargo test -q --release -p daas-serve --test snapshot_queries -- \
+  readers_never_block_ingest_and_see_monotonic_epochs
+
 # ---- Scale-sweep smoke: the columnar arena must complete a multi-×
 #      run with bounded memory. A small multiplier keeps the smoke
 #      fast; the RSS ceiling (generous for the 0.25 world, which peaks
@@ -107,6 +118,7 @@ cargo test -q --workspace
 #      CI_FULL_SCALE=0). ----
 if [[ "${CI_FULL_SCALE:-1}" == "1" ]]; then
   cargo test -q --release -p daas-world --test parallel_equivalence -- --ignored --test-threads 1
+  cargo test -q --release -p daas-world --test site_pins -- --ignored --test-threads 1
   cargo test -q --release -p daas-measure --test parallel_equivalence -- --ignored --test-threads 1
   cargo test -q --release -p daas-cluster --test live_equivalence -- --ignored --test-threads 1
   cargo test -q --release -p daas-measure --test live_equivalence -- --ignored --test-threads 1

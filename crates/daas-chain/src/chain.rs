@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use eth_types::{keccak256, AddrId, Address, FxHashMap, FxHashSet, U256};
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 
-use crate::account::{AccountKind, ContractKind, ProfitSharingSpec};
+use crate::account::{AccountKind, ContractKind, EntryStyle, ProfitSharingSpec};
 use crate::asset::{Asset, TokenKind, TokenMeta};
 use crate::block::{
     block_number_at, BlockHeader, Timestamp, GENESIS_TIMESTAMP, SECONDS_PER_BLOCK,
@@ -62,6 +62,10 @@ pub struct Chain {
     nft_operators: FxHashSet<(AddrId, AddrId, AddrId)>,
     /// Per-account transaction ids, in chain order.
     history: FxHashMap<AddrId, Vec<TxId>>,
+    /// The entry selector of each profit-sharing contract with a named
+    /// entry point, hashed once at deploy. Derived from `accounts`, so
+    /// it is never serialized.
+    entry_selectors: FxHashMap<Address, [u8; 4]>,
 }
 
 impl Chain {
@@ -151,11 +155,15 @@ impl Chain {
         deployer: Address,
         kind: ContractKind,
     ) -> Result<Address, ChainError> {
-        if let ContractKind::ProfitSharing(spec) = &kind {
-            if spec.operator_bps == 0 || spec.operator_bps >= 10_000 {
-                return Err(ChainError::InvalidBps(spec.operator_bps));
+        let entry_selector = match &kind {
+            ContractKind::ProfitSharing(spec) => {
+                if spec.operator_bps == 0 || spec.operator_bps >= 10_000 {
+                    return Err(ChainError::InvalidBps(spec.operator_bps));
+                }
+                spec.entry.selector()
             }
-        }
+            _ => None,
+        };
         let nonce = {
             let info =
                 self.accounts.get_mut(&deployer).ok_or(ChainError::UnknownAccount(deployer))?;
@@ -165,6 +173,9 @@ impl Chain {
         };
         let address = Address::create(deployer, nonce);
         self.register(address, AccountKind::Contract(kind))?;
+        if let Some(selector) = entry_selector {
+            self.entry_selectors.insert(address, selector);
+        }
         self.record_tx(deployer, None, U256::ZERO, CallInfo::plain(), vec![], vec![], Some(address));
         Ok(address)
     }
@@ -368,7 +379,7 @@ impl Chain {
         self.move_erc20(token, from, to, amount)?;
         let transfers =
             vec![Transfer { asset: Asset::Erc20(token), from, to, amount }];
-        let call = CallInfo::named(selector("transfer(address,uint256)"), "transfer");
+        let call = CallInfo::named(Some(TRANSFER), "transfer");
         Ok(self.record_tx(from, Some(token), U256::ZERO, call, transfers, vec![], None))
     }
 
@@ -391,7 +402,7 @@ impl Chain {
             self.erc20_allowances.insert(key, amount);
         }
         let approvals = vec![Approval { token, owner, spender, amount }];
-        let call = CallInfo::named(selector("approve(address,uint256)"), "approve");
+        let call = CallInfo::named(Some(APPROVE), "approve");
         Ok(self.record_tx(owner, Some(token), U256::ZERO, call, vec![], approvals, None))
     }
 
@@ -419,7 +430,7 @@ impl Chain {
             amount: if approved { U256::MAX } else { U256::ZERO },
         }];
         let call =
-            CallInfo::named(selector("setApprovalForAll(address,bool)"), "setApprovalForAll");
+            CallInfo::named(Some(SET_APPROVAL_FOR_ALL), "setApprovalForAll");
         Ok(self.record_tx(owner, Some(token), U256::ZERO, call, vec![], approvals, None))
     }
 
@@ -441,7 +452,7 @@ impl Chain {
             self.credit_eth(to, value);
             transfers.push(Transfer { asset: Asset::Eth, from, to, amount: value });
         }
-        let call = CallInfo::named(selector("disperseEther(address[],uint256[])"), "disperseEther");
+        let call = CallInfo::named(Some(DISPERSE_ETHER), "disperseEther");
         Ok(self.record_tx(from, Some(from), U256::ZERO, call, transfers, vec![], None))
     }
 
@@ -470,7 +481,7 @@ impl Chain {
             Transfer { asset: Asset::Eth, from: trader, to: dex, amount: eth_in },
             Transfer { asset: Asset::Erc20(token), from: dex, to: trader, amount: tokens_out },
         ];
-        let call = CallInfo::named(selector("swapExactETHForTokens(uint256,address[],address,uint256)"), "swapExactETHForTokens");
+        let call = CallInfo::named(Some(SWAP_EXACT_ETH_FOR_TOKENS), "swapExactETHForTokens");
         Ok(self.record_tx(trader, Some(dex), eth_in, call, transfers, vec![], None))
     }
 
@@ -506,7 +517,7 @@ impl Chain {
         }
         // Rounding dust (and any sub-100% remainder) stays in the splitter.
         self.credit_eth(splitter, remaining);
-        let call = CallInfo::named(selector("release()"), "release");
+        let call = CallInfo::named(Some(RELEASE), "release");
         Ok(self.record_tx(payer, Some(splitter), value, call, transfers, vec![], None))
     }
 
@@ -525,33 +536,31 @@ impl Chain {
         value: U256,
         affiliate: Address,
     ) -> Result<TxId, ChainError> {
-        let spec = self
-            .profit_sharing_spec(contract)
-            .ok_or(ChainError::NotProfitSharing(contract))?
-            .clone();
+        let spec =
+            self.profit_sharing_spec(contract).ok_or(ChainError::NotProfitSharing(contract))?;
+        let (operator, operator_bps) = (spec.operator, spec.operator_bps);
+        let call = match &spec.entry {
+            EntryStyle::NamedPayable(name) => {
+                CallInfo::named(self.entry_selectors.get(&contract).copied(), name)
+            }
+            EntryStyle::PayableFallback => CallInfo::plain(),
+        };
         self.expect_account(affiliate)?;
-        self.expect_account(spec.operator)?;
+        self.expect_account(operator)?;
         self.debit_eth(victim, value)?;
         let bps = U256::from_u64(10_000);
-        let op_cut = value.mul_div(U256::from_u64(spec.operator_bps as u64), bps);
-        let aff_cut = value.mul_div(U256::from_u64((10_000 - spec.operator_bps) as u64), bps);
+        let op_cut = value.mul_div(U256::from_u64(operator_bps as u64), bps);
+        let aff_cut = value.mul_div(U256::from_u64((10_000 - operator_bps) as u64), bps);
         // Dust from integer division stays in the contract, like the
         // Solidity in Listing 1.
         self.credit_eth(contract, value - op_cut - aff_cut);
-        self.credit_eth(spec.operator, op_cut);
+        self.credit_eth(operator, op_cut);
         self.credit_eth(affiliate, aff_cut);
         let transfers = vec![
             Transfer { asset: Asset::Eth, from: victim, to: contract, amount: value },
-            Transfer { asset: Asset::Eth, from: contract, to: spec.operator, amount: op_cut },
+            Transfer { asset: Asset::Eth, from: contract, to: operator, amount: op_cut },
             Transfer { asset: Asset::Eth, from: contract, to: affiliate, amount: aff_cut },
         ];
-        let call = match spec.entry.selector() {
-            Some(sel) => CallInfo::named(Some(sel), match &spec.entry {
-                crate::account::EntryStyle::NamedPayable(name) => name,
-                crate::account::EntryStyle::PayableFallback => unreachable!(),
-            }),
-            None => CallInfo::plain(),
-        };
         Ok(self.record_tx(victim, Some(contract), value, call, transfers, vec![], None))
     }
 
@@ -585,7 +594,7 @@ impl Chain {
             Transfer { asset: Asset::Erc20(token), from: victim, to: spec.operator, amount: op_cut },
             Transfer { asset: Asset::Erc20(token), from: victim, to: affiliate, amount: aff_cut },
         ];
-        let call = CallInfo::named(selector("multicall(bytes[])"), "multicall");
+        let call = CallInfo::named(Some(MULTICALL), "multicall");
         Ok(self.record_tx(caller, Some(contract), U256::ZERO, call, transfers, vec![], None))
     }
 
@@ -628,7 +637,7 @@ impl Chain {
         // The permit itself is visible in the trace as an approval event
         // granted and spent within the transaction.
         let approvals = vec![Approval { token, owner: victim, spender: contract, amount }];
-        let call = CallInfo::named(selector("multicall(bytes[])"), "multicall");
+        let call = CallInfo::named(Some(MULTICALL), "multicall");
         Ok(self.record_tx(caller, Some(contract), U256::ZERO, call, transfers, approvals, None))
     }
 
@@ -662,7 +671,7 @@ impl Chain {
             to: contract,
             amount: U256::ONE,
         }];
-        let call = CallInfo::named(selector("multicall(bytes[])"), "multicall");
+        let call = CallInfo::named(Some(MULTICALL), "multicall");
         Ok(self.record_tx(caller, Some(contract), U256::ZERO, call, transfers, vec![], None))
     }
 
@@ -696,7 +705,7 @@ impl Chain {
             to,
             amount: U256::ONE,
         }];
-        let call = CallInfo::named(selector("fulfillOrder(bytes)"), "fulfillOrder");
+        let call = CallInfo::named(Some(FULFILL_ORDER), "fulfillOrder");
         Ok(self.record_tx(caller, Some(marketplace), U256::ZERO, call, transfers, vec![], None))
     }
 
@@ -728,7 +737,7 @@ impl Chain {
             Transfer { asset: Asset::Erc721 { token, id }, from: seller, to: marketplace, amount: U256::ONE },
             Transfer { asset: Asset::Eth, from: marketplace, to: seller, amount: price },
         ];
-        let call = CallInfo::named(selector("fulfillOrder(bytes)"), "fulfillOrder");
+        let call = CallInfo::named(Some(FULFILL_ORDER), "fulfillOrder");
         Ok(self.record_tx(caller, Some(marketplace), U256::ZERO, call, transfers, vec![], None))
     }
 
@@ -758,7 +767,7 @@ impl Chain {
             Transfer { asset: Asset::Eth, from: contract, to: spec.operator, amount: op_cut },
             Transfer { asset: Asset::Eth, from: contract, to: affiliate, amount: aff_cut },
         ];
-        let call = CallInfo::named(selector("withdraw()"), "withdraw");
+        let call = CallInfo::named(Some(WITHDRAW), "withdraw");
         Ok(self.record_tx(caller, Some(contract), U256::ZERO, call, transfers, vec![], None))
     }
 
@@ -1084,6 +1093,11 @@ impl<'de> Deserialize<'de> for Chain {
             nft_operators.insert((store.intern(t), store.intern(o), store.intern(p)));
         }
 
+        let entry_selectors = accounts
+            .iter()
+            .filter_map(|(&a, info)| Some((a, info.kind.profit_sharing()?.entry.selector()?)))
+            .collect();
+
         Ok(Chain {
             now,
             blocks,
@@ -1095,20 +1109,28 @@ impl<'de> Deserialize<'de> for Chain {
             nft_owners,
             nft_operators,
             history,
+            entry_selectors,
         })
     }
 }
 
-/// Solidity-style 4-byte selector of a canonical signature.
-fn selector(sig: &str) -> Option<[u8; 4]> {
-    let h = keccak256(sig.as_bytes());
-    Some([h.0[0], h.0[1], h.0[2], h.0[3]])
-}
+// Solidity-style 4-byte selectors of the fixed entry points: the first
+// four bytes of the Keccak-256 of each canonical signature, written out
+// so no transaction hashes its signature. The unit test
+// `fixed_selectors_match_their_signatures` recomputes every one.
+const TRANSFER: [u8; 4] = [0xa9, 0x05, 0x9c, 0xbb]; // transfer(address,uint256)
+const APPROVE: [u8; 4] = [0x09, 0x5e, 0xa7, 0xb3]; // approve(address,uint256)
+const SET_APPROVAL_FOR_ALL: [u8; 4] = [0xa2, 0x2c, 0xb4, 0x65]; // setApprovalForAll(address,bool)
+const DISPERSE_ETHER: [u8; 4] = [0xe6, 0x3d, 0x38, 0xed]; // disperseEther(address[],uint256[])
+const SWAP_EXACT_ETH_FOR_TOKENS: [u8; 4] = [0x7f, 0xf3, 0x6a, 0xb5]; // swapExactETHForTokens(uint256,address[],address,uint256)
+const RELEASE: [u8; 4] = [0x86, 0xd1, 0xa6, 0x9f]; // release()
+const MULTICALL: [u8; 4] = [0xac, 0x96, 0x50, 0xd8]; // multicall(bytes[])
+const FULFILL_ORDER: [u8; 4] = [0x65, 0x0b, 0x0e, 0xce]; // fulfillOrder(bytes)
+const WITHDRAW: [u8; 4] = [0x3c, 0xcf, 0xd6, 0x0b]; // withdraw()
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::account::EntryStyle;
     use eth_types::units::ether;
 
     fn setup() -> (Chain, Address, Address, Address, Address) {
@@ -1502,6 +1524,63 @@ mod tests {
         let a = chain.claim_eth(victim, contract, ether(1), affiliate).unwrap();
         let b = chain.claim_eth(victim, contract, ether(1), affiliate).unwrap();
         assert_ne!(chain.tx(a).hash(), chain.tx(b).hash());
+    }
+
+    /// Each entry point with a selector, as the transaction that records
+    /// it, so a failure names the signature whose constant or wiring is
+    /// wrong. `Claim(address)` is the deploy-time cached entry selector.
+    #[test]
+    fn fixed_selectors_match_their_signatures() {
+        let (mut chain, operator, affiliate, victim, contract) = setup();
+        let token = chain.deploy_token(operator, "USDC", 6, TokenKind::Erc20).unwrap();
+        let nft = chain.deploy_token(operator, "AZUKI", 0, TokenKind::Erc721).unwrap();
+        let owner = chain.create_eoa_funded(b"venue-owner", ether(1)).unwrap();
+        let market = chain.deploy_contract(owner, ContractKind::Marketplace).unwrap();
+        let dex = chain.deploy_contract(owner, ContractKind::Dex).unwrap();
+        let splitter = chain.deploy_contract(owner, ContractKind::Benign).unwrap();
+        chain.mint_eth(market, ether(100)).unwrap();
+        chain.mint_erc20(token, victim, U256::from_u64(1_000)).unwrap();
+        chain.mint_erc20(token, dex, U256::from_u64(1_000)).unwrap();
+        chain.mint_nft(nft, victim, 1).unwrap();
+        chain.mint_nft(nft, victim, 2).unwrap();
+        let ten = U256::from_u64(10);
+        let table = [
+            ("transfer(address,uint256)", chain.transfer_erc20(victim, token, affiliate, ten)),
+            ("approve(address,uint256)", chain.approve_erc20(victim, token, contract, U256::MAX)),
+            ("multicall(bytes[])", chain.drain_erc20(operator, contract, token, victim, ten, affiliate)),
+            (
+                "multicall(bytes[])",
+                chain.drain_erc20_permit(operator, contract, token, victim, ten, affiliate),
+            ),
+            ("setApprovalForAll(address,bool)", chain.approve_nft_all(victim, nft, contract, true)),
+            ("multicall(bytes[])", chain.drain_nft(operator, contract, nft, victim, 1)),
+            ("fulfillOrder(bytes)", chain.sell_nft(operator, market, nft, 1, contract, ether(3))),
+            ("withdraw()", chain.distribute_eth(operator, contract, ether(3), affiliate)),
+            ("fulfillOrder(bytes)", chain.zero_value_order(operator, market, nft, 2, victim, contract)),
+            (
+                "swapExactETHForTokens(uint256,address[],address,uint256)",
+                chain.swap_eth_for_token(victim, dex, token, ether(1), ten),
+            ),
+            (
+                "release()",
+                chain.split_payment(victim, splitter, ether(1), &[(affiliate, 3000), (operator, 7000)]),
+            ),
+            (
+                "disperseEther(address[],uint256[])",
+                chain.multi_transfer_eth(victim, &[(affiliate, ether(1)), (operator, ether(1))]),
+            ),
+            ("Claim(address)", chain.claim_eth(victim, contract, ether(1), affiliate)),
+        ];
+        for (sig, id) in table {
+            let tx = chain.tx(id.unwrap_or_else(|e| panic!("{sig}: {e}")));
+            let h = keccak256(sig.as_bytes());
+            assert_eq!(tx.selector(), Some([h.0[0], h.0[1], h.0[2], h.0[3]]), "selector of {sig}");
+            assert_eq!(tx.function(), sig.split('(').next(), "function name of {sig}");
+        }
+        // A chain read back from JSON re-derives the entry selectors.
+        let mut back: Chain = serde_json::from_str(&serde_json::to_string(&chain).unwrap()).unwrap();
+        let id = back.claim_eth(victim, contract, ether(1), affiliate).unwrap();
+        assert_eq!(back.tx(id).selector(), chain.tx(id - 1).selector());
     }
 
     #[test]

@@ -28,18 +28,19 @@ pub struct WebsitePipelineResult {
 pub fn run_website_pipeline(world: &World, threshold: f64) -> WebsitePipelineResult {
     // Fingerprint DB: Telegram seed toolkits + expansion from
     // community-reported sites.
+    let sites = world.sites();
     let mut db = FingerprintDb::new();
-    for fp in &world.sites.seed_fingerprints {
+    for fp in &sites.seed_fingerprints {
         db.add(fp.clone());
     }
     let fingerprints_seed = db.len();
-    for &idx in &world.sites.reported {
-        db.expand_from_reported(&world.sites.sites[idx].files);
+    for &idx in &sites.reported {
+        db.expand_from_reported(&sites.sites[idx].files);
     }
     let fingerprints_total = db.len();
 
     // CT watch: skip everything issued before the watcher started.
-    let mut stream = CtStream::new(world.sites.certs.clone());
+    let mut stream = CtStream::new(sites.certs.clone());
     let _missed = stream.poll_until(detection_start().saturating_sub(1)).len();
     let watched: Vec<_> = stream.poll_rest().to_vec();
     let certs_watched = watched.len();
@@ -57,11 +58,10 @@ pub fn run_website_pipeline(world: &World, threshold: f64) -> WebsitePipelineRes
     let crawler = world.crawler();
     let report = scan_domains(&crawler, &db, suspicious);
 
-    let drainer_sites_in_window = world
-        .sites
+    let drainer_sites_in_window = sites
         .truth
         .iter()
-        .zip(&world.sites.sites)
+        .zip(&sites.sites)
         .filter(|(t, s)| t.family.is_some() && s.deployed_at >= detection_start())
         .count();
 

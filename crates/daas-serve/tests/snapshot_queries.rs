@@ -3,7 +3,7 @@
 //! checked against a per-epoch address index built here as reference.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use daas_cluster::{Family, Role};
@@ -23,14 +23,22 @@ fn readers_never_block_ingest_and_see_monotonic_epochs() {
     let mut eng = engine(&WorldConfig::tiny(42));
     let cell = eng.snapshot_cell();
     let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // Pin one interleaving: every reader loads an epoch before ingest
+    // starts, then reads on only once the first window has published.
+    // On a busy machine a reader thread could otherwise first run after
+    // the tiny replay has ended and only ever see its final epoch.
+    let step = Arc::new(Barrier::new(5));
 
     let mut readers = Vec::new();
     for _ in 0..4 {
         let cell = Arc::clone(&cell);
         let done = Arc::clone(&done);
+        let step = Arc::clone(&step);
         readers.push(thread::spawn(move || {
-            let mut last_epoch = 0u64;
-            let mut epochs = BTreeSet::new();
+            let mut last_epoch = cell.load().epoch;
+            let mut epochs = BTreeSet::from([last_epoch]);
+            step.wait(); // loaded before ingest starts
+            step.wait(); // the first window has published
             let mut queries = 0usize;
             while !done.load(std::sync::atomic::Ordering::Relaxed) || queries < 250 {
                 let snap = cell.load();
@@ -51,7 +59,13 @@ fn readers_never_block_ingest_and_see_monotonic_epochs() {
         }));
     }
 
-    let windows = eng.run_to_end(37, |_| {});
+    step.wait();
+    let mut first_window = true;
+    let windows = eng.run_to_end(37, |_| {
+        if std::mem::take(&mut first_window) {
+            step.wait();
+        }
+    });
     assert!(!windows.is_empty());
     done.store(true, std::sync::atomic::Ordering::Relaxed);
     let mut total_queries = 0;

@@ -2,6 +2,8 @@
 //! background traffic and label coverage, then executes everything on the
 //! ledger in timestamp order.
 
+use std::sync::OnceLock;
+
 use daas_chain::{
     Chain, ContractKind, Label, LabelCategory, LabelSource, LabelStore,
     ProfitSharingSpec, Timestamp, TokenKind, TxId,
@@ -14,7 +16,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{collection_end, collection_start, WorldConfig, KIND_MIX, LOSS_BUCKETS, RATIO_TABLE};
 use crate::sampler::{chance, exponential, log_uniform, lognormal_weights, uniform_time, zipf_weights, Weighted};
-use crate::sites::generate_sites;
 use crate::truth::{ContractTruth, FamilyTruth, GroundTruth, IncidentKind, IncidentTruth};
 use crate::World;
 
@@ -208,7 +209,8 @@ pub fn build_with(config: &WorldConfig, threads: usize) -> Result<World, String>
     events.sort_unstable_by_key(|(t, prio, seq, _)| (*t, *prio, *seq));
 
     // Phase 3 (sequential apply): replay the merged timeline into the
-    // ledger, then derive labels and the website population.
+    // ledger, then derive labels. The website population is generated
+    // on first use, from the stream as the labels leave it.
     let truth = {
         let _s = daas_obs::span!("world.execute");
         execute(
@@ -223,13 +225,21 @@ pub fn build_with(config: &WorldConfig, threads: usize) -> Result<World, String>
             incident_count,
         )?
     };
-    let sites = {
+    {
         let _s = daas_obs::span!("world.derive");
         assign_labels(&mut rng, config, &mut labels, &plans, &truth);
-        generate_sites(&mut rng, config, &truth)
-    };
+    }
 
-    Ok(World { chain, oracle, labels, truth, sites, infra })
+    Ok(World {
+        chain,
+        oracle,
+        labels,
+        truth,
+        infra,
+        config: config.clone(),
+        site_rng: rng,
+        sites: OnceLock::new(),
+    })
 }
 
 /// Resolves a thread-count knob: `0` means every available core.

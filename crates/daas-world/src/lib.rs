@@ -12,7 +12,8 @@
 //! * the §4.3 ratio mix, §6 concentration/association statistics, §7.2
 //!   contract rotation lifecycles,
 //! * public label coverage matching the seed-dataset ratios, and
-//! * a website + CT-certificate population for the §8.2 pipeline.
+//! * a website + CT-certificate population for the §8.2 pipeline, built
+//!   on first use ([`World::sites`]).
 //!
 //! Everything the detection pipeline consumes is *observable* data
 //! (chain, labels, certs, crawls); everything it must rediscover is kept
@@ -29,6 +30,7 @@ mod sites;
 mod truth;
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 pub use config::{
     collection_end, collection_start, table2_families, AdversarialConfig, EntryCfg, FamilyConfig,
@@ -41,6 +43,7 @@ pub use truth::{ContractTruth, FamilyTruth, GroundTruth, IncidentKind, IncidentT
 
 use daas_chain::{Chain, LabelStore};
 use daas_pricing::Oracle;
+use rand::rngs::StdRng;
 use webscan::{Crawler, Site};
 
 /// A fully generated world: the observable surfaces plus ground truth.
@@ -54,10 +57,16 @@ pub struct World {
     pub labels: LabelStore,
     /// What the pipeline must rediscover.
     pub truth: GroundTruth,
-    /// Websites, CT certificates, toolkit fingerprints.
-    pub sites: SitePopulation,
     /// Shared on-chain infrastructure addresses.
     pub infra: Infra,
+    /// The build's configuration, for [`World::sites`].
+    config: WorldConfig,
+    /// The master RNG stream as label assignment left it. Site
+    /// generation is the stream's last consumer, so [`World::sites`]
+    /// resumes a copy of it.
+    site_rng: StdRng,
+    /// The site population, once generated.
+    sites: OnceLock<SitePopulation>,
 }
 
 impl World {
@@ -82,33 +91,41 @@ impl World {
         gen::build_with(config, threads)
     }
 
+    /// Websites, CT certificates and toolkit fingerprints: the §8.2
+    /// surface, which only the website pipeline reads. Generated on the
+    /// first call (`world.sites` span) from `truth`, and identical to
+    /// what an eager build produced; a clone made before the first call
+    /// generates the same population.
+    pub fn sites(&self) -> &SitePopulation {
+        self.sites.get_or_init(|| {
+            let _s = daas_obs::span!("world.sites");
+            sites::generate_sites(&mut self.site_rng.clone(), &self.config, &self.truth)
+        })
+    }
+
     /// A crawler over this world's website population (the urlscan.io
     /// stand-in), honouring taken-down sites.
     pub fn crawler(&self) -> WorldCrawler<'_> {
-        let by_domain = self
-            .sites
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.domain.clone(), i))
-            .collect();
-        WorldCrawler { world: self, by_domain }
+        let sites = self.sites();
+        let by_domain =
+            sites.sites.iter().enumerate().map(|(i, s)| (s.domain.clone(), i)).collect();
+        WorldCrawler { sites, by_domain }
     }
 }
 
 /// Crawler implementation over a generated [`World`].
 #[derive(Debug)]
 pub struct WorldCrawler<'w> {
-    world: &'w World,
+    sites: &'w SitePopulation,
     by_domain: HashMap<String, usize>,
 }
 
 impl Crawler for WorldCrawler<'_> {
     fn fetch(&self, domain: &str) -> Option<&Site> {
         let idx = *self.by_domain.get(domain)?;
-        if self.world.sites.down.contains(domain) {
+        if self.sites.down.contains(domain) {
             return None;
         }
-        Some(&self.world.sites.sites[idx])
+        Some(&self.sites.sites[idx])
     }
 }

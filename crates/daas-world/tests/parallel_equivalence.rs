@@ -30,7 +30,7 @@ fn fingerprint(world: &World) -> u64 {
     sink.eat(&serde_json::to_string(&world.labels).expect("labels serialise"));
     sink.eat(&serde_json::to_string(&world.truth).expect("truth serialises"));
     sink.eat(&serde_json::to_string(&world.oracle).expect("oracle serialises"));
-    let s = &world.sites;
+    let s = world.sites();
     sink.eat(&format!(
         "{:?}{:?}{:?}{:?}{:?}",
         s.sites, s.truth, s.certs, s.seed_fingerprints, s.reported

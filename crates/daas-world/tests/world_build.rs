@@ -3,7 +3,7 @@
 
 use std::sync::OnceLock;
 
-use daas_world::{World, WorldConfig};
+use daas_world::{IncidentKind, World, WorldConfig};
 use eth_types::U256;
 
 /// One shared small world: building it is the expensive part, and every
@@ -19,7 +19,7 @@ fn builds_deterministically() {
     let b = World::build(&WorldConfig::tiny(3)).unwrap();
     assert_eq!(a.chain.stats(), b.chain.stats());
     assert_eq!(a.truth.incidents.len(), b.truth.incidents.len());
-    assert_eq!(a.sites.certs.len(), b.sites.certs.len());
+    assert_eq!(a.sites().certs.len(), b.sites().certs.len());
     // Same addresses, same hashes.
     assert_eq!(
         a.chain.transactions().last().unwrap().hash(),
@@ -58,6 +58,27 @@ fn every_contract_has_a_profit_sharing_tx() {
             assert!(has_incident, "contract {} has no incident", c.address);
         }
     }
+}
+
+#[test]
+fn eth_claims_record_their_contracts_entry_selector() {
+    // The chain hashes each entry selector once, at deploy; every ETH
+    // claim must still record what the contract's entry style hashes to.
+    let w = World::build(&WorldConfig::tiny(7)).expect("world builds");
+    let (mut named, mut fallback) = (0, 0);
+    for inc in w.truth.incidents.iter().filter(|i| i.kind == IncidentKind::Eth) {
+        let spec = w.chain.profit_sharing_spec(inc.contract).expect("ps contract");
+        let expect = spec.entry.selector();
+        let tx = w.chain.tx(inc.ps_tx);
+        assert_eq!(tx.to(), Some(inc.contract), "tx {} does not call its contract", inc.ps_tx);
+        assert_eq!(tx.selector(), expect, "tx {} into {:?}", inc.ps_tx, spec.entry);
+        if expect.is_some() {
+            named += 1;
+        } else {
+            fallback += 1;
+        }
+    }
+    assert!(named > 0 && fallback > 0, "{named} named and {fallback} fallback claims");
 }
 
 #[test]
@@ -166,19 +187,20 @@ fn operator_balances_flow_to_mixer() {
 #[test]
 fn site_population_is_consistent() {
     let w = small_world();
-    assert_eq!(w.sites.sites.len(), w.sites.truth.len());
-    assert!(!w.sites.certs.is_empty());
+    let sites = w.sites();
+    assert_eq!(sites.sites.len(), sites.truth.len());
+    assert!(!sites.certs.is_empty());
     // Certs sorted by issuance.
-    assert!(w.sites.certs.windows(2).all(|p| p[0].issued_at <= p[1].issued_at));
+    assert!(sites.certs.windows(2).all(|p| p[0].issued_at <= p[1].issued_at));
     // Reported indices point at drainer sites.
-    for &i in &w.sites.reported {
-        assert!(w.sites.truth[i].family.is_some());
+    for &i in &sites.reported {
+        assert!(sites.truth[i].family.is_some());
     }
     // Seed fingerprints exist for every family.
-    assert!(w.sites.seed_fingerprints.len() >= 9);
+    assert!(sites.seed_fingerprints.len() >= 9);
     // Crawler honours takedowns.
     let crawler = w.crawler();
-    if let Some(domain) = w.sites.down.iter().next() {
+    if let Some(domain) = sites.down.iter().next() {
         use webscan::Crawler;
         assert!(crawler.fetch(domain).is_none());
     }

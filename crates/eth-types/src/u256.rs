@@ -312,14 +312,29 @@ impl U256 {
         self.limbs[(i / 64) as usize] |= 1 << (i % 64);
     }
 
-    /// `self * num / den` computed without intermediate overflow, as a
-    /// 512-bit intermediate. This is the profit-split primitive
-    /// (`msg.value * 20 / 100`) used by the simulated contracts.
+    /// `self * num / den` computed without intermediate overflow. This is
+    /// the profit-split primitive (`msg.value * 20 / 100`) used by the
+    /// simulated contracts. When both factors and the divisor fit in 128
+    /// bits and so does their product — every split in a generated world
+    /// — it is one `u128` multiply and divide; otherwise the product is
+    /// kept in 512 bits.
     ///
     /// # Panics
     /// Panics if `den` is zero or the final quotient overflows 256 bits.
     pub fn mul_div(self, num: U256, den: U256) -> U256 {
         assert!(!den.is_zero(), "U256::mul_div division by zero");
+        if let (Some(a), Some(b), Some(d)) = (self.as_u128(), num.as_u128(), den.as_u128()) {
+            if let Some(product) = a.checked_mul(b) {
+                return U256::from_u128(product / d);
+            }
+        }
+        self.mul_div_wide(num, den)
+    }
+
+    /// [`U256::mul_div`] over a 512-bit product with bit-serial long
+    /// division: exact for every operand, and the reference the `u128`
+    /// path is tested against.
+    fn mul_div_wide(self, num: U256, den: U256) -> U256 {
         // 512-bit product in 8 limbs.
         let mut acc = [0u64; 8];
         for i in 0..4 {
@@ -791,6 +806,72 @@ mod tests {
         assert_eq!(v.mul_div(u(2), u(4)), U256::ONE << 254);
         // MAX * MAX / MAX = MAX
         assert_eq!(U256::MAX.mul_div(U256::MAX, U256::MAX), U256::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "U256::mul_div division by zero")]
+    fn mul_div_by_zero_panics_on_the_u128_path() {
+        let _ = u(3).mul_div(u(5), U256::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "U256::mul_div quotient overflow")]
+    fn mul_div_quotient_overflow_panics() {
+        let _ = (U256::ONE << 255).mul_div(u(4), u(2));
+    }
+
+    #[test]
+    fn mul_div_u128_edges_match_the_512_bit_path() {
+        let max = u(u128::MAX);
+        let cases = [
+            // (2^64 - 1)(2^64 + 1) = 2^128 - 1: the largest u128 product.
+            (u(u64::MAX as u128), u(u64::MAX as u128 + 2), u(7)),
+            // 2^64 * 2^64 = 2^128: the smallest product past u128.
+            (u(1 << 64), u(1 << 64), u(3)),
+            (max, U256::ONE, max),
+            (max, u(2), max),
+            (max, u(2), U256::ONE << 128),
+            (max, U256::ZERO, U256::ONE << 200),
+            (U256::ZERO, U256::MAX, U256::ONE),
+            (u(1 << 100), u(1 << 27), u((1 << 64) + 1)),
+            (u(1 << 100), u(1 << 28), u((1 << 64) + 1)),
+        ];
+        for (a, b, d) in cases {
+            assert_eq!(a.mul_div(b, d), a.mul_div_wide(b, d), "{a} * {b} / {d}");
+        }
+    }
+
+    /// A value with exactly `bits` significant bits (zero for 0), the
+    /// bits below the top one taken from `limbs`.
+    fn of_width(bits: u32, limbs: [u64; 4]) -> U256 {
+        if bits == 0 {
+            return U256::ZERO;
+        }
+        (U256::from_limbs(limbs) >> (256 - bits)) | (U256::ONE << (bits - 1))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::config::ProptestConfig::with_cases(4096))]
+
+        /// Factor widths are drawn so the product lands within a few bits
+        /// of 2^128 on either side, divisors are mostly wider than 64
+        /// bits (some wider than 128), and an eighth of the cases zero
+        /// one factor: every guard of the `u128` path is crossed both
+        /// ways, and each result must equal the 512-bit path's.
+        #[test]
+        fn mul_div_matches_the_512_bit_path(
+            widths in (0u32..=136, -3i32..=3, 1u32..=136, 0u8..16),
+            a_limbs in proptest::prelude::any::<[u64; 4]>(),
+            b_limbs in proptest::prelude::any::<[u64; 4]>(),
+            d_limbs in proptest::prelude::any::<[u64; 4]>()
+        ) {
+            let (a_bits, skew, d_bits, zero) = widths;
+            let b_bits = (128 - a_bits as i32 + skew).clamp(0, 256) as u32;
+            let a = if zero == 0 { U256::ZERO } else { of_width(a_bits, a_limbs) };
+            let b = if zero == 1 { U256::ZERO } else { of_width(b_bits, b_limbs) };
+            let d = of_width(d_bits, d_limbs);
+            proptest::prop_assert_eq!(a.mul_div(b, d), a.mul_div_wide(b, d), "{} * {} / {}", a, b, d);
+        }
     }
 
     #[test]

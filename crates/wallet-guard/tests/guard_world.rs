@@ -67,19 +67,20 @@ fn shape_heuristic_catches_undiscovered_contracts() {
 #[test]
 fn fingerprint_domain_check_over_world_sites() {
     let world = World::build(&WorldConfig::tiny(5)).expect("world");
+    let sites = world.sites();
     let mut db = FingerprintDb::new();
-    for fp in &world.sites.seed_fingerprints {
+    for fp in &sites.seed_fingerprints {
         db.add(fp.clone());
     }
-    for &idx in &world.sites.reported {
-        db.expand_from_reported(&world.sites.sites[idx].files);
+    for &idx in &sites.reported {
+        db.expand_from_reported(&sites.sites[idx].files);
     }
     let guard = WalletGuard::new().with_fingerprints(db);
     let crawler = world.crawler();
 
     let mut drainer_hits = 0;
     let mut drainer_total = 0;
-    for (site, truth) in world.sites.sites.iter().zip(&world.sites.truth) {
+    for (site, truth) in sites.sites.iter().zip(&sites.truth) {
         let fetched = crawler.fetch(&site.domain);
         let verdict = guard.check_domain(&site.domain, fetched);
         match truth.family {

@@ -12,21 +12,22 @@ use daas_lab::world::{detection_start, World, WorldConfig};
 
 fn main() {
     let world = World::build(&WorldConfig::small(42)).expect("world");
+    let sites = world.sites();
 
     // The fingerprint database starts from toolkits acquired in Telegram
     // groups and grows by folding in files from community-reported sites.
     let mut db = FingerprintDb::new();
-    for fp in &world.sites.seed_fingerprints {
+    for fp in &sites.seed_fingerprints {
         db.add(fp.clone());
     }
     let seeds = db.len();
-    for &idx in &world.sites.reported {
-        db.expand_from_reported(&world.sites.sites[idx].files);
+    for &idx in &sites.reported {
+        db.expand_from_reported(&sites.sites[idx].files);
     }
     println!("fingerprints: {seeds} from Telegram toolkits, {} after expansion", db.len());
 
     // Tail the CT log from the paper's watch start (2023-12-01).
-    let mut stream = CtStream::new(world.sites.certs.clone());
+    let mut stream = CtStream::new(sites.certs.clone());
     stream.poll_until(detection_start() - 1); // before the watcher existed
     let watched = stream.poll_rest().to_vec();
     println!("certificates watched: {}", watched.len());

@@ -21,12 +21,13 @@ fn main() {
 
     // Arm the guard with what the community knows: the reported dataset
     // and the toolkit fingerprint database.
+    let sites = world.sites();
     let mut db = FingerprintDb::new();
-    for fp in &world.sites.seed_fingerprints {
+    for fp in &sites.seed_fingerprints {
         db.add(fp.clone());
     }
-    for &idx in &world.sites.reported {
-        db.expand_from_reported(&world.sites.sites[idx].files);
+    for &idx in &sites.reported {
+        db.expand_from_reported(&sites.sites[idx].files);
     }
     let guard = WalletGuard::new()
         .with_blocklist(
@@ -42,12 +43,11 @@ fn main() {
 
     // --- Defense 1: domain check at connect time. ---
     let crawler = world.crawler();
-    let (phish_site, _) = world
-        .sites
+    let (phish_site, _) = sites
         .sites
         .iter()
-        .zip(&world.sites.truth)
-        .find(|(s, t)| t.family.is_some() && !world.sites.down.contains(&s.domain))
+        .zip(&sites.truth)
+        .find(|(s, t)| t.family.is_some() && !sites.down.contains(&s.domain))
         .expect("a live drainer site");
     use daas_lab::webscan::Crawler;
     let fetched = crawler.fetch(&phish_site.domain);

@@ -71,14 +71,15 @@ fn measurement_reproduces_section6() {
 #[test]
 fn website_pipeline_detects_drainer_sites() {
     let f = fixture();
+    let sites = f.world.sites();
     let mut db = FingerprintDb::new();
-    for fp in &f.world.sites.seed_fingerprints {
+    for fp in &sites.seed_fingerprints {
         db.add(fp.clone());
     }
-    for &idx in &f.world.sites.reported {
-        db.expand_from_reported(&f.world.sites.sites[idx].files);
+    for &idx in &sites.reported {
+        db.expand_from_reported(&sites.sites[idx].files);
     }
-    let mut stream = CtStream::new(f.world.sites.certs.clone());
+    let mut stream = CtStream::new(sites.certs.clone());
     stream.poll_until(detection_start() - 1);
     let watched = stream.poll_rest().to_vec();
     let triage = DomainTriage::default();
@@ -93,7 +94,7 @@ fn website_pipeline_detects_drainer_sites() {
     // No benign site is ever confirmed: fingerprints are exact.
     let confirmed: std::collections::HashSet<&str> =
         report.phishing_domains().into_iter().collect();
-    for (site, truth) in f.world.sites.sites.iter().zip(&f.world.sites.truth) {
+    for (site, truth) in sites.sites.iter().zip(&sites.truth) {
         if truth.family.is_none() {
             assert!(
                 !confirmed.contains(site.domain.as_str()),
