@@ -22,10 +22,12 @@ export BENCH_OUT_DIR
 cargo build --release
 cargo test -q
 
-# ---- U256 arithmetic in release too: debug and release builds treat
-#      integer overflow differently, and `mul_div`'s u128 path must
-#      equal its 512-bit fallback under both. ----
-cargo test -q --release -p eth-types
+# ---- eth-types and daas-chain in release too: debug and release
+#      builds treat integer overflow differently, and `mul_div`'s u128
+#      path must equal its 512-bit fallback, the interner's wrapping
+#      hash must place every address, and a tx hash derived on read
+#      must equal the one the arena was built with, under both. ----
+cargo test -q --release -p eth-types -p daas-chain
 
 # ---- Sequential-oracle equivalence suites. ----
 cargo test -q -p daas-world --test parallel_equivalence -- --test-threads 4

@@ -1,8 +1,9 @@
 //! The ledger: state, execution engine, and explorer-style query API.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use eth_types::{keccak256, AddrId, Address, FxHashMap, FxHashSet, U256};
+use eth_types::{AddrId, Address, FxHashMap, FxHashSet, U256};
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 
 use crate::account::{AccountKind, ContractKind, EntryStyle, ProfitSharingSpec};
@@ -12,7 +13,7 @@ use crate::block::{
 };
 use crate::error::ChainError;
 use crate::store::{TxStore, TxView};
-use crate::tx::{Approval, CallInfo, Transaction, Transfer, TxId};
+use crate::tx::{Approval, Transaction, Transfer, TxId};
 
 /// Per-account ledger record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -42,10 +43,11 @@ pub struct ChainStats {
 /// no transaction is recorded.
 ///
 /// Storage is columnar since the interned-address refactor: transactions
-/// live in a [`TxStore`] arena and every hot map (history, asset state)
-/// is keyed by interned [`AddrId`]s. Every map is a plain Fx-hashed
-/// table (deterministic hasher, no shards), so a clone deep-copies the
-/// whole ledger. The serialized artifact is **byte-identical** to the
+/// live in a [`TxStore`] arena and every hot map (asset state) is keyed
+/// by interned [`AddrId`]s; the history is a vector indexed by them.
+/// Every map is a plain Fx-hashed table (deterministic hasher, no
+/// shards), so a clone deep-copies the whole ledger. The serialized
+/// artifact is **byte-identical** to the
 /// pre-columnar format — the manual serde impls below materialize
 /// transactions, resolve every id back to its address (ids are
 /// instance-local and never reach disk) and sort every map.
@@ -60,12 +62,29 @@ pub struct Chain {
     erc20_allowances: FxHashMap<(AddrId, AddrId, AddrId), U256>,
     nft_owners: FxHashMap<(AddrId, u64), AddrId>,
     nft_operators: FxHashSet<(AddrId, AddrId, AddrId)>,
-    /// Per-account transaction ids, in chain order.
-    history: FxHashMap<AddrId, Vec<TxId>>,
-    /// The entry selector of each profit-sharing contract with a named
-    /// entry point, hashed once at deploy. Derived from `accounts`, so
-    /// it is never serialized.
-    entry_selectors: FxHashMap<Address, [u8; 4]>,
+    /// Per-account transaction ids in chain order, indexed by
+    /// [`AddrId`]. Addresses interned without a transaction (asset
+    /// state only) have an empty list, or none past the last id a
+    /// transaction touched.
+    history: Vec<Vec<TxId>>,
+    /// Scratch for the ids one transaction touches, reused across
+    /// transactions.
+    touched: Vec<AddrId>,
+    /// The entry selector and function name of each profit-sharing
+    /// contract with a named entry point, hashed once at deploy. Derived
+    /// from `accounts`, so it is never serialized.
+    entry_points: FxHashMap<Address, EntryPoint>,
+}
+
+/// A named entry point: its selector and its shared name, so a call
+/// records the name without copying it.
+type EntryPoint = ([u8; 4], Arc<str>);
+
+/// The named entry point of a profit-sharing contract, if it has one.
+fn entry_point(kind: &AccountKind) -> Option<EntryPoint> {
+    let entry = &kind.profit_sharing()?.entry;
+    let EntryStyle::NamedPayable(name) = entry else { return None };
+    Some((entry.selector()?, Arc::from(name.as_str())))
 }
 
 impl Chain {
@@ -155,15 +174,11 @@ impl Chain {
         deployer: Address,
         kind: ContractKind,
     ) -> Result<Address, ChainError> {
-        let entry_selector = match &kind {
-            ContractKind::ProfitSharing(spec) => {
-                if spec.operator_bps == 0 || spec.operator_bps >= 10_000 {
-                    return Err(ChainError::InvalidBps(spec.operator_bps));
-                }
-                spec.entry.selector()
+        if let ContractKind::ProfitSharing(spec) = &kind {
+            if spec.operator_bps == 0 || spec.operator_bps >= 10_000 {
+                return Err(ChainError::InvalidBps(spec.operator_bps));
             }
-            _ => None,
-        };
+        }
         let nonce = {
             let info =
                 self.accounts.get_mut(&deployer).ok_or(ChainError::UnknownAccount(deployer))?;
@@ -172,11 +187,13 @@ impl Chain {
             n
         };
         let address = Address::create(deployer, nonce);
-        self.register(address, AccountKind::Contract(kind))?;
-        if let Some(selector) = entry_selector {
-            self.entry_selectors.insert(address, selector);
+        let kind = AccountKind::Contract(kind);
+        let entry = entry_point(&kind);
+        self.register(address, kind)?;
+        if let Some(entry) = entry {
+            self.entry_points.insert(address, entry);
         }
-        self.record_tx(deployer, None, U256::ZERO, CallInfo::plain(), vec![], vec![], Some(address));
+        self.record_tx(deployer, None, U256::ZERO, None, None, &[], &[], Some(address));
         Ok(address)
     }
 
@@ -300,7 +317,7 @@ impl Chain {
     /// the zero-hash hot-path form of [`Chain::txs_of`].
     #[inline]
     pub fn txs_of_id(&self, id: AddrId) -> &[TxId] {
-        self.history.get(&id).map(Vec::as_slice).unwrap_or(&[])
+        self.history.get(id.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The interned id of `address`, if the chain has seen it.
@@ -362,8 +379,8 @@ impl Chain {
         self.expect_account(to)?;
         self.debit_eth(from, value)?;
         self.credit_eth(to, value);
-        let transfers = vec![Transfer { asset: Asset::Eth, from, to, amount: value }];
-        Ok(self.record_tx(from, Some(to), value, CallInfo::plain(), transfers, vec![], None))
+        let transfers = [Transfer { asset: Asset::Eth, from, to, amount: value }];
+        Ok(self.record_tx(from, Some(to), value, None, None, &transfers, &[], None))
     }
 
     /// An ERC-20 `transfer(to, amount)` transaction.
@@ -377,10 +394,9 @@ impl Chain {
         self.expect_token(token, TokenKind::Erc20)?;
         self.expect_account(to)?;
         self.move_erc20(token, from, to, amount)?;
-        let transfers =
-            vec![Transfer { asset: Asset::Erc20(token), from, to, amount }];
-        let call = CallInfo::named(Some(TRANSFER), "transfer");
-        Ok(self.record_tx(from, Some(token), U256::ZERO, call, transfers, vec![], None))
+        let transfers = [Transfer { asset: Asset::Erc20(token), from, to, amount }];
+        let (selector, function) = (Some(TRANSFER), Some("transfer"));
+        Ok(self.record_tx(from, Some(token), U256::ZERO, selector, function, &transfers, &[], None))
     }
 
     /// An ERC-20 `approve(spender, amount)` transaction. `amount == 0`
@@ -401,9 +417,9 @@ impl Chain {
         } else {
             self.erc20_allowances.insert(key, amount);
         }
-        let approvals = vec![Approval { token, owner, spender, amount }];
-        let call = CallInfo::named(Some(APPROVE), "approve");
-        Ok(self.record_tx(owner, Some(token), U256::ZERO, call, vec![], approvals, None))
+        let approvals = [Approval { token, owner, spender, amount }];
+        let (selector, function) = (Some(APPROVE), Some("approve"));
+        Ok(self.record_tx(owner, Some(token), U256::ZERO, selector, function, &[], &approvals, None))
     }
 
     /// An ERC-721 `setApprovalForAll(operator, approved)` transaction.
@@ -423,15 +439,14 @@ impl Chain {
         } else {
             self.nft_operators.remove(&key);
         }
-        let approvals = vec![Approval {
+        let approvals = [Approval {
             token,
             owner,
             spender: operator,
             amount: if approved { U256::MAX } else { U256::ZERO },
         }];
-        let call =
-            CallInfo::named(Some(SET_APPROVAL_FOR_ALL), "setApprovalForAll");
-        Ok(self.record_tx(owner, Some(token), U256::ZERO, call, vec![], approvals, None))
+        let (selector, function) = (Some(SET_APPROVAL_FOR_ALL), Some("setApprovalForAll"));
+        Ok(self.record_tx(owner, Some(token), U256::ZERO, selector, function, &[], &approvals, None))
     }
 
     /// A multi-output ETH transfer (airdrop / payroll / exchange sweep):
@@ -452,8 +467,8 @@ impl Chain {
             self.credit_eth(to, value);
             transfers.push(Transfer { asset: Asset::Eth, from, to, amount: value });
         }
-        let call = CallInfo::named(Some(DISPERSE_ETHER), "disperseEther");
-        Ok(self.record_tx(from, Some(from), U256::ZERO, call, transfers, vec![], None))
+        let (selector, function) = (Some(DISPERSE_ETHER), Some("disperseEther"));
+        Ok(self.record_tx(from, Some(from), U256::ZERO, selector, function, &transfers, &[], None))
     }
 
     /// A DEX swap: `trader` sends ETH to the pool, pool sends tokens back.
@@ -477,12 +492,12 @@ impl Chain {
             self.credit_eth(trader, eth_in);
             return Err(e);
         }
-        let transfers = vec![
+        let transfers = [
             Transfer { asset: Asset::Eth, from: trader, to: dex, amount: eth_in },
             Transfer { asset: Asset::Erc20(token), from: dex, to: trader, amount: tokens_out },
         ];
-        let call = CallInfo::named(Some(SWAP_EXACT_ETH_FOR_TOKENS), "swapExactETHForTokens");
-        Ok(self.record_tx(trader, Some(dex), eth_in, call, transfers, vec![], None))
+        let (selector, function) = (Some(SWAP_EXACT_ETH_FOR_TOKENS), Some("swapExactETHForTokens"));
+        Ok(self.record_tx(trader, Some(dex), eth_in, selector, function, &transfers, &[], None))
     }
 
     /// A benign payment splitter: `payer` sends `value` to a splitter
@@ -517,8 +532,8 @@ impl Chain {
         }
         // Rounding dust (and any sub-100% remainder) stays in the splitter.
         self.credit_eth(splitter, remaining);
-        let call = CallInfo::named(Some(RELEASE), "release");
-        Ok(self.record_tx(payer, Some(splitter), value, call, transfers, vec![], None))
+        let (selector, function) = (Some(RELEASE), Some("release"));
+        Ok(self.record_tx(payer, Some(splitter), value, selector, function, &transfers, &[], None))
     }
 
     // ------------------------------------------------------------------
@@ -539,12 +554,8 @@ impl Chain {
         let spec =
             self.profit_sharing_spec(contract).ok_or(ChainError::NotProfitSharing(contract))?;
         let (operator, operator_bps) = (spec.operator, spec.operator_bps);
-        let call = match &spec.entry {
-            EntryStyle::NamedPayable(name) => {
-                CallInfo::named(self.entry_selectors.get(&contract).copied(), name)
-            }
-            EntryStyle::PayableFallback => CallInfo::plain(),
-        };
+        // A payable fallback has no entry point: no selector, no name.
+        let entry = self.entry_points.get(&contract).cloned();
         self.expect_account(affiliate)?;
         self.expect_account(operator)?;
         self.debit_eth(victim, value)?;
@@ -556,12 +567,14 @@ impl Chain {
         self.credit_eth(contract, value - op_cut - aff_cut);
         self.credit_eth(operator, op_cut);
         self.credit_eth(affiliate, aff_cut);
-        let transfers = vec![
+        let transfers = [
             Transfer { asset: Asset::Eth, from: victim, to: contract, amount: value },
             Transfer { asset: Asset::Eth, from: contract, to: operator, amount: op_cut },
             Transfer { asset: Asset::Eth, from: contract, to: affiliate, amount: aff_cut },
         ];
-        Ok(self.record_tx(victim, Some(contract), value, call, transfers, vec![], None))
+        let selector = entry.as_ref().map(|(selector, _)| *selector);
+        let function = entry.as_ref().map(|(_, name)| &**name);
+        Ok(self.record_tx(victim, Some(contract), value, selector, function, &transfers, &[], None))
     }
 
     /// The ERC-20 phishing scenario: the drainer backend (`caller`,
@@ -578,24 +591,23 @@ impl Chain {
         amount: U256,
         affiliate: Address,
     ) -> Result<TxId, ChainError> {
-        let spec = self
-            .profit_sharing_spec(contract)
-            .ok_or(ChainError::NotProfitSharing(contract))?
-            .clone();
+        let spec =
+            self.profit_sharing_spec(contract).ok_or(ChainError::NotProfitSharing(contract))?;
+        let (operator, operator_bps) = (spec.operator, spec.operator_bps);
         self.expect_token(token, TokenKind::Erc20)?;
         self.expect_account(affiliate)?;
         self.spend_allowance(token, victim, contract, amount)?;
         let bps = U256::from_u64(10_000);
-        let op_cut = amount.mul_div(U256::from_u64(spec.operator_bps as u64), bps);
+        let op_cut = amount.mul_div(U256::from_u64(operator_bps as u64), bps);
         let aff_cut = amount - op_cut; // token path: no dust, full sweep
-        self.move_erc20(token, victim, spec.operator, op_cut)?;
+        self.move_erc20(token, victim, operator, op_cut)?;
         self.move_erc20(token, victim, affiliate, aff_cut)?;
-        let transfers = vec![
-            Transfer { asset: Asset::Erc20(token), from: victim, to: spec.operator, amount: op_cut },
+        let transfers = [
+            Transfer { asset: Asset::Erc20(token), from: victim, to: operator, amount: op_cut },
             Transfer { asset: Asset::Erc20(token), from: victim, to: affiliate, amount: aff_cut },
         ];
-        let call = CallInfo::named(Some(MULTICALL), "multicall");
-        Ok(self.record_tx(caller, Some(contract), U256::ZERO, call, transfers, vec![], None))
+        let (selector, function) = (Some(MULTICALL), Some("multicall"));
+        Ok(self.record_tx(caller, Some(contract), U256::ZERO, selector, function, &transfers, &[], None))
     }
 
     /// The ERC-20 *permit* phishing scenario (§7.2 lists "ERC20 permit
@@ -612,33 +624,32 @@ impl Chain {
         amount: U256,
         affiliate: Address,
     ) -> Result<TxId, ChainError> {
-        let spec = self
-            .profit_sharing_spec(contract)
-            .ok_or(ChainError::NotProfitSharing(contract))?
-            .clone();
+        let spec =
+            self.profit_sharing_spec(contract).ok_or(ChainError::NotProfitSharing(contract))?;
+        let (operator, operator_bps) = (spec.operator, spec.operator_bps);
         self.expect_token(token, TokenKind::Erc20)?;
         self.expect_account(affiliate)?;
         // The permit authorises exactly `amount`; it is consumed in full
         // by the sweep, so no allowance entry is created.
         let bps = U256::from_u64(10_000);
-        let op_cut = amount.mul_div(U256::from_u64(spec.operator_bps as u64), bps);
+        let op_cut = amount.mul_div(U256::from_u64(operator_bps as u64), bps);
         let aff_cut = amount - op_cut;
-        self.move_erc20(token, victim, spec.operator, op_cut)?;
+        self.move_erc20(token, victim, operator, op_cut)?;
         if let Err(e) = self.move_erc20(token, victim, affiliate, aff_cut) {
             // Roll the first leg back so failure is atomic.
-            self.move_erc20(token, spec.operator, victim, op_cut)
+            self.move_erc20(token, operator, victim, op_cut)
                 .expect("rollback of just-moved tokens");
             return Err(e);
         }
-        let transfers = vec![
-            Transfer { asset: Asset::Erc20(token), from: victim, to: spec.operator, amount: op_cut },
+        let transfers = [
+            Transfer { asset: Asset::Erc20(token), from: victim, to: operator, amount: op_cut },
             Transfer { asset: Asset::Erc20(token), from: victim, to: affiliate, amount: aff_cut },
         ];
         // The permit itself is visible in the trace as an approval event
         // granted and spent within the transaction.
-        let approvals = vec![Approval { token, owner: victim, spender: contract, amount }];
-        let call = CallInfo::named(Some(MULTICALL), "multicall");
-        Ok(self.record_tx(caller, Some(contract), U256::ZERO, call, transfers, approvals, None))
+        let approvals = [Approval { token, owner: victim, spender: contract, amount }];
+        let (selector, function) = (Some(MULTICALL), Some("multicall"));
+        Ok(self.record_tx(caller, Some(contract), U256::ZERO, selector, function, &transfers, &approvals, None))
     }
 
     /// The NFT phishing scenario, step 1: sweep the victim's NFT to the
@@ -665,14 +676,14 @@ impl Chain {
         let key = (self.store.intern(token), id);
         let new_owner = self.store.intern(contract);
         self.nft_owners.insert(key, new_owner);
-        let transfers = vec![Transfer {
+        let transfers = [Transfer {
             asset: Asset::Erc721 { token, id },
             from: victim,
             to: contract,
             amount: U256::ONE,
         }];
-        let call = CallInfo::named(Some(MULTICALL), "multicall");
-        Ok(self.record_tx(caller, Some(contract), U256::ZERO, call, transfers, vec![], None))
+        let (selector, function) = (Some(MULTICALL), Some("multicall"));
+        Ok(self.record_tx(caller, Some(contract), U256::ZERO, selector, function, &transfers, &[], None))
     }
 
     /// The NFT *zero-value order* scheme (§7.2 lists "NFT Zero-order
@@ -699,14 +710,14 @@ impl Chain {
         let key = (self.store.intern(token), id);
         let new_owner = self.store.intern(to);
         self.nft_owners.insert(key, new_owner);
-        let transfers = vec![Transfer {
+        let transfers = [Transfer {
             asset: Asset::Erc721 { token, id },
             from: victim,
             to,
             amount: U256::ONE,
         }];
-        let call = CallInfo::named(Some(FULFILL_ORDER), "fulfillOrder");
-        Ok(self.record_tx(caller, Some(marketplace), U256::ZERO, call, transfers, vec![], None))
+        let (selector, function) = (Some(FULFILL_ORDER), Some("fulfillOrder"));
+        Ok(self.record_tx(caller, Some(marketplace), U256::ZERO, selector, function, &transfers, &[], None))
     }
 
     /// NFT phishing, step 2: sell an NFT the `seller` account (often the
@@ -733,12 +744,12 @@ impl Chain {
         let new_owner = self.store.intern(marketplace);
         self.nft_owners.insert(key, new_owner);
         self.credit_eth(seller, price);
-        let transfers = vec![
+        let transfers = [
             Transfer { asset: Asset::Erc721 { token, id }, from: seller, to: marketplace, amount: U256::ONE },
             Transfer { asset: Asset::Eth, from: marketplace, to: seller, amount: price },
         ];
-        let call = CallInfo::named(Some(FULFILL_ORDER), "fulfillOrder");
-        Ok(self.record_tx(caller, Some(marketplace), U256::ZERO, call, transfers, vec![], None))
+        let (selector, function) = (Some(FULFILL_ORDER), Some("fulfillOrder"));
+        Ok(self.record_tx(caller, Some(marketplace), U256::ZERO, selector, function, &transfers, &[], None))
     }
 
     /// NFT phishing, step 3 (and the generic payout path): the operator
@@ -752,23 +763,22 @@ impl Chain {
         amount: U256,
         affiliate: Address,
     ) -> Result<TxId, ChainError> {
-        let spec = self
-            .profit_sharing_spec(contract)
-            .ok_or(ChainError::NotProfitSharing(contract))?
-            .clone();
+        let spec =
+            self.profit_sharing_spec(contract).ok_or(ChainError::NotProfitSharing(contract))?;
+        let (operator, operator_bps) = (spec.operator, spec.operator_bps);
         self.expect_account(affiliate)?;
         self.debit_eth(contract, amount)?;
         let bps = U256::from_u64(10_000);
-        let op_cut = amount.mul_div(U256::from_u64(spec.operator_bps as u64), bps);
+        let op_cut = amount.mul_div(U256::from_u64(operator_bps as u64), bps);
         let aff_cut = amount - op_cut;
-        self.credit_eth(spec.operator, op_cut);
+        self.credit_eth(operator, op_cut);
         self.credit_eth(affiliate, aff_cut);
-        let transfers = vec![
-            Transfer { asset: Asset::Eth, from: contract, to: spec.operator, amount: op_cut },
+        let transfers = [
+            Transfer { asset: Asset::Eth, from: contract, to: operator, amount: op_cut },
             Transfer { asset: Asset::Eth, from: contract, to: affiliate, amount: aff_cut },
         ];
-        let call = CallInfo::named(Some(WITHDRAW), "withdraw");
-        Ok(self.record_tx(caller, Some(contract), U256::ZERO, call, transfers, vec![], None))
+        let (selector, function) = (Some(WITHDRAW), Some("withdraw"));
+        Ok(self.record_tx(caller, Some(contract), U256::ZERO, selector, function, &transfers, &[], None))
     }
 
     // ------------------------------------------------------------------
@@ -869,36 +879,21 @@ impl Chain {
     }
 
     // One parameter per transaction field; bundling them into a struct
-    // would just restate the Transaction type.
+    // would just restate the Transaction type. The transaction's hash is
+    // not among them: the arena derives it on read (`store::tx_hash`).
     #[allow(clippy::too_many_arguments)]
     fn record_tx(
         &mut self,
         from: Address,
         to: Option<Address>,
         value: U256,
-        call: CallInfo,
-        transfers: Vec<Transfer>,
-        approvals: Vec<Approval>,
+        selector: Option<[u8; 4]>,
+        function: Option<&str>,
+        transfers: &[Transfer],
+        approvals: &[Approval],
         created: Option<Address>,
     ) -> TxId {
         let id = self.store.len() as TxId;
-        // Deterministic hash over the identifying fields. The preimage is
-        // at most 4 + 20 + 20 + 32 + 8 = 84 bytes — a fixed stack buffer
-        // instead of a heap allocation per transaction.
-        let mut preimage = [0u8; 84];
-        let mut len = 0usize;
-        let mut put = |bytes: &[u8]| {
-            preimage[len..len + bytes.len()].copy_from_slice(bytes);
-            len += bytes.len();
-        };
-        put(&id.to_be_bytes());
-        put(from.as_bytes());
-        if let Some(to) = to {
-            put(to.as_bytes());
-        }
-        put(&value.to_be_bytes());
-        put(&self.now.to_be_bytes());
-        let hash = keccak256(&preimage[..len]);
 
         // Bump the sender's nonce (contract creations bumped it already
         // when deriving the address).
@@ -932,15 +927,25 @@ impl Chain {
         };
 
         let recorded = self.store.push_tx(
-            hash, block, self.now, from, to, value, &call, &transfers, &approvals, created,
+            block, self.now, from, to, value, selector, function, transfers, approvals, created,
         );
         debug_assert_eq!(recorded, id);
-        let mut touched = Vec::with_capacity(2 + transfers.len() * 2);
-        self.store.touched_ids_into(id, &mut touched);
-        for addr_id in touched {
-            self.history.entry(addr_id).or_default().push(id);
-        }
+        self.store.touched_ids_into(id, &mut self.touched);
+        index_history(&mut self.history, &self.touched, id);
         id
+    }
+}
+
+/// Appends `id` to the history of every address in `touched` (sorted,
+/// deduped), growing the id-indexed table to the largest one.
+fn index_history(history: &mut Vec<Vec<TxId>>, touched: &[AddrId], id: TxId) {
+    if let Some(last) = touched.last() {
+        if history.len() <= last.index() {
+            history.resize_with(last.index() + 1, Vec::new);
+        }
+    }
+    for addr_id in touched {
+        history[addr_id.index()].push(id);
     }
 }
 
@@ -1012,9 +1017,13 @@ impl Serialize for Chain {
         // serialized key string (addresses serialize as lowercase hex,
         // so string order == byte order) — exactly what the HashMap
         // delegate emitted pre-refactor.
+        // Ids no transaction touched (asset state only) have no entry.
         let mut history: Vec<(String, Value)> = Vec::with_capacity(self.history.len());
-        for (&id, txids) in &self.history {
-            history.push((self.store.resolve(id).to_hex(), val::<S, _>(txids)?));
+        for (id, txids) in self.history.iter().enumerate() {
+            if !txids.is_empty() {
+                let address = self.store.interner().addresses()[id];
+                history.push((address.to_hex(), val::<S, _>(txids)?));
+            }
         }
         history.sort_by(|a, b| a.0.cmp(&b.0));
 
@@ -1065,13 +1074,11 @@ impl<'de> Deserialize<'de> for Chain {
         let _ = serde::take_field_opt(&mut map, "history");
 
         let mut store = TxStore::from_transactions(txs);
-        let mut history: FxHashMap<AddrId, Vec<TxId>> = FxHashMap::default();
+        let mut history = Vec::new();
         let mut touched = Vec::new();
         for id in 0..store.len() as TxId {
             store.touched_ids_into(id, &mut touched);
-            for &addr_id in &touched {
-                history.entry(addr_id).or_default().push(id);
-            }
+            index_history(&mut history, &touched, id);
         }
 
         let mut erc20_balances = FxHashMap::default();
@@ -1093,9 +1100,9 @@ impl<'de> Deserialize<'de> for Chain {
             nft_operators.insert((store.intern(t), store.intern(o), store.intern(p)));
         }
 
-        let entry_selectors = accounts
+        let entry_points = accounts
             .iter()
-            .filter_map(|(&a, info)| Some((a, info.kind.profit_sharing()?.entry.selector()?)))
+            .filter_map(|(&a, info)| Some((a, entry_point(&info.kind)?)))
             .collect();
 
         Ok(Chain {
@@ -1109,7 +1116,8 @@ impl<'de> Deserialize<'de> for Chain {
             nft_owners,
             nft_operators,
             history,
-            entry_selectors,
+            touched,
+            entry_points,
         })
     }
 }
@@ -1131,6 +1139,7 @@ const WITHDRAW: [u8; 4] = [0x3c, 0xcf, 0xd6, 0x0b]; // withdraw()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eth_types::keccak256;
     use eth_types::units::ether;
 
     fn setup() -> (Chain, Address, Address, Address, Address) {

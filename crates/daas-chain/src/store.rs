@@ -7,9 +7,13 @@
 //! on every map probe. This module stores the same data as parallel
 //! columns over one [`AddrInterner`]:
 //!
-//! * one arena entry per transaction: scalar columns (`hash`, `block`,
+//! * one arena entry per transaction: scalar columns (`block`,
 //!   `timestamp`, `from`, `to`, `value`, …) indexed directly by
 //!   [`TxId`], with addresses as 4-byte [`AddrId`]s;
+//! * no hash column: a transaction's hash is a function of columns the
+//!   arena already holds, so [`TxView::hash`] derives it on read; only a
+//!   hash supplied from outside that differs from the derivation is
+//!   stored, in a per-id exception map;
 //! * transfers and approvals flattened into shared columns, each
 //!   transaction owning a contiguous `(offset, len)` range — eligibility
 //!   scanning is a linear walk over dense arrays, no per-tx `Vec`s;
@@ -25,7 +29,7 @@
 //!
 //! [`Chain`]: crate::Chain
 
-use eth_types::{AddrId, AddrInterner, Address, H256, U256};
+use eth_types::{keccak256, AddrId, AddrInterner, Address, FxHashMap, H256, U256};
 
 use crate::asset::Asset;
 use crate::block::{BlockNumber, Timestamp};
@@ -70,13 +74,41 @@ impl AssetRef {
 /// Sentinel for "no interned function name" in the `function` column.
 const NO_FN: u32 = u32::MAX;
 
+/// The hash of the transaction with these fields:
+/// `keccak256(id ‖ from ‖ to ‖ value ‖ timestamp)`, with `id` as 4
+/// big-endian bytes, the addresses as their 20 bytes (`to` omitted for
+/// a contract creation), `value` as 32 big-endian bytes and `timestamp`
+/// as 8. Every transaction a `Chain` records carries this hash.
+fn tx_hash(
+    id: TxId,
+    from: Address,
+    to: Option<Address>,
+    value: U256,
+    timestamp: Timestamp,
+) -> H256 {
+    // At most 4 + 20 + 20 + 32 + 8 = 84 bytes: a stack buffer.
+    let mut preimage = [0u8; 84];
+    let mut len = 0usize;
+    let mut put = |bytes: &[u8]| {
+        preimage[len..len + bytes.len()].copy_from_slice(bytes);
+        len += bytes.len();
+    };
+    put(&id.to_be_bytes());
+    put(from.as_bytes());
+    if let Some(to) = to {
+        put(to.as_bytes());
+    }
+    put(&value.to_be_bytes());
+    put(&timestamp.to_be_bytes());
+    keccak256(&preimage[..len])
+}
+
 /// The columnar transaction arena. See the module docs for the layout
 /// and determinism contracts.
 #[derive(Debug, Clone)]
 pub struct TxStore {
     interner: AddrInterner,
     // --- scalar columns, one entry per transaction ---
-    hash: Vec<H256>,
     block: Vec<BlockNumber>,
     timestamp: Vec<Timestamp>,
     from: Vec<AddrId>,
@@ -102,6 +134,9 @@ pub struct TxStore {
     a_amount: Vec<U256>,
     /// Distinct outer-call function names, in first-seen order.
     fn_names: Vec<String>,
+    /// Hashes that differ from `tx_hash` of their columns. Only
+    /// [`TxStore::from_transactions`] adds entries.
+    hash_exceptions: FxHashMap<TxId, H256>,
 }
 
 // The offset columns carry a leading 0 sentinel even when empty, so the
@@ -118,7 +153,6 @@ impl TxStore {
     pub fn new() -> Self {
         TxStore {
             interner: AddrInterner::new(),
-            hash: Vec::new(),
             block: Vec::new(),
             timestamp: Vec::new(),
             from: Vec::new(),
@@ -138,17 +172,25 @@ impl TxStore {
             a_spender: Vec::new(),
             a_amount: Vec::new(),
             fn_names: Vec::new(),
+            hash_exceptions: FxHashMap::default(),
         }
     }
 
     /// Number of transactions.
     pub fn len(&self) -> usize {
-        self.hash.len()
+        self.block.len()
     }
 
     /// `true` before the first transaction.
     pub fn is_empty(&self) -> bool {
-        self.hash.is_empty()
+        self.block.is_empty()
+    }
+
+    /// Number of transactions whose hash is not the one their columns
+    /// derive (see [`TxView::hash`]). Zero for every store a
+    /// [`Chain`](crate::Chain) builds.
+    pub fn hash_exceptions(&self) -> usize {
+        self.hash_exceptions.len()
     }
 
     /// The address interner backing every id column.
@@ -203,23 +245,23 @@ impl TxStore {
     }
 
     /// Appends a transaction from its parts, interning every address.
-    /// Returns the assigned dense id (`== len() - 1`).
+    /// Returns the assigned dense id (`== len() - 1`); the transaction's
+    /// hash is derived from these parts (see [`TxView::hash`]).
     #[allow(clippy::too_many_arguments)]
     pub fn push_tx(
         &mut self,
-        hash: H256,
         block: BlockNumber,
         timestamp: Timestamp,
         from: Address,
         to: Option<Address>,
         value: U256,
-        call: &CallInfo,
+        selector: Option<[u8; 4]>,
+        function: Option<&str>,
         transfers: &[Transfer],
         approvals: &[Approval],
         created: Option<Address>,
     ) -> TxId {
-        let id = self.hash.len() as TxId;
-        self.hash.push(hash);
+        let id = self.block.len() as TxId;
         self.block.push(block);
         self.timestamp.push(timestamp);
         let from_id = self.interner.intern(from);
@@ -227,8 +269,8 @@ impl TxStore {
         let to_id = self.interner.intern_opt(to);
         self.to.push(to_id);
         self.value.push(value);
-        self.selector.push(call.selector);
-        let fn_id = match &call.function {
+        self.selector.push(selector);
+        let fn_id = match function {
             Some(name) => self.intern_fn(name),
             None => NO_FN,
         };
@@ -259,23 +301,29 @@ impl TxStore {
 
     /// Builds an arena from materialized transactions (deserialization
     /// and tests). Transaction ids must equal their position — the
-    /// arena's dense-id invariant (debug-asserted).
+    /// arena's dense-id invariant (debug-asserted). This is the only way
+    /// a hash the arena did not derive gets in: one that differs from
+    /// the derivation (see [`TxView::hash`]) is kept in the exception
+    /// map.
     pub fn from_transactions<I: IntoIterator<Item = Transaction>>(txs: I) -> Self {
         let mut store = Self::new();
         for tx in txs {
             debug_assert_eq!(tx.id as usize, store.len(), "tx ids must be dense");
-            store.push_tx(
-                tx.hash,
+            let id = store.push_tx(
                 tx.block,
                 tx.timestamp,
                 tx.from,
                 tx.to,
                 tx.value,
-                &tx.call,
+                tx.call.selector,
+                tx.call.function.as_deref(),
                 &tx.transfers,
                 &tx.approvals,
                 tx.created,
             );
+            if tx.hash != tx_hash(id, tx.from, tx.to, tx.value, tx.timestamp) {
+                store.hash_exceptions.insert(id, tx.hash);
+            }
         }
         store
     }
@@ -353,16 +401,19 @@ impl TxStore {
     }
 
     /// Per-column heap footprint in bytes, for the
-    /// `chain.arena.bytes{column}` memory gauge. The `transfers` /
-    /// `approvals` entries aggregate their flattened columns; `interner`
-    /// covers the id table and address arena.
+    /// `chain.arena.bytes{column}` memory gauge. `scalars` includes the
+    /// hash exception map; the `transfers` / `approvals` entries
+    /// aggregate their flattened columns; `interner` covers the id table
+    /// and address arena.
     pub fn column_bytes(&self) -> Vec<(&'static str, usize)> {
         use std::mem::size_of;
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * size_of::<T>()
         }
+        // A hash table's entries plus one control byte each.
+        let exceptions =
+            self.hash_exceptions.capacity() * (size_of::<(TxId, H256)>() + 1);
         vec![
-            ("hash", bytes(&self.hash)),
             ("scalars", {
                 bytes(&self.block)
                     + bytes(&self.timestamp)
@@ -372,6 +423,7 @@ impl TxStore {
                     + bytes(&self.selector)
                     + bytes(&self.function)
                     + bytes(&self.created)
+                    + exceptions
             }),
             ("transfers", {
                 bytes(&self.t_off)
@@ -467,10 +519,17 @@ impl<'a> TxView<'a> {
         self.idx as TxId
     }
 
-    /// Transaction hash.
-    #[inline]
+    /// Transaction hash: `keccak256(id ‖ from ‖ to ‖ value ‖ timestamp)`
+    /// over this transaction's columns — `id` as 4 big-endian bytes,
+    /// the addresses as their 20 bytes (`to` omitted for a contract
+    /// creation), `value` as 32 and `timestamp` as 8 big-endian bytes —
+    /// unless the arena was built from a transaction that carried a
+    /// different one (see [`TxStore::from_transactions`]).
     pub fn hash(&self) -> H256 {
-        self.store.hash[self.idx]
+        match self.store.hash_exceptions.get(&self.id()) {
+            Some(&hash) => hash,
+            None => tx_hash(self.id(), self.from(), self.to(), self.value(), self.timestamp()),
+        }
     }
 
     /// Block containing the transaction.
@@ -777,11 +836,23 @@ mod tests {
     }
 
     #[test]
+    fn hashes_are_derived_unless_supplied_otherwise() {
+        let mut derived = sample_tx(0);
+        derived.hash = tx_hash(0, derived.from, derived.to, derived.value, derived.timestamp);
+        let supplied = sample_tx(1);
+        let store = TxStore::from_transactions(vec![derived.clone(), supplied.clone()]);
+        assert_eq!(store.hash_exceptions(), 1, "only the hand-picked hash is stored");
+        assert_eq!(store.view(0).hash(), derived.hash);
+        assert_eq!(store.view(1).hash(), supplied.hash);
+        assert_eq!(store.to_transaction(1), supplied);
+    }
+
+    #[test]
     fn column_bytes_reports_every_column_group() {
         let store = TxStore::from_transactions(vec![sample_tx(0)]);
         let cols = store.column_bytes();
         let names: Vec<&str> = cols.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["hash", "scalars", "transfers", "approvals", "interner"]);
+        assert_eq!(names, vec!["scalars", "transfers", "approvals", "interner"]);
         assert!(cols.iter().all(|&(_, b)| b > 0));
     }
 }

@@ -26,37 +26,50 @@ pub struct WebsitePipelineResult {
 /// Runs CT triage + crawling + fingerprint matching, watching from the
 /// paper's detection start (2023-12-01) with the given triage threshold.
 pub fn run_website_pipeline(world: &World, threshold: f64) -> WebsitePipelineResult {
+    let sites = world.sites();
+
     // Fingerprint DB: Telegram seed toolkits + expansion from
     // community-reported sites.
-    let sites = world.sites();
-    let mut db = FingerprintDb::new();
-    for fp in &sites.seed_fingerprints {
-        db.add(fp.clone());
-    }
-    let fingerprints_seed = db.len();
-    for &idx in &sites.reported {
-        db.expand_from_reported(&sites.sites[idx].files);
-    }
+    let (db, fingerprints_seed) = {
+        let _s = daas_obs::span!("websites.fingerprints");
+        let mut db = FingerprintDb::new();
+        for fp in &sites.seed_fingerprints {
+            db.add(fp.clone());
+        }
+        let fingerprints_seed = db.len();
+        for &idx in &sites.reported {
+            db.expand_from_reported(&sites.sites[idx].files);
+        }
+        (db, fingerprints_seed)
+    };
     let fingerprints_total = db.len();
 
     // CT watch: skip everything issued before the watcher started.
-    let mut stream = CtStream::new(sites.certs.clone());
-    let _missed = stream.poll_until(detection_start().saturating_sub(1)).len();
-    let watched: Vec<_> = stream.poll_rest().to_vec();
+    let watched: Vec<_> = {
+        let _s = daas_obs::span!("websites.ct_watch");
+        let mut stream = CtStream::new(sites.certs.clone());
+        let _missed = stream.poll_until(detection_start().saturating_sub(1)).len();
+        stream.poll_rest().to_vec()
+    };
     let certs_watched = watched.len();
 
     // Keyword triage.
-    let triage = DomainTriage::new(threshold);
-    let suspicious: Vec<&str> = watched
-        .iter()
-        .filter(|c| triage.assess(&c.domain).is_some())
-        .map(|c| c.domain.as_str())
-        .collect();
+    let suspicious: Vec<&str> = {
+        let _s = daas_obs::span!("websites.triage");
+        let triage = DomainTriage::new(threshold);
+        watched
+            .iter()
+            .filter(|c| triage.assess(&c.domain).is_some())
+            .map(|c| c.domain.as_str())
+            .collect()
+    };
     let triaged = suspicious.len();
 
     // Crawl and verify.
-    let crawler = world.crawler();
-    let report = scan_domains(&crawler, &db, suspicious);
+    let report = {
+        let _s = daas_obs::span!("websites.crawl");
+        scan_domains(&world.crawler(), &db, suspicious)
+    };
 
     let drainer_sites_in_window = sites
         .truth

@@ -4,7 +4,7 @@
 use std::sync::OnceLock;
 
 use daas_world::{IncidentKind, World, WorldConfig};
-use eth_types::U256;
+use eth_types::{keccak256, U256};
 
 /// One shared small world: building it is the expensive part, and every
 /// test only reads it.
@@ -31,6 +31,29 @@ fn builds_deterministically() {
         a.chain.transactions().last().unwrap().hash(),
         c.chain.transactions().last().unwrap().hash()
     );
+}
+
+/// The ledger stores no transaction hash: every transaction of a built
+/// world reads back keccak256 of its documented preimage — id (4 bytes),
+/// sender, target if any, value (32 bytes) and timestamp (8 bytes), all
+/// big-endian — and the arena holds no hash it did not derive.
+#[test]
+fn every_tx_hash_is_derived_from_its_preimage() {
+    let world = World::build(&WorldConfig::tiny(7)).unwrap();
+    let store = world.chain.transactions();
+    assert_eq!(store.hash_exceptions(), 0);
+    let mut preimage = Vec::with_capacity(84);
+    for tx in store {
+        preimage.clear();
+        preimage.extend_from_slice(&tx.id().to_be_bytes());
+        preimage.extend_from_slice(tx.from().as_bytes());
+        if let Some(to) = tx.to() {
+            preimage.extend_from_slice(to.as_bytes());
+        }
+        preimage.extend_from_slice(&tx.value().to_be_bytes());
+        preimage.extend_from_slice(&tx.timestamp().to_be_bytes());
+        assert_eq!(tx.hash(), keccak256(&preimage), "tx {}", tx.id());
+    }
 }
 
 #[test]

@@ -134,7 +134,7 @@ impl Address {
     /// Bytes 0–7, 8–15 and 16–19 as big-endian words. Comparing the
     /// tuples compares the bytes lexicographically.
     #[inline]
-    fn words(&self) -> (u64, u64, u32) {
+    pub(crate) fn words(&self) -> (u64, u64, u32) {
         let b = &self.0;
         (
             u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]),

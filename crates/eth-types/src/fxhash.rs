@@ -19,7 +19,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative constant from the Firefox/rustc Fx hash (the golden
 /// ratio scaled to 64 bits).
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+pub(crate) const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// The rustc-style Fx hasher: `hash = (hash rotl 5 ^ word) * SEED` per
 /// input word. Not DoS-resistant — only for keccak-derived, trusted keys.

@@ -12,11 +12,11 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use daas_cli::{run_pipeline, Pipeline};
+use daas_cli::{render_table4, run_pipeline, run_website_pipeline, Pipeline};
 use daas_lab::detector::SnowballConfig;
 use daas_lab::measure::MeasureConfig;
 use daas_lab::obs;
-use daas_lab::world::WorldConfig;
+use daas_lab::world::{World, WorldConfig};
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -115,6 +115,28 @@ fn live_artifacts_identical_with_recorder_on() {
                 "one {stage} observation per window"
             );
         }
+    }
+}
+
+/// The §8.2 website pipeline times each of its phases, and timing them
+/// changes nothing it prints.
+#[test]
+fn website_pipeline_spans_recorded_and_output_unchanged() {
+    let _guard = lock();
+    let world = World::build(&WorldConfig::tiny(93)).expect("world");
+    obs::set_enabled(false);
+    let _ = obs::drain();
+    let off = render_table4(&run_website_pipeline(&world, 0.8));
+
+    obs::set_enabled(true);
+    let on = render_table4(&run_website_pipeline(&world, 0.8));
+    obs::set_enabled(false);
+    let report = obs::drain();
+
+    assert_eq!(off, on, "recorder changed the rendered Table 4");
+    for name in ["websites.fingerprints", "websites.ct_watch", "websites.triage", "websites.crawl"] {
+        let count = report.spans.iter().filter(|span| span.name == name).count();
+        assert_eq!(count, 1, "one {name} span per website pipeline run");
     }
 }
 
