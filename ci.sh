@@ -126,6 +126,7 @@ if [[ "${CI_FULL_SCALE:-1}" == "1" ]]; then
   cargo test -q --release -p daas-measure --test live_equivalence -- --ignored --test-threads 1
   cargo test -q --release --test live_equivalence -- --ignored --test-threads 1
   cargo test -q --release --test columnar_equivalence -- --ignored --test-threads 1
+  cargo test -q --release --test dataset_pins -- --ignored --test-threads 1
   cargo test -q --release -p daas-serve --test snapshot_queries -- --ignored --test-threads 1
   cargo test -q --release -p daas-serve --test checkpoint_restore -- --ignored --test-threads 1
 fi

@@ -80,6 +80,7 @@ impl DomainTriage {
         let lower = domain.to_lowercase();
         let labels = strip_tld(&lower);
         let tokens = tokenize(labels);
+        let token_chars: Vec<usize> = tokens.iter().map(|t| t.chars().count()).collect();
         let mut best: Option<TriageHit> = None;
         for &kw in &self.keywords {
             // Exact: whole token match, or substring for long keywords.
@@ -88,16 +89,10 @@ impl DomainTriage {
             if exact {
                 return Some(TriageHit { keyword: kw, kind: MatchKind::Exact });
             }
-            // Fuzzy: per-token similarity. Tokens much shorter than the
-            // keyword cannot clear the threshold; similarity() already
-            // handles that via max-length normalisation.
-            for t in &tokens {
-                let sim = if self.transpositions {
-                    damerau_similarity(t, kw)
-                } else {
-                    similarity(t, kw)
-                };
-                if sim >= self.threshold {
+            // Fuzzy: per-token similarity.
+            let kw_chars = kw.chars().count();
+            for (t, &t_chars) in tokens.iter().zip(&token_chars) {
+                if let Some(sim) = self.fuzzy(t, t_chars, kw, kw_chars) {
                     let better = match &best {
                         None => true,
                         Some(TriageHit { kind: MatchKind::Fuzzy(s), .. }) => sim > *s,
@@ -110,6 +105,34 @@ impl DomainTriage {
             }
         }
         best
+    }
+
+    /// The similarity of `token` to `keyword` (lengths in chars) if it
+    /// reaches the threshold. Either edit distance is at least the
+    /// difference in length, so `1 − |Δlen| / max_len` bounds the
+    /// similarity from above; when that bound is already below the
+    /// threshold the distance is never computed. The bound is exact in
+    /// floating point too: division and subtraction round monotonically.
+    fn fuzzy(
+        &self,
+        token: &str,
+        token_chars: usize,
+        keyword: &str,
+        keyword_chars: usize,
+    ) -> Option<f64> {
+        let max_chars = token_chars.max(keyword_chars);
+        if max_chars > 0 {
+            let bound = 1.0 - token_chars.abs_diff(keyword_chars) as f64 / max_chars as f64;
+            if bound < self.threshold {
+                return None;
+            }
+        }
+        let sim = if self.transpositions {
+            damerau_similarity(token, keyword)
+        } else {
+            similarity(token, keyword)
+        };
+        (sim >= self.threshold).then_some(sim)
     }
 
     /// Bulk assessment, keeping only hits.
@@ -244,6 +267,67 @@ mod tests {
         assert_eq!(hit.keyword, "airdrop");
         // Benign domains still pass in transposition mode.
         assert!(damerau.assess("weather-report.com").is_none());
+    }
+
+    /// Tokens near and far from every keyword: the keyword itself, one
+    /// deletion, insertion, substitution or adjacent swap away, halves,
+    /// affixed forms, non-ASCII look-alikes and unrelated words.
+    fn token_corpus() -> Vec<String> {
+        let others =
+            ["a", "ab", "xyz", "weather", "bakery", "insurance", "cl\u{0430}im", "\u{00e9}v\u{00e9}nement"];
+        let mut corpus: Vec<String> = others.iter().map(|t| t.to_string()).collect();
+        for kw in SUSPICIOUS_KEYWORDS {
+            let chars: Vec<char> = kw.chars().collect();
+            let word = |cs: &[char]| cs.iter().collect::<String>();
+            corpus.push(kw.to_string());
+            corpus.push(format!("{kw}2024"));
+            corpus.push(format!("web3{kw}"));
+            corpus.push(word(&chars[..chars.len() / 2]));
+            corpus.push(word(&chars[chars.len() / 2..]));
+            for i in 0..chars.len() {
+                let mut edit = chars.clone();
+                edit.remove(i);
+                corpus.push(word(&edit));
+                let mut edit = chars.clone();
+                edit[i] = '1';
+                corpus.push(word(&edit));
+                let mut edit = chars.clone();
+                edit.insert(i, 'x');
+                corpus.push(word(&edit));
+                if i + 1 < chars.len() {
+                    let mut edit = chars.clone();
+                    edit.swap(i, i + 1);
+                    corpus.push(word(&edit));
+                }
+            }
+        }
+        corpus
+    }
+
+    #[test]
+    fn length_bound_never_changes_a_fuzzy_verdict() {
+        let corpus = token_corpus();
+        for transpositions in [false, true] {
+            let triages = [0.6, 0.8, 0.9].map(|threshold| DomainTriage {
+                transpositions,
+                ..DomainTriage::new(threshold)
+            });
+            for kw in SUSPICIOUS_KEYWORDS {
+                for t in &corpus {
+                    let sim =
+                        if transpositions { damerau_similarity(t, kw) } else { similarity(t, kw) };
+                    for triage in &triages {
+                        let unbounded = (sim >= triage.threshold).then_some(sim);
+                        let bounded = triage.fuzzy(t, t.chars().count(), kw, kw.chars().count());
+                        assert_eq!(
+                            bounded, unbounded,
+                            "{t} vs {kw} (threshold {}, transpositions {transpositions})",
+                            triage.threshold
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

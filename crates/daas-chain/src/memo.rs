@@ -1,24 +1,24 @@
 //! A sharded concurrent memo table for pure-function results.
 //!
-//! This is the pattern the detector's `ClassificationCache` established
-//! in PR 1, lifted into the chain crate so every downstream consumer
-//! (classification, per-account feature extraction) shares one
-//! implementation. The table is split over a fixed 16 locks because the
-//! §6 report workers fill the feature cache concurrently; the lock
-//! count is a private constant, not a setting.
+//! It backs the detector's per-account `FeatureCache`, which the §6
+//! report workers fill concurrently: the table is split over a fixed 16
+//! locks for them, a private constant rather than a setting.
+//! Transaction verdicts do not go through a memo: the detector's
+//! `ClassificationCache` is a dense table filled in chain order.
 //!
-//! Correctness argument (same as PR 1): the memo only ever stores the
-//! result of a *pure* function of its key (plus immutable context), so
-//! the table's contents are independent of which worker computed an
-//! entry first or in what order — parallel fills can never change what
-//! any later read observes.
+//! Correctness argument: the memo only ever stores the result of a
+//! *pure* function of its key (plus immutable context), so the table's
+//! contents are independent of which worker computed an entry first or
+//! in what order — parallel fills can never change what any later read
+//! observes.
 //!
 //! Every shard keeps always-on hit/miss counters (relaxed atomics,
 //! bumped while the shard lock is already held, so they are noise next
 //! to the lock acquisition). [`ShardedMemo::stats`] aggregates them
 //! with the entry count — the raw numbers behind the
-//! `cache.*.hit`/`cache.*.miss` observability counters and the
-//! `stats()` accessors of the classification and feature caches.
+//! `cache.features.hit`/`cache.features.miss` observability counters.
+//! [`MemoStats`] is also the shape the classification table reports its
+//! own counters in.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -26,8 +26,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use eth_types::AddrId;
 use parking_lot::RwLock;
-
-use crate::tx::TxId;
 
 /// Lock count of every memo (a power of two).
 const SHARDS: usize = 16;
@@ -37,14 +35,6 @@ const SHARDS: usize = 16;
 pub trait ShardKey {
     /// Shard index for this key among `mask + 1` (power-of-two) shards.
     fn shard(&self, mask: usize) -> usize;
-}
-
-/// Transaction ids are dense counters: the low bits spread evenly.
-impl ShardKey for TxId {
-    #[inline]
-    fn shard(&self, mask: usize) -> usize {
-        *self as usize & mask
-    }
 }
 
 /// Interned ids are dense first-seen counters: the low bits spread
@@ -184,37 +174,46 @@ impl<K: ShardKey + Hash + Eq, V: Clone> ShardedMemo<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eth_types::{AddrInterner, Address};
+
+    /// The first `n` ids of a fresh interner.
+    fn ids(n: u8) -> Vec<AddrId> {
+        let mut interner = AddrInterner::new();
+        (0..n).map(|i| interner.intern(Address::from_key_seed(&[i]))).collect()
+    }
 
     #[test]
     fn memoises_and_counts() {
-        let memo: ShardedMemo<TxId, u64> = ShardedMemo::new();
+        let id = ids(8)[7];
+        let memo: ShardedMemo<AddrId, u64> = ShardedMemo::new();
         let mut calls = 0u32;
-        let v = memo.get_or_compute(7, || {
+        let v = memo.get_or_compute(id, || {
             calls += 1;
             70
         });
         assert_eq!(v, 70);
-        let v = memo.get_or_compute(7, || {
+        let v = memo.get_or_compute(id, || {
             calls += 1;
             99
         });
         assert_eq!(v, 70, "second call must hit the memo");
         assert_eq!(calls, 1);
         assert_eq!(memo.len(), 1);
-        assert_eq!(memo.get(&7), Some(70));
+        assert_eq!(memo.get(&id), Some(70));
         memo.clear();
         assert!(memo.is_empty());
     }
 
     #[test]
     fn stats_track_hits_misses_and_occupancy() {
-        let memo: ShardedMemo<TxId, u64> = ShardedMemo::new();
+        let ids = ids(6);
+        let memo: ShardedMemo<AddrId, u64> = ShardedMemo::new();
         assert_eq!(memo.stats(), MemoStats::default());
 
-        memo.get_or_compute(0, || 1); // miss
-        memo.get_or_compute(0, || 1); // hit
-        memo.get_or_compute(1, || 2); // miss (shard 1)
-        assert_eq!(memo.get(&5), None); // miss
+        memo.get_or_compute(ids[0], || 1); // miss
+        memo.get_or_compute(ids[0], || 1); // hit
+        memo.get_or_compute(ids[1], || 2); // miss (shard 1)
+        assert_eq!(memo.get(&ids[5]), None); // miss
         let stats = memo.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 3);

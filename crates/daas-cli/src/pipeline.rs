@@ -8,7 +8,7 @@
 //!   the [`daas_serve::Engine`] (the chain delivered in block windows
 //!   through the online detector, incremental clusterer and live
 //!   measurement accumulators), then re-verified against the batch
-//!   pipeline over the same classification memo (DESIGN.md §10, §13).
+//!   pipeline over the same classification table (DESIGN.md §10, §13).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -87,7 +87,7 @@ pub struct LiveRun {
     /// Incremental-clusterer counters (merges, rebuilds, cache reuse).
     pub clusterer_stats: OnlineClustererStats,
     /// `true` when dataset, clustering and reports are byte-identical to
-    /// a one-shot batch run over the same classification memo
+    /// a one-shot batch run over the same classification table
     /// (vacuously `true` when [`Pipeline::live`] ran with
     /// `verify = false`).
     pub batch_matches: bool,
@@ -99,7 +99,7 @@ pub struct LiveRun {
 impl Pipeline {
     /// Replays the generated world through the streaming stack in
     /// windows of `window_blocks` blocks: online detector → incremental
-    /// clusterer → live measurement, one shared classification memo
+    /// clusterer → live measurement, one shared classification table
     /// across all three (and the final batch re-verification — the
     /// snowball re-run then classifies nothing twice).
     ///
@@ -142,7 +142,7 @@ impl Pipeline {
         let cache = Arc::clone(engine.cache());
         let world = engine.into_world();
 
-        // Batch re-verification over the same classification memo.
+        // Batch re-verification over the same classification table.
         let batch_matches = if verify {
             let batch_dataset =
                 build_dataset_with_cache(&world.chain, &world.labels, snowball, &cache);

@@ -225,15 +225,15 @@ pub struct OnlineClusterer {
 }
 
 impl OnlineClusterer {
-    /// Creates a clusterer with its own classification cache.
+    /// Creates a clusterer with its own classification table.
     pub fn new(classifier: ClassifierConfig) -> Self {
         Self::with_cache(classifier, Arc::new(ClassificationCache::new()))
     }
 
-    /// Creates a clusterer sharing a classification cache — in live mode
+    /// Creates a clusterer sharing a classification table — in live mode
     /// the same [`Arc`] backs the detector, the clusterer and the final
     /// batch re-verification, so no transaction is classified twice. The
-    /// cache must match `classifier`.
+    /// table must match `classifier`.
     pub fn with_cache(classifier: ClassifierConfig, cache: Arc<ClassificationCache>) -> Self {
         OnlineClusterer {
             classifier,

@@ -1,6 +1,6 @@
 //! The profit-sharing transaction classifier (§4.3 / §5.1 step 2).
 
-use daas_chain::{Asset, AssetRef, Timestamp, TxId, TxView};
+use daas_chain::{Asset, Timestamp, TxId, TxStore, TxView};
 use eth_types::{AddrId, Address, U256};
 use serde::{Deserialize, Serialize};
 
@@ -59,6 +59,49 @@ pub struct PsObservation {
     pub asset: Asset,
 }
 
+/// A positive verdict as the classification table stores it, in 28
+/// bytes: the interned ids of its three roles, read from the transfer
+/// columns so membership can be kept by id, and where in the transaction
+/// the split is. [`Positive::observation`] reads the rest back from the
+/// arena.
+#[derive(Debug)]
+pub(crate) struct Positive {
+    /// The classified transaction.
+    pub(crate) tx: TxId,
+    /// The invoked contract (the transaction's `to`).
+    pub(crate) contract: AddrId,
+    /// Smaller-share recipient.
+    pub(crate) operator: AddrId,
+    /// Larger-share recipient.
+    pub(crate) affiliate: AddrId,
+    /// The operator's and the affiliate's transfer, as indices into the
+    /// transaction's transfer columns.
+    small: u32,
+    large: u32,
+    ratio_bps: u32,
+}
+
+impl Positive {
+    /// The observation [`classify_tx`] returns for this positive.
+    pub(crate) fn observation(&self, store: &TxStore) -> PsObservation {
+        let tx = store.view(self.tx);
+        let cols = tx.transfer_columns();
+        let (small, large) = (self.small as usize, self.large as usize);
+        PsObservation {
+            tx: self.tx,
+            timestamp: tx.timestamp(),
+            source: store.resolve(cols.from[small]),
+            contract: store.resolve(self.contract),
+            operator: store.resolve(self.operator),
+            affiliate: store.resolve(self.affiliate),
+            operator_amount: cols.amount[small],
+            affiliate_amount: cols.amount[large],
+            ratio_bps: self.ratio_bps,
+            asset: store.resolve_asset(cols.asset[small]),
+        }
+    }
+}
+
 /// Classifies one transaction. Returns the observation if the fund flow
 /// has the profit-sharing shape, `None` otherwise.
 ///
@@ -68,54 +111,63 @@ pub struct PsObservation {
 /// * the amounts adhere to one of the known proportions, operator share
 ///   strictly the smaller one.
 pub fn classify_tx(tx: TxView<'_>, cfg: &ClassifierConfig) -> Option<PsObservation> {
+    classify_positive(tx, cfg).map(|p| p.observation(tx.store()))
+}
+
+/// [`classify_tx`] keeping the roles' interned ids.
+pub(crate) fn classify_positive(tx: TxView<'_>, cfg: &ClassifierConfig) -> Option<Positive> {
     let contract = tx.to_id().get()?;
     let cols = tx.transfer_columns();
 
-    // Zero-allocation fast path: a split needs at least two fungible,
-    // non-zero transfers; most transactions carry fewer. This is a
-    // linear scan over the dense transfer columns — no pointer chasing,
-    // no address materialization.
-    let mut eligible = 0usize;
-    for i in 0..cols.asset.len() {
-        if cols.asset[i].is_fungible() && !cols.amount[i].is_zero() {
-            eligible += 1;
-        }
-    }
-    if eligible < 2 {
+    // Fast path: a split needs at least two fungible, non-zero
+    // transfers; most transactions carry fewer. This is a linear scan
+    // over the dense transfer columns — no pointer chasing, no address
+    // materialization.
+    let eligible = |i: usize| cols.asset[i].is_fungible() && !cols.amount[i].is_zero();
+    if (0..cols.asset.len()).filter(|&i| eligible(i)).count() < 2 {
         return None;
     }
 
     // Group outgoing transfers by (source, fungible asset), in
-    // first-appearance order. Transfer lists are short, so a linear
-    // scan beats hashing — and the order is deterministic, which the
-    // "first qualifying group wins" rule below relies on. Keys are
-    // interned (4-byte ids), so each probe is an integer compare.
-    let mut groups: Vec<((AddrId, AssetRef), Vec<usize>)> = Vec::new();
-    for i in 0..cols.asset.len() {
-        if !cols.asset[i].is_fungible() || cols.amount[i].is_zero() {
-            continue;
-        }
-        let key = (cols.from[i], cols.asset[i]);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-
-    let mut best: Option<PsObservation> = None;
+    // first-appearance order. Transfer lists are short, so linear scans
+    // beat hashing and need no allocation — and the order is
+    // deterministic, which the "first qualifying group wins" rule below
+    // relies on. Keys are interned (4-byte ids), so each probe is an
+    // integer compare.
+    let key = |i: usize| (cols.from[i], cols.asset[i]);
+    let mut best: Option<Positive> = None;
     let mut best_from_contract = false;
-    for ((source, asset), idxs) in groups {
+    for first in 0..cols.asset.len() {
+        if !eligible(first) || (0..first).any(|j| eligible(j) && key(j) == key(first)) {
+            continue; // not the first transfer of its group
+        }
+        let (source, _) = key(first);
+        // The group's size and its two largest transfers, ties to the
+        // earlier one (a stable descending sort's first two).
+        let mut size = 0usize;
+        let mut top: [Option<usize>; 2] = [None, None];
+        for i in first..cols.asset.len() {
+            if !eligible(i) || key(i) != key(first) {
+                continue;
+            }
+            size += 1;
+            let amount = cols.amount[i];
+            match top {
+                [Some(t0), _] if amount <= cols.amount[t0] => {
+                    if top[1].is_none_or(|t1| amount > cols.amount[t1]) {
+                        top[1] = Some(i);
+                    }
+                }
+                [t0, _] => top = [Some(i), t0],
+            }
+        }
         // The outer victim→contract deposit is part of the trace but not
         // of the *outgoing* split; a source with one transfer can never
-        // qualify. In strict mode the source must have exactly two.
-        let (a, b): (usize, usize) = match idxs.len() {
-            2 => (idxs[0], idxs[1]),
-            n if n > 2 && !cfg.strict_two_transfers => {
-                // Relaxed: take the two largest transfers.
-                let mut sorted = idxs.clone();
-                sorted.sort_by(|&a, &b| cols.amount[b].cmp(&cols.amount[a]));
-                (sorted[0], sorted[1])
-            }
+        // qualify. In strict mode the source must have exactly two, taken
+        // in transfer order; relaxed, the two largest.
+        let (a, b): (usize, usize) = match (size, top) {
+            (2, [Some(t0), Some(t1)]) => (t0.min(t1), t0.max(t1)),
+            (n, [Some(t0), Some(t1)]) if n > 2 && !cfg.strict_two_transfers => (t0, t1),
             _ => continue,
         };
         // Self-payments are not profit shares.
@@ -133,19 +185,14 @@ pub fn classify_tx(tx: TxView<'_>, cfg: &ClassifierConfig) -> Option<PsObservati
         // canonical ETH-payout shape) if several qualify.
         let is_contract_source = source == contract;
         if best.is_none() || (is_contract_source && !best_from_contract) {
-            // Addresses materialize only here, on the rare positive.
-            let store = tx.store();
-            best = Some(PsObservation {
+            best = Some(Positive {
                 tx: tx.id(),
-                timestamp: tx.timestamp(),
-                source: store.resolve(source),
-                contract: store.resolve(contract),
-                operator: store.resolve(cols.to[small]),
-                affiliate: store.resolve(cols.to[large]),
-                operator_amount: cols.amount[small],
-                affiliate_amount: cols.amount[large],
+                contract,
+                operator: cols.to[small],
+                affiliate: cols.to[large],
+                small: small as u32,
+                large: large as u32,
                 ratio_bps: ratio,
-                asset: store.resolve_asset(asset),
             });
             best_from_contract = is_contract_source;
         }

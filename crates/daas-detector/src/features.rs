@@ -7,9 +7,9 @@
 //! live approvals — each with its own `O(observations)` or
 //! `O(history)` scan. [`FeatureCache`] extracts them once: observation
 //! lookups are indexed eagerly at construction (one pass over the
-//! dataset), and per-account [`AccountFeatures`] are memoised on the
-//! same [`ShardedMemo`] the classification cache uses, so the §6
-//! report workers share results without contending.
+//! dataset), and per-account [`AccountFeatures`] are memoised on a
+//! [`ShardedMemo`], so the §6 report workers share results without
+//! contending.
 //!
 //! Everything here is a pure function of one `(chain, dataset)` pair —
 //! the cache borrows both, so it cannot outlive or be reused across

@@ -27,7 +27,7 @@ use daas_chain::{Chain, LabelStore, TxId};
 use eth_types::{AddrId, Address, FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::ClassificationCache;
+use crate::cache::{ClassificationCache, Verdicts};
 use crate::classify::PsObservation;
 use crate::dataset::Dataset;
 use crate::snowball::SnowballConfig;
@@ -146,10 +146,11 @@ impl OnlineDetector {
         Self::with_cache(cfg, Arc::new(ClassificationCache::new()))
     }
 
-    /// Creates a detector sharing a classification cache — typically
-    /// one warmed by a batch [`crate::build_dataset_with_cache`] run
-    /// over the same chain, so polling skips re-classification. The
-    /// cache must match `cfg.classifier`.
+    /// Creates a detector sharing a classification table with the
+    /// clusterer, live measurement or a batch
+    /// [`crate::build_dataset_with_cache`] run over the same chain, so
+    /// no transaction is classified twice. The table must match
+    /// `cfg.classifier`.
     pub fn with_cache(cfg: SnowballConfig, cache: Arc<ClassificationCache>) -> Self {
         OnlineDetector {
             cfg,
@@ -246,6 +247,18 @@ impl OnlineDetector {
             daas_obs::span!("detector.poll", from = self.cursor, to = limit);
         let mut events = Vec::new();
         if self.cursor < limit {
+            // Every verdict this poll reads lies below `limit`: fill the
+            // window's once, up front, and never look past it.
+            {
+                let _span = daas_obs::span!(
+                    "detector.classify",
+                    txs = (limit as usize).saturating_sub(self.cache.len())
+                );
+                self.cache.fill(chain, &self.cfg.classifier, limit);
+            }
+            // A local handle, so the guard does not borrow `self`.
+            let cache = Arc::clone(&self.cache);
+            let verdicts = cache.read();
             let base = self.cursor;
             let window = (limit - base) as usize;
             // Batch the membership probe when the window is large enough
@@ -267,10 +280,14 @@ impl OnlineDetector {
                 let txid = self.cursor;
                 self.cursor += 1;
                 // With a mask: unmarked transactions touch no member, so
-                // only the seed rule can apply — check the public flag
-                // and skip all membership work otherwise.
+                // only the seed rule can apply — to a positive whose
+                // contract carries the public flag — and nothing else
+                // (not even the contact index) can change.
                 let marked = self.window.as_ref().is_none_or(|w| w.marked(txid));
                 if !marked {
+                    if verdicts.slot(txid).is_none() {
+                        continue;
+                    }
                     let Some(to_id) = store.view(txid).to_id().get() else { continue };
                     let to = store.resolve(to_id);
                     if !(labels.publicly_flagged(to) && chain.is_contract(to)) {
@@ -278,7 +295,7 @@ impl OnlineDetector {
                     }
                 }
                 store.touched_ids_into(txid, &mut scratch);
-                self.step_tx(chain, labels, txid, &scratch, &mut events);
+                self.step_tx(chain, labels, &verdicts, txid, &scratch, &mut events);
                 // Index this transaction's dataset contacts *after* its
                 // own admission decision — the guard requires a contact
                 // strictly before the surfacing transaction.
@@ -291,22 +308,24 @@ impl OnlineDetector {
         events
     }
 
-    /// One transaction's classification + admission decision.
+    /// One transaction's admission decision.
     fn step_tx(
         &mut self,
         chain: &Chain,
         labels: &LabelStore,
+        verdicts: &Verdicts<'_>,
         txid: TxId,
         touched: &[AddrId],
         events: &mut Vec<DetectorEvent>,
     ) {
-        // Pre-filter before paying for classification: the classifier's
-        // contract is always `tx.to`, so every admission path is
-        // decidable up front — absorb needs a known contract, expansion
-        // needs a touched member besides the contract plus the O(1)
-        // prior-contact guard, seed needs a public flag. Anything else
-        // cannot change the dataset regardless of the verdict.
-        let Some(to_id) = chain.tx(txid).to_id().get() else { return };
+        // The verdict is a four-byte read; most transactions stop here.
+        let Some(positive) = verdicts.get(txid) else { return };
+        // The classifier's contract is always `tx.to`, so every admission
+        // path is decidable from it — absorb needs a known contract,
+        // expansion needs a touched member besides the contract plus the
+        // O(1) prior-contact guard, seed needs a public flag. Anything
+        // else cannot change the dataset.
+        let to_id = positive.contract;
         let to = chain.resolve_addr(to_id);
         let admissible = self.dataset.contracts.contains(&to)
             || (touched.iter().any(|&a| a != to_id && self.members.contains(&a))
@@ -315,13 +334,11 @@ impl OnlineDetector {
         if !admissible {
             return;
         }
-        let Some(obs) = self.cache.classify(chain, txid, &self.cfg.classifier) else {
-            return;
-        };
+        let obs = positive.observation(chain.transactions());
         let contract = obs.contract;
 
         if self.dataset.contracts.contains(&contract) {
-            self.absorb_and_backfill(chain, &obs, events);
+            self.absorb_and_backfill(chain, verdicts, &obs, events);
             return;
         }
 
@@ -346,10 +363,10 @@ impl OnlineDetector {
             contract,
             via: if seed { Admission::SeedLabel } else { Admission::Expansion },
         });
-        self.absorb_and_backfill(chain, &obs, events);
+        self.absorb_and_backfill(chain, verdicts, &obs, events);
         // Backfill the contract's own earlier history (step 2 on the
         // just-admitted contract), bounded by what has confirmed.
-        self.backfill_account(chain, contract, &mut *events);
+        self.backfill_account(chain, verdicts, contract, &mut *events);
     }
 
     /// The expansion guard: has the interned contract a dataset contact
@@ -442,6 +459,7 @@ impl OnlineDetector {
     fn absorb_and_backfill(
         &mut self,
         chain: &Chain,
+        verdicts: &Verdicts<'_>,
         obs: &PsObservation,
         events: &mut Vec<DetectorEvent>,
     ) {
@@ -463,7 +481,7 @@ impl OnlineDetector {
         }
         let mut seen: HashSet<Address> = queue.iter().copied().collect();
         while let Some(account) = queue.pop_front() {
-            let new_members = self.scan_account(chain, account, events);
+            let new_members = self.scan_account(chain, verdicts, account, events);
             for member in new_members {
                 if seen.insert(member) {
                     queue.push_back(member);
@@ -479,6 +497,7 @@ impl OnlineDetector {
     fn scan_account(
         &mut self,
         chain: &Chain,
+        verdicts: &Verdicts<'_>,
         account: Address,
         events: &mut Vec<DetectorEvent>,
     ) -> Vec<Address> {
@@ -490,9 +509,8 @@ impl OnlineDetector {
             .filter(|&id| id < self.cursor)
             .collect();
         for txid in history {
-            let Some(obs) = self.cache.classify(chain, txid, &self.cfg.classifier) else {
-                continue;
-            };
+            let Some(positive) = verdicts.get(txid) else { continue };
+            let obs = positive.observation(chain.transactions());
             let contract = obs.contract;
             let known = self.dataset.contracts.contains(&contract);
             if !known {
@@ -522,7 +540,7 @@ impl OnlineDetector {
             }
             if !known {
                 // New contract: sweep its own confirmed history too.
-                let more = self.backfill_account_collect(chain, contract, events);
+                let more = self.backfill_account_collect(chain, verdicts, contract, events);
                 new_members.extend(more);
             }
         }
@@ -532,13 +550,14 @@ impl OnlineDetector {
     fn backfill_account(
         &mut self,
         chain: &Chain,
+        verdicts: &Verdicts<'_>,
         account: Address,
         events: &mut Vec<DetectorEvent>,
     ) {
         let mut queue: VecDeque<Address> = VecDeque::from([account]);
         let mut seen: HashSet<Address> = queue.iter().copied().collect();
         while let Some(acc) = queue.pop_front() {
-            for member in self.scan_account(chain, acc, events) {
+            for member in self.scan_account(chain, verdicts, acc, events) {
                 if seen.insert(member) {
                     queue.push_back(member);
                 }
@@ -549,9 +568,10 @@ impl OnlineDetector {
     fn backfill_account_collect(
         &mut self,
         chain: &Chain,
+        verdicts: &Verdicts<'_>,
         account: Address,
         events: &mut Vec<DetectorEvent>,
     ) -> Vec<Address> {
-        self.scan_account(chain, account, events)
+        self.scan_account(chain, verdicts, account, events)
     }
 }

@@ -1,14 +1,14 @@
 //! Snowball-sampling dataset construction (§5.1, steps 1–4).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::BTreeSet;
 
-use daas_chain::{Chain, LabelSource, LabelStore};
-use eth_types::Address;
+use daas_chain::{Chain, LabelSource, LabelStore, TxId};
+use eth_types::{AddrId, Address};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::ClassificationCache;
-use crate::classify::{ClassifierConfig, PsObservation};
-use crate::dataset::Dataset;
+use crate::cache::{ClassificationCache, Verdicts};
+use crate::classify::{ClassifierConfig, Positive, PsObservation};
+use crate::dataset::{Dataset, DatasetCounts};
 
 /// Snowball parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -66,16 +66,16 @@ impl SnowballConfig {
 ///    contracts (guarded), until no new account emerges.
 ///
 /// Expansion runs in rounds: each round drains the frontier and scans
-/// it in order, classifying lazily through a [`ClassificationCache`],
-/// so only transactions the scan reaches are ever classified.
+/// it in order. Every verdict comes from a [`ClassificationCache`]
+/// filled once, in chain order, before the traversal starts.
 pub fn build_dataset(chain: &Chain, labels: &LabelStore, cfg: &SnowballConfig) -> Dataset {
     build_dataset_with_cache(chain, labels, cfg, &ClassificationCache::new())
 }
 
-/// [`build_dataset`] over a caller-supplied classification cache, so
-/// repeated runs (benchmarks, the online detector hand-off) skip
-/// re-classifying known transactions. The cache must have been warmed —
-/// if at all — under the same `cfg.classifier`.
+/// [`build_dataset`] over a caller-supplied classification table, so
+/// repeated runs (benchmarks, the live pipeline's batch re-verification)
+/// skip re-classifying. The table must have been filled — if at all —
+/// from the same chain under the same `cfg.classifier`.
 pub fn build_dataset_with_cache(
     chain: &Chain,
     labels: &LabelStore,
@@ -84,77 +84,60 @@ pub fn build_dataset_with_cache(
 ) -> Dataset {
     let _build_span = daas_obs::span!("snowball.build");
     let stats_before = daas_obs::enabled().then(|| cache.stats());
-    let mut dataset = Dataset::default();
-    let mut rejected: HashSet<Address> = HashSet::new();
+    let total = chain.transactions().len() as TxId;
+    {
+        let _span = daas_obs::span!(
+            "snowball.classify",
+            txs = (total as usize).saturating_sub(cache.len())
+        );
+        cache.fill(chain, &cfg.classifier, total);
+    }
+    let verdicts = cache.read();
+    let mut walk = Walk::new(chain, &verdicts, cfg);
 
     // ---- Step 1: candidate contracts from public sources. ----
-    let mut candidates: Vec<Address> = Vec::new();
-    let mut seen = HashSet::new();
-    for source in LabelSource::PUBLIC {
-        for address in labels.phishing_addresses(source) {
-            if chain.is_contract(address) && seen.insert(address) {
-                candidates.push(address);
-            }
-        }
-    }
+    let mut candidates: Vec<Address> = LabelSource::PUBLIC
+        .into_iter()
+        .flat_map(|source| labels.phishing_addresses(source))
+        .filter(|&address| chain.is_contract(address))
+        .collect();
     candidates.sort_unstable();
+    candidates.dedup();
 
     // ---- Steps 2–3: qualify candidates, build the seed dataset. ----
     for contract in candidates {
-        let observations = qualify_contract(chain, contract, cfg, cache);
-        for obs in observations {
-            dataset.absorb_ref(&obs);
+        // A contract the arena never saw has no history to qualify.
+        let Some(id) = chain.addr_id(contract) else { continue };
+        for slot in walk.qualify(id) {
+            walk.absorb(slot);
         }
     }
-    dataset.seed = dataset.counts();
+    let seed = walk.counts();
 
     // ---- Step 4: expansion to fixpoint. ----
-    let mut queue: VecDeque<Address> = dataset
-        .operators
-        .iter()
-        .chain(dataset.affiliates.iter())
-        .copied()
-        .collect();
-    let mut processed: HashSet<Address> = queue.iter().copied().collect();
+    // The first frontier is the seed's operators, then its affiliates,
+    // each in address order; an account holding both roles is scanned
+    // twice.
+    let mut queue = walk.in_address_order(|p| p.operator);
+    queue.extend(walk.in_address_order(|p| p.affiliate));
+    for &account in &queue {
+        walk.marks[account.index()] |= PROCESSED;
+    }
     let mut rounds = 0;
-
     while !queue.is_empty() && rounds < cfg.max_rounds {
         rounds += 1;
-        let batch: Vec<Address> = queue.drain(..).collect();
+        let batch = std::mem::take(&mut queue);
         let _round_span = daas_obs::span!("snowball.round", round = rounds, frontier = batch.len());
         for account in batch {
-            for &txid in chain.txs_of(account) {
-                let Some(obs) = cache.classify(chain, txid, &cfg.classifier) else { continue };
-                let contract = obs.contract;
-                if dataset.contracts.contains(&contract) {
-                    // Known contract: absorb the transaction anyway so
-                    // the dataset's transaction set converges.
-                    absorb_and_enqueue(&mut dataset, &obs, &mut queue, &mut processed);
-                    continue;
-                }
-                if rejected.contains(&contract) {
-                    continue;
-                }
-                if cfg.expansion_guard && !previously_interacted(chain, &dataset, contract, txid) {
-                    continue;
-                }
-                // Re-apply step 2 on the new contract.
-                let observations = qualify_contract(chain, contract, cfg, cache);
-                if observations.is_empty() {
-                    rejected.insert(contract);
-                    continue;
-                }
-                for o in observations {
-                    absorb_and_enqueue(&mut dataset, &o, &mut queue, &mut processed);
-                }
-            }
+            walk.scan(account, &mut queue);
         }
     }
 
-    dataset.rounds = rounds;
+    let dataset = walk.into_dataset(seed, rounds);
+    drop(verdicts);
     if let Some(before) = stats_before {
-        // Report the cache traffic this build generated (not the
-        // cache's lifetime totals — a shared cache may predate us).
+        // Report the table traffic this build generated (not the table's
+        // lifetime totals — a shared table may predate us).
         let stats = cache.stats();
         daas_obs::add("cache.classify.hit", stats.hits.saturating_sub(before.hits));
         daas_obs::add("cache.classify.miss", stats.misses.saturating_sub(before.misses));
@@ -164,79 +147,218 @@ pub fn build_dataset_with_cache(
     dataset
 }
 
-fn absorb_and_enqueue(
-    dataset: &mut Dataset,
-    obs: &PsObservation,
-    queue: &mut VecDeque<Address>,
-    processed: &mut HashSet<Address>,
-) {
-    let (op, aff) = (obs.operator, obs.affiliate);
-    if dataset.absorb_ref(obs) {
-        for account in [op, aff] {
-            if processed.insert(account) {
-                queue.push_back(account);
+/// Role and traversal marks, one byte per interned address.
+const CONTRACT: u8 = 1;
+const OPERATOR: u8 = 2;
+const AFFILIATE: u8 = 4;
+/// Any dataset role: the step-4 guard's membership test.
+const MEMBER: u8 = CONTRACT | OPERATOR | AFFILIATE;
+/// Queued for a history scan (or already scanned).
+const PROCESSED: u8 = 8;
+/// A contract step 2 rejected.
+const REJECTED: u8 = 16;
+
+/// The §5.1 traversal's state, keyed by interned id: marks per
+/// [`AddrId`], and the profit-sharing transaction set as one flag per
+/// positive of the verdict table. The public [`Dataset`] is built from
+/// it once, at the end.
+struct Walk<'a> {
+    chain: &'a Chain,
+    verdicts: &'a Verdicts<'a>,
+    cfg: &'a SnowballConfig,
+    marks: Vec<u8>,
+    /// Per positive slot: absorbed into the dataset.
+    absorbed: Vec<bool>,
+    /// Absorbed slots, in absorb order (the dataset's observation order).
+    order: Vec<u32>,
+    /// Scratch for touched-id extraction.
+    touched: Vec<AddrId>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(chain: &'a Chain, verdicts: &'a Verdicts<'a>, cfg: &'a SnowballConfig) -> Self {
+        let store = chain.transactions();
+        Walk {
+            chain,
+            verdicts,
+            cfg,
+            marks: vec![0; store.interner().len()],
+            absorbed: vec![false; verdicts.positives()],
+            order: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// Absorbs a positive (contract, roles, transaction). Returns `true`
+    /// if the transaction was new.
+    fn absorb(&mut self, slot: u32) -> bool {
+        if std::mem::replace(&mut self.absorbed[slot as usize], true) {
+            return false;
+        }
+        self.order.push(slot);
+        let p = self.verdicts.positive(slot);
+        self.marks[p.contract.index()] |= CONTRACT;
+        self.marks[p.operator.index()] |= OPERATOR;
+        self.marks[p.affiliate.index()] |= AFFILIATE;
+        true
+    }
+
+    /// The dataset's current counts.
+    fn counts(&self) -> DatasetCounts {
+        let holding = |role: u8| self.marks.iter().filter(|&&mark| mark & role != 0).count();
+        DatasetCounts {
+            contracts: holding(CONTRACT),
+            operators: holding(OPERATOR),
+            affiliates: holding(AFFILIATE),
+            ps_txs: self.order.len(),
+        }
+    }
+
+    /// [`Self::absorb`], queueing the positive's operator and affiliate
+    /// for a scan if the transaction was new and they were not queued
+    /// before.
+    fn absorb_and_enqueue(&mut self, slot: u32, queue: &mut Vec<AddrId>) {
+        if self.absorb(slot) {
+            let p = self.verdicts.positive(slot);
+            for account in [p.operator, p.affiliate] {
+                let mark = &mut self.marks[account.index()];
+                if *mark & PROCESSED == 0 {
+                    *mark |= PROCESSED;
+                    queue.push(account);
+                }
             }
         }
     }
-}
 
-/// Step 2: a contract qualifies as profit-sharing if at least
-/// `min_ps_txs` of its historical transactions classify, with the
-/// contract as the invoked target. Returns the qualifying observations
-/// (empty if it does not qualify).
-fn qualify_contract(
-    chain: &Chain,
-    contract: Address,
-    cfg: &SnowballConfig,
-    cache: &ClassificationCache,
-) -> Vec<std::sync::Arc<PsObservation>> {
-    let mut observations = Vec::new();
-    // The contract appears in its own history, so it is interned; the
-    // invoked-target filter compares interned ids without resolving.
-    let contract_id = chain.addr_id(contract);
-    for &txid in chain.txs_of(contract) {
-        if chain.tx(txid).to_id().get() != contract_id {
-            continue;
-        }
-        if let Some(obs) = cache.classify(chain, txid, &cfg.classifier) {
-            observations.push(obs);
+    /// Step 4 for one frontier account: every profit-sharing transaction
+    /// in its history either extends a known contract or surfaces a
+    /// candidate, which the guard and step 2 decide.
+    fn scan(&mut self, account: AddrId, queue: &mut Vec<AddrId>) {
+        let verdicts = self.verdicts;
+        for &txid in self.chain.txs_of_id(account) {
+            let Some(slot) = verdicts.slot(txid) else { continue };
+            let contract = verdicts.positive(slot).contract;
+            let mark = self.marks[contract.index()];
+            if mark & CONTRACT != 0 {
+                // Known contract: absorb the transaction anyway so the
+                // dataset's transaction set converges.
+                self.absorb_and_enqueue(slot, queue);
+                continue;
+            }
+            if mark & REJECTED != 0 {
+                continue;
+            }
+            if self.cfg.expansion_guard && !self.previously_interacted(contract, txid) {
+                continue;
+            }
+            // Re-apply step 2 on the new contract.
+            let slots = self.qualify(contract);
+            if slots.is_empty() {
+                self.marks[contract.index()] |= REJECTED;
+                continue;
+            }
+            for s in slots {
+                self.absorb_and_enqueue(s, queue);
+            }
         }
     }
-    if observations.len() >= cfg.min_ps_txs.max(1) {
-        observations
-    } else {
-        Vec::new()
-    }
-}
 
-/// The step-4 guard: has `contract` *previously* — in a transaction
-/// strictly before the one that surfaced it — interacted with a phishing
-/// account already in the dataset? Transaction ids are chronological, so
-/// "previously" is an id comparison. A contract deployment by a dataset
-/// operator counts (that is exactly how rotated drainer contracts are
-/// linked); a one-off ratio-shaped payment through a benign contract
-/// does not.
-fn previously_interacted(
-    chain: &Chain,
-    dataset: &Dataset,
-    contract: Address,
-    surfacing_tx: daas_chain::TxId,
-) -> bool {
-    let store = chain.transactions();
-    let contract_id = chain.addr_id(contract);
-    let mut touched: Vec<eth_types::AddrId> = Vec::new();
-    for &txid in chain.txs_of(contract) {
-        if txid >= surfacing_tx {
-            break; // histories are in chain order
+    /// Step 2: a contract qualifies as profit-sharing if at least
+    /// `min_ps_txs` of its historical transactions classify with the
+    /// contract as the invoked target (a positive's contract is always
+    /// its transaction's `to`). Returns the qualifying positives' slots
+    /// (empty if it does not qualify).
+    fn qualify(&self, contract: AddrId) -> Vec<u32> {
+        let verdicts = self.verdicts;
+        let slots: Vec<u32> = self
+            .chain
+            .txs_of_id(contract)
+            .iter()
+            .filter_map(|&txid| verdicts.slot(txid))
+            .filter(|&slot| verdicts.positive(slot).contract == contract)
+            .collect();
+        if slots.len() >= self.cfg.min_ps_txs.max(1) {
+            slots
+        } else {
+            Vec::new()
         }
-        store.touched_ids_into(txid, &mut touched);
-        for &id in &touched {
-            if Some(id) != contract_id && dataset.contains(store.resolve(id)) {
+    }
+
+    /// The step-4 guard: has `contract` *previously* — in a transaction
+    /// strictly before the one that surfaced it — interacted with a
+    /// phishing account already in the dataset? Transaction ids are
+    /// chronological, so "previously" is an id comparison. A contract
+    /// deployment by a dataset operator counts (that is exactly how
+    /// rotated drainer contracts are linked); a one-off ratio-shaped
+    /// payment through a benign contract does not.
+    fn previously_interacted(&mut self, contract: AddrId, surfacing_tx: TxId) -> bool {
+        let store = self.chain.transactions();
+        for &txid in self.chain.txs_of_id(contract) {
+            if txid >= surfacing_tx {
+                break; // histories are in chain order
+            }
+            store.touched_ids_into(txid, &mut self.touched);
+            if self.touched.iter().any(|&id| id != contract && self.marks[id.index()] & MEMBER != 0)
+            {
                 return true;
             }
         }
+        false
     }
-    false
+
+    /// One role's accounts across the absorbed positives, as distinct
+    /// ids in address order.
+    fn in_address_order(&self, role: impl Fn(&Positive) -> AddrId) -> Vec<AddrId> {
+        let store = self.chain.transactions();
+        let mut ids: Vec<AddrId> =
+            self.order.iter().map(|&slot| role(self.verdicts.positive(slot))).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.sort_by_cached_key(|&id| store.resolve(id));
+        ids
+    }
+
+    /// The public dataset: role sets in address order, observations in
+    /// absorb order.
+    fn into_dataset(self, seed: DatasetCounts, rounds: usize) -> Dataset {
+        let addresses = self.chain.transactions().interner().addresses();
+        let role_set = |role: u8| -> BTreeSet<Address> {
+            self.marks
+                .iter()
+                .zip(addresses)
+                .filter(|(&mark, _)| mark & role != 0)
+                .map(|(_, &address)| address)
+                .collect()
+        };
+        let store = self.chain.transactions();
+        let positive = |slot: usize| self.verdicts.positive(slot as u32);
+        // Materialize the observations in chain order, where the arena
+        // reads are sequential, straight into their absorb positions.
+        let mut rank = vec![0u32; self.absorbed.len()];
+        for (i, &slot) in self.order.iter().enumerate() {
+            rank[slot as usize] = i as u32;
+        }
+        let mut observations: Vec<Option<PsObservation>> = vec![None; self.order.len()];
+        for slot in (0..self.absorbed.len()).filter(|&slot| self.absorbed[slot]) {
+            observations[rank[slot] as usize] = Some(positive(slot).observation(store));
+        }
+        Dataset {
+            contracts: role_set(CONTRACT),
+            operators: role_set(OPERATOR),
+            affiliates: role_set(AFFILIATE),
+            // Slots run in chain order, so this collects already sorted.
+            ps_txs: (0..self.absorbed.len())
+                .filter(|&slot| self.absorbed[slot])
+                .map(|slot| positive(slot).tx)
+                .collect(),
+            observations: observations
+                .into_iter()
+                .map(|obs| obs.expect("every absorbed slot has a rank"))
+                .collect(),
+            seed,
+            rounds,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -124,14 +124,14 @@ pub struct LiveMeasure {
 }
 
 impl LiveMeasure {
-    /// A fresh accumulator with its own classification memo.
+    /// A fresh accumulator with its own classification table.
     pub fn new(cfg: ClassifierConfig) -> Self {
         Self::with_cache(cfg, Arc::new(ClassificationCache::new()))
     }
 
-    /// A fresh accumulator sharing a classification memo with the
-    /// detector and clusterer (every `PsTransaction` lookup then hits
-    /// the memo the detector already filled).
+    /// A fresh accumulator sharing a classification table with the
+    /// detector and clusterer (every `PsTransaction` lookup then reads
+    /// a verdict the detector's poll already classified).
     pub fn with_cache(cfg: ClassifierConfig, cache: Arc<ClassificationCache>) -> Self {
         LiveMeasure {
             cfg,

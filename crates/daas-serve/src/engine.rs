@@ -329,8 +329,8 @@ impl Engine {
         &self.world
     }
 
-    /// The shared classification memo (batch re-verification over the
-    /// same memo classifies nothing twice).
+    /// The shared classification table (batch re-verification over the
+    /// same table classifies nothing twice).
     pub fn cache(&self) -> &Arc<ClassificationCache> {
         &self.cache
     }

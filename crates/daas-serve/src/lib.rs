@@ -2,7 +2,7 @@
 //!
 //! [`Engine`] owns the full streaming chain — online detector,
 //! incremental clusterer, live measurement, the chain arena and the
-//! shared classification memo — ingests sealed-block windows, and
+//! shared classification table — ingests sealed-block windows, and
 //! publishes an immutable [`Snapshot`] per epoch through the
 //! lock-lite [`SnapshotCell`]. Readers (the daemon's socket threads,
 //! wallet-guard's live client, tests) answer address-risk, family,
