@@ -41,8 +41,15 @@ pub fn days_between(start: Timestamp, end: Timestamp) -> u64 {
 /// Formats a timestamp as `YYYY-MM` (for Table 2's active-time rows).
 /// Civil-from-days algorithm (Howard Hinnant's) — no external time crate.
 pub fn format_year_month(ts: Timestamp) -> String {
-    let (y, m, _) = civil_from_unix(ts);
+    let (y, m) = year_month(ts);
     format!("{y:04}-{m:02}")
+}
+
+/// The calendar `(year, month)` a timestamp falls in — the key
+/// [`format_year_month`] renders, as numbers that order like it.
+pub fn year_month(ts: Timestamp) -> (i64, u32) {
+    let (y, m, _) = civil_from_unix(ts);
+    (y, m)
 }
 
 /// Formats a timestamp as `YYYY-MM-DD`.
@@ -92,6 +99,7 @@ mod tests {
     fn genesis_date() {
         assert_eq!(format_date(GENESIS_TIMESTAMP), "2023-03-01");
         assert_eq!(format_year_month(GENESIS_TIMESTAMP), "2023-03");
+        assert_eq!(year_month(GENESIS_TIMESTAMP), (2023, 3));
     }
 
     #[test]

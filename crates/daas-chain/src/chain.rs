@@ -250,11 +250,14 @@ impl Chain {
             self.store.addr_id(owner),
             self.store.addr_id(spender),
         ) {
-            (Some(t), Some(o), Some(s)) => {
-                self.erc20_allowances.get(&(t, o, s)).copied().unwrap_or(U256::ZERO)
-            }
+            (Some(t), Some(o), Some(s)) => self.erc20_allowance_id(t, o, s),
             _ => U256::ZERO,
         }
+    }
+
+    /// [`Chain::erc20_allowance`] of interned accounts.
+    pub fn erc20_allowance_id(&self, token: AddrId, owner: AddrId, spender: AddrId) -> U256 {
+        self.erc20_allowances.get(&(token, owner, spender)).copied().unwrap_or(U256::ZERO)
     }
 
     /// Owner of an NFT, if it exists.
@@ -271,9 +274,14 @@ impl Chain {
             self.store.addr_id(owner),
             self.store.addr_id(operator),
         ) {
-            (Some(t), Some(o), Some(p)) => self.nft_operators.contains(&(t, o, p)),
+            (Some(t), Some(o), Some(p)) => self.nft_approved_for_all_id(t, o, p),
             _ => false,
         }
+    }
+
+    /// [`Chain::nft_approved_for_all`] of interned accounts.
+    pub fn nft_approved_for_all_id(&self, token: AddrId, owner: AddrId, operator: AddrId) -> bool {
+        self.nft_operators.contains(&(token, owner, operator))
     }
 
     /// Account kind, if the account exists.

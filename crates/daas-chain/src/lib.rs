@@ -32,7 +32,6 @@ mod block;
 mod chain;
 mod error;
 mod labels;
-mod memo;
 mod store;
 mod tx;
 
@@ -40,11 +39,10 @@ pub use account::{AccountKind, ContractKind, EntryStyle, ProfitSharingSpec};
 pub use asset::{Asset, TokenKind, TokenMeta};
 pub use block::{
     block_number_at, days_between, format_date, format_year_month, month_start, unix_from_civil,
-    BlockHeader, BlockNumber, Timestamp, GENESIS_TIMESTAMP, SECONDS_PER_BLOCK,
+    year_month, BlockHeader, BlockNumber, Timestamp, GENESIS_TIMESTAMP, SECONDS_PER_BLOCK,
 };
 pub use chain::{Chain, ChainStats};
 pub use error::ChainError;
 pub use labels::{Label, LabelCategory, LabelSource, LabelStore};
-pub use memo::{MemoStats, ShardKey, ShardedMemo};
-pub use store::{AssetRef, TransferColumns, TxStore, TxStoreIter, TxView};
+pub use store::{ApprovalColumns, AssetRef, TransferColumns, TxStore, TxStoreIter, TxView};
 pub use tx::{Approval, CallInfo, Transaction, Transfer, TxId};

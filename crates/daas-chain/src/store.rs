@@ -494,12 +494,27 @@ pub struct TransferColumns<'a> {
     pub amount: &'a [U256],
 }
 
+/// Borrowed slices of one transaction's approval range — the
+/// approval-side twin of [`TransferColumns`].
+#[derive(Debug, Clone, Copy)]
+pub struct ApprovalColumns<'a> {
+    /// Interned token contract per approval.
+    pub token: &'a [AddrId],
+    /// Interned owner per approval.
+    pub owner: &'a [AddrId],
+    /// Interned spender per approval.
+    pub spender: &'a [AddrId],
+    /// Amount per approval.
+    pub amount: &'a [U256],
+}
+
 /// A cheap, `Copy` read-only view of one transaction in the arena.
 ///
 /// Scalar accessors read straight from the columns; `transfers()` /
 /// `approvals()` materialize [`Transfer`] / [`Approval`] values on the
-/// fly (resolving ids), and [`TxView::transfer_columns`] exposes the
-/// raw interned columns for hot paths that never need addresses.
+/// fly (resolving ids), and [`TxView::transfer_columns`] and
+/// [`TxView::approval_columns`] expose the raw interned columns for hot
+/// paths that never need addresses.
 #[derive(Debug, Clone, Copy)]
 pub struct TxView<'a> {
     store: &'a TxStore,
@@ -661,6 +676,19 @@ impl<'a> TxView<'a> {
             .map(move |i| view.transfer(i))
     }
 
+    /// The transaction's approval range as raw interned columns.
+    #[inline]
+    pub fn approval_columns(&self) -> ApprovalColumns<'a> {
+        let (lo, hi) =
+            (self.store.a_off[self.idx] as usize, self.store.a_off[self.idx + 1] as usize);
+        ApprovalColumns {
+            token: &self.store.a_token[lo..hi],
+            owner: &self.store.a_owner[lo..hi],
+            spender: &self.store.a_spender[lo..hi],
+            amount: &self.store.a_amount[lo..hi],
+        }
+    }
+
     /// The `i`-th approval, materialized.
     pub fn approval(&self, i: usize) -> Approval {
         let base = self.store.a_off[self.idx] as usize;
@@ -816,6 +844,17 @@ mod tests {
         assert_eq!(cols.asset[0], AssetRef::Eth);
         assert_eq!(store.resolve(cols.from[1]), addr(2));
         assert_eq!(cols.amount[1], U256::from_u64(10));
+    }
+
+    #[test]
+    fn approval_columns_expose_interned_range() {
+        let store = TxStore::from_transactions(vec![sample_tx(0), sample_tx(1)]);
+        let cols = store.view(1).approval_columns();
+        assert_eq!(cols.owner.len(), 1);
+        assert_eq!(store.resolve(cols.token[0]), addr(5));
+        assert_eq!(store.resolve(cols.owner[0]), addr(1));
+        assert_eq!(store.resolve(cols.spender[0]), addr(2));
+        assert_eq!(cols.amount[0], U256::MAX);
     }
 
     #[test]

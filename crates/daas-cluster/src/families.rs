@@ -1,21 +1,26 @@
 //! Step 1 + 2 of §7.1: operator clustering and member grouping.
 //!
-//! The clustering runs in three sequential phases (DESIGN.md §8):
+//! The clustering runs in three sequential phases on interned ids
+//! (DESIGN.md §8):
 //!
-//! 1. **Extract** — scan every operator's history for operator↔operator
-//!    union candidates and (labeled-phish account, operator) touches.
-//! 2. **Merge** — fold the candidates into a deterministic union-find.
+//! 1. **Extract** — scan the operators' histories, merged into chain
+//!    order, as the touched ids of each transaction, for
+//!    operator↔operator union candidates and (labeled-phish account,
+//!    operator) touches. Each party is checked against one role-mark
+//!    byte per interned address.
+//! 2. **Merge** — fold the candidates into a deterministic union-find
+//!    over the operators, resolving a party's address only for an edge.
 //!    The final partition depends only on the edge *set*, and
 //!    `components()` returns address-sorted output.
-//! 3. **Assemble** — group contracts and affiliates under their
-//!    operators' component, name each family and sort the families.
+//! 3. **Assemble** — sort the observations' (contract, component) and
+//!    (affiliate, component) votes, give each run of one member to the
+//!    component its vote picks, name each family and sort the families.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use daas_chain::{Chain, LabelCategory, LabelStore, TxId};
 use daas_detector::Dataset;
-use eth_types::Address;
+use eth_types::{AddrId, AddrRanks, Address};
 use serde::{Deserialize, Serialize};
 use txgraph::UnionFind;
 
@@ -145,42 +150,103 @@ impl ClusterConfig {
     }
 }
 
-/// Union candidates from the operators' histories: direct
-/// operator↔operator edges, and (labeled phish account, operator)
-/// touches whose chains are materialised at merge time.
+/// Mark bits of [`extract_edges`]' one byte per interned address: a
+/// dataset operator.
+const OPERATOR: u8 = 1;
+/// A contract or affiliate of the dataset.
+const MEMBER: u8 = 2;
+/// Carries an explorer phishing or drainer-family label.
+const PHISH: u8 = 4;
+
+/// Union candidates from the operators' histories, with operators as
+/// indices into the sorted operator list and other parties as ids.
 #[derive(Debug, Default)]
 struct Edges {
-    unions: Vec<(Address, Address)>,
-    phish_touches: Vec<(Address, Address)>,
+    /// (operator, another operator it transacted with).
+    unions: Vec<(u32, AddrId)>,
+    /// (labeled phish account outside the dataset, operator touching it).
+    phish_touches: Vec<(AddrId, u32)>,
+    /// Operator history entries scanned.
+    history_entries: u64,
 }
 
-/// Scans the operators' histories for union candidates. Only
-/// transactions below `watermark` participate (histories are
-/// ascending, so the scan stops early); the full-chain case passes
-/// `TxId::MAX`.
+/// Scans the operators' histories for union candidates. Each party is
+/// checked against one mark byte per interned address, built here from
+/// the dataset and the labels. The histories are walked as one set of
+/// transactions, in chain order, so the scan reads the arena front to
+/// back; a transaction in several operators' histories counts as an
+/// entry of each. Only transactions below `watermark` participate. An
+/// operator the chain never interned has no history and no edges.
 fn extract_edges(
     chain: &Chain,
-    ops: &[Address],
-    op_set: &HashSet<Address>,
     labels: &LabelStore,
     dataset: &Dataset,
+    operators: &[Address],
     watermark: TxId,
 ) -> Edges {
-    let mut edges = Edges::default();
-    for &op in ops {
-        for &txid in chain.txs_of(op) {
-            if txid >= watermark {
-                break;
+    let store = chain.transactions();
+    let mut marks = vec![0u8; store.interner().len()];
+    let mut mark = |address: Address, bit: u8| {
+        if let Some(id) = chain.addr_id(address) {
+            marks[id.index()] |= bit;
+        }
+    };
+    for &member in dataset.contracts.iter().chain(&dataset.affiliates) {
+        mark(member, MEMBER);
+    }
+    for &op in operators {
+        mark(op, OPERATOR);
+    }
+    for address in labels.addresses() {
+        if is_labeled_phishing(labels, address) {
+            mark(address, PHISH);
+        }
+    }
+
+    // Each interned operator's id and index in the sorted operator list,
+    // and one bit per transaction of any operator's history.
+    let mut op_index: Vec<(AddrId, u32)> = operators
+        .iter()
+        .enumerate()
+        .filter_map(|(oi, &op)| Some((chain.addr_id(op)?, oi as u32)))
+        .collect();
+    op_index.sort_unstable();
+    let end = store.len().min(watermark as usize);
+    let mut in_history = vec![0u64; end.div_ceil(64)];
+    for &(op, _) in &op_index {
+        for &txid in chain.txs_of_id(op) {
+            match in_history.get_mut(txid as usize / 64) {
+                Some(word) if (txid as usize) < end => *word |= 1 << (txid % 64),
+                _ => break,
             }
-            let tx = chain.tx(txid);
-            for party in tx.touched_addresses() {
-                if party == op {
-                    continue;
-                }
-                if op_set.contains(&party) {
-                    edges.unions.push((op, party));
-                } else if is_labeled_phishing(labels, party) && !dataset.contains(party) {
-                    edges.phish_touches.push((party, op));
+        }
+    }
+
+    let mut edges = Edges::default();
+    let (mut touched, mut ops_in) = (Vec::new(), Vec::new());
+    for (w, &word) in in_history.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let txid = (w * 64) as TxId + bits.trailing_zeros();
+            bits &= bits - 1;
+            store.touched_ids_into(txid, &mut touched);
+            // The operators whose history holds this transaction.
+            ops_in.clear();
+            ops_in.extend(touched.iter().copied().filter(|p| marks[p.index()] & OPERATOR != 0));
+            edges.history_entries += ops_in.len() as u64;
+            for &op in &ops_in {
+                let at = op_index.binary_search_by_key(&op, |&(id, _)| id);
+                let oi = op_index[at.expect("marked operators are indexed")].1;
+                for &party in &touched {
+                    let m = marks[party.index()];
+                    if party == op || m == 0 {
+                        continue;
+                    }
+                    if m & OPERATOR != 0 {
+                        edges.unions.push((oi, party));
+                    } else if m & (PHISH | MEMBER) == PHISH {
+                        edges.phish_touches.push((party, oi));
+                    }
                 }
             }
         }
@@ -217,13 +283,13 @@ pub fn cluster_prefix(
     watermark: TxId,
 ) -> Clustering {
     let operators: Vec<Address> = dataset.operators.iter().copied().collect();
-    let op_set: HashSet<Address> = operators.iter().copied().collect();
     let _cluster_span = daas_obs::span!("cluster.batch", operators = operators.len());
 
     // ---- Step 1, extract phase: union candidates. ----
     let extract_span = daas_obs::span!("cluster.extract");
-    let edges = extract_edges(chain, &operators, &op_set, labels, dataset, watermark);
+    let mut edges = extract_edges(chain, labels, dataset, &operators, watermark);
     drop(extract_span);
+    daas_obs::add("cluster.history_entries", edges.history_entries);
     daas_obs::add("cluster.edge_candidates", edges.unions.len() as u64);
     daas_obs::add("cluster.phish_touches", edges.phish_touches.len() as u64);
 
@@ -233,72 +299,80 @@ pub fn cluster_prefix(
     for &op in &operators {
         uf.insert(op);
     }
-    for &(op, party) in &edges.unions {
-        uf.union(op, party);
+    for &(oi, party) in &edges.unions {
+        uf.union(operators[oi as usize], chain.resolve_addr(party));
     }
-    let mut phish_touch: HashMap<Address, Vec<Address>> = HashMap::new();
-    for &(party, op) in &edges.phish_touches {
-        phish_touch.entry(party).or_default().push(op);
-    }
-    for (_, ops) in phish_touch {
-        for pair in ops.windows(2) {
-            uf.union(pair[0], pair[1]);
+    // Operators touching the same labeled phish account chain together.
+    edges.phish_touches.sort_unstable();
+    for pair in edges.phish_touches.windows(2) {
+        if pair[0].0 == pair[1].0 {
+            uf.union(operators[pair[0].1 as usize], operators[pair[1].1 as usize]);
         }
     }
+    let components = uf.components();
+    drop(merge_span);
 
     // ---- Step 2: group contracts and affiliates by operator. ----
     // A contract's operators are those observed in its profit-sharing
     // transactions; affiliates follow the operators they split with.
-    let mut contract_ops: HashMap<Address, Vec<Address>> = HashMap::new();
-    let mut affiliate_ops: HashMap<Address, Vec<Address>> = HashMap::new();
-    for obs in &dataset.observations {
-        contract_ops.entry(obs.contract).or_default().push(obs.operator);
-        affiliate_ops.entry(obs.affiliate).or_default().push(obs.operator);
-    }
-
-    drop(merge_span);
-
     let _assemble_span = daas_obs::span!("cluster.assemble");
-    let components = uf.components();
-    let mut op_component: HashMap<Address, usize> = HashMap::new();
+    let mut op_component = vec![0u32; operators.len()];
     for (ci, comp) in components.iter().enumerate() {
-        for &op in comp {
-            op_component.insert(op, ci);
+        for op in comp {
+            let oi = operators.binary_search(op).expect("components hold only operators");
+            op_component[oi] = ci as u32;
         }
     }
+    // One pass over the (wide) observations ranks their three roles.
+    let observations = &dataset.observations;
+    let (mut vote_ops, mut contracts, mut affiliates) =
+        (AddrRanks::default(), AddrRanks::default(), AddrRanks::default());
+    for obs in observations {
+        vote_ops.push(obs.operator);
+        contracts.push(obs.contract);
+        affiliates.push(obs.affiliate);
+    }
+    let (vote_ops, operator_of) = vote_ops.finish();
+    let (contracts, contract_of) = contracts.finish();
+    let (affiliates, affiliate_of) = affiliates.finish();
+    // Each observation votes for its operator's component.
+    let operator_vote: Vec<u32> = vote_ops
+        .iter()
+        .map(|op| operators.binary_search(op).map_or(NO_VOTE, |oi| op_component[oi]))
+        .collect();
+    let obs_components: Vec<u32> = operator_of.iter().map(|&r| operator_vote[r as usize]).collect();
+    let contract_family = assign(&contract_of, &obs_components, contracts.len());
+    let affiliate_family = assign(&affiliate_of, &obs_components, affiliates.len());
 
-    let vote = |ops: &[Address]| vote_component(ops, &op_component);
-
-    let mut fam_contracts: Vec<BTreeSet<Address>> = vec![BTreeSet::new(); components.len()];
-    let mut fam_affiliates: Vec<BTreeSet<Address>> = vec![BTreeSet::new(); components.len()];
-    let mut fam_txs: Vec<BTreeSet<TxId>> = vec![BTreeSet::new(); components.len()];
-    let mut contract_family: HashMap<Address, usize> = HashMap::new();
-
-    for (&contract, ops) in &contract_ops {
-        if let Some(c) = vote(ops) {
-            fam_contracts[c].insert(contract);
-            contract_family.insert(contract, c);
+    // Ranks are in address order, so each member list comes out sorted;
+    // a contract's transactions follow the contract.
+    let mut fam_contracts: Vec<Vec<Address>> = vec![Vec::new(); components.len()];
+    let mut fam_affiliates: Vec<Vec<Address>> = vec![Vec::new(); components.len()];
+    let mut fam_txs: Vec<Vec<TxId>> = vec![Vec::new(); components.len()];
+    for (&contract, &c) in contracts.iter().zip(&contract_family) {
+        if c != NO_VOTE {
+            fam_contracts[c as usize].push(contract);
         }
     }
-    for (&aff, ops) in &affiliate_ops {
-        if let Some(c) = vote(ops) {
-            fam_affiliates[c].insert(aff);
+    for (&affiliate, &c) in affiliates.iter().zip(&affiliate_family) {
+        if c != NO_VOTE {
+            fam_affiliates[c as usize].push(affiliate);
         }
     }
-    for obs in &dataset.observations {
-        if let Some(&c) = contract_family.get(&obs.contract) {
-            fam_txs[c].insert(obs.tx);
+    for (obs, &rank) in observations.iter().zip(&contract_of) {
+        let c = contract_family[rank as usize];
+        if c != NO_VOTE {
+            fam_txs[c as usize].push(obs.tx);
         }
     }
 
     // ---- Naming and assembly. ----
     let mut families: Vec<Family> = components
         .into_iter()
-        .enumerate()
-        .map(|(ci, ops)| {
-            let contracts: Vec<Address> = fam_contracts[ci].iter().copied().collect();
-            let affiliates: Vec<Address> = fam_affiliates[ci].iter().copied().collect();
-            let ps_txs: Vec<TxId> = fam_txs[ci].iter().copied().collect();
+        .zip(fam_contracts.into_iter().zip(fam_affiliates).zip(fam_txs))
+        .map(|(ops, ((contracts, affiliates), mut ps_txs))| {
+            ps_txs.sort_unstable();
+            ps_txs.dedup();
             let name = family_name(labels, &ops, &contracts);
             Family {
                 id: 0, // assigned after sorting
@@ -319,21 +393,34 @@ pub fn cluster_prefix(
     Clustering { families: families.into_iter().map(Arc::new).collect() }
 }
 
-/// Majority vote across a member's associated operators (ties go to the
-/// smaller component index for determinism). Shared by the batch
-/// assembly above and the streaming [`crate::OnlineClusterer`] so the
-/// assignment rule is never forked.
-pub(crate) fn vote_component(
-    ops: &[Address],
-    op_component: &HashMap<Address, usize>,
-) -> Option<usize> {
-    let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-    for op in ops {
-        if let Some(&c) = op_component.get(op) {
-            *counts.entry(c).or_default() += 1;
+/// The vote of an operator outside every component (not in the dataset).
+const NO_VOTE: u32 = u32::MAX;
+
+/// The component each of `members` ranks is assigned to by its
+/// observations' votes (`member_of[i]` casts `votes[i]`), or `NO_VOTE`.
+/// The component with the most votes wins, ties to the smaller index
+/// (components are sorted by first operator); `NO_VOTE`s count for
+/// nobody. `OnlineClusterer::revote_target` (`online.rs`) applies the
+/// same rule to its live components, keyed by their first operator.
+fn assign(member_of: &[u32], votes: &[u32], members: usize) -> Vec<u32> {
+    let mut ballots: Vec<u64> = member_of
+        .iter()
+        .zip(votes)
+        .filter(|&(_, &c)| c != NO_VOTE)
+        .map(|(&m, &c)| u64::from(m) << 32 | u64::from(c))
+        .collect();
+    ballots.sort_unstable();
+    let mut winner = vec![NO_VOTE; members];
+    for member in ballots.chunk_by(|a, b| a >> 32 == b >> 32) {
+        let (mut best, mut best_n) = (NO_VOTE, 0);
+        for run in member.chunk_by(|a, b| a == b) {
+            if run.len() > best_n {
+                (best, best_n) = (run[0] as u32, run.len());
+            }
         }
+        winner[(member[0] >> 32) as usize] = best;
     }
-    counts.into_iter().max_by_key(|&(c, n)| (n, usize::MAX - c)).map(|(c, _)| c)
+    winner
 }
 
 pub(crate) fn is_labeled_phishing(labels: &LabelStore, address: Address) -> bool {
@@ -478,6 +565,23 @@ mod tests {
         let clustering = cluster(&chain, &labels, &dataset);
         assert!(clustering.families[0].ps_txs.len() >= clustering.families[1].ps_txs.len());
         assert_eq!(clustering.families[0].id, 0);
+    }
+
+    /// An operator the chain never interned (a hand-built dataset can
+    /// name one) has no history, so no edges: it forms its own family.
+    #[test]
+    fn operator_without_history_is_a_singleton_family() {
+        let (chain, labels, mut dataset, [op_a, ..]) = setup();
+        let ghost = Address([0x42; 20]);
+        assert_eq!(chain.addr_id(ghost), None);
+        dataset.operators.insert(ghost);
+        let clustering = cluster(&chain, &labels, &dataset);
+        assert_eq!(clustering.families.len(), 3);
+        let fam = &clustering.families[clustering.family_of(ghost).expect("ghost has a family")];
+        assert_eq!(fam.operators, vec![ghost]);
+        assert!(fam.contracts.is_empty() && fam.affiliates.is_empty() && fam.ps_txs.is_empty());
+        assert_eq!(fam.name, ghost.prefix6());
+        assert_ne!(clustering.family_of(op_a), clustering.family_of(ghost));
     }
 
     #[test]

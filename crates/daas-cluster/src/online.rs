@@ -732,9 +732,11 @@ impl OnlineClusterer {
 
     /// Recomputes one target's majority vote and moves it between
     /// component assignment sets when the winner changed. The winner is
-    /// the component with the most votes, ties to the smallest key —
-    /// identical to the batch rule (batch components are index-sorted
-    /// by smallest member, so smaller index ⟺ smaller key).
+    /// the component with the most votes, ties to the smallest key. The
+    /// batch assembly applies the same rule in `families.rs` (`vote`),
+    /// where components are index-sorted by smallest member, so smaller
+    /// index ⟺ smaller key; `tied_votes_go_to_the_smaller_first_operator`
+    /// pins the two copies together.
     ///
     /// The component that lost the target is structurally dirty; the
     /// one that gained it is returned instead, because a gain alone can
@@ -1273,6 +1275,49 @@ mod tests {
             json(&split),
             json(&cluster(&chain, &labels, &dataset))
         );
+    }
+
+    /// One splitter contract pays the same affiliate twice, once with
+    /// each of two unlinked operators, so the contract and the affiliate
+    /// each get one vote from either component. Both go to the
+    /// component with the smaller first operator, in the batch assembly
+    /// and in the live re-vote alike.
+    #[test]
+    fn tied_votes_go_to_the_smaller_first_operator() {
+        let mut chain = Chain::new();
+        let labels = LabelStore::new();
+        let op_x = chain.create_eoa_funded(b"tie/opX", ether(1)).unwrap();
+        let op_y = chain.create_eoa_funded(b"tie/opY", ether(1)).unwrap();
+        let aff = chain.create_eoa(b"tie/aff").unwrap();
+        let payer = chain.create_eoa_funded(b"tie/payer", ether(100)).unwrap();
+        let splitter = chain.deploy_contract(payer, ContractKind::Benign).unwrap();
+        let mut dataset = Dataset::default();
+        for op in [op_x, op_y] {
+            chain.advance(12);
+            let split = [(op, 2000), (aff, 8000)];
+            let tx = chain.split_payment(payer, splitter, ether(10), &split).unwrap();
+            let obs = daas_detector::classify_tx(chain.tx(tx), &Default::default()).unwrap();
+            assert_eq!((obs.contract, obs.operator, obs.affiliate), (splitter, op, aff));
+            dataset.absorb(obs);
+        }
+        let winner = op_x.min(op_y);
+
+        let batch = cluster(&chain, &labels, &dataset);
+        let mut online = OnlineClusterer::new(ClassifierConfig::default());
+        let watermark = chain.transactions().len() as TxId;
+        online.ingest(&chain, &labels, &dataset, &events_for(&dataset), watermark);
+        let live = online.clustering(&labels);
+        for clustering in [&batch, &live] {
+            assert_eq!(clustering.families.len(), 2, "the operators stay apart");
+            let fam = &clustering.families[0];
+            assert_eq!(fam.operators, vec![winner]);
+            assert_eq!(fam.contracts, vec![splitter]);
+            assert_eq!(fam.affiliates, vec![aff]);
+            assert_eq!(fam.ps_txs.len(), 2);
+            assert!(clustering.families[1].contracts.is_empty());
+            assert!(clustering.families[1].affiliates.is_empty());
+        }
+        assert_eq!(json(&live), json(&batch));
     }
 
     #[test]

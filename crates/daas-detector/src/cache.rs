@@ -24,10 +24,35 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use daas_chain::{Chain, MemoStats, TxId};
+use daas_chain::{Chain, TxId};
 use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::classify::{classify_positive, ClassifierConfig, Positive, PsObservation};
+
+/// Hit/miss counters of a cache, as [`ClassificationCache::stats`] and
+/// [`crate::FeatureCache::stats`] report them; each says what its
+/// counters count.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Lookups served from stored results.
+    pub hits: u64,
+    /// Results computed.
+    pub misses: u64,
+    /// Results stored.
+    pub entries: usize,
+}
+
+impl MemoStats {
+    /// Hits as a fraction of all lookups (0.0 when none happened).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
 
 /// The verdict of a transaction that does not classify.
 const NEGATIVE: u32 = u32::MAX;
@@ -197,6 +222,13 @@ mod tests {
         chain.claim_eth(victim, contract, ether(10), aff).unwrap();
         chain.transfer_eth(victim, aff, ether(1)).unwrap();
         chain
+    }
+
+    #[test]
+    fn hit_rate_is_hits_over_lookups() {
+        assert_eq!(MemoStats::default().hit_rate(), 0.0);
+        let stats = MemoStats { hits: 1, misses: 3, entries: 2 };
+        assert!((stats.hit_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

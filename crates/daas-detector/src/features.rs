@@ -2,24 +2,28 @@
 //! measurement analytics.
 //!
 //! The Table 3 contract profiles, the §7.2 lifecycle analysis, the §6.2
-//! operator lifecycles, and the §6.1 repeat-victim study all re-derive
-//! the same per-account facts — first/last activity, observation spans,
-//! live approvals — each with its own `O(observations)` or
-//! `O(history)` scan. [`FeatureCache`] extracts them once: observation
-//! lookups are indexed eagerly at construction (one pass over the
-//! dataset), and per-account [`AccountFeatures`] are memoised on a
-//! [`ShardedMemo`], so the §6 report workers share results without
-//! contending.
+//! operator lifecycles, and the §6.1 repeat-victim study all read the
+//! same per-account facts — first/last activity, observation spans,
+//! live approvals. [`FeatureCache`] derives them from one
+//! `(chain, dataset)` pair. An account's [`AccountFeatures`] are one
+//! walk of its history over the approval columns
+//! ([`daas_chain::TxView::approval_columns`]), computed on each call
+//! and not stored: every consumer asks for an account once per context,
+//! so a memo would only have added a lock and a copy per call. The two
+//! observation indices (by transaction, and per contract) are built on
+//! first use, on Fx-hashed maps.
 //!
 //! Everything here is a pure function of one `(chain, dataset)` pair —
 //! the cache borrows both, so it cannot outlive or be reused across
 //! them.
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-use daas_chain::{Chain, MemoStats, ShardedMemo, Timestamp, TxId};
-use eth_types::{AddrId, Address};
+use daas_chain::{Chain, Timestamp, TxId};
+use eth_types::{AddrId, Address, FxHashMap};
 
+use crate::cache::MemoStats;
 use crate::classify::PsObservation;
 use crate::dataset::Dataset;
 
@@ -53,121 +57,125 @@ struct ObsStats {
     last_ts: Timestamp,
 }
 
-/// A memoised per-account feature extractor over one `(chain, dataset)`
-/// pair. `Sync` — hand `&FeatureCache` to the §6 report workers.
+/// A per-account feature extractor over one `(chain, dataset)` pair.
+/// `Sync` — hand `&FeatureCache` to the §6 report workers.
 pub struct FeatureCache<'a> {
     chain: &'a Chain,
     dataset: &'a Dataset,
-    /// `tx id → index into dataset.observations`, replacing the
-    /// `O(observations)` linear probe per transaction.
-    obs_by_tx: HashMap<TxId, usize>,
-    /// Per-contract observation aggregates, replacing the
-    /// `O(observations)` filter per contract.
-    obs_stats: HashMap<Address, ObsStats>,
-    /// Keyed by interned id: probes hash 4 bytes and lock placement is
-    /// the id's low bits. Accounts the chain has never seen have no id —
-    /// their features are the default and are not memoised.
-    memo: ShardedMemo<AddrId, AccountFeatures>,
+    /// `tx id → index into dataset.observations`, built on first use.
+    obs_by_tx: OnceLock<FxHashMap<TxId, u32>>,
+    /// Per-contract observation aggregates, built on first use.
+    obs_stats: OnceLock<FxHashMap<Address, ObsStats>>,
+    /// Feature sets extracted so far (accounts the chain has interned).
+    extracted: AtomicU64,
 }
 
 impl<'a> FeatureCache<'a> {
-    /// Builds the cache (indexes the dataset's observations; one pass).
+    /// A cache over `chain` and `dataset`; nothing is indexed until a
+    /// lookup needs it.
     pub fn new(chain: &'a Chain, dataset: &'a Dataset) -> Self {
-        let mut obs_by_tx = HashMap::with_capacity(dataset.observations.len());
-        let mut obs_stats: HashMap<Address, ObsStats> = HashMap::new();
-        for (i, obs) in dataset.observations.iter().enumerate() {
-            obs_by_tx.insert(obs.tx, i);
-            obs_stats
-                .entry(obs.contract)
-                .and_modify(|s| {
-                    s.count += 1;
-                    s.first_ts = s.first_ts.min(obs.timestamp);
-                    s.last_ts = s.last_ts.max(obs.timestamp);
-                })
-                .or_insert(ObsStats {
-                    count: 1,
-                    first_ts: obs.timestamp,
-                    last_ts: obs.timestamp,
-                });
-        }
         FeatureCache {
             chain,
             dataset,
-            obs_by_tx,
-            obs_stats,
-            memo: ShardedMemo::new(),
+            obs_by_tx: OnceLock::new(),
+            obs_stats: OnceLock::new(),
+            extracted: AtomicU64::new(0),
         }
     }
 
     /// The observation classified from `txid`, if the dataset holds one.
-    /// `O(1)` via the eager index.
     pub fn observation(&self, txid: TxId) -> Option<&'a PsObservation> {
-        self.obs_by_tx.get(&txid).map(|&i| &self.dataset.observations[i])
+        let dataset = self.dataset;
+        let index = self.obs_by_tx.get_or_init(|| {
+            dataset.observations.iter().enumerate().map(|(i, obs)| (obs.tx, i as u32)).collect()
+        });
+        index.get(&txid).map(|&i| &dataset.observations[i as usize])
     }
 
-    /// The memoised features of `account`, computing them on first use.
-    /// An account the chain has never interned has no history, no
-    /// approvals, and no observations — the default features, returned
-    /// without touching the memo.
+    /// The features of `account`: one walk of its history. An account
+    /// the chain has never interned has no history, no approvals, and no
+    /// observations — the default features, returned without a walk.
     pub fn features(&self, account: Address) -> AccountFeatures {
         match self.chain.addr_id(account) {
-            Some(id) => self.memo.get_or_compute(id, || self.compute(account)),
+            Some(id) => {
+                self.extracted.fetch_add(1, Ordering::Relaxed);
+                self.compute(id, account)
+            }
             None => AccountFeatures::default(),
         }
     }
 
     /// `(observation count, first ts, last ts)` of `contract` across the
-    /// dataset — `O(1)` from the eager per-contract aggregate, no memo
-    /// fill or history walk.
+    /// dataset — one lookup in the per-contract aggregate, no history
+    /// walk.
     pub fn contract_observation_span(
         &self,
         contract: Address,
     ) -> Option<(usize, Timestamp, Timestamp)> {
-        self.obs_stats.get(&contract).map(|s| (s.count, s.first_ts, s.last_ts))
+        self.obs_stats().get(&contract).map(|s| (s.count, s.first_ts, s.last_ts))
     }
 
-    /// Number of accounts with memoised features.
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Whether no account has been extracted yet.
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty()
-    }
-
-    /// Hit/miss counters and the entry count of the feature memo.
-    /// The observability layer exports them as `cache.features.hit` /
+    /// The cache's counters: `misses` is the number of feature sets
+    /// extracted (calls for accounts the chain has interned); nothing is
+    /// stored, so `hits` and `entries` stay 0. The observability layer
+    /// exports per-bundle deltas as `cache.features.hit` /
     /// `cache.features.miss`.
     pub fn stats(&self) -> MemoStats {
-        self.memo.stats()
+        MemoStats { hits: 0, misses: self.extracted.load(Ordering::Relaxed), entries: 0 }
     }
 
-    /// The pure extraction: one history walk plus O(1) index lookups.
-    fn compute(&self, account: Address) -> AccountFeatures {
+    fn obs_stats(&self) -> &FxHashMap<Address, ObsStats> {
+        self.obs_stats.get_or_init(|| {
+            let mut stats: FxHashMap<Address, ObsStats> = FxHashMap::default();
+            for obs in &self.dataset.observations {
+                stats
+                    .entry(obs.contract)
+                    .and_modify(|s| {
+                        s.count += 1;
+                        s.first_ts = s.first_ts.min(obs.timestamp);
+                        s.last_ts = s.last_ts.max(obs.timestamp);
+                    })
+                    .or_insert(ObsStats {
+                        count: 1,
+                        first_ts: obs.timestamp,
+                        last_ts: obs.timestamp,
+                    });
+            }
+            stats
+        })
+    }
+
+    /// The pure extraction: one history walk over the approval columns,
+    /// resolving only the spenders of approvals `account` owns.
+    fn compute(&self, id: AddrId, account: Address) -> AccountFeatures {
         let chain = self.chain;
-        let history = chain.txs_of(account);
-        let first_tx_ts = history.first().map(|&id| chain.tx(id).timestamp());
-        let last_tx_ts = history.last().map(|&id| chain.tx(id).timestamp());
+        let store = chain.transactions();
+        let history = chain.txs_of_id(id);
+        let first_tx_ts = history.first().map(|&t| store.view(t).timestamp());
+        let last_tx_ts = history.last().map(|&t| store.view(t).timestamp());
 
         let mut live: Vec<Address> = Vec::new();
         for &txid in history {
-            for appr in chain.tx(txid).approvals() {
-                if appr.owner != account || !self.dataset.contracts.contains(&appr.spender) {
+            let cols = store.view(txid).approval_columns();
+            for i in 0..cols.owner.len() {
+                if cols.owner[i] != id {
                     continue;
                 }
-                let erc20_live =
-                    !chain.erc20_allowance(appr.token, account, appr.spender).is_zero();
-                let nft_live = chain.nft_approved_for_all(appr.token, account, appr.spender);
-                if erc20_live || nft_live {
-                    live.push(appr.spender);
+                let (token, spender_id) = (cols.token[i], cols.spender[i]);
+                let spender = store.resolve(spender_id);
+                if !self.dataset.contracts.contains(&spender) {
+                    continue;
+                }
+                let erc20_live = !chain.erc20_allowance_id(token, id, spender_id).is_zero();
+                if erc20_live || chain.nft_approved_for_all_id(token, id, spender_id) {
+                    live.push(spender);
                 }
             }
         }
         live.sort_unstable();
         live.dedup();
 
-        let obs = self.obs_stats.get(&account);
+        let obs = self.obs_stats().get(&account);
         AccountFeatures {
             first_tx_ts,
             last_tx_ts,
@@ -183,8 +191,8 @@ impl<'a> FeatureCache<'a> {
 impl std::fmt::Debug for FeatureCache<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FeatureCache")
-            .field("observations", &self.obs_by_tx.len())
-            .field("accounts", &self.len())
+            .field("observations", &self.dataset.observations.len())
+            .field("extracted", &self.extracted.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -198,10 +206,9 @@ mod tests {
         let chain = Chain::new();
         let dataset = Dataset::default();
         let cache = FeatureCache::new(&chain, &dataset);
-        assert!(cache.is_empty());
         let f = cache.features(Address([1; 20]));
         assert_eq!(f, AccountFeatures::default());
-        assert!(cache.is_empty(), "unknown accounts have no id and are not memoised");
+        assert_eq!(cache.stats(), MemoStats::default(), "unknown accounts are not extracted");
         assert!(cache.observation(0).is_none());
     }
 }

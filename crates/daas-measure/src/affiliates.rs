@@ -1,8 +1,5 @@
 //! Affiliate-side measurements (§6.3 / Figure 7).
 
-use std::collections::{HashMap, HashSet};
-
-use eth_types::Address;
 use serde::{Deserialize, Serialize};
 
 use crate::incidents::MeasureCtx;
@@ -47,12 +44,13 @@ pub struct AffiliateReport {
 impl<'a> MeasureCtx<'a> {
     /// Builds the §6.3 / Figure 7 affiliate report.
     pub fn affiliate_report(&self) -> AffiliateReport {
-        let profits = self.profit_per_affiliate();
-        let affiliates = profits.len();
+        let t = self.tables();
+        let values = &t.profit_per_affiliate;
+        let affiliates = values.len();
         let pct = |n: usize| 100.0 * n as f64 / affiliates.max(1) as f64;
 
         let mut counts = [0usize; 4];
-        for &usd in profits.values() {
+        for &usd in values {
             let idx = AFFILIATE_PROFIT_BUCKETS
                 .iter()
                 .position(|(_, lo, hi)| usd >= *lo && usd < *hi)
@@ -66,17 +64,10 @@ impl<'a> MeasureCtx<'a> {
             .collect();
 
         // Victims and operator associations per affiliate.
-        let mut victims_of: HashMap<Address, HashSet<Address>> = HashMap::new();
-        let mut ops_of: HashMap<Address, HashSet<Address>> = HashMap::new();
-        for inc in self.incidents() {
-            victims_of.entry(inc.affiliate).or_default().insert(inc.victim);
-            ops_of.entry(inc.affiliate).or_default().insert(inc.operator);
-        }
-        let over_10 = victims_of.values().filter(|v| v.len() > 10).count();
-        let single_op = ops_of.values().filter(|o| o.len() == 1).count();
-        let up_to_3 = ops_of.values().filter(|o| o.len() <= 3).count();
+        let over_10 = t.victims_per_affiliate.iter().filter(|&&n| n > 10).count();
+        let single_op = t.operators_per_affiliate.iter().filter(|&&n| n == 1).count();
+        let up_to_3 = t.operators_per_affiliate.iter().filter(|&&n| n <= 3).count();
 
-        let values: Vec<f64> = profits.values().copied().collect();
         let top_k = ((affiliates as f64) * 0.074).round().max(1.0) as usize;
 
         AffiliateReport {
@@ -88,8 +79,8 @@ impl<'a> MeasureCtx<'a> {
             over_10_victims_pct: pct(over_10),
             single_operator_pct: pct(single_op),
             up_to_3_operators_pct: pct(up_to_3),
-            concentration: Concentration::from_values(&values),
-            top_7_4_pct_share: top_share(&values, top_k),
+            concentration: Concentration::from_values(values),
+            top_7_4_pct_share: top_share(values, top_k),
         }
     }
 }

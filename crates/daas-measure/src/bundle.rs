@@ -74,7 +74,10 @@ pub fn stat_bundle<'i>(incidents: impl IntoIterator<Item = &'i MeasuredIncident>
         incidents: count,
         victims: loss_per_victim.len(),
         total_usd,
-        victim_report: victim_report_from(&loss_per_victim, span_days(first_ts, last_ts)),
+        victim_report: victim_report_from(
+            loss_per_victim.values().copied(),
+            span_days(first_ts, last_ts),
+        ),
         ratios: ratio_rows(&ratio_counts),
         timeline: month_rows(&by_month),
         operator_concentration: Concentration::from_values(

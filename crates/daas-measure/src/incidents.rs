@@ -1,12 +1,15 @@
 //! Victim attribution and USD valuation of profit-sharing transactions.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
-use daas_chain::{Asset, Chain, Timestamp, TxId};
+use daas_chain::{Asset, AssetRef, Chain, Timestamp, TxId};
 use daas_detector::{Dataset, FeatureCache};
 use daas_pricing::Oracle;
 use eth_types::Address;
 use serde::{Deserialize, Serialize};
+
+use crate::tables::Tables;
 
 /// One profit-sharing transaction, attributed and valued.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,7 +38,8 @@ pub struct MeasuredIncident {
 }
 
 /// Measurement context: chain + dataset + oracle, with incidents
-/// attributed once at construction.
+/// attributed once at construction and the tables the reports share
+/// (`tables.rs`) built on first use.
 pub struct MeasureCtx<'a> {
     /// The ledger.
     pub chain: &'a Chain,
@@ -45,6 +49,7 @@ pub struct MeasureCtx<'a> {
     pub oracle: &'a Oracle,
     incidents: std::sync::Arc<Vec<MeasuredIncident>>,
     features: FeatureCache<'a>,
+    tables: OnceLock<Tables>,
 }
 
 impl<'a> MeasureCtx<'a> {
@@ -59,11 +64,13 @@ impl<'a> MeasureCtx<'a> {
     /// and the streaming detector discover the same set in different
     /// orders).
     pub fn new(chain: &'a Chain, dataset: &'a Dataset, oracle: &'a Oracle) -> Self {
-        let mut observations: Vec<&daas_detector::PsObservation> =
-            dataset.observations.iter().collect();
-        observations.sort_unstable_by_key(|o| o.tx);
-        let incidents =
-            observations.into_iter().map(|obs| measure_observation(chain, oracle, obs)).collect();
+        let mut order: Vec<(TxId, u32)> =
+            dataset.observations.iter().enumerate().map(|(i, o)| (o.tx, i as u32)).collect();
+        order.sort_unstable();
+        let incidents = order
+            .into_iter()
+            .map(|(_, i)| measure_observation(chain, oracle, &dataset.observations[i as usize]))
+            .collect();
         Self::from_incidents(chain, dataset, oracle, std::sync::Arc::new(incidents))
     }
 
@@ -83,7 +90,14 @@ impl<'a> MeasureCtx<'a> {
             incidents.windows(2).all(|w| w[0].tx < w[1].tx),
             "incidents must be unique and in transaction order"
         );
-        MeasureCtx { chain, dataset, oracle, incidents, features: FeatureCache::new(chain, dataset) }
+        MeasureCtx {
+            chain,
+            dataset,
+            oracle,
+            incidents,
+            features: FeatureCache::new(chain, dataset),
+            tables: OnceLock::new(),
+        }
     }
 
     /// The attributed incidents, in transaction order.
@@ -91,48 +105,43 @@ impl<'a> MeasureCtx<'a> {
         &self.incidents
     }
 
-    /// The shared per-account feature extractor (memoised, `Sync`).
+    /// The shared per-account feature extractor (`Sync`).
     pub fn features(&self) -> &FeatureCache<'a> {
         &self.features
     }
 
-    /// Distinct victim accounts.
-    pub fn victims(&self) -> Vec<Address> {
-        let mut v: Vec<Address> = self.incidents.iter().map(|i| i.victim).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+    /// The role ranks and aggregates every report reads, built on first
+    /// use.
+    pub(crate) fn tables(&self) -> &Tables {
+        self.tables.get_or_init(|| Tables::new(&self.incidents))
     }
 
-    /// Total USD loss per victim. A `BTreeMap` so every consumer
-    /// iterates (and float-accumulates) in address order — byte-stable
-    /// across runs, which the parallel-equivalence suite relies on.
+    /// Distinct victim accounts, sorted.
+    pub fn victims(&self) -> Vec<Address> {
+        self.tables().victims.clone()
+    }
+
+    /// Total USD loss per victim, each summed in transaction order. A
+    /// `BTreeMap` so every consumer iterates (and float-accumulates) in
+    /// address order — byte-stable across runs, which the
+    /// parallel-equivalence suite relies on.
     pub fn loss_per_victim(&self) -> BTreeMap<Address, f64> {
-        let mut m = BTreeMap::new();
-        for inc in self.incidents.iter() {
-            *m.entry(inc.victim).or_insert(0.0) += inc.usd;
-        }
-        m
+        let t = self.tables();
+        t.victims.iter().copied().zip(t.loss_per_victim.iter().copied()).collect()
     }
 
     /// Total USD profit per operator account, in address order (see
     /// [`MeasureCtx::loss_per_victim`]).
     pub fn profit_per_operator(&self) -> BTreeMap<Address, f64> {
-        let mut m = BTreeMap::new();
-        for inc in self.incidents.iter() {
-            *m.entry(inc.operator).or_insert(0.0) += inc.operator_usd;
-        }
-        m
+        let t = self.tables();
+        t.operators.iter().copied().zip(t.profit_per_operator.iter().copied()).collect()
     }
 
     /// Total USD profit per affiliate account, in address order (see
     /// [`MeasureCtx::loss_per_victim`]).
     pub fn profit_per_affiliate(&self) -> BTreeMap<Address, f64> {
-        let mut m = BTreeMap::new();
-        for inc in self.incidents.iter() {
-            *m.entry(inc.affiliate).or_insert(0.0) += inc.affiliate_usd;
-        }
-        m
+        let t = self.tables();
+        t.affiliates.iter().copied().zip(t.profit_per_affiliate.iter().copied()).collect()
     }
 }
 
@@ -181,14 +190,18 @@ fn attribute_victim(chain: &Chain, obs: &daas_detector::PsObservation) -> Addres
     if !tx.value().is_zero() {
         return tx.from(); // payable entry: the depositor
     }
-    // NFT liquidation payout: find the latest inbound NFT before this tx.
-    let history = chain.txs_of(obs.contract);
+    // NFT liquidation payout: find the latest inbound NFT before this
+    // tx. The contract is the transaction's target, so its id comes
+    // from the `to` column.
+    let store = chain.transactions();
+    let contract = tx.to_id();
+    let history = chain.txs_of_id(contract);
     let pos = history.partition_point(|&id| id < obs.tx);
     for &txid in history[..pos].iter().rev() {
-        let prior = chain.tx(txid);
-        for t in prior.transfers() {
-            if matches!(t.asset, Asset::Erc721 { .. }) && t.to == obs.contract {
-                return t.from;
+        let cols = store.view(txid).transfer_columns();
+        for i in 0..cols.to.len() {
+            if cols.to[i] == contract && matches!(cols.asset[i], AssetRef::Erc721 { .. }) {
+                return store.resolve(cols.from[i]);
             }
         }
     }
@@ -323,5 +336,56 @@ mod tests {
         f.dataset.absorb(classify_tx(f.chain.tx(tx), &Default::default()).unwrap());
         let ctx = MeasureCtx::new(&f.chain, &f.dataset, &f.oracle);
         assert_eq!(ctx.incidents().last().unwrap().usd, 0.0);
+    }
+
+    /// The bundle the address-keyed reports gave for
+    /// `accounts_the_chain_never_saw_change_no_report`'s fixture.
+    const GHOST_REPORTS: &str = concat!(
+        r#"{"victims":{"victims":1,"loss_buckets":[["less than $100",0,0.0],["between $100 and $1,"#,
+        r#"000",0,0.0],["between $1,000 and $5,000",0,0.0],["more than $5,000",1,100.0]],"#,
+        r#""below_1k_pct":0.0,"victims_per_day":1.0,"total_usd":48000.080645161295},"#,
+        r#""repeat_victims":{"repeat_victims":1,"simultaneous_pct":0.0,"unrevoked_pct":100.0},"#,
+        r#""operators":{"operators":1,"total_usd":9600.016129032258,"concentration":{"accounts":1,"#,
+        r#""total":9600.016129032258,"top_quartile_share_pct":100.0,"accounts_for_75pct":1,"#,
+        r#""accounts_for_75pct_share":100.0},"top_quartile_count":1,"#,
+        r#""top_quartile_usd":9600.016129032258,"top_quartile_share_pct":100.0,"linked_pairs":0},"#,
+        r#""operator_lifecycles":{"inactive_operators":1,"lifecycle_days":[0.0],"min_days":0.0,"#,
+        r#""max_days":0.0},"#,
+        r#""affiliates":{"affiliates":1,"total_usd":38400.06451612903,"#,
+        r#""profit_buckets":[["less than $1,000",0,0.0],["between $1,000 and $10,000",0,0.0],"#,
+        r#"["between $10,000 and $50,000",1,100.0],["more than $50,000",0,0.0]],"#,
+        r#""above_1k_pct":100.0,"above_10k_pct":100.0,"over_10_victims_pct":0.0,"#,
+        r#""single_operator_pct":100.0,"up_to_3_operators_pct":100.0,"concentration":{"accounts":1,"#,
+        r#""total":38400.06451612903,"top_quartile_share_pct":100.0,"accounts_for_75pct":1,"#,
+        r#""accounts_for_75pct_share":100.0},"top_7_4_pct_share":100.0},"#,
+        r#""associations":{"transfers":0,"total_wei":"0","affiliates_rewarded":0},"#,
+        r#""ratios":[{"bps":2000,"count":2,"share_pct":100.0}],"#,
+        r#""timeline":[{"month":"2023-03","victims":1,"incidents":2,"usd":48000.080645161295}],"#,
+        r#""laundering":{"operator_outflows":{},"operator_mixer_pct":0.0,"#,
+        r#""operator_exchange_pct":0.0,"operators_using_mixers":0}}"#,
+    );
+
+    /// Accounts a hand-built dataset names but the chain never interned
+    /// (an operator, a contract and an affiliate with no history) take
+    /// no part in any report; the bundle reads as it did when the
+    /// reports keyed every table by address (pinned from that version).
+    #[test]
+    fn accounts_the_chain_never_saw_change_no_report() {
+        let mut f = fixture();
+        for (i, ghost) in [[0x51u8; 20], [0x52; 20], [0x53; 20]].into_iter().enumerate() {
+            let ghost = Address(ghost);
+            assert_eq!(f.chain.addr_id(ghost), None);
+            match i {
+                0 => f.dataset.operators.insert(ghost),
+                1 => f.dataset.contracts.insert(ghost),
+                _ => f.dataset.affiliates.insert(ghost),
+            };
+        }
+        let ctx = MeasureCtx::new(&f.chain, &f.dataset, &f.oracle);
+        let labels = daas_chain::LabelStore::new();
+        let as_of = f.chain.now() + 60 * 86_400;
+        let reports = ctx.reports(&labels, 3600, as_of, &crate::MeasureConfig::sequential());
+        let json = serde_json::to_string(&reports).unwrap();
+        assert_eq!(json, GHOST_REPORTS);
     }
 }

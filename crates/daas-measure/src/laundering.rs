@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use daas_chain::{Asset, ContractKind};
+use daas_chain::{Asset, AssetRef, ContractKind};
 use eth_types::{Address, U256};
 use serde::{Deserialize, Serialize};
 
@@ -46,47 +46,49 @@ impl<'a> MeasureCtx<'a> {
         &self,
         labels: &daas_chain::LabelStore,
     ) -> LaunderingReport {
-        let mut outflows: HashMap<SinkKind, U256> = HashMap::new();
-        let mut mixer_users = std::collections::HashSet::new();
-
+        use SinkKind::{Exchange, InternalDaas, Mixer, Other};
+        // In declaration order, so `kind as usize` indexes it.
+        const KINDS: [SinkKind; 4] = [Mixer, Exchange, InternalDaas, Other];
+        let store = self.chain.transactions();
+        let mut outflows: [Option<U256>; 4] = [None; 4];
+        let mut mixer_users = 0;
+        let mut entries = 0u64;
         for &op in self.dataset.operators.iter() {
-            for &txid in self.chain.txs_of(op) {
-                let tx = self.chain.tx(txid);
-                for t in tx.transfers() {
-                    if t.from != op || t.asset != Asset::Eth || t.to == op {
+            // An operator the chain never interned has no history.
+            let Some(op) = self.chain.addr_id(op) else { continue };
+            let history = self.chain.txs_of_id(op);
+            entries += history.len() as u64;
+            let mut used_mixer = false;
+            for &txid in history {
+                let cols = store.view(txid).transfer_columns();
+                for i in 0..cols.from.len() {
+                    if cols.from[i] != op || cols.asset[i] != AssetRef::Eth || cols.to[i] == op {
                         continue;
                     }
-                    let sink = self.classify_sink(t.to, labels);
-                    if sink == SinkKind::Mixer {
-                        mixer_users.insert(op);
-                    }
-                    let entry = outflows.entry(sink).or_insert(U256::ZERO);
-                    *entry = entry.saturating_add(t.amount);
+                    let sink = self.classify_sink(store.resolve(cols.to[i]), labels);
+                    used_mixer |= sink == Mixer;
+                    let slot = &mut outflows[sink as usize];
+                    *slot = Some(slot.unwrap_or(U256::ZERO).saturating_add(cols.amount[i]));
                 }
             }
+            mixer_users += usize::from(used_mixer);
         }
+        daas_obs::add_l("measure.history_entries", "report", "laundering", entries);
 
         // Float addition is not associative, so the total is summed in
-        // a fixed kind order — never in the map's (per-run random)
-        // iteration order.
-        use SinkKind::{Exchange, InternalDaas, Mixer, Other};
-        let total: f64 = [Mixer, Exchange, InternalDaas, Other]
-            .iter()
-            .filter_map(|kind| outflows.get(kind))
-            .map(|v| v.to_f64_lossy())
-            .sum();
-        let pct = |kind: SinkKind| {
-            if total <= 0.0 {
-                0.0
-            } else {
-                100.0 * outflows.get(&kind).map(|v| v.to_f64_lossy()).unwrap_or(0.0) / total
-            }
-        };
+        // the fixed kind order.
+        let wei = |kind: usize| outflows[kind].map_or(0.0, |v| v.to_f64_lossy());
+        let total: f64 = (0..KINDS.len()).filter(|&k| outflows[k].is_some()).map(wei).sum();
+        let pct = |kind: usize| if total <= 0.0 { 0.0 } else { 100.0 * wei(kind) / total };
         LaunderingReport {
-            operator_mixer_pct: pct(SinkKind::Mixer),
-            operator_exchange_pct: pct(SinkKind::Exchange),
-            operators_using_mixers: mixer_users.len(),
-            operator_outflows: outflows,
+            operator_mixer_pct: pct(Mixer as usize),
+            operator_exchange_pct: pct(Exchange as usize),
+            operators_using_mixers: mixer_users,
+            operator_outflows: KINDS
+                .iter()
+                .zip(outflows)
+                .filter_map(|(&kind, wei)| Some((kind, wei?)))
+                .collect(),
         }
     }
 

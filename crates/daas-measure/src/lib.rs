@@ -28,6 +28,7 @@ mod operators;
 mod ratios;
 mod reports;
 mod stats;
+mod tables;
 mod victims;
 
 pub use affiliates::{AffiliateReport, AFFILIATE_PROFIT_BUCKETS};

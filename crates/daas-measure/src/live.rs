@@ -277,7 +277,10 @@ impl LiveMeasure {
     /// The Figure 6 victim report from the running loss map
     /// (monitoring-grade: float sums are in event-arrival order).
     pub fn victim_report(&self) -> VictimReport {
-        victim_report_from(&self.loss_per_victim, span_days(self.first_ts, self.last_ts))
+        victim_report_from(
+            self.loss_per_victim.values().copied(),
+            span_days(self.first_ts, self.last_ts),
+        )
     }
 
     /// Monthly activity series from the running month map

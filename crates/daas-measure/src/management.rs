@@ -1,10 +1,8 @@
 //! Affiliate-management observables (§7.2): leveling-system tiers and
 //! on-chain reward payments.
 
-use std::collections::HashSet;
-
-use daas_chain::Asset;
-use eth_types::{Address, U256};
+use daas_chain::AssetRef;
+use eth_types::{AddrId, Address, U256};
 use serde::{Deserialize, Serialize};
 
 use crate::incidents::MeasureCtx;
@@ -41,10 +39,10 @@ impl<'a> MeasureCtx<'a> {
     /// profits against the given thresholds (§7.2: Angel uses
     /// $100k/$1M/$5M, Inferno $10k/$100k/$1M).
     pub fn affiliate_tiers(&self, affiliates: &[Address], thresholds_usd: [f64; 3]) -> TierCensus {
-        let profits = self.profit_per_affiliate();
+        let t = self.tables();
         let mut levels = [0usize; 4];
         for aff in affiliates {
-            let usd = profits.get(aff).copied().unwrap_or(0.0);
+            let usd = t.affiliates.binary_search(aff).map_or(0.0, |r| t.profit_per_affiliate[r]);
             let level = thresholds_usd.iter().take_while(|&&t| usd >= t).count();
             levels[level] += 1;
         }
@@ -54,29 +52,52 @@ impl<'a> MeasureCtx<'a> {
     /// Finds direct operator→affiliate ETH transfers that are not part
     /// of profit-sharing transactions — the on-chain footprint of the
     /// §7.2 reward mechanisms. Restricted to `operators`/`affiliates`
-    /// (e.g. one clustered family's members).
+    /// (e.g. one clustered family's members). The scan compares
+    /// interned ids; accounts the chain never interned take no part.
     pub fn reward_transfers(&self, operators: &[Address], affiliates: &[Address]) -> RewardReport {
-        let ops: HashSet<Address> = operators.iter().copied().collect();
-        let affs: HashSet<Address> = affiliates.iter().copied().collect();
-        let ps: HashSet<_> = self.dataset.ps_txs.iter().copied().collect();
+        let chain = self.chain;
+        let store = chain.transactions();
+        let ids = |accounts: &[Address]| {
+            let mut ids: Vec<AddrId> = accounts.iter().filter_map(|&a| chain.addr_id(a)).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let (ops, affs) = (ids(operators), ids(affiliates));
+        let mut ps = vec![0u64; store.len().div_ceil(64)];
+        for &tx in &self.dataset.ps_txs {
+            if let Some(word) = ps.get_mut(tx as usize / 64) {
+                *word |= 1 << (tx % 64);
+            }
+        }
         let mut transfers = 0usize;
         let mut total = U256::ZERO;
-        let mut rewarded = HashSet::new();
+        let mut rewarded = Vec::new();
+        let mut entries = 0u64;
         for &op in &ops {
-            for &txid in self.chain.txs_of(op) {
-                if ps.contains(&txid) {
+            let history = chain.txs_of_id(op);
+            entries += history.len() as u64;
+            for &txid in history {
+                if ps[txid as usize / 64] & 1 << (txid % 64) != 0 {
                     continue;
                 }
-                let tx = self.chain.tx(txid);
-                for t in tx.transfers() {
-                    if t.asset == Asset::Eth && t.from == op && affs.contains(&t.to) {
+                let cols = store.view(txid).transfer_columns();
+                for i in 0..cols.to.len() {
+                    let to = cols.to[i];
+                    if cols.asset[i] == AssetRef::Eth
+                        && cols.from[i] == op
+                        && affs.binary_search(&to).is_ok()
+                    {
                         transfers += 1;
-                        total = total.saturating_add(t.amount);
-                        rewarded.insert(t.to);
+                        total = total.saturating_add(cols.amount[i]);
+                        rewarded.push(to);
                     }
                 }
             }
         }
+        daas_obs::add_l("measure.history_entries", "report", "associations", entries);
+        rewarded.sort_unstable();
+        rewarded.dedup();
         RewardReport { transfers, total_wei: total, affiliates_rewarded: rewarded.len() }
     }
 }

@@ -2,7 +2,7 @@
 //! inter-operator fund flows.
 
 use daas_chain::{days_between, Timestamp};
-use eth_types::Address;
+use eth_types::AddrId;
 use serde::{Deserialize, Serialize};
 
 use crate::incidents::MeasureCtx;
@@ -44,27 +44,36 @@ pub struct OperatorLifecycles {
 impl<'a> MeasureCtx<'a> {
     /// Builds the §6.2 operator report.
     pub fn operator_report(&self) -> OperatorReport {
-        let profits = self.profit_per_operator();
-        let values: Vec<f64> = profits.values().copied().collect();
-        let concentration = Concentration::from_values(&values);
+        let t = self.tables();
+        let values = &t.profit_per_operator;
+        let concentration = Concentration::from_values(values);
         let top_quartile_count = (values.len() as f64 * 0.25).round().max(1.0) as usize;
-        let top_quartile_share_pct = top_share(&values, top_quartile_count);
+        let top_quartile_share_pct = top_share(values, top_quartile_count);
         let total_usd: f64 = values.iter().sum();
 
-        // Direct operator→operator fund flows.
-        let ops: std::collections::HashSet<Address> = profits.keys().copied().collect();
-        let mut pairs = std::collections::HashSet::new();
+        // Direct operator→operator fund flows, compared as interned ids
+        // (an operator the chain never interned has no history).
+        let store = self.chain.transactions();
+        let mut ops: Vec<AddrId> =
+            t.operators.iter().filter_map(|&op| self.chain.addr_id(op)).collect();
+        ops.sort_unstable();
+        let mut pairs: Vec<(AddrId, AddrId)> = Vec::new();
+        let mut entries = 0u64;
         for &op in &ops {
-            for &txid in self.chain.txs_of(op) {
-                let tx = self.chain.tx(txid);
-                for t in tx.transfers() {
-                    if t.from == op && ops.contains(&t.to) && t.to != op {
-                        let (a, b) = if t.from < t.to { (t.from, t.to) } else { (t.to, t.from) };
-                        pairs.insert((a, b));
+            let history = self.chain.txs_of_id(op);
+            entries += history.len() as u64;
+            for &txid in history {
+                let cols = store.view(txid).transfer_columns();
+                for (&from, &to) in cols.from.iter().zip(cols.to) {
+                    if from == op && to != op && ops.binary_search(&to).is_ok() {
+                        pairs.push((op.min(to), op.max(to)));
                     }
                 }
             }
         }
+        pairs.sort_unstable();
+        pairs.dedup();
+        daas_obs::add_l("measure.history_entries", "report", "operators", entries);
 
         OperatorReport {
             operators: values.len(),

@@ -4,12 +4,19 @@
 //! The reports — victims, repeat victims, operators, lifecycles,
 //! affiliates, associations, ratios, timeline, laundering — all read the
 //! same immutable [`MeasureCtx`] and never each other, so they are
-//! embarrassingly parallel. With `threads > 1` the bundle distributes
-//! the report tasks across the pool; each task is a pure function of the
-//! context (the shared feature memo fills lazily, with the same values
-//! whichever task computes them first), so the bundle is byte-identical
-//! for every thread count (`threads == 1` is the sequential oracle the
-//! equivalence suite diffs against).
+//! embarrassingly parallel. Before the fan-out the context builds, once,
+//! the role ranks and per-account aggregates the reports share
+//! (`tables.rs`): loss per victim, profit per operator and affiliate,
+//! distinct victims and operators per affiliate, incidents per victim
+//! and each incident's month. Each is indexed by address-ordered rank,
+//! so a float sum over one runs in address order. The operator-history
+//! scans (operators, associations, laundering) compare interned ids
+//! from the transfer columns and resolve an address only for a transfer
+//! they keep. With `threads > 1` the bundle distributes the report
+//! tasks across the pool; each task is a pure function of the context,
+//! so the bundle is byte-identical for every thread count
+//! (`threads == 1` is the sequential oracle the equivalence suite
+//! diffs against).
 //!
 //! This bundle is the *single* implementation of every report: the
 //! streaming path (`LiveMeasure::reports`) materialises a context from
@@ -116,6 +123,9 @@ impl<'a> MeasureCtx<'a> {
         let threads = cfg.effective_threads();
         let _bundle_span = daas_obs::span!("measure.reports", threads = threads);
         let feat_before = daas_obs::enabled().then(|| self.features().stats());
+        // The shared role ranks and aggregates, built once before the
+        // tasks read them.
+        self.tables();
         // Reward associations scan operators × affiliates of the whole
         // dataset (BTreeSet iteration: already deterministic order).
         let operators: Vec<Address> = self.dataset.operators.iter().copied().collect();
@@ -199,12 +209,11 @@ impl<'a> MeasureCtx<'a> {
             .expect("report scope does not panic")
         };
         if let Some(before) = feat_before {
-            // Feature-memo traffic this bundle generated (deltas — the
-            // context's cache persists across live windows).
+            // Feature sets this bundle extracted (deltas over the
+            // context's counters; nothing is stored, so hits stay 0).
             let stats = self.features().stats();
             daas_obs::add("cache.features.hit", stats.hits.saturating_sub(before.hits));
             daas_obs::add("cache.features.miss", stats.misses.saturating_sub(before.misses));
-            daas_obs::gauge("cache.features.entries", stats.entries as f64);
         }
         assemble(slots)
     }

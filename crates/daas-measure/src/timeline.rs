@@ -4,11 +4,12 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use daas_chain::format_year_month;
+use daas_chain::{format_year_month, month_start};
 use eth_types::Address;
 use serde::{Deserialize, Serialize};
 
 use crate::incidents::MeasureCtx;
+use crate::tables::distinct_per;
 
 /// One month of DaaS activity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,15 +45,24 @@ impl<'a> MeasureCtx<'a> {
     /// Builds the monthly series, sorted chronologically. Months with no
     /// activity inside the observed span are included with zeros.
     pub fn monthly_series(&self) -> Vec<MonthRow> {
-        let mut by_month = MonthAccum::new();
-        for inc in self.incidents() {
-            let month = format_year_month(inc.timestamp);
-            let entry = by_month.entry(month).or_default();
-            entry.0.insert(inc.victim);
-            entry.1 += 1;
-            entry.2 += inc.usd;
+        let t = self.tables();
+        let mut incidents = vec![0usize; t.months.len()];
+        let mut usd = vec![0.0; t.months.len()];
+        for (inc, &m) in self.incidents().iter().zip(&t.month_of) {
+            incidents[m as usize] += 1;
+            usd[m as usize] += inc.usd;
         }
-        month_rows(&by_month)
+        let victims = distinct_per(&t.month_of, &t.victim_of, t.months.len());
+        t.months
+            .iter()
+            .enumerate()
+            .map(|(m, &(year, month))| MonthRow {
+                month: format_year_month(month_start(year, month)),
+                victims: victims[m] as usize,
+                incidents: incidents[m],
+                usd: usd[m],
+            })
+            .collect()
     }
 
     /// The busiest month by USD stolen, if any activity exists.

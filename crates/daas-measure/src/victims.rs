@@ -1,9 +1,6 @@
 //! Victim-side measurements: Figure 6 and the §6.1 findings.
 
-use std::collections::HashMap;
-
 use daas_chain::days_between;
-use eth_types::Address;
 use serde::{Deserialize, Serialize};
 
 use crate::incidents::MeasureCtx;
@@ -32,16 +29,16 @@ pub struct VictimReport {
     pub total_usd: f64,
 }
 
-/// Builds the Figure 6 / §6.1 report from per-victim losses and the
-/// observed span — shared by the batch context and the streaming
-/// accumulator's running loss map.
+/// Builds the Figure 6 / §6.1 report from per-victim losses, in address
+/// order, and the observed span — shared by the batch context and the
+/// streaming accumulator's running loss map.
 pub(crate) fn victim_report_from(
-    losses: &std::collections::BTreeMap<Address, f64>,
+    losses: impl ExactSizeIterator<Item = f64> + Clone,
     span_days: u64,
 ) -> VictimReport {
     let victims = losses.len();
     let mut counts = [0usize; 4];
-    for &usd in losses.values() {
+    for usd in losses.clone() {
         let idx = VICTIM_LOSS_BUCKETS
             .iter()
             .position(|(_, lo, hi)| usd >= *lo && usd < *hi)
@@ -59,7 +56,7 @@ pub(crate) fn victim_report_from(
         loss_buckets,
         below_1k_pct: pct(counts[0] + counts[1]),
         victims_per_day: victims as f64 / span_days.max(1) as f64,
-        total_usd: losses.values().sum(),
+        total_usd: losses.sum(),
     }
 }
 
@@ -76,51 +73,54 @@ pub(crate) fn span_days(first: u64, last: u64) -> u64 {
 impl<'a> MeasureCtx<'a> {
     /// Builds the Figure 6 / §6.1 victim report.
     pub fn victim_report(&self) -> VictimReport {
-        let (first, last) = self
-            .incidents()
-            .iter()
-            .fold((u64::MAX, 0u64), |(lo, hi), i| (lo.min(i.timestamp), hi.max(i.timestamp)));
-        victim_report_from(&self.loss_per_victim(), span_days(first, last))
+        let t = self.tables();
+        let (first, last) =
+            t.timestamps.iter().fold((u64::MAX, 0u64), |(lo, hi), &ts| (lo.min(ts), hi.max(ts)));
+        victim_report_from(t.loss_per_victim.iter().copied(), span_days(first, last))
     }
 
     /// The §6.1 repeat-victim study.
     pub fn repeat_victim_report(&self) -> RepeatVictimReport {
-        let mut txs_per_victim: HashMap<Address, Vec<(u64, u32)>> = HashMap::new();
-        for inc in self.incidents() {
-            txs_per_victim.entry(inc.victim).or_default().push((inc.timestamp, inc.tx));
-        }
-        let repeats: Vec<(&Address, &Vec<(u64, u32)>)> =
-            txs_per_victim.iter().filter(|(_, txs)| txs.len() > 1).collect();
+        let t = self.tables();
+        let is_repeat = |v: u32| t.incidents_per_victim[v as usize] > 1;
+        let repeats = t.incidents_per_victim.iter().filter(|&&n| n > 1).count();
 
         // (a) simultaneous multi-sign: ≥ 2 profit-sharing txs in the same
         // block timestamp.
-        let simultaneous = repeats
+        let mut signed: Vec<(u32, u64)> = t
+            .victim_of
             .iter()
-            .filter(|(_, txs)| {
-                let mut ts: Vec<u64> = txs.iter().map(|(t, _)| *t).collect();
-                ts.sort_unstable();
-                ts.windows(2).any(|w| w[0] == w[1])
-            })
-            .count();
+            .zip(&t.timestamps)
+            .filter(|(&v, _)| is_repeat(v))
+            .map(|(&v, &ts)| (v, ts))
+            .collect();
+        signed.sort_unstable();
+        let mut simultaneous = 0;
+        for victim in signed.chunk_by(|a, b| a.0 == b.0) {
+            if victim.windows(2).any(|w| w[0].1 == w[1].1) {
+                simultaneous += 1;
+            }
+        }
 
         // (b) unrevoked approvals: the victim still has an active
         // ERC-20 allowance or NFT operator approval toward a dataset
-        // contract at the end of the observation window. The feature
-        // cache memoises the approval-history replay per victim.
-        let unrevoked = repeats
+        // contract at the end of the observation window (one replay of
+        // the victim's approval history each).
+        let unrevoked = t
+            .victims
             .iter()
-            .filter(|(victim, _)| {
-                !self.features().features(**victim).live_approval_spenders.is_empty()
+            .zip(&t.incidents_per_victim)
+            .filter(|&(&victim, &n)| {
+                n > 1 && !self.features().features(victim).live_approval_spenders.is_empty()
             })
             .count();
 
         RepeatVictimReport {
-            repeat_victims: repeats.len(),
-            simultaneous_pct: 100.0 * simultaneous as f64 / repeats.len().max(1) as f64,
-            unrevoked_pct: 100.0 * unrevoked as f64 / repeats.len().max(1) as f64,
+            repeat_victims: repeats,
+            simultaneous_pct: 100.0 * simultaneous as f64 / repeats.max(1) as f64,
+            unrevoked_pct: 100.0 * unrevoked as f64 / repeats.max(1) as f64,
         }
     }
-
 }
 
 /// The §6.1 repeat-victim findings.

@@ -221,9 +221,78 @@ impl AddrInterner {
     }
 }
 
+/// Address-ordered dense ids for a run of addresses, pushed one at a
+/// time: [`AddrRanks::finish`] returns the distinct addresses, sorted,
+/// and each pushed address's index among them. The ids are local to
+/// one run (a private interner's, renumbered); unlike [`AddrId`]s,
+/// which follow first-intern order, they order like the addresses, so
+/// tables indexed by them read out in address order.
+#[derive(Debug, Default)]
+pub struct AddrRanks {
+    interner: AddrInterner,
+    ids: Vec<u32>,
+}
+
+impl AddrRanks {
+    /// An empty run with room for `capacity` distinct addresses.
+    pub fn with_capacity(capacity: usize) -> Self {
+        AddrRanks { interner: AddrInterner::with_capacity(capacity), ids: Vec::new() }
+    }
+
+    /// Appends one address to the run.
+    #[inline]
+    pub fn push(&mut self, addr: Address) {
+        let id = self.interner.intern(addr);
+        self.ids.push(id.raw());
+    }
+
+    /// The distinct addresses in order, and each pushed address's rank.
+    pub fn finish(self) -> (Vec<Address>, Vec<u32>) {
+        let (distinct, mut ids) = (self.interner.addrs, self.ids);
+        // Sort by the leading word; only distinct addresses that share
+        // it need the full compare.
+        let mut order: Vec<(u64, u32)> =
+            distinct.iter().enumerate().map(|(i, a)| (a.to_low_u64(), i as u32)).collect();
+        order.sort_unstable_by(|x, y| {
+            x.0.cmp(&y.0).then_with(|| distinct[x.1 as usize].cmp(&distinct[y.1 as usize]))
+        });
+        let mut rank = vec![0u32; distinct.len()];
+        for (r, &(_, first)) in order.iter().enumerate() {
+            rank[first as usize] = r as u32;
+        }
+        for id in &mut ids {
+            *id = rank[*id as usize];
+        }
+        (order.iter().map(|&(_, first)| distinct[first as usize]).collect(), ids)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rank(addrs: impl IntoIterator<Item = Address>) -> (Vec<Address>, Vec<u32>) {
+        let mut ranks = AddrRanks::default();
+        addrs.into_iter().for_each(|a| ranks.push(a));
+        ranks.finish()
+    }
+
+    #[test]
+    fn ranks_follow_address_order_not_first_sight() {
+        let (sorted, ids) = rank([addr(9), addr(2), addr(9), addr(5), addr(2)]);
+        let mut expect = vec![addr(9), addr(2), addr(5)];
+        expect.sort_unstable();
+        assert_eq!(sorted, expect);
+        let back: Vec<Address> = ids.iter().map(|&i| sorted[i as usize]).collect();
+        assert_eq!(back, vec![addr(9), addr(2), addr(9), addr(5), addr(2)]);
+        assert_eq!(rank(std::iter::empty()), (vec![], vec![]));
+        // A shared leading word falls back to the full compare.
+        let hi = Address([7; 20]);
+        let mut lo = hi;
+        lo.0[8..].fill(1);
+        assert_eq!(hi.to_low_u64(), lo.to_low_u64());
+        assert_eq!(rank([hi, lo, hi]), (vec![lo, hi], vec![1, 0, 1]));
+    }
 
     fn addr(n: u8) -> Address {
         let mut bytes = [0u8; 20];

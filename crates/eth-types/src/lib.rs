@@ -35,7 +35,7 @@ pub mod units;
 
 pub use address::Address;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use intern::{AddrId, AddrInterner};
+pub use intern::{AddrId, AddrInterner, AddrRanks};
 pub use hash::{keccak256, H256};
 pub use hexcodec::{decode_hex, encode_hex, HexError};
 pub use u256::{ParseU256Error, U256};
