@@ -36,11 +36,15 @@ cargo test -q -p daas-measure --test parallel_equivalence -- --test-threads 4
 cargo test -q --test determinism -- --test-threads 4
 
 # ---- Streaming (live) equivalence suites: online detector →
-#      incremental clusterer → live measurement vs the batch oracle. ----
+#      incremental clusterer → live measurement vs the batch oracle,
+#      scoped rebuilds under revocation storms, and kill/restore
+#      convergence plus refusal of checkpoints restore cannot place. ----
 cargo test -q -p daas-detector --test online_equivalence -- --test-threads 4
 cargo test -q -p daas-cluster --test live_equivalence -- --test-threads 4
+cargo test -q -p daas-cluster --test revocation_storm -- --test-threads 4
 cargo test -q -p daas-measure --test live_equivalence -- --test-threads 4
 cargo test -q --test live_equivalence -- --test-threads 4
+cargo test -q -p daas-serve --test checkpoint_restore -- --test-threads 4
 
 # ---- Observability: recorder-on runs must not change artifacts, and
 #      the --metrics-out summary must conform to the checked-in schema. ----

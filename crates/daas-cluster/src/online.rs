@@ -8,12 +8,19 @@
 //! [`OnlineClusterer::clustering`] is byte-identical to the batch
 //! oracle [`crate::cluster_prefix`] run at the same watermark.
 //!
-//! ## O(delta) state
+//! ## O(delta) state on interned ids
 //!
-//! The retained state lives on plain Fx-hashed maps and explicit
-//! per-component records, so a window update touches only what the
-//! window changed:
+//! The retained state is keyed by the chain's interned [`AddrId`]s on
+//! plain Fx-hashed maps and explicit per-component records, so a window
+//! update touches only what the window changed and a probe hashes four
+//! bytes:
 //!
+//! * **Marks.** One byte per interned address says whether it is an
+//!   admitted operator, a dataset member (a role some event of this or
+//!   an earlier poll names, so the post-poll dataset) or an
+//!   explorer-labelled phishing account. The scans of operator
+//!   transactions check each touched id against it, as the batch
+//!   extract (`families.rs`) does.
 //! * **Components.** Instead of a global union-find that must be
 //!   re-partitioned per snapshot, each component is an explicit
 //!   [`CompState`] keyed by a stable integer id, carrying its members,
@@ -25,8 +32,11 @@
 //!   step 2) is cached in `target_assign` and re-voted only for *dirty*
 //!   targets: those with new votes, those voting in a component whose
 //!   key or membership changed, and those assigned to a split
-//!   component. An `op_votes` reverse index makes the dirty set
-//!   computable from the merge delta.
+//!   component. A target's votes are kept as distinct (operator, count)
+//!   pairs, read from the verdict table's role ids, so a re-vote reads
+//!   one entry per voter however many transactions the target has. An
+//!   `op_votes` reverse index makes the dirty set computable from the
+//!   merge delta.
 //! * **Revocation.** A phish-touch chain becomes invalid the moment the
 //!   touched account itself joins the dataset (the batch rule excludes
 //!   dataset members). Only the owning component is re-partitioned —
@@ -45,17 +55,20 @@
 //!   patch whose family the previous epoch still holds copies that one
 //!   family (`Arc::make_mut`).
 //!
-//! None of this state is shared with a reader — a published snapshot
-//! holds only the `Arc<Family>` values — so it stays on ordinary hash
-//! maps: an address-keyed lookup costs one hash and probe, and cloning
-//! the clusterer (a bench's untimed setup) is a deep copy.
+//! Ids follow first-intern order, so wherever an order reaches the
+//! output the addresses are compared instead: a component's key is its
+//! smallest member address, the vote tie-break compares keys, and the
+//! family lists are sorted by address on assembly. None of this state
+//! is shared with a reader — a published snapshot holds only the
+//! `Arc<Family>` values — and checkpoints resolve every id to its
+//! address.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use daas_chain::{Chain, LabelStore, TxId};
-use daas_detector::{ClassificationCache, ClassifierConfig, Dataset, DetectorEvent};
-use eth_types::{Address, FxHashMap, FxHashSet};
+use daas_detector::{ClassificationCache, ClassifierConfig, DetectorEvent};
+use eth_types::{AddrId, Address, FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use txgraph::UnionFind;
 
@@ -91,34 +104,55 @@ type Cid = u64;
 /// caching.
 #[derive(Debug, Clone)]
 struct CompState {
-    /// Smallest member — the batch tie-break key (batch components are
-    /// sorted by smallest member, so smaller index ⟺ smaller key).
+    /// Smallest member address — the batch tie-break key (batch
+    /// components are sorted by smallest member, so smaller index ⟺
+    /// smaller key).
     key: Address,
-    /// Member operators, unsorted (sorted on assembly only).
-    members: Vec<Address>,
+    /// Member operators, unsorted (sorted by address on assembly only).
+    members: Vec<AddrId>,
     /// Direct operator↔operator edges with both endpoints inside,
     /// normalized (min, max). Replayed on scoped rebuild.
-    edges: Vec<(Address, Address)>,
+    edges: Vec<(AddrId, AddrId)>,
     /// Labeled-phish accounts whose touch chains live in this
     /// component (a touch set always merges into one component).
-    phish: BTreeSet<Address>,
-    /// Contracts currently vote-assigned to this component (sorted,
-    /// assembly-ready).
-    contracts: BTreeSet<Address>,
+    phish: BTreeSet<AddrId>,
+    /// Contracts currently vote-assigned to this component.
+    contracts: BTreeSet<AddrId>,
     /// Affiliates currently vote-assigned to this component.
-    affiliates: BTreeSet<Address>,
+    affiliates: BTreeSet<AddrId>,
 }
 
-/// A vote target: (0, contract address) or (1, affiliate address).
-type Target = (u8, Address);
+impl CompState {
+    /// The assigned set of one target kind.
+    fn assigned(&mut self, kind: u8) -> &mut BTreeSet<AddrId> {
+        if kind == T_CONTRACT {
+            &mut self.contracts
+        } else {
+            &mut self.affiliates
+        }
+    }
+}
+
+/// A vote target: (0, contract) or (1, affiliate).
+type Target = (u8, AddrId);
 
 const T_CONTRACT: u8 = 0;
 const T_AFFILIATE: u8 = 1;
 
+/// A target's votes: each distinct operator that cast one, with how many.
+type Voters = Vec<(AddrId, u32)>;
+
+/// Mark bit of an admitted operator.
+const OPERATOR: u8 = 1;
+/// Mark bit of a dataset member (contract, operator or affiliate).
+const MEMBER: u8 = 2;
+/// Mark bit of an account carrying an explorer phishing or
+/// drainer-family label.
+const PHISH: u8 = 4;
+
 /// One component in a [`ClustererCheckpoint`]. Member and edge *order*
-/// is preserved verbatim — a scoped rebuild's part enumeration follows
-/// it, so restoring must not re-sort what the live state kept in
-/// arrival order.
+/// is preserved verbatim (arrival order); restore re-derives the key
+/// from the members.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompCheckpoint {
     /// Stable component id.
@@ -139,13 +173,17 @@ pub struct CompCheckpoint {
 
 /// Serialized [`OnlineClusterer`] state (DESIGN.md §13).
 ///
-/// Everything is address-keyed (no interned ids), so the checkpoint is
-/// portable across process restarts; unordered hash maps are sorted by
-/// key on export so checkpoint bytes are deterministic, while
-/// order-bearing vectors (vote multisets, member/edge lists, the
-/// `txs_new` splice queue) are preserved verbatim. The assembled-family
-/// cache is *not* serialized: it is a pure performance cache, rebuilt
-/// lazily by the first snapshot after restore.
+/// Everything is address-keyed (interned ids are resolved on export and
+/// re-interned on restore), so the checkpoint is portable across process
+/// restarts; maps and sets are sorted by address on export, so
+/// checkpoint bytes are deterministic, and the member/edge lists and
+/// the `txs_new` splice queue keep their live order. Each vote multiset
+/// is written expanded, its operators in address order; restore counts
+/// it back, so the order of a multiset never matters. `op_votes` is
+/// derivable from the multisets and is rebuilt from them on restore.
+/// The assembled-family cache is *not* serialized: it is a pure
+/// performance cache, rebuilt lazily by the first snapshot after
+/// restore.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClustererCheckpoint {
     /// Transactions ingested (exclusive upper bound).
@@ -158,9 +196,9 @@ pub struct ClustererCheckpoint {
     pub direct_edges: Vec<(Address, Address)>,
     /// Phish account → touching operators (sorted by account).
     pub phish_touch: Vec<(Address, Vec<Address>)>,
-    /// Contract vote multisets, inner order preserved.
+    /// Contract vote multisets, operators in address order.
     pub contract_ops: Vec<(Address, Vec<Address>)>,
-    /// Affiliate vote multisets, inner order preserved.
+    /// Affiliate vote multisets, operators in address order.
     pub affiliate_ops: Vec<(Address, Vec<Address>)>,
     /// Profit-sharing transactions per contract.
     pub contract_txs: Vec<(Address, Vec<TxId>)>,
@@ -186,39 +224,41 @@ pub struct OnlineClusterer {
     classifier: ClassifierConfig,
     cache: Arc<ClassificationCache>,
     watermark: TxId,
-    /// Fast membership test for the hot window scan.
-    operators: HashSet<Address>,
+    /// [`OPERATOR`], [`MEMBER`] and [`PHISH`] bits per interned address,
+    /// sized to the interner at each ingest.
+    marks: Vec<u8>,
+    /// Admitted operators, in admission order (the window scan's list).
+    operators: Vec<AddrId>,
     next_cid: Cid,
     comps: FxHashMap<Cid, CompState>,
     /// Operator → owning component.
-    op_comp: FxHashMap<Address, Cid>,
+    op_comp: FxHashMap<AddrId, Cid>,
     /// Normalized (min, max) direct edges, global dedup.
-    direct_edges: FxHashSet<(Address, Address)>,
+    direct_edges: FxHashSet<(AddrId, AddrId)>,
     /// Labeled-phish account → operators that touched it. Entries are
     /// revoked (and the owning component rebuilt) when the account
     /// joins the dataset.
-    phish_touch: FxHashMap<Address, BTreeSet<Address>>,
-    /// Vote multisets, one entry per observation (batch step 2).
-    contract_ops: FxHashMap<Address, Vec<Address>>,
-    affiliate_ops: FxHashMap<Address, Vec<Address>>,
-    /// Profit-sharing transactions per contract.
-    contract_txs: FxHashMap<Address, BTreeSet<TxId>>,
-    /// Operator → targets that voted for it (the reverse index that
-    /// turns a merge delta into a dirty-target set).
-    op_votes: FxHashMap<Address, BTreeSet<Target>>,
+    phish_touch: FxHashMap<AddrId, BTreeSet<AddrId>>,
+    /// Each target kind's voters (batch step 2), indexed by kind.
+    votes: [FxHashMap<AddrId, Voters>; 2],
+    /// Profit-sharing transactions per contract, sorted.
+    contract_txs: FxHashMap<AddrId, Vec<TxId>>,
+    /// Operator → targets it voted for (the reverse index that turns a
+    /// merge delta into a dirty-target set).
+    op_votes: FxHashMap<AddrId, Vec<Target>>,
     /// Target → component it is currently assigned to. Invariant: the
     /// component is live and lists the target in its assigned sets.
     target_assign: FxHashMap<Target, Cid>,
     /// Assembled families per component id.
     assembled: FxHashMap<Cid, Arc<Family>>,
     /// Targets whose vote inputs changed since the last snapshot.
-    dirty_targets: BTreeSet<Target>,
+    dirty_targets: FxHashSet<Target>,
     /// Components whose cached assembly is invalid.
     dirty_comps: BTreeSet<Cid>,
     /// New (contract, tx) attributions since the last snapshot — spliced
     /// into the owning component's cached family when nothing else about
     /// the component changed.
-    txs_new: Vec<(Address, TxId)>,
+    txs_new: Vec<(AddrId, TxId)>,
     /// Components owed a scoped rebuild, drained at end of ingest.
     pending_rebuild: BTreeSet<Cid>,
     stats: OnlineClustererStats,
@@ -239,19 +279,19 @@ impl OnlineClusterer {
             classifier,
             cache,
             watermark: 0,
-            operators: HashSet::new(),
+            marks: Vec::new(),
+            operators: Vec::new(),
             next_cid: 0,
             comps: FxHashMap::default(),
             op_comp: FxHashMap::default(),
             direct_edges: FxHashSet::default(),
             phish_touch: FxHashMap::default(),
-            contract_ops: FxHashMap::default(),
-            affiliate_ops: FxHashMap::default(),
+            votes: Default::default(),
             contract_txs: FxHashMap::default(),
             op_votes: FxHashMap::default(),
             target_assign: FxHashMap::default(),
             assembled: FxHashMap::default(),
-            dirty_targets: BTreeSet::new(),
+            dirty_targets: FxHashSet::default(),
             dirty_comps: BTreeSet::new(),
             txs_new: Vec::new(),
             pending_rebuild: BTreeSet::new(),
@@ -269,134 +309,216 @@ impl OnlineClusterer {
         self.stats
     }
 
-    /// Exports the clusterer's full retained state. See
-    /// [`ClustererCheckpoint`] for the ordering contract; the operator
-    /// membership set and the operator→component index are derivable
-    /// from the component records and are rebuilt on restore.
-    pub fn checkpoint(&self) -> ClustererCheckpoint {
-        fn sorted_map<V: Clone>(map: &FxHashMap<Address, V>) -> Vec<(Address, V)> {
-            let mut out: Vec<(Address, V)> =
-                map.iter().map(|(&k, v)| (k, v.clone())).collect();
-            out.sort_unstable_by_key(|&(k, _)| k);
-            out
+    /// Exports the clusterer's full retained state, every id resolved
+    /// against `chain` (the chain it ingested). See
+    /// [`ClustererCheckpoint`] for the ordering contract; the marks, the
+    /// operator→component index and the `op_votes` reverse index are
+    /// derived state and are rebuilt on restore.
+    pub fn checkpoint(&self, chain: &Chain) -> ClustererCheckpoint {
+        fn sorted<T: Ord>(mut items: Vec<T>) -> Vec<T> {
+            items.sort_unstable();
+            items
         }
+        let addr = |id: AddrId| chain.resolve_addr(id);
+        let edge = |&(a, b): &(AddrId, AddrId)| {
+            let (a, b) = (addr(a), addr(b));
+            (a.min(b), a.max(b))
+        };
+        let addrs = |ids: &BTreeSet<AddrId>| sorted(ids.iter().map(|&id| addr(id)).collect());
+        let target = |&(kind, id): &Target| (kind, addr(id));
+        let multisets = |votes: &FxHashMap<AddrId, Voters>| {
+            let expand = |voters: &Voters| {
+                let voters = sorted(voters.iter().map(|&(op, n)| (addr(op), n)).collect());
+                voters.into_iter().flat_map(|(op, n)| std::iter::repeat_n(op, n as usize)).collect()
+            };
+            sorted(votes.iter().map(|(&t, voters)| (addr(t), expand(voters))).collect())
+        };
         let mut comps: Vec<CompCheckpoint> = self
             .comps
             .iter()
             .map(|(&cid, c)| CompCheckpoint {
                 cid,
                 key: c.key,
-                members: c.members.clone(),
-                edges: c.edges.clone(),
-                phish: c.phish.iter().copied().collect(),
-                contracts: c.contracts.iter().copied().collect(),
-                affiliates: c.affiliates.iter().copied().collect(),
+                members: c.members.iter().map(|&m| addr(m)).collect(),
+                edges: c.edges.iter().map(edge).collect(),
+                phish: addrs(&c.phish),
+                contracts: addrs(&c.contracts),
+                affiliates: addrs(&c.affiliates),
             })
             .collect();
         comps.sort_unstable_by_key(|c| c.cid);
-        let mut direct_edges: Vec<(Address, Address)> =
-            self.direct_edges.iter().copied().collect();
-        direct_edges.sort_unstable();
-        let mut target_assign: Vec<(Target, Cid)> =
-            self.target_assign.iter().map(|(&t, &cid)| (t, cid)).collect();
-        target_assign.sort_unstable();
         ClustererCheckpoint {
             watermark: self.watermark,
             next_cid: self.next_cid,
             comps,
-            direct_edges,
-            phish_touch: sorted_map(&self.phish_touch)
-                .into_iter()
-                .map(|(k, v)| (k, v.into_iter().collect()))
-                .collect(),
-            contract_ops: sorted_map(&self.contract_ops),
-            affiliate_ops: sorted_map(&self.affiliate_ops),
-            contract_txs: sorted_map(&self.contract_txs)
-                .into_iter()
-                .map(|(k, v)| (k, v.into_iter().collect()))
-                .collect(),
-            op_votes: sorted_map(&self.op_votes)
-                .into_iter()
-                .map(|(k, v)| (k, v.into_iter().collect()))
-                .collect(),
-            target_assign,
-            dirty_targets: self.dirty_targets.iter().copied().collect(),
+            direct_edges: sorted(self.direct_edges.iter().map(edge).collect()),
+            phish_touch: sorted(
+                self.phish_touch.iter().map(|(&p, ops)| (addr(p), addrs(ops))).collect(),
+            ),
+            contract_ops: multisets(&self.votes[T_CONTRACT as usize]),
+            affiliate_ops: multisets(&self.votes[T_AFFILIATE as usize]),
+            contract_txs: sorted(
+                self.contract_txs.iter().map(|(&c, txs)| (addr(c), txs.clone())).collect(),
+            ),
+            op_votes: sorted(
+                self.op_votes
+                    .iter()
+                    .map(|(&op, targets)| (addr(op), sorted(targets.iter().map(target).collect())))
+                    .collect(),
+            ),
+            target_assign: sorted(
+                self.target_assign.iter().map(|(t, &cid)| (target(t), cid)).collect(),
+            ),
+            dirty_targets: sorted(self.dirty_targets.iter().map(target).collect()),
             dirty_comps: self.dirty_comps.iter().copied().collect(),
-            txs_new: self.txs_new.clone(),
+            txs_new: self.txs_new.iter().map(|&(c, tx)| (addr(c), tx)).collect(),
             pending_rebuild: self.pending_rebuild.iter().copied().collect(),
             stats: self.stats,
         }
     }
 
-    /// Rebuilds a clusterer from a checkpoint. The assembled-family
-    /// cache starts empty (the next [`Self::clustering`] re-assembles
-    /// lazily — identical output, the work counters just attribute the
-    /// assemblies to the post-restore snapshot). `classifier` and
-    /// `cache` follow the same contract as [`Self::with_cache`].
+    /// Rebuilds a clusterer from a checkpoint against `chain` and
+    /// `labels`, which must be (deterministic rebuilds of) the ones the
+    /// checkpointed clusterer ingested: every address re-interns, and
+    /// the marks are rebuilt from the labels and the checkpoint's roles.
+    /// The assembled-family cache starts empty (the next
+    /// [`Self::clustering`] re-assembles lazily — identical output, the
+    /// work counters just attribute the assemblies to the post-restore
+    /// snapshot). `classifier` and `cache` follow the same contract as
+    /// [`Self::with_cache`].
+    ///
+    /// Refuses a checkpoint that names an address the chain never
+    /// interned, lists an operator in two components, or lists a
+    /// component with no members, twice, or with an id at or above
+    /// `next_cid`.
     pub fn restore(
         classifier: ClassifierConfig,
         cache: Arc<ClassificationCache>,
+        chain: &Chain,
+        labels: &LabelStore,
         ckpt: &ClustererCheckpoint,
-    ) -> Self {
+    ) -> Result<Self, String> {
+        let id = |address: Address| intern(chain, address);
+        let edge = |&(a, b): &(Address, Address)| -> Result<(AddrId, AddrId), String> {
+            let (a, b) = (id(a)?, id(b)?);
+            Ok((a.min(b), a.max(b)))
+        };
         let mut c = Self::with_cache(classifier, cache);
+        c.size_marks(chain, labels);
         c.watermark = ckpt.watermark;
         c.next_cid = ckpt.next_cid;
         for comp in &ckpt.comps {
-            for &m in &comp.members {
-                c.operators.insert(m);
-                c.op_comp.insert(m, comp.cid);
+            let cid = comp.cid;
+            if cid >= ckpt.next_cid {
+                return Err(format!("component {cid} is not below next_cid {}", ckpt.next_cid));
             }
-            c.comps.insert(
-                comp.cid,
-                CompState {
-                    key: comp.key,
-                    members: comp.members.clone(),
-                    edges: comp.edges.clone(),
-                    phish: comp.phish.iter().copied().collect(),
-                    contracts: comp.contracts.iter().copied().collect(),
-                    affiliates: comp.affiliates.iter().copied().collect(),
-                },
-            );
+            let key = *comp
+                .members
+                .iter()
+                .min()
+                .ok_or_else(|| format!("component {cid} has no members"))?;
+            let members: Vec<AddrId> = intern_all(chain, &comp.members)?;
+            for &m in &members {
+                if c.op_comp.insert(m, cid).is_some() {
+                    let op = chain.resolve_addr(m);
+                    return Err(format!("operator {op} is listed in two components"));
+                }
+                c.marks[m.index()] |= OPERATOR | MEMBER;
+                c.operators.push(m);
+            }
+            let state = CompState {
+                key,
+                members,
+                edges: comp.edges.iter().map(edge).collect::<Result<_, _>>()?,
+                phish: intern_all(chain, &comp.phish)?,
+                contracts: intern_all(chain, &comp.contracts)?,
+                affiliates: intern_all(chain, &comp.affiliates)?,
+            };
+            if c.comps.insert(cid, state).is_some() {
+                return Err(format!("component {cid} is listed twice"));
+            }
         }
-        for &edge in &ckpt.direct_edges {
-            c.direct_edges.insert(edge);
+        for e in &ckpt.direct_edges {
+            c.direct_edges.insert(edge(e)?);
         }
-        for (k, v) in &ckpt.phish_touch {
-            c.phish_touch.insert(*k, v.iter().copied().collect());
+        for (phish, ops) in &ckpt.phish_touch {
+            c.phish_touch.insert(id(*phish)?, intern_all(chain, ops)?);
         }
-        for (k, v) in &ckpt.contract_ops {
-            c.contract_ops.insert(*k, v.clone());
+        let multisets = [(T_CONTRACT, &ckpt.contract_ops), (T_AFFILIATE, &ckpt.affiliate_ops)];
+        for (kind, multisets) in multisets {
+            for (target, ops) in multisets {
+                let t = id(*target)?;
+                c.marks[t.index()] |= MEMBER;
+                for &op in ops {
+                    let op = id(op)?;
+                    c.marks[op.index()] |= MEMBER;
+                    c.cast_vote((kind, t), op);
+                }
+            }
         }
-        for (k, v) in &ckpt.affiliate_ops {
-            c.affiliate_ops.insert(*k, v.clone());
+        for (contract, txs) in &ckpt.contract_txs {
+            let mut txs = txs.clone();
+            txs.sort_unstable();
+            txs.dedup();
+            c.contract_txs.insert(id(*contract)?, txs);
         }
-        for (k, v) in &ckpt.contract_txs {
-            c.contract_txs.insert(*k, v.iter().copied().collect());
+        for &((kind, target), cid) in &ckpt.target_assign {
+            c.target_assign.insert((kind, id(target)?), cid);
         }
-        for (k, v) in &ckpt.op_votes {
-            c.op_votes.insert(*k, v.iter().copied().collect());
+        for &(kind, target) in &ckpt.dirty_targets {
+            c.dirty_targets.insert((kind, id(target)?));
         }
-        for &(t, cid) in &ckpt.target_assign {
-            c.target_assign.insert(t, cid);
-        }
-        c.dirty_targets = ckpt.dirty_targets.iter().copied().collect();
         c.dirty_comps = ckpt.dirty_comps.iter().copied().collect();
-        c.txs_new = ckpt.txs_new.clone();
+        for &(contract, tx) in &ckpt.txs_new {
+            c.txs_new.push((id(contract)?, tx));
+        }
         c.pending_rebuild = ckpt.pending_rebuild.iter().copied().collect();
         c.stats = ckpt.stats;
-        c
+        Ok(c)
+    }
+
+    /// Grows the marks to the chain's interner, marking every interned
+    /// account with an explorer phishing label. The labels never change
+    /// between ingests, but the chain may have grown.
+    fn size_marks(&mut self, chain: &Chain, labels: &LabelStore) {
+        let interned = chain.transactions().interner().len();
+        if self.marks.len() >= interned {
+            return;
+        }
+        self.marks.resize(interned, 0);
+        for address in labels.addresses() {
+            if is_labeled_phishing(labels, address) {
+                if let Some(id) = chain.addr_id(address) {
+                    self.marks[id.index()] |= PHISH;
+                }
+            }
+        }
+    }
+
+    /// Counts one vote of `op` for `t`, indexing a first vote in
+    /// `op_votes`.
+    fn cast_vote(&mut self, t: Target, op: AddrId) {
+        let voters = self.votes[t.0 as usize].entry(t.1).or_default();
+        match voters.iter_mut().find(|(voter, _)| *voter == op) {
+            Some((_, n)) => *n += 1,
+            None => {
+                voters.push((op, 1));
+                self.op_votes.entry(op).or_default().push(t);
+            }
+        }
     }
 
     /// Ingests one poll: the detector's events plus the transaction
-    /// window `[previous watermark, watermark)`. `dataset` must be the
-    /// detector's dataset *after* the poll that produced `events`, and
-    /// `watermark` the detector's cursor — membership checks follow the
-    /// batch-at-watermark semantics.
+    /// window `[previous watermark, watermark)`, where `watermark` is
+    /// the detector's cursor after the poll that produced `events` (so
+    /// every event's transaction lies below it).
+    /// Membership checks follow the batch-at-watermark semantics: every
+    /// role the events name counts as a dataset member from the start of
+    /// the poll, as it does in the detector's dataset after the poll.
     pub fn ingest(
         &mut self,
         chain: &Chain,
         labels: &LabelStore,
-        dataset: &Dataset,
         events: &[DetectorEvent],
         watermark: TxId,
     ) {
@@ -406,37 +528,56 @@ impl OnlineClusterer {
         let _ingest_span =
             daas_obs::span!("cluster.ingest", window = hi - lo, events = events.len());
         let stats_before = self.stats;
+        self.size_marks(chain, labels);
 
-        for event in events {
-            match event {
-                DetectorEvent::ContractAdmitted { contract, .. } => {
-                    self.revoke(*contract);
-                }
-                DetectorEvent::PsTransaction { tx, contract } => {
-                    let obs = self
-                        .cache
-                        .classify(chain, *tx, &self.classifier)
-                        .expect("a PsTransaction event classifies positively");
-                    self.contract_ops.entry(*contract).or_default().push(obs.operator);
-                    self.affiliate_ops.entry(obs.affiliate).or_default().push(obs.operator);
-                    let votes = self.op_votes.entry(obs.operator).or_default();
-                    votes.insert((T_CONTRACT, *contract));
-                    votes.insert((T_AFFILIATE, obs.affiliate));
-                    self.dirty_targets.insert((T_CONTRACT, *contract));
-                    self.dirty_targets.insert((T_AFFILIATE, obs.affiliate));
-                    if self.contract_txs.entry(*contract).or_default().insert(*tx) {
-                        self.txs_new.push((*contract, *tx));
+        // Mark every role the poll names before any event replays: an
+        // operator admitted early in the poll must not take a member
+        // named later for a phish touch.
+        let named: Vec<Option<AddrId>> = events
+            .iter()
+            .map(|event| match event {
+                DetectorEvent::ContractAdmitted { contract: a, .. }
+                | DetectorEvent::OperatorObserved(a)
+                | DetectorEvent::AffiliateObserved(a) => chain.addr_id(*a),
+                DetectorEvent::PsTransaction { .. } => None,
+            })
+            .collect();
+        for id in named.iter().flatten() {
+            self.marks[id.index()] |= MEMBER;
+        }
+
+        // One guard over the verdict table reads every profit-sharing
+        // transaction's role ids.
+        let cache = Arc::clone(&self.cache);
+        let verdicts = cache.read_to(chain, &self.classifier, hi);
+        for (event, id) in events.iter().zip(named) {
+            match (event, id) {
+                (DetectorEvent::PsTransaction { tx, .. }, _) => {
+                    let roles =
+                        verdicts.roles(*tx).expect("a PsTransaction event classifies positively");
+                    let contract = (T_CONTRACT, roles.contract);
+                    let affiliate = (T_AFFILIATE, roles.affiliate);
+                    self.cast_vote(contract, roles.operator);
+                    self.cast_vote(affiliate, roles.operator);
+                    self.dirty_targets.insert(contract);
+                    self.dirty_targets.insert(affiliate);
+                    let txs = self.contract_txs.entry(roles.contract).or_default();
+                    if let Err(at) = txs.binary_search(tx) {
+                        txs.insert(at, *tx);
+                        self.txs_new.push((roles.contract, *tx));
                     }
                 }
-                DetectorEvent::OperatorObserved(op) => {
-                    self.revoke(*op);
-                    self.admit_operator(chain, labels, dataset, *op);
+                (DetectorEvent::OperatorObserved(_), Some(op)) => {
+                    self.revoke(op);
+                    self.admit_operator(chain, op);
                 }
-                DetectorEvent::AffiliateObserved(aff) => {
-                    self.revoke(*aff);
-                }
+                (_, Some(account)) => self.revoke(account),
+                // An address the chain never interned has no history,
+                // no votes and no touches.
+                (_, None) => {}
             }
         }
+        drop(verdicts);
 
         // Window scan: only the new transactions, and among those only
         // the ones touching an operator — enumerated from the per-address
@@ -447,37 +588,30 @@ impl OnlineClusterer {
         // watermark.
         let mut op_txs: Vec<TxId> = Vec::new();
         for &op in &self.operators {
-            let hist = chain.txs_of(op);
-            for &txid in &hist[hist.partition_point(|&t| t < lo)..] {
-                if txid >= hi {
-                    break;
-                }
-                op_txs.push(txid);
-            }
+            let hist = chain.txs_of_id(op);
+            let from = hist.partition_point(|&t| t < lo);
+            op_txs.extend(hist[from..].iter().take_while(|&&t| t < hi));
         }
         op_txs.sort_unstable();
         op_txs.dedup();
+        let store = chain.transactions();
+        let (mut touched, mut ops_in) = (Vec::new(), Vec::new());
         for txid in op_txs {
-            let tx = chain.tx(txid);
-            let touched = tx.touched_addresses();
-            let mut ops_in: Vec<Address> =
-                touched.iter().copied().filter(|a| self.operators.contains(a)).collect();
-            ops_in.sort_unstable();
-            ops_in.dedup();
+            store.touched_ids_into(txid, &mut touched);
+            ops_in.clear();
+            let operator = |p: &AddrId| self.marks[p.index()] & OPERATOR != 0;
+            ops_in.extend(touched.iter().copied().filter(operator));
+            // Pairs in address order, as the batch merge normalizes them.
+            ops_in.sort_unstable_by_key(|&op| chain.resolve_addr(op));
             for (i, &a) in ops_in.iter().enumerate() {
                 for &b in &ops_in[i + 1..] {
                     self.add_edge(a, b);
                 }
             }
-            if !ops_in.is_empty() {
-                for &party in &touched {
-                    if !self.operators.contains(&party)
-                        && is_labeled_phishing(labels, party)
-                        && !dataset.contains(party)
-                    {
-                        for i in 0..ops_in.len() {
-                            self.add_phish_touch(party, ops_in[i]);
-                        }
+            for &party in &touched {
+                if self.marks[party.index()] & (OPERATOR | MEMBER | PHISH) == PHISH {
+                    for &op in &ops_in {
+                        self.add_phish_touch(party, op);
                     }
                 }
             }
@@ -487,7 +621,7 @@ impl OnlineClusterer {
         // edge state (the partition depends only on the edge set).
         let pending = std::mem::take(&mut self.pending_rebuild);
         for cid in pending {
-            self.scoped_rebuild(cid);
+            self.scoped_rebuild(chain, cid);
         }
 
         if daas_obs::enabled() {
@@ -502,16 +636,18 @@ impl OnlineClusterer {
     /// Admits a new operator: interns it as a singleton component and
     /// scans its full confirmed history (the streaming equivalent of
     /// the batch per-operator extract).
-    fn admit_operator(&mut self, chain: &Chain, labels: &LabelStore, dataset: &Dataset, op: Address) {
-        if !self.operators.insert(op) {
+    fn admit_operator(&mut self, chain: &Chain, op: AddrId) {
+        if self.marks[op.index()] & OPERATOR != 0 {
             return;
         }
+        self.marks[op.index()] |= OPERATOR;
+        self.operators.push(op);
         let cid = self.next_cid;
         self.next_cid += 1;
         self.comps.insert(
             cid,
             CompState {
-                key: op,
+                key: chain.resolve_addr(op),
                 members: vec![op],
                 edges: Vec::new(),
                 phish: BTreeSet::new(),
@@ -526,26 +662,29 @@ impl OnlineClusterer {
         if let Some(targets) = self.op_votes.get(&op) {
             self.dirty_targets.extend(targets.iter().copied());
         }
-        for &txid in chain.txs_of(op) {
+        let store = chain.transactions();
+        let mut touched = Vec::new();
+        for &txid in chain.txs_of_id(op) {
             if txid >= self.watermark {
                 break;
             }
-            let tx = chain.tx(txid);
-            for party in tx.touched_addresses() {
+            store.touched_ids_into(txid, &mut touched);
+            for &party in &touched {
+                let mark = self.marks[party.index()];
                 if party == op {
                     continue;
                 }
-                if self.operators.contains(&party) {
+                if mark & OPERATOR != 0 {
                     self.add_edge(op, party);
-                } else if is_labeled_phishing(labels, party) && !dataset.contains(party) {
+                } else if mark & (MEMBER | PHISH) == PHISH {
                     self.add_phish_touch(party, op);
                 }
             }
         }
     }
 
-    fn add_edge(&mut self, a: Address, b: Address) {
-        let key = if a < b { (a, b) } else { (b, a) };
+    fn add_edge(&mut self, a: AddrId, b: AddrId) {
+        let key = (a.min(b), a.max(b));
         if self.direct_edges.insert(key) {
             self.stats.edges += 1;
             let ca = *self.op_comp.get(&a).expect("edge endpoints are admitted operators");
@@ -560,7 +699,7 @@ impl OnlineClusterer {
         }
     }
 
-    fn add_phish_touch(&mut self, party: Address, op: Address) {
+    fn add_phish_touch(&mut self, party: AddrId, op: AddrId) {
         let (inserted, other) = {
             let set = self.phish_touch.entry(party).or_default();
             if set.insert(op) {
@@ -646,12 +785,12 @@ impl OnlineClusterer {
 
     /// Drops a phish-touch entry when the account joins the dataset and
     /// schedules a scoped rebuild of the owning component.
-    fn revoke(&mut self, address: Address) {
-        let Some(set) = self.phish_touch.remove(&address) else { return };
+    fn revoke(&mut self, account: AddrId) {
+        let Some(set) = self.phish_touch.remove(&account) else { return };
         if let Some(first) = set.iter().next() {
             if let Some(&cid) = self.op_comp.get(first) {
                 if let Some(comp) = self.comps.get_mut(&cid) {
-                    comp.phish.remove(&address);
+                    comp.phish.remove(&account);
                 }
                 self.pending_rebuild.insert(cid);
             }
@@ -659,22 +798,25 @@ impl OnlineClusterer {
     }
 
     /// Re-partitions one component over its own retained edges after a
-    /// revocation. If the partition is unchanged the component is kept
-    /// as-is; a split allocates fresh ids for every part (stale
-    /// assignments are tombstoned) and dirties all its targets.
-    fn scoped_rebuild(&mut self, cid: Cid) {
-        let Some(comp) = self.comps.get(&cid).cloned() else { return };
+    /// revocation, with a union-find built from the component by
+    /// reference. If the partition is unchanged the component is kept
+    /// as it is; a split moves its edges, phish accounts and members
+    /// into fresh ids for every part (stale assignments are tombstoned)
+    /// and dirties all its targets.
+    fn scoped_rebuild(&mut self, chain: &Chain, cid: Cid) {
+        let Some(comp) = self.comps.get(&cid) else { return };
         self.stats.rebuilds += 1;
+        let addr = |id: AddrId| chain.resolve_addr(id);
         let mut uf = UnionFind::new();
         for &m in &comp.members {
-            uf.insert(m);
+            uf.insert(addr(m));
         }
         for &(a, b) in &comp.edges {
-            uf.union(a, b);
+            uf.union(addr(a), addr(b));
         }
         for p in &comp.phish {
-            if let Some(set) = self.phish_touch.get(p) {
-                let chain: Vec<Address> = set.iter().copied().collect();
+            if let Some(ops) = self.phish_touch.get(p) {
+                let chain: Vec<Address> = ops.iter().map(|&op| addr(op)).collect();
                 for pair in chain.windows(2) {
                     uf.union(pair[0], pair[1]);
                 }
@@ -684,35 +826,24 @@ impl OnlineClusterer {
         if parts.len() <= 1 {
             return;
         }
-        self.comps.remove(&cid);
+        let comp = self.comps.remove(&cid).expect("live component");
         self.assembled.remove(&cid);
         self.dirty_comps.remove(&cid);
-        for &c in &comp.contracts {
-            self.target_assign.remove(&(T_CONTRACT, c));
-            self.dirty_targets.insert((T_CONTRACT, c));
+        let contracts = comp.contracts.iter().map(|&c| (T_CONTRACT, c));
+        for t in contracts.chain(comp.affiliates.iter().map(|&a| (T_AFFILIATE, a))) {
+            self.target_assign.remove(&t);
+            self.dirty_targets.insert(t);
         }
-        for &a in &comp.affiliates {
-            self.target_assign.remove(&(T_AFFILIATE, a));
-            self.dirty_targets.insert((T_AFFILIATE, a));
-        }
+        // The parts come sorted by smallest member, each sorted by
+        // address, and take fresh ids in that order.
         for part in parts {
             let ncid = self.next_cid;
             self.next_cid += 1;
-            let part_set: HashSet<Address> = part.iter().copied().collect();
-            let edges: Vec<(Address, Address)> =
-                comp.edges.iter().copied().filter(|&(a, _)| part_set.contains(&a)).collect();
-            let phish: BTreeSet<Address> = comp
-                .phish
+            let members: Vec<AddrId> = part
                 .iter()
-                .copied()
-                .filter(|p| {
-                    self.phish_touch
-                        .get(p)
-                        .and_then(|s| s.iter().next())
-                        .is_some_and(|m| part_set.contains(m))
-                })
+                .map(|&m| chain.addr_id(m).expect("members resolve from interned ids"))
                 .collect();
-            for &m in &part {
+            for &m in &members {
                 self.op_comp.insert(m, ncid);
             }
             self.dirty_comps.insert(ncid);
@@ -720,74 +851,75 @@ impl OnlineClusterer {
                 ncid,
                 CompState {
                     key: part[0],
-                    members: part,
-                    edges,
-                    phish,
+                    members,
+                    edges: Vec::new(),
+                    phish: BTreeSet::new(),
                     contracts: BTreeSet::new(),
                     affiliates: BTreeSet::new(),
                 },
             );
+        }
+        // An edge, and a phish account's touch chain, lie inside one
+        // part: each follows the part of its first operator.
+        for (a, b) in comp.edges {
+            let ncid = self.op_comp[&a];
+            self.comps.get_mut(&ncid).expect("live component").edges.push((a, b));
+        }
+        for p in comp.phish {
+            if let Some(first) = self.phish_touch.get(&p).and_then(|ops| ops.first()) {
+                let ncid = self.op_comp[first];
+                self.comps.get_mut(&ncid).expect("live component").phish.insert(p);
+            }
         }
     }
 
     /// Recomputes one target's majority vote and moves it between
     /// component assignment sets when the winner changed. The winner is
     /// the component with the most votes, ties to the smallest key. The
-    /// batch assembly applies the same rule in `families.rs` (`vote`),
+    /// batch assembly applies the same rule in `families.rs` (`assign`),
     /// where components are index-sorted by smallest member, so smaller
     /// index ⟺ smaller key; `tied_votes_go_to_the_smaller_first_operator`
-    /// pins the two copies together.
+    /// pins the two copies together. `tally` is scratch space, and
+    /// `entries` counts the vote entries read.
     ///
     /// The component that lost the target is structurally dirty; the
     /// one that gained it is returned instead, because a gain alone can
     /// be patched into its cached family.
-    fn revote_target(&mut self, t: Target) -> Option<Cid> {
-        let (kind, addr) = t;
-        let new_cid = {
-            let ops: &[Address] = match if kind == T_CONTRACT {
-                self.contract_ops.get(&addr)
-            } else {
-                self.affiliate_ops.get(&addr)
-            } {
-                Some(v) => v.as_slice(),
-                None => &[],
-            };
-            let mut counts: HashMap<Cid, usize> = HashMap::new();
-            for op in ops {
-                if let Some(&cid) = self.op_comp.get(op) {
-                    *counts.entry(cid).or_default() += 1;
-                }
+    fn revote_target(
+        &mut self,
+        t: Target,
+        tally: &mut Vec<(Cid, u64)>,
+        entries: &mut u64,
+    ) -> Option<Cid> {
+        let (kind, id) = t;
+        let voters = self.votes[kind as usize].get(&id).map_or(&[][..], Vec::as_slice);
+        *entries += voters.len() as u64;
+        tally.clear();
+        for &(op, n) in voters {
+            let Some(&cid) = self.op_comp.get(&op) else { continue };
+            match tally.iter_mut().find(|(c, _)| *c == cid) {
+                Some((_, total)) => *total += u64::from(n),
+                None => tally.push((cid, u64::from(n))),
             }
-            let comps = &self.comps;
-            counts
-                .into_iter()
-                .max_by_key(|&(cid, n)| {
-                    (n, std::cmp::Reverse(comps.get(&cid).expect("voted comps are live").key))
-                })
-                .map(|(cid, _)| cid)
-        };
+        }
+        let key = |cid: &Cid| self.comps.get(cid).expect("voted comps are live").key;
+        let new_cid = tally
+            .iter()
+            .max_by_key(|&&(cid, n)| (n, std::cmp::Reverse(key(&cid))))
+            .map(|&(cid, _)| cid);
         let old_cid = self.target_assign.get(&t).copied();
         if old_cid == new_cid {
             return None;
         }
         if let Some(oc) = old_cid {
             if let Some(comp) = self.comps.get_mut(&oc) {
-                if kind == T_CONTRACT {
-                    comp.contracts.remove(&addr);
-                } else {
-                    comp.affiliates.remove(&addr);
-                }
+                comp.assigned(kind).remove(&id);
                 self.dirty_comps.insert(oc);
             }
         }
         match new_cid {
             Some(nc) => {
-                let comp = self.comps.get_mut(&nc).expect("vote winner is live");
-                if kind == T_CONTRACT {
-                    comp.contracts.insert(addr);
-                } else {
-                    comp.affiliates.insert(addr);
-                }
+                self.comps.get_mut(&nc).expect("vote winner is live").assigned(kind).insert(id);
                 self.target_assign.insert(t, nc);
             }
             None => {
@@ -803,27 +935,29 @@ impl OnlineClusterer {
     /// components that only grew are patched, structurally changed ones
     /// re-assemble, and every other family is served as an `Arc` clone
     /// of the cached assembly — an idle snapshot allocates nothing.
-    /// `labels` must be the same (immutable) store every ingest saw —
-    /// cached names assume it.
-    pub fn clustering(&mut self, labels: &LabelStore) -> Clustering {
+    /// `chain` and `labels` must be the ones every ingest saw — cached
+    /// names assume the labels.
+    pub fn clustering(&mut self, chain: &Chain, labels: &LabelStore) -> Clustering {
         let _snapshot_span = daas_obs::span!("cluster.snapshot");
         let stats_before = self.stats;
+        let addr = |id: AddrId| chain.resolve_addr(id);
 
         // 1. Settle the dirty vote assignments, collecting what each
         //    winning component gained.
         let mut patches: BTreeMap<Cid, Patch> = BTreeMap::new();
         let dirty_targets = std::mem::take(&mut self.dirty_targets);
+        let (revoted, mut entries, mut tally) = (dirty_targets.len(), 0, Vec::new());
         for t in dirty_targets {
-            let Some(cid) = self.revote_target(t) else { continue };
+            let Some(cid) = self.revote_target(t, &mut tally, &mut entries) else { continue };
             let patch = patches.entry(cid).or_default();
             match t {
                 (T_CONTRACT, c) => {
-                    patch.contracts.push(c);
+                    patch.contracts.push(addr(c));
                     if let Some(txs) = self.contract_txs.get(&c) {
-                        patch.txs.extend(txs.iter().copied());
+                        patch.txs.extend_from_slice(txs);
                     }
                 }
-                (_, a) => patch.affiliates.push(a),
+                (_, a) => patch.affiliates.push(addr(a)),
             }
         }
         // 2. New transaction attributions. Unassigned contracts
@@ -869,19 +1003,26 @@ impl OnlineClusterer {
                 continue;
             }
             let comp = self.comps.get(&cid).expect("live component");
-            let mut operators = comp.members.clone();
-            operators.sort_unstable();
-            let contracts: Vec<Address> = comp.contracts.iter().copied().collect();
-            let affiliates: Vec<Address> = comp.affiliates.iter().copied().collect();
+            let sorted = |ids: &mut dyn Iterator<Item = AddrId>| {
+                let mut out: Vec<(Address, AddrId)> = ids.map(|id| (addr(id), id)).collect();
+                out.sort_unstable();
+                out
+            };
+            let operators: Vec<Address> =
+                sorted(&mut comp.members.iter().copied()).into_iter().map(|(a, _)| a).collect();
+            let contracts = sorted(&mut comp.contracts.iter().copied());
+            let affiliates: Vec<Address> =
+                sorted(&mut comp.affiliates.iter().copied()).into_iter().map(|(a, _)| a).collect();
             // Per-contract sets are disjoint, so a flat collect + sort
             // is the union (and much cheaper than a B-tree merge).
             let mut ps_txs: Vec<TxId> = Vec::new();
-            for ct in &contracts {
-                if let Some(txs) = self.contract_txs.get(ct) {
-                    ps_txs.extend(txs.iter().copied());
+            for (_, c) in &contracts {
+                if let Some(txs) = self.contract_txs.get(c) {
+                    ps_txs.extend_from_slice(txs);
                 }
             }
             ps_txs.sort_unstable();
+            let contracts: Vec<Address> = contracts.into_iter().map(|(a, _)| a).collect();
             let family = Arc::new(Family {
                 id: 0, // assigned after sorting, as in the batch path
                 name: family_name(labels, &operators, &contracts),
@@ -917,6 +1058,8 @@ impl OnlineClusterer {
         }
         if daas_obs::enabled() {
             let d = self.stats;
+            daas_obs::add("cluster.revote_targets", revoted as u64);
+            daas_obs::add("cluster.revote_entries", entries);
             daas_obs::add(
                 "cluster.families.reused",
                 (d.families_reused - stats_before.families_reused) as u64,
@@ -932,6 +1075,16 @@ impl OnlineClusterer {
         }
         Clustering { families }
     }
+}
+
+/// The id `chain` interned `address` under, or the restore error.
+fn intern(chain: &Chain, address: Address) -> Result<AddrId, String> {
+    chain.addr_id(address).ok_or_else(|| format!("checkpoint address {address} is not interned"))
+}
+
+/// [`intern`] over a list.
+fn intern_all<C: FromIterator<AddrId>>(chain: &Chain, addresses: &[Address]) -> Result<C, String> {
+    addresses.iter().map(|&a| intern(chain, a)).collect()
 }
 
 /// What one snapshot adds to a component whose structure did not
@@ -996,9 +1149,11 @@ fn merge_sorted<T: Ord + Copy>(dst: &mut Vec<T>, add: &[T]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
     use crate::families::cluster;
     use daas_chain::{ContractKind, EntryStyle, Label, LabelCategory, LabelSource, ProfitSharingSpec};
-    use daas_detector::Admission;
+    use daas_detector::{Admission, Dataset};
     use eth_types::units::ether;
 
     /// The `families.rs` fixture: three operators with one contract /
@@ -1080,8 +1235,8 @@ mod tests {
         let (chain, labels, dataset, _) = setup();
         let mut online = OnlineClusterer::new(ClassifierConfig::default());
         let watermark = chain.transactions().len() as TxId;
-        online.ingest(&chain, &labels, &dataset, &events_for(&dataset), watermark);
-        let live = online.clustering(&labels);
+        online.ingest(&chain, &labels, &events_for(&dataset), watermark);
+        let live = online.clustering(&chain, &labels);
         let batch = cluster(&chain, &labels, &dataset);
         assert_eq!(json(&live), json(&batch));
         assert_eq!(live.families.len(), 2, "A+B merged, C alone");
@@ -1094,10 +1249,10 @@ mod tests {
         let (chain, labels, dataset, _) = setup();
         let mut online = OnlineClusterer::new(ClassifierConfig::default());
         let watermark = chain.transactions().len() as TxId;
-        online.ingest(&chain, &labels, &dataset, &events_for(&dataset), watermark);
-        let first = json(&online.clustering(&labels));
+        online.ingest(&chain, &labels, &events_for(&dataset), watermark);
+        let first = json(&online.clustering(&chain, &labels));
         assert_eq!(online.stats().families_reused, 0);
-        let again = json(&online.clustering(&labels));
+        let again = json(&online.clustering(&chain, &labels));
         assert_eq!(first, again, "idle snapshot is identical");
         assert_eq!(online.stats().families_reused, 2, "both families served from cache");
     }
@@ -1109,9 +1264,9 @@ mod tests {
         let (chain, labels, dataset, _) = setup();
         let mut online = OnlineClusterer::new(ClassifierConfig::default());
         let watermark = chain.transactions().len() as TxId;
-        online.ingest(&chain, &labels, &dataset, &events_for(&dataset), watermark);
-        let first = online.clustering(&labels);
-        let second = online.clustering(&labels);
+        online.ingest(&chain, &labels, &events_for(&dataset), watermark);
+        let first = online.clustering(&chain, &labels);
+        let second = online.clustering(&chain, &labels);
         assert_eq!(first.families.len(), second.families.len());
         for (a, b) in first.families.iter().zip(&second.families) {
             assert!(Arc::ptr_eq(a, b), "idle snapshot reuses the family allocation");
@@ -1125,8 +1280,8 @@ mod tests {
         let (mut chain, labels, mut dataset, [op_a, ..]) = setup();
         let mut online = OnlineClusterer::new(ClassifierConfig::default());
         let watermark = chain.transactions().len() as TxId;
-        online.ingest(&chain, &labels, &dataset, &events_for(&dataset), watermark);
-        online.clustering(&labels);
+        online.ingest(&chain, &labels, &events_for(&dataset), watermark);
+        online.clustering(&chain, &labels);
 
         // Second poll: one more claim through A's contract.
         let contract_a = dataset
@@ -1142,12 +1297,12 @@ mod tests {
         let obs = daas_detector::classify_tx(chain.tx(tx), &Default::default()).unwrap();
         dataset.absorb(obs);
         let events = [DetectorEvent::PsTransaction { tx, contract: contract_a }];
-        online.ingest(&chain, &labels, &dataset, &events, chain.transactions().len() as TxId);
+        online.ingest(&chain, &labels, &events, chain.transactions().len() as TxId);
 
         let reused_before = online.stats().families_reused;
         let patched_before = online.stats().families_patched;
         let assembled_before = online.stats().families_assembled;
-        let live = online.clustering(&labels);
+        let live = online.clustering(&chain, &labels);
         assert_eq!(
             online.stats().families_reused,
             reused_before + 2,
@@ -1199,8 +1354,8 @@ mod tests {
                     dataset: &Dataset,
                     events: &[DetectorEvent]| {
             let watermark = chain.transactions().len() as TxId;
-            online.ingest(chain, &labels, dataset, events, watermark);
-            let live = online.clustering(&labels);
+            online.ingest(chain, &labels, events, watermark);
+            let live = online.clustering(chain, &labels);
             let batch = crate::cluster_prefix(chain, &labels, dataset, watermark);
             assert_eq!(json(&live), json(&batch));
             live
@@ -1249,8 +1404,8 @@ mod tests {
 
         let mut online = OnlineClusterer::new(ClassifierConfig::default());
         let watermark = chain.transactions().len() as TxId;
-        online.ingest(&chain, &labels, &dataset, &events_for(&dataset), watermark);
-        let merged = online.clustering(&labels);
+        online.ingest(&chain, &labels, &events_for(&dataset), watermark);
+        let merged = online.clustering(&chain, &labels);
         assert_eq!(merged.families.len(), 1, "shared phish account merges everything");
         assert_eq!(
             json(&merged),
@@ -1261,15 +1416,9 @@ mod tests {
         // batch rule no longer counts its touches, so the live state
         // must split back apart.
         dataset.affiliates.insert(phish);
-        online.ingest(
-            &chain,
-            &labels,
-            &dataset,
-            &[DetectorEvent::AffiliateObserved(phish)],
-            watermark,
-        );
+        online.ingest(&chain, &labels, &[DetectorEvent::AffiliateObserved(phish)], watermark);
         assert_eq!(online.stats().rebuilds, 1);
-        let split = online.clustering(&labels);
+        let split = online.clustering(&chain, &labels);
         assert_eq!(split.families.len(), 2, "A+B stay merged, C splits off");
         assert_eq!(
             json(&split),
@@ -1305,8 +1454,8 @@ mod tests {
         let batch = cluster(&chain, &labels, &dataset);
         let mut online = OnlineClusterer::new(ClassifierConfig::default());
         let watermark = chain.transactions().len() as TxId;
-        online.ingest(&chain, &labels, &dataset, &events_for(&dataset), watermark);
-        let live = online.clustering(&labels);
+        online.ingest(&chain, &labels, &events_for(&dataset), watermark);
+        let live = online.clustering(&chain, &labels);
         for clustering in [&batch, &live] {
             assert_eq!(clustering.families.len(), 2, "the operators stay apart");
             let fam = &clustering.families[0];
@@ -1325,8 +1474,8 @@ mod tests {
         let chain = Chain::new();
         let labels = LabelStore::new();
         let mut online = OnlineClusterer::new(ClassifierConfig::default());
-        online.ingest(&chain, &labels, &Dataset::default(), &[], 0);
-        assert!(online.clustering(&labels).families.is_empty());
+        online.ingest(&chain, &labels, &[], 0);
+        assert!(online.clustering(&chain, &labels).families.is_empty());
         assert_eq!(online.watermark(), 0);
     }
 }

@@ -24,9 +24,9 @@ fn replay_and_check(config: &WorldConfig, steps: &[u32], check: impl Fn(usize) -
     while at < total {
         at = (at + step_iter.next().expect("cycled")).min(total);
         let events = detector.poll_until(&world.chain, &world.labels, at);
-        clusterer.ingest(&world.chain, &world.labels, detector.dataset(), &events, at);
+        clusterer.ingest(&world.chain, &world.labels, &events, at);
         if check(boundary) || at == total {
-            let live = clusterer.clustering(&world.labels);
+            let live = clusterer.clustering(&world.chain, &world.labels);
             let oracle = cluster_prefix(&world.chain, &world.labels, detector.dataset(), at);
             assert_eq!(
                 serde_json::to_string(&live).unwrap(),

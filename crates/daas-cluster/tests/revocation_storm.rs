@@ -103,8 +103,8 @@ fn storm_in_one_window_coalesces_to_one_scoped_rebuild() {
 
     let mut online = OnlineClusterer::new(ClassifierConfig::default());
     let wm = chain.transactions().len() as TxId;
-    online.ingest(&chain, &labels, &dataset, &events, wm);
-    let live = online.clustering(&labels);
+    online.ingest(&chain, &labels, &events, wm);
+    let live = online.clustering(&chain, &labels);
     assert_eq!(live.families.len(), 2, "X (0-3) and Y (4-5)");
     assert_oracle_eq(&live, &chain, &labels, &dataset, wm);
     assert_eq!(online.stats().rebuilds, 0);
@@ -115,7 +115,7 @@ fn storm_in_one_window_coalesces_to_one_scoped_rebuild() {
     }
     let storm: Vec<DetectorEvent> =
         [p0, p1, p2].into_iter().map(DetectorEvent::AffiliateObserved).collect();
-    online.ingest(&chain, &labels, &dataset, &storm, wm);
+    online.ingest(&chain, &labels, &storm, wm);
     assert_eq!(
         online.stats().rebuilds,
         1,
@@ -123,7 +123,7 @@ fn storm_in_one_window_coalesces_to_one_scoped_rebuild() {
     );
 
     let reused_before = online.stats().families_reused;
-    let live = online.clustering(&labels);
+    let live = online.clustering(&chain, &labels);
     assert_eq!(live.families.len(), 5, "0..=3 split to singletons, 4+5 stay merged");
     assert!(
         online.stats().families_reused >= reused_before + 1,
@@ -143,16 +143,16 @@ fn storms_across_consecutive_windows_stay_scoped() {
 
     let mut online = OnlineClusterer::new(ClassifierConfig::default());
     let wm = chain.transactions().len() as TxId;
-    online.ingest(&chain, &labels, &dataset, &events, wm);
-    let live = online.clustering(&labels);
+    online.ingest(&chain, &labels, &events, wm);
+    let live = online.clustering(&chain, &labels);
     assert_eq!(live.families.len(), 2);
     assert_oracle_eq(&live, &chain, &labels, &dataset, wm);
 
     // Window 2: q0 joins the dataset — only {0,1} is rebuilt.
     dataset.affiliates.insert(q0);
-    online.ingest(&chain, &labels, &dataset, &[DetectorEvent::AffiliateObserved(q0)], wm);
+    online.ingest(&chain, &labels, &[DetectorEvent::AffiliateObserved(q0)], wm);
     assert_eq!(online.stats().rebuilds, 1);
-    let live = online.clustering(&labels);
+    let live = online.clustering(&chain, &labels);
     assert_eq!(live.families.len(), 3);
     assert_oracle_eq(&live, &chain, &labels, &dataset, wm);
 
@@ -160,9 +160,9 @@ fn storms_across_consecutive_windows_stay_scoped() {
     // off in window 2 are served straight from the assembly cache.
     dataset.affiliates.insert(q1);
     let reused_before = online.stats().families_reused;
-    online.ingest(&chain, &labels, &dataset, &[DetectorEvent::AffiliateObserved(q1)], wm);
+    online.ingest(&chain, &labels, &[DetectorEvent::AffiliateObserved(q1)], wm);
     assert_eq!(online.stats().rebuilds, 2);
-    let live = online.clustering(&labels);
+    let live = online.clustering(&chain, &labels);
     assert_eq!(live.families.len(), 4, "both chains dissolved to singletons");
     assert!(
         online.stats().families_reused >= reused_before + 2,
@@ -183,17 +183,17 @@ fn redundant_revocation_keeps_partition_and_cache() {
 
     let mut online = OnlineClusterer::new(ClassifierConfig::default());
     let wm = chain.transactions().len() as TxId;
-    online.ingest(&chain, &labels, &dataset, &events, wm);
-    let live = online.clustering(&labels);
+    online.ingest(&chain, &labels, &events, wm);
+    let live = online.clustering(&chain, &labels);
     assert_eq!(live.families.len(), 1, "phish chain and direct edge agree");
     assert_oracle_eq(&live, &chain, &labels, &dataset, wm);
 
     dataset.affiliates.insert(r0);
-    online.ingest(&chain, &labels, &dataset, &[DetectorEvent::AffiliateObserved(r0)], wm);
+    online.ingest(&chain, &labels, &[DetectorEvent::AffiliateObserved(r0)], wm);
     assert_eq!(online.stats().rebuilds, 1, "the scoped rebuild still ran");
 
     let reused_before = online.stats().families_reused;
-    let live = online.clustering(&labels);
+    let live = online.clustering(&chain, &labels);
     assert_eq!(live.families.len(), 1, "the direct edge keeps the component whole");
     assert_eq!(
         online.stats().families_reused,

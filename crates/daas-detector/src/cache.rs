@@ -10,9 +10,10 @@
 //! transaction up to it in one sequential sweep of the arena. A verdict
 //! is four bytes, the index of the transaction's positive or a negative
 //! marker. Each positive is stored inline, in 28 bytes: the contract,
-//! operator and affiliate `AddrId`s the snowball keys membership by,
-//! and where in the transaction the split is, from which a read
-//! materializes the [`PsObservation`].
+//! operator and affiliate `AddrId`s the snowball and the online
+//! detector key membership by (and the live clusterer reads, through
+//! [`Verdicts::roles`]), and where in the transaction the split is,
+//! from which a read materializes the [`PsObservation`].
 //! Transaction ids are append-only, so a filled prefix never goes stale
 //! while the chain grows.
 //!
@@ -25,6 +26,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use daas_chain::{Chain, TxId};
+use eth_types::AddrId;
 use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::classify::{classify_positive, ClassifierConfig, Positive, PsObservation};
@@ -137,6 +139,15 @@ impl ClassificationCache {
         Verdicts { table: self.table.read(), reads: Cell::new(0), total: &self.reads }
     }
 
+    /// Classifies every transaction below `end` the table does not hold
+    /// yet, then returns one read guard over the verdicts, for a pass of
+    /// many [`Verdicts::roles`] reads. Do not fill the table on the same
+    /// thread while the guard is held.
+    pub fn read_to(&self, chain: &Chain, cfg: &ClassifierConfig, end: TxId) -> Verdicts<'_> {
+        self.fill(chain, cfg, end);
+        self.read()
+    }
+
     /// Transactions classified so far (the filled prefix).
     pub fn len(&self) -> usize {
         self.table.read().verdicts.len()
@@ -157,10 +168,21 @@ impl ClassificationCache {
     }
 }
 
+/// The interned role ids of one positive verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoleIds {
+    /// The invoked contract (the transaction's `to`).
+    pub contract: AddrId,
+    /// Smaller-share recipient.
+    pub operator: AddrId,
+    /// Larger-share recipient.
+    pub affiliate: AddrId,
+}
+
 /// Shared read access to the filled prefix of a [`ClassificationCache`].
 /// Reads are counted locally and added to the table's `hits` when the
 /// guard drops.
-pub(crate) struct Verdicts<'a> {
+pub struct Verdicts<'a> {
     table: RwLockReadGuard<'a, Table>,
     reads: Cell<u64>,
     total: &'a AtomicU64,
@@ -191,6 +213,18 @@ impl Verdicts<'_> {
     #[inline]
     pub(crate) fn get(&self, txid: TxId) -> Option<&Positive> {
         self.slot(txid).map(|slot| self.positive(slot))
+    }
+
+    /// The role ids of `txid`'s positive, or `None` for a negative — a
+    /// read of the stored 28-byte verdict, with nothing materialized.
+    /// Panics if the table has not been filled up to `txid`.
+    #[inline]
+    pub fn roles(&self, txid: TxId) -> Option<RoleIds> {
+        self.get(txid).map(|p| RoleIds {
+            contract: p.contract,
+            operator: p.operator,
+            affiliate: p.affiliate,
+        })
     }
 }
 

@@ -78,17 +78,6 @@ impl Dataset {
         true
     }
 
-    /// [`Self::absorb`] from a borrowed observation — clones only when
-    /// the transaction is actually new, so callers holding shared
-    /// (`Arc`ed) cache verdicts pay one clone per absorbed positive
-    /// instead of one per classification fan-out.
-    pub fn absorb_ref(&mut self, obs: &PsObservation) -> bool {
-        if self.ps_txs.contains(&obs.tx) {
-            return false;
-        }
-        self.absorb(obs.clone())
-    }
-
     /// Observations attributed to one contract.
     pub fn observations_of(&self, contract: Address) -> impl Iterator<Item = &PsObservation> {
         self.observations.iter().filter(move |o| o.contract == contract)

@@ -30,7 +30,7 @@ pub mod online;
 mod robustness;
 mod snowball;
 
-pub use cache::{ClassificationCache, MemoStats};
+pub use cache::{ClassificationCache, MemoStats, RoleIds, Verdicts};
 pub use classify::{classify_tx, ClassifierConfig, PsObservation, DEFAULT_RATIOS_BPS};
 pub use features::{AccountFeatures, FeatureCache};
 pub use dataset::{Dataset, DatasetCounts};

@@ -10,17 +10,21 @@
 //! to exactly what the batch construction would produce.
 //!
 //! Membership and prior-contact state are keyed by interned
-//! [`AddrId`]s, and each poll *batches* the member-contact probe: the
-//! window's member-touching transactions are enumerated once from the
-//! account-history index (a `partition_point` per member), so the
-//! per-transaction loop only pays the full admissibility check for
-//! transactions that can actually change the dataset — everything else
-//! takes a seed-label-only fast path with zero membership probes.
+//! [`AddrId`]s: one role byte per interned address says which of the
+//! dataset's three role sets hold it, so the admission checks and the
+//! absorb path read the verdict table's role ids against it and touch
+//! the public [`Dataset`]'s address sets only when a role is new. Each
+//! poll *batches* the member-contact probe: the window's member-touching
+//! transactions are enumerated once from the account-history index (a
+//! `partition_point` per member), so the per-transaction loop only pays
+//! the full admissibility check for transactions that can actually
+//! change the dataset — everything else takes a seed-label-only fast
+//! path with zero membership probes.
 //!
 //! The poll-based shape (caller drives, detector returns the events
 //! since the last poll) follows the workspace's event-driven style.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use daas_chain::{Chain, LabelStore, TxId};
@@ -28,7 +32,7 @@ use eth_types::{AddrId, Address, FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{ClassificationCache, Verdicts};
-use crate::classify::PsObservation;
+use crate::classify::Positive;
 use crate::dataset::Dataset;
 use crate::snowball::SnowballConfig;
 
@@ -113,6 +117,13 @@ pub struct DetectorCheckpoint {
     pub touch_min: Vec<(Address, TxId)>,
 }
 
+/// Role bit of a dataset contract.
+const CONTRACT: u8 = 1;
+/// Role bit of a dataset operator.
+const OPERATOR: u8 = 2;
+/// Role bit of a dataset affiliate.
+const AFFILIATE: u8 = 4;
+
 /// Incremental detector state.
 #[derive(Debug, Clone)]
 pub struct OnlineDetector {
@@ -128,11 +139,14 @@ pub struct OnlineDetector {
     /// so the guard is an O(1) lookup instead of an O(history) rescan
     /// per candidate.
     touch_min: FxHashMap<AddrId, TxId>,
-    /// Flat union of the dataset's contract/operator/affiliate sets as
-    /// interned ids — the membership probe hashes 4 bytes. Maintained by
-    /// [`Self::absorb_noting`], the only place the detector's dataset
-    /// grows.
-    members: FxHashSet<AddrId>,
+    /// One byte per interned address: which of the dataset's role sets
+    /// hold it ([`CONTRACT`], [`OPERATOR`], [`AFFILIATE`]); nonzero is
+    /// membership. Sized to the interner at each poll, and written only
+    /// by [`Self::absorb`], the one place the detector's dataset grows.
+    roles: Vec<u8>,
+    /// Every address with a role (the window mask marks their
+    /// histories).
+    members: Vec<AddrId>,
     /// Present only while a poll is in flight (see [`WindowMask`]).
     window: Option<WindowMask>,
     /// Scratch buffer for touched-id extraction, reused across
@@ -158,7 +172,8 @@ impl OnlineDetector {
             cursor: 0,
             cache,
             touch_min: FxHashMap::default(),
-            members: FxHashSet::default(),
+            roles: Vec::new(),
+            members: Vec::new(),
             window: None,
             touched_scratch: Vec::new(),
         }
@@ -172,9 +187,9 @@ impl OnlineDetector {
     /// Exports the detector's full live state as an address-keyed
     /// checkpoint. Never call mid-poll (the window mask is transient
     /// poll state); between polls the mask is absent and the detector
-    /// is exactly (cursor, dataset, touch_min) — the member set is the
-    /// interned union of the dataset's role sets and is rebuilt on
-    /// restore rather than serialized.
+    /// is exactly (cursor, dataset, touch_min) — the role bytes are the
+    /// interned dataset role sets and are rebuilt on restore rather than
+    /// serialized.
     pub fn checkpoint(&self, chain: &Chain) -> DetectorCheckpoint {
         debug_assert!(self.window.is_none(), "checkpoint taken mid-poll");
         let mut touch_min: Vec<(Address, TxId)> = self
@@ -206,21 +221,51 @@ impl OnlineDetector {
                 .ok_or_else(|| format!("checkpoint address {addr} is not interned"))?;
             detector.touch_min.insert(id, *tx);
         }
-        // Members are exactly the interned union of the role sets (the
-        // only writer is `absorb_noting`, which inserts every role
-        // address the chain has interned).
-        let roles = ckpt
-            .dataset
-            .contracts
-            .iter()
-            .chain(&ckpt.dataset.operators)
-            .chain(&ckpt.dataset.affiliates);
-        for &addr in roles {
-            if let Some(id) = chain.addr_id(addr) {
-                detector.members.insert(id);
+        // The role bytes are exactly the interned role sets (the only
+        // writer is `absorb`, and role ids come from the verdict table).
+        detector.size_roles(chain);
+        let ds = &ckpt.dataset;
+        for (set, bit) in
+            [(&ds.contracts, CONTRACT), (&ds.operators, OPERATOR), (&ds.affiliates, AFFILIATE)]
+        {
+            for &addr in set {
+                let id = chain
+                    .addr_id(addr)
+                    .ok_or_else(|| format!("checkpoint dataset member {addr} is not interned"))?;
+                detector.add_role(id, bit);
             }
         }
         Ok(detector)
+    }
+
+    /// Grows the role bytes to the chain's interner (the chain may have
+    /// grown since the last poll).
+    fn size_roles(&mut self, chain: &Chain) {
+        let interned = chain.transactions().interner().len();
+        if self.roles.len() < interned {
+            self.roles.resize(interned, 0);
+        }
+    }
+
+    #[inline]
+    fn is_member(&self, id: AddrId) -> bool {
+        self.roles[id.index()] != 0
+    }
+
+    #[inline]
+    fn has_role(&self, id: AddrId, bit: u8) -> bool {
+        self.roles[id.index()] & bit != 0
+    }
+
+    /// Sets a role bit; returns whether the address just became a member.
+    fn add_role(&mut self, id: AddrId, bit: u8) -> bool {
+        let slot = &mut self.roles[id.index()];
+        let joined = *slot == 0;
+        *slot |= bit;
+        if joined {
+            self.members.push(id);
+        }
+        joined
     }
 
     /// Transactions processed so far.
@@ -246,6 +291,7 @@ impl OnlineDetector {
         let _poll_span =
             daas_obs::span!("detector.poll", from = self.cursor, to = limit);
         let mut events = Vec::new();
+        self.size_roles(chain);
         if self.cursor < limit {
             // Every verdict this poll reads lies below `limit`: fill the
             // window's once, up front, and never look past it.
@@ -325,36 +371,21 @@ impl OnlineDetector {
         // expansion needs a touched member besides the contract plus the
         // O(1) prior-contact guard, seed needs a public flag. Anything
         // else cannot change the dataset.
-        let to_id = positive.contract;
-        let to = chain.resolve_addr(to_id);
-        let admissible = self.dataset.contracts.contains(&to)
-            || (touched.iter().any(|&a| a != to_id && self.members.contains(&a))
-                && (!self.cfg.expansion_guard || self.prior_contact_id(to_id, txid)))
-            || (labels.publicly_flagged(to) && chain.is_contract(to));
-        if !admissible {
-            return;
-        }
-        let obs = positive.observation(chain.transactions());
-        let contract = obs.contract;
-
-        if self.dataset.contracts.contains(&contract) {
-            self.absorb_and_backfill(chain, verdicts, &obs, events);
+        let contract_id = positive.contract;
+        if self.has_role(contract_id, CONTRACT) {
+            self.absorb_and_backfill(chain, verdicts, positive, events);
             return;
         }
 
         // Seed rule: the contract is publicly labeled as phishing.
+        let contract = chain.resolve_addr(contract_id);
         let seed = labels.publicly_flagged(contract) && chain.is_contract(contract);
         // Expansion rule: the transaction touches an account already
         // in the dataset, and the contract has a *prior* interaction
         // with the dataset (identical to the batch guard).
-        let expansion = !seed && {
-            let contract_id = chain.addr_id(contract);
-            let touches_dataset = touched
-                .iter()
-                .any(|&a| Some(a) != contract_id && self.members.contains(&a));
-            touches_dataset
-                && (!self.cfg.expansion_guard || self.prior_contact(chain, contract, txid))
-        };
+        let expansion = !seed
+            && touched.iter().any(|&a| a != contract_id && self.is_member(a))
+            && (!self.cfg.expansion_guard || self.prior_contact(contract_id, txid));
         if !(seed || expansion) {
             return;
         }
@@ -363,36 +394,30 @@ impl OnlineDetector {
             contract,
             via: if seed { Admission::SeedLabel } else { Admission::Expansion },
         });
-        self.absorb_and_backfill(chain, verdicts, &obs, events);
+        self.absorb_and_backfill(chain, verdicts, positive, events);
         // Backfill the contract's own earlier history (step 2 on the
         // just-admitted contract), bounded by what has confirmed.
-        self.backfill_account(chain, verdicts, contract, &mut *events);
+        self.backfill(chain, verdicts, VecDeque::from([contract_id]), events);
     }
 
     /// The expansion guard: has the interned contract a dataset contact
     /// strictly before `surfacing_tx`, against the *current* dataset?
     /// O(1) via the incrementally maintained first-contact index.
-    fn prior_contact_id(&self, contract: AddrId, surfacing_tx: TxId) -> bool {
+    fn prior_contact(&self, contract: AddrId, surfacing_tx: TxId) -> bool {
         self.touch_min.get(&contract).is_some_and(|&t| t < surfacing_tx)
-    }
-
-    /// [`Self::prior_contact_id`] from an address (an address the chain
-    /// has never interned can have no contacts at all).
-    fn prior_contact(&self, chain: &Chain, contract: Address, surfacing_tx: TxId) -> bool {
-        chain.addr_id(contract).is_some_and(|id| self.prior_contact_id(id, surfacing_tx))
     }
 
     /// Records `txid` as a dataset contact for every address it touches
     /// alongside a current member (rule 1 of the index: transactions are
     /// indexed once, as the cursor passes them).
     fn note_tx(&mut self, txid: TxId, touched: &[AddrId]) {
-        let members = touched.iter().filter(|a| self.members.contains(a)).count();
+        let members = touched.iter().filter(|&&a| self.is_member(a)).count();
         if members == 0 {
             return;
         }
         for &a in touched {
             // `a` needs a member *other than itself* in the same tx.
-            if members > 1 || !self.members.contains(&a) {
+            if members > 1 || !self.is_member(a) {
                 self.note_touch(a, txid);
             }
         }
@@ -429,65 +454,66 @@ impl OnlineDetector {
         }
     }
 
-    /// [`Dataset::absorb`] plus first-contact index maintenance for any
-    /// member the observation introduced.
-    fn absorb_noting(&mut self, chain: &Chain, obs: &PsObservation) -> bool {
-        let (c, o, a) = (obs.contract, obs.operator, obs.affiliate);
-        let new_c = !self.dataset.contracts.contains(&c);
-        let new_o = !self.dataset.operators.contains(&o);
-        let new_a = !self.dataset.affiliates.contains(&a);
-        if !self.dataset.absorb_ref(obs) {
+    /// Absorbs one positive into the dataset, unless its transaction is
+    /// already in: materializes its observation once, adds each role the
+    /// role bytes do not hold yet to its dataset set, and indexes the
+    /// first contacts of each address that just became a member. Returns
+    /// whether the transaction was new.
+    fn absorb(&mut self, chain: &Chain, positive: &Positive) -> bool {
+        if !self.dataset.ps_txs.insert(positive.tx) {
             return false;
         }
-        for (is_new, addr) in [(new_c, c), (new_o, o), (new_a, a)] {
-            if !is_new {
-                continue;
+        let obs = positive.observation(chain.transactions());
+        let ds = &mut self.dataset;
+        let roles = [
+            (positive.contract, CONTRACT, obs.contract, &mut ds.contracts),
+            (positive.operator, OPERATOR, obs.operator, &mut ds.operators),
+            (positive.affiliate, AFFILIATE, obs.affiliate, &mut ds.affiliates),
+        ];
+        let mut joined = [None; 3];
+        for (slot, (id, bit, addr, set)) in joined.iter_mut().zip(roles) {
+            if self.roles[id.index()] & bit == 0 {
+                set.insert(addr);
+                *slot = Some((id, bit));
             }
-            // Members come from a classified transaction, so the chain
-            // has interned them.
-            if let Some(id) = chain.addr_id(addr) {
-                self.members.insert(id);
+        }
+        ds.observations.push(obs);
+        for (id, bit) in joined.into_iter().flatten() {
+            if self.add_role(id, bit) {
                 self.note_member(chain, id);
             }
         }
         true
     }
 
-    /// Absorbs one observation, emitting role events, and backfills the
+    /// Absorbs one positive, emitting role events, and backfills the
     /// histories of any newly seen operators/affiliates (the streaming
     /// equivalent of the batch fixpoint).
     fn absorb_and_backfill(
         &mut self,
         chain: &Chain,
         verdicts: &Verdicts<'_>,
-        obs: &PsObservation,
+        positive: &Positive,
         events: &mut Vec<DetectorEvent>,
     ) {
-        let mut queue: VecDeque<Address> = VecDeque::new();
-        let (tx, contract, op, aff) = (obs.tx, obs.contract, obs.operator, obs.affiliate);
-        let new_op = !self.dataset.operators.contains(&op);
-        let new_aff = !self.dataset.affiliates.contains(&aff);
-        if !self.absorb_noting(chain, obs) {
+        let (op, aff) = (positive.operator, positive.affiliate);
+        let new_op = !self.has_role(op, OPERATOR);
+        let new_aff = !self.has_role(aff, AFFILIATE);
+        if !self.absorb(chain, positive) {
             return;
         }
-        events.push(DetectorEvent::PsTransaction { tx, contract });
+        let contract = chain.resolve_addr(positive.contract);
+        events.push(DetectorEvent::PsTransaction { tx: positive.tx, contract });
+        let mut queue: VecDeque<AddrId> = VecDeque::new();
         if new_op {
-            events.push(DetectorEvent::OperatorObserved(op));
+            events.push(DetectorEvent::OperatorObserved(chain.resolve_addr(op)));
             queue.push_back(op);
         }
         if new_aff {
-            events.push(DetectorEvent::AffiliateObserved(aff));
+            events.push(DetectorEvent::AffiliateObserved(chain.resolve_addr(aff)));
             queue.push_back(aff);
         }
-        let mut seen: HashSet<Address> = queue.iter().copied().collect();
-        while let Some(account) = queue.pop_front() {
-            let new_members = self.scan_account(chain, verdicts, account, events);
-            for member in new_members {
-                if seen.insert(member) {
-                    queue.push_back(member);
-                }
-            }
-        }
+        self.backfill(chain, verdicts, queue, events);
     }
 
     /// Scans an account's *confirmed* history (up to the cursor) for
@@ -498,24 +524,19 @@ impl OnlineDetector {
         &mut self,
         chain: &Chain,
         verdicts: &Verdicts<'_>,
-        account: Address,
+        account: AddrId,
         events: &mut Vec<DetectorEvent>,
-    ) -> Vec<Address> {
+    ) -> Vec<AddrId> {
         let mut new_members = Vec::new();
-        let history: Vec<TxId> = chain
-            .txs_of(account)
-            .iter()
-            .copied()
-            .filter(|&id| id < self.cursor)
-            .collect();
-        for txid in history {
+        let history = chain.txs_of_id(account);
+        for &txid in &history[..history.partition_point(|&id| id < self.cursor)] {
             let Some(positive) = verdicts.get(txid) else { continue };
-            let obs = positive.observation(chain.transactions());
-            let contract = obs.contract;
-            let known = self.dataset.contracts.contains(&contract);
+            let contract_id = positive.contract;
+            let known = self.has_role(contract_id, CONTRACT);
+            let contract = chain.resolve_addr(contract_id);
             if !known {
                 let guard_ok =
-                    !self.cfg.expansion_guard || self.prior_contact(chain, contract, txid);
+                    !self.cfg.expansion_guard || self.prior_contact(contract_id, txid);
                 if !guard_ok {
                     continue;
                 }
@@ -524,54 +545,45 @@ impl OnlineDetector {
                     via: Admission::Expansion,
                 });
             }
-            let (op, aff) = (obs.operator, obs.affiliate);
-            let new_op = !self.dataset.operators.contains(&op);
-            let new_aff = !self.dataset.affiliates.contains(&aff);
-            if self.absorb_noting(chain, &obs) {
+            let (op, aff) = (positive.operator, positive.affiliate);
+            let new_op = !self.has_role(op, OPERATOR);
+            let new_aff = !self.has_role(aff, AFFILIATE);
+            if self.absorb(chain, positive) {
                 events.push(DetectorEvent::PsTransaction { tx: txid, contract });
                 if new_op {
-                    events.push(DetectorEvent::OperatorObserved(op));
+                    events.push(DetectorEvent::OperatorObserved(chain.resolve_addr(op)));
                     new_members.push(op);
                 }
                 if new_aff {
-                    events.push(DetectorEvent::AffiliateObserved(aff));
+                    events.push(DetectorEvent::AffiliateObserved(chain.resolve_addr(aff)));
                     new_members.push(aff);
                 }
             }
             if !known {
                 // New contract: sweep its own confirmed history too.
-                let more = self.backfill_account_collect(chain, verdicts, contract, events);
+                let more = self.scan_account(chain, verdicts, contract_id, events);
                 new_members.extend(more);
             }
         }
         new_members
     }
 
-    fn backfill_account(
+    /// Scans the confirmed histories of the queued accounts and,
+    /// breadth-first, of every operator or affiliate the scans observe.
+    fn backfill(
         &mut self,
         chain: &Chain,
         verdicts: &Verdicts<'_>,
-        account: Address,
+        mut queue: VecDeque<AddrId>,
         events: &mut Vec<DetectorEvent>,
     ) {
-        let mut queue: VecDeque<Address> = VecDeque::from([account]);
-        let mut seen: HashSet<Address> = queue.iter().copied().collect();
-        while let Some(acc) = queue.pop_front() {
-            for member in self.scan_account(chain, verdicts, acc, events) {
+        let mut seen: FxHashSet<AddrId> = queue.iter().copied().collect();
+        while let Some(account) = queue.pop_front() {
+            for member in self.scan_account(chain, verdicts, account, events) {
                 if seen.insert(member) {
                     queue.push_back(member);
                 }
             }
         }
-    }
-
-    fn backfill_account_collect(
-        &mut self,
-        chain: &Chain,
-        verdicts: &Verdicts<'_>,
-        account: Address,
-        events: &mut Vec<DetectorEvent>,
-    ) -> Vec<Address> {
-        self.scan_account(chain, verdicts, account, events)
     }
 }

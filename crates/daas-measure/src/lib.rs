@@ -8,8 +8,8 @@
 //! value once ([`MeasuredIncident`]); all reports derive from that.
 //!
 //! Streaming ([`LiveMeasure`]): the same measurements maintained
-//! incrementally from the online detector's event feed — cheap running
-//! views per poll, and a canonical [`LiveMeasure::reports`] that routes
+//! incrementally from the online detector's event feed — exact running
+//! counts per poll, and a canonical [`LiveMeasure::reports`] that routes
 //! through the identical batch bundle (byte-identical output; see
 //! `tests/live_equivalence.rs` and DESIGN.md §10).
 
@@ -36,7 +36,7 @@ pub use bundle::{stat_bundle, StatBundle};
 pub use family_table::{dominant_share, family_table, FamilyRow};
 pub use incidents::{MeasureCtx, MeasuredIncident};
 pub use laundering::{LaunderingReport, SinkKind};
-pub use live::{LiveDelta, LiveMeasure, MeasureCheckpoint, MonthCheckpoint};
+pub use live::{LiveDelta, LiveMeasure, MeasureCheckpoint};
 pub use management::{RewardReport, TierCensus};
 pub use timeline::MonthRow;
 pub use operators::{OperatorLifecycles, OperatorReport};

@@ -1,14 +1,13 @@
 //! Streaming measurement: the §6 view maintained incrementally from the
 //! online detector's event feed.
 //!
-//! [`LiveMeasure`] consumes [`DetectorEvent`]s and keeps running
-//! accumulators — attributed incidents, per-victim losses, per-account
-//! profits, the ratio histogram and the monthly timeline — so a deployed
-//! observatory can publish cheap per-poll numbers without re-walking the
-//! chain. Counter-valued views (`ratio_histogram`, incident/victim
-//! counts) are *exactly* the batch values; float-valued running views
-//! (`victim_report`, `timeline`, the concentration summaries) accumulate
-//! in event-arrival order and are monitoring-grade (ulp-level) only.
+//! [`LiveMeasure`] consumes [`DetectorEvent`]s and folds each new
+//! profit-sharing transaction, attributed and valued once, into only
+//! what its callers read: the incident set, the distinct-victim set,
+//! the §4.3 ratio counters and the running USD total. The counts
+//! (`incident_count`, `victim_count`, `ratio_histogram`) are *exactly*
+//! the batch values at any poll; the total accumulates in event-arrival
+//! order and is monitoring-grade (ulp-level) only.
 //!
 //! The canonical numbers come from [`LiveMeasure::reports`]: it hands a
 //! [`MeasureCtx`] the *cached* canonical incident vector (transaction
@@ -24,25 +23,22 @@
 //! canonical order is the map's own iteration order — the canonical
 //! vector and the checkpoint read it out without a sort. The vector is
 //! `Arc`-shared and revision-stamped: polls that add no incidents
-//! re-serve the previous allocation. Float accumulators stay on plain
-//! ordered maps — their values depend on accumulation order, and the
-//! ordered in-place updates keep every poll deterministic.
+//! re-serve the previous allocation. The victim set and the ratio
+//! counters are derived from the incidents, so a checkpoint stores only
+//! the incidents and the running total.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use daas_chain::{format_year_month, Chain, LabelStore, Timestamp, TxId};
+use daas_chain::{Chain, LabelStore, Timestamp, TxId};
 use daas_detector::{ClassificationCache, ClassifierConfig, Dataset, DetectorEvent};
 use daas_pricing::Oracle;
-use eth_types::Address;
+use eth_types::{Address, FxHashSet};
 use serde::{Deserialize, Serialize};
 
 use crate::incidents::{measure_observation, MeasureCtx, MeasuredIncident};
 use crate::ratios::{ratio_rows, RatioRow};
 use crate::reports::{MeasureConfig, MeasureReports};
-use crate::stats::Concentration;
-use crate::timeline::{month_rows, MonthAccum, MonthRow};
-use crate::victims::{span_days, victim_report_from, VictimReport};
 
 /// What one [`LiveMeasure::ingest`] call added.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -55,46 +51,19 @@ pub struct LiveDelta {
     pub usd: f64,
 }
 
-/// One month's accumulator in a [`MeasureCheckpoint`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MonthCheckpoint {
-    /// `YYYY-MM` key.
-    pub month: String,
-    /// Distinct victims that month (sorted).
-    pub victims: Vec<Address>,
-    /// Incident count.
-    pub incidents: usize,
-    /// USD stolen (exact running value — the JSON float round-trips
-    /// bit-for-bit through the workspace serializer).
-    pub usd: f64,
-}
-
 /// Serialized [`LiveMeasure`] state (DESIGN.md §13).
 ///
-/// The float accumulators depend on event-arrival order, so they are
-/// serialized *exactly* rather than recomputed: the workspace JSON
-/// shim renders `f64` with shortest-round-trip formatting and parses it
-/// back bit-for-bit, which makes a restored accumulator — including the
-/// monitoring-grade running views — indistinguishable from one that
-/// never stopped.
+/// The running total depends on event-arrival order, so it is
+/// serialized *exactly* rather than recomputed: the workspace JSON shim
+/// renders `f64` with shortest-round-trip formatting and parses it back
+/// bit-for-bit. Everything else is derived from the incidents on
+/// restore. Checkpoints written with the retired running-view fields
+/// (per-account sums, monthly buckets, first/last timestamps) restore
+/// unchanged: unknown fields are ignored on load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MeasureCheckpoint {
     /// Attributed incidents, sorted by transaction id.
     pub incidents: Vec<MeasuredIncident>,
-    /// Per-victim running losses (sorted by address).
-    pub loss_per_victim: Vec<(Address, f64)>,
-    /// Per-operator running profits.
-    pub profit_per_operator: Vec<(Address, f64)>,
-    /// Per-affiliate running profits.
-    pub profit_per_affiliate: Vec<(Address, f64)>,
-    /// Ratio histogram counters.
-    pub ratio_counts: Vec<(u32, usize)>,
-    /// Monthly accumulators.
-    pub by_month: Vec<MonthCheckpoint>,
-    /// Earliest incident timestamp (`u64::MAX` when empty).
-    pub first_ts: u64,
-    /// Latest incident timestamp.
-    pub last_ts: u64,
     /// Running USD total.
     pub total_usd: f64,
 }
@@ -113,13 +82,10 @@ pub struct LiveMeasure {
     /// The canonical (transaction-ordered) incident vector served to
     /// [`MeasureCtx::from_incidents`], rebuilt only when `rev` moved.
     canonical: Option<(u64, Arc<Vec<MeasuredIncident>>)>,
-    loss_per_victim: BTreeMap<Address, f64>,
-    profit_per_operator: BTreeMap<Address, f64>,
-    profit_per_affiliate: BTreeMap<Address, f64>,
+    /// The incidents' distinct victims.
+    victims: FxHashSet<Address>,
+    /// Incidents per matched ratio.
     ratio_counts: BTreeMap<u32, usize>,
-    by_month: MonthAccum,
-    first_ts: u64,
-    last_ts: u64,
     total_usd: f64,
 }
 
@@ -139,13 +105,8 @@ impl LiveMeasure {
             incidents: txgraph::CowMap::new(),
             rev: 0,
             canonical: None,
-            loss_per_victim: BTreeMap::new(),
-            profit_per_operator: BTreeMap::new(),
-            profit_per_affiliate: BTreeMap::new(),
+            victims: FxHashSet::default(),
             ratio_counts: BTreeMap::new(),
-            by_month: MonthAccum::new(),
-            first_ts: u64::MAX,
-            last_ts: 0,
             total_usd: 0.0,
         }
     }
@@ -165,27 +126,21 @@ impl LiveMeasure {
                 .classify(chain, *tx, &self.cfg)
                 .expect("detector only emits positively classified txs");
             let inc = measure_observation(chain, oracle, &obs);
-
             delta.incidents += 1;
             delta.usd += inc.usd;
-            if !self.loss_per_victim.contains_key(&inc.victim) {
-                delta.new_victims += 1;
-            }
-            *self.loss_per_victim.entry(inc.victim).or_insert(0.0) += inc.usd;
-            *self.profit_per_operator.entry(inc.operator).or_insert(0.0) += inc.operator_usd;
-            *self.profit_per_affiliate.entry(inc.affiliate).or_insert(0.0) += inc.affiliate_usd;
-            *self.ratio_counts.entry(inc.ratio_bps).or_default() += 1;
-            let month = self.by_month.entry(format_year_month(inc.timestamp)).or_default();
-            month.0.insert(inc.victim);
-            month.1 += 1;
-            month.2 += inc.usd;
-            self.first_ts = self.first_ts.min(inc.timestamp);
-            self.last_ts = self.last_ts.max(inc.timestamp);
+            delta.new_victims += usize::from(self.count(&inc));
             self.total_usd += inc.usd;
             self.incidents.insert(*tx, inc);
             self.rev += 1;
         }
         delta
+    }
+
+    /// Counts one incident into the victim set and the ratio counters;
+    /// returns whether its victim is new.
+    fn count(&mut self, inc: &MeasuredIncident) -> bool {
+        *self.ratio_counts.entry(inc.ratio_bps).or_default() += 1;
+        self.victims.insert(inc.victim)
     }
 
     /// An O(chunks) copy-on-write clone of the incident set — the cheap
@@ -196,61 +151,36 @@ impl LiveMeasure {
         self.incidents.clone()
     }
 
-    /// Exports the accumulator's full state. See [`MeasureCheckpoint`]
-    /// for the float-exactness contract.
+    /// Exports the accumulator's state. See [`MeasureCheckpoint`] for
+    /// the float-exactness contract.
     pub fn checkpoint(&self) -> MeasureCheckpoint {
         MeasureCheckpoint {
             incidents: self.incidents.values().cloned().collect(),
-            loss_per_victim: self.loss_per_victim.iter().map(|(&a, &v)| (a, v)).collect(),
-            profit_per_operator: self.profit_per_operator.iter().map(|(&a, &v)| (a, v)).collect(),
-            profit_per_affiliate: self.profit_per_affiliate.iter().map(|(&a, &v)| (a, v)).collect(),
-            ratio_counts: self.ratio_counts.iter().map(|(&r, &n)| (r, n)).collect(),
-            by_month: self
-                .by_month
-                .iter()
-                .map(|(month, (victims, incidents, usd))| {
-                    let mut victims: Vec<Address> = victims.iter().copied().collect();
-                    victims.sort_unstable();
-                    MonthCheckpoint {
-                        month: month.clone(),
-                        victims,
-                        incidents: *incidents,
-                        usd: *usd,
-                    }
-                })
-                .collect(),
-            first_ts: self.first_ts,
-            last_ts: self.last_ts,
             total_usd: self.total_usd,
         }
     }
 
-    /// Rebuilds an accumulator from a checkpoint. `cfg` and `cache`
-    /// follow the same contract as [`Self::with_cache`].
+    /// Rebuilds an accumulator from a checkpoint, deriving the victim
+    /// set and the ratio counters from its incidents. Refuses incidents
+    /// that are not in strictly ascending transaction order, as a
+    /// checkpoint writes them. `cfg` and `cache` follow the same
+    /// contract as [`Self::with_cache`].
     pub fn restore(
         cfg: ClassifierConfig,
         cache: Arc<ClassificationCache>,
         ckpt: &MeasureCheckpoint,
-    ) -> Self {
+    ) -> Result<Self, String> {
+        if let Some(pair) = ckpt.incidents.windows(2).find(|pair| pair[0].tx >= pair[1].tx) {
+            return Err(format!("incident of tx {} follows tx {}", pair[1].tx, pair[0].tx));
+        }
         let mut live = Self::with_cache(cfg, cache);
         for inc in &ckpt.incidents {
+            live.count(inc);
             live.incidents.insert(inc.tx, inc.clone());
         }
         live.rev = ckpt.incidents.len() as u64;
-        live.loss_per_victim = ckpt.loss_per_victim.iter().copied().collect();
-        live.profit_per_operator = ckpt.profit_per_operator.iter().copied().collect();
-        live.profit_per_affiliate = ckpt.profit_per_affiliate.iter().copied().collect();
-        live.ratio_counts = ckpt.ratio_counts.iter().copied().collect();
-        for m in &ckpt.by_month {
-            live.by_month.insert(
-                m.month.clone(),
-                (m.victims.iter().copied().collect(), m.incidents, m.usd),
-            );
-        }
-        live.first_ts = ckpt.first_ts;
-        live.last_ts = ckpt.last_ts;
         live.total_usd = ckpt.total_usd;
-        live
+        Ok(live)
     }
 
     /// Measured incidents so far.
@@ -260,7 +190,7 @@ impl LiveMeasure {
 
     /// Distinct victims so far.
     pub fn victim_count(&self) -> usize {
-        self.loss_per_victim.len()
+        self.victims.len()
     }
 
     /// Running USD total (event-arrival accumulation order).
@@ -272,33 +202,6 @@ impl LiveMeasure {
     /// integral, so this is *exactly* the batch histogram at any poll.
     pub fn ratio_histogram(&self) -> Vec<RatioRow> {
         ratio_rows(&self.ratio_counts)
-    }
-
-    /// The Figure 6 victim report from the running loss map
-    /// (monitoring-grade: float sums are in event-arrival order).
-    pub fn victim_report(&self) -> VictimReport {
-        victim_report_from(
-            self.loss_per_victim.values().copied(),
-            span_days(self.first_ts, self.last_ts),
-        )
-    }
-
-    /// Monthly activity series from the running month map
-    /// (monitoring-grade).
-    pub fn timeline(&self) -> Vec<MonthRow> {
-        month_rows(&self.by_month)
-    }
-
-    /// Operator profit concentration from the running profit map
-    /// (monitoring-grade).
-    pub fn operator_concentration(&self) -> Concentration {
-        Concentration::from_values(&self.profit_per_operator.values().copied().collect::<Vec<_>>())
-    }
-
-    /// Affiliate profit concentration from the running profit map
-    /// (monitoring-grade).
-    pub fn affiliate_concentration(&self) -> Concentration {
-        Concentration::from_values(&self.profit_per_affiliate.values().copied().collect::<Vec<_>>())
     }
 
     /// Materialises a full [`MeasureCtx`] around the running incident

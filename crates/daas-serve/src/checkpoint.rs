@@ -6,10 +6,12 @@
 //! config instead of the chain. On restore the world is rebuilt, every
 //! address re-interns against the fresh arena (interned ids are
 //! assigned in chain-generation order, so equal worlds produce equal
-//! ids), and the detector/clusterer/measure states are re-keyed. Floats
-//! are serialized exactly (shortest round-trip formatting, bit-exact
-//! parse) because the measurement accumulators are order-dependent
-//! running sums — recomputing them would be a different number.
+//! ids), and the detector/clusterer/measure states are re-keyed; a
+//! checkpoint whose addresses or components the rebuilt state cannot
+//! place is refused. Floats are serialized exactly (shortest round-trip
+//! formatting, bit-exact parse) because the measurement's running total
+//! is an order-dependent sum — recomputing it would be a different
+//! number.
 
 use std::fs;
 use std::io::Write;
@@ -41,7 +43,7 @@ pub struct EngineCheckpoint {
     pub detector: DetectorCheckpoint,
     /// Incremental clusterer state (components, retained edges, votes).
     pub clusterer: ClustererCheckpoint,
-    /// Live measurement accumulators (exact floats).
+    /// Live measurement state (incidents, exact running total).
     pub measure: MeasureCheckpoint,
 }
 

@@ -150,14 +150,8 @@ impl Engine {
         let after = self.detector.dataset().counts();
 
         let tc = Instant::now();
-        self.clusterer.ingest(
-            &self.world.chain,
-            &self.world.labels,
-            self.detector.dataset(),
-            &events,
-            watermark,
-        );
-        let clustering = self.clusterer.clustering(&self.world.labels);
+        self.clusterer.ingest(&self.world.chain, &self.world.labels, &events, watermark);
+        let clustering = self.clusterer.clustering(&self.world.chain, &self.world.labels);
         let families = clustering.families.len();
         let cluster_time = tc.elapsed();
 
@@ -200,16 +194,10 @@ impl Engine {
     pub fn finish_stream(&mut self) {
         let total_txs = self.world.chain.transactions().len() as TxId;
         let events = self.detector.poll(&self.world.chain, &self.world.labels);
-        self.clusterer.ingest(
-            &self.world.chain,
-            &self.world.labels,
-            self.detector.dataset(),
-            &events,
-            total_txs,
-        );
+        self.clusterer.ingest(&self.world.chain, &self.world.labels, &events, total_txs);
         self.measure.ingest(&self.world.chain, &self.world.oracle, &events);
         self.next_block = self.world.chain.blocks().len();
-        let families = self.clusterer.clustering(&self.world.labels).families;
+        let families = self.clusterer.clustering(&self.world.chain, &self.world.labels).families;
         self.publish(families);
     }
 
@@ -301,7 +289,7 @@ impl Engine {
 
     /// The current incremental clustering snapshot.
     pub fn clustering(&mut self) -> Clustering {
-        self.clusterer.clustering(&self.world.labels)
+        self.clusterer.clustering(&self.world.chain, &self.world.labels)
     }
 
     /// Incremental-clusterer work counters.
@@ -356,7 +344,7 @@ impl Engine {
             epoch: self.epoch,
             windows: self.windows,
             detector: self.detector.checkpoint(&self.world.chain),
-            clusterer: self.clusterer.checkpoint(),
+            clusterer: self.clusterer.checkpoint(&self.world.chain),
             measure: self.measure.checkpoint(),
         }
     }
@@ -380,17 +368,22 @@ impl Engine {
             Arc::clone(&engine.cache),
             &engine.world.chain,
             &ckpt.detector,
-        )?;
+        )
+        .map_err(|e| format!("detector checkpoint: {e}"))?;
         engine.clusterer = OnlineClusterer::restore(
             ckpt.snowball.classifier.clone(),
             Arc::clone(&engine.cache),
+            &engine.world.chain,
+            &engine.world.labels,
             &ckpt.clusterer,
-        );
+        )
+        .map_err(|e| format!("clusterer checkpoint: {e}"))?;
         engine.measure = LiveMeasure::restore(
             ckpt.snowball.classifier.clone(),
             Arc::clone(&engine.cache),
             &ckpt.measure,
-        );
+        )
+        .map_err(|e| format!("measure checkpoint: {e}"))?;
         engine.epoch = ckpt.epoch;
         engine.windows = ckpt.windows;
         // Cursor → block index: a window always ends on a block
@@ -401,7 +394,7 @@ impl Engine {
             .chain
             .blocks()
             .partition_point(|b| b.first_tx + b.tx_count <= cursor);
-        let families = engine.clusterer.clustering(&engine.world.labels).families;
+        let families = engine.clustering().families;
         engine.publish(families);
         Ok(engine)
     }

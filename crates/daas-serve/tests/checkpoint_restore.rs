@@ -5,14 +5,18 @@
 //! identical to an uninterrupted run — and to the batch pipeline, which
 //! the uninterrupted live run is already gated against elsewhere.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::thread;
 
+use daas_chain::format_year_month;
+use daas_cluster::ClustererCheckpoint;
 use daas_detector::SnowballConfig;
-use daas_measure::MeasureConfig;
+use daas_measure::{MeasureConfig, MeasuredIncident};
 use daas_serve::{Engine, EngineCheckpoint};
 use daas_world::WorldConfig;
+use eth_types::Address;
 use proptest::prelude::*;
 
 fn to_json<T: serde::Serialize>(value: &T) -> String {
@@ -58,10 +62,11 @@ fn assert_restart_converges_from(
     let json = engine.checkpoint().to_json().expect("checkpoint json");
     drop(engine); // the "kill": nothing survives but the serialized bytes
 
-    let ckpt = EngineCheckpoint::from_json(&stored(&json)).expect("checkpoint parse");
     // The checkpoint itself is byte-stable through a round trip.
+    let ckpt = EngineCheckpoint::from_json(&json).expect("checkpoint parse");
     assert_eq!(ckpt.to_json().expect("re-serialize"), json);
 
+    let ckpt = EngineCheckpoint::from_json(&stored(&json)).expect("stored checkpoint parse");
     let mut restored = Engine::restore(&ckpt).expect("restore");
     while restored.ingest_window(window).is_some() {}
     let actual = final_artifact(&mut restored);
@@ -90,8 +95,167 @@ fn checkpoint_with_retired_shards_field_restores() {
     assert_restart_converges_from(&WorldConfig::tiny(42), 97, 5, |json| {
         let legacy = json.replacen(",\"epoch\":", ",\"shards\":16,\"epoch\":", 1);
         assert_ne!(legacy, json, "no epoch field to anchor the shards field on");
+        assert_dropped_on_load(&legacy, json);
         legacy
     });
+}
+
+/// Checkpoints from builds that kept running per-account, per-victim
+/// and per-month views carry those accumulators in `"measure"`, before
+/// `"total_usd"`; they are ignored on load.
+#[test]
+fn checkpoint_with_retired_measure_fields_restores() {
+    assert_restart_converges_from(&WorldConfig::tiny(42), 97, 5, |json| {
+        let ckpt = EngineCheckpoint::from_json(json).expect("checkpoint parse");
+        assert!(!ckpt.measure.incidents.is_empty(), "no incidents to derive the views from");
+        let anchor = ",\"total_usd\":";
+        assert_eq!(json.matches(anchor).count(), 1, "one total_usd field to anchor on");
+        let fields = retired_measure_fields(&ckpt.measure.incidents);
+        let legacy = json.replacen(anchor, &format!(",{fields}{anchor}"), 1);
+        assert_dropped_on_load(&legacy, json);
+        legacy
+    });
+}
+
+/// Vote multisets are counted on restore, so the order of the operators
+/// in each one does not matter. Targets voted for by two operators
+/// first appear at about scale 0.1; the tiny and micro worlds have none.
+#[test]
+fn checkpoint_with_reordered_vote_multisets_restores() {
+    let mut config = WorldConfig::paper_scale(42);
+    config.scale = 0.1;
+    assert_restart_converges_from(&config, 720, 12, |json| {
+        let mut ckpt = EngineCheckpoint::from_json(json).expect("checkpoint parse");
+        let clusterer = &mut ckpt.clusterer;
+        let mut reordered = 0;
+        for (_, ops) in clusterer.contract_ops.iter_mut().chain(&mut clusterer.affiliate_ops) {
+            let before = ops.clone();
+            ops.reverse();
+            reordered += usize::from(*ops != before);
+        }
+        assert!(reordered > 0, "no multiset with two distinct operators to reorder");
+        ckpt.to_json().expect("re-serialize")
+    });
+}
+
+/// Asserts that loading `stored` and writing it back gives `json`: the
+/// fields it adds are dropped on load.
+fn assert_dropped_on_load(stored: &str, json: &str) {
+    let loaded = EngineCheckpoint::from_json(stored).expect("stored checkpoint parse");
+    assert_eq!(loaded.to_json().expect("re-serialize"), json, "the extra fields survived a load");
+}
+
+/// The `"measure"` fields the retired running views were written as,
+/// derived from `incidents` in the shapes and order those builds used.
+fn retired_measure_fields(incidents: &[MeasuredIncident]) -> String {
+    let mut loss: BTreeMap<Address, f64> = BTreeMap::new();
+    let mut operator: BTreeMap<Address, f64> = BTreeMap::new();
+    let mut affiliate: BTreeMap<Address, f64> = BTreeMap::new();
+    let mut ratios: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut months: BTreeMap<String, (BTreeSet<Address>, usize, f64)> = BTreeMap::new();
+    let (mut first_ts, mut last_ts) = (u64::MAX, 0);
+    for inc in incidents {
+        *loss.entry(inc.victim).or_default() += inc.usd;
+        *operator.entry(inc.operator).or_default() += inc.operator_usd;
+        *affiliate.entry(inc.affiliate).or_default() += inc.affiliate_usd;
+        *ratios.entry(inc.ratio_bps).or_default() += 1;
+        let month = months.entry(format_year_month(inc.timestamp)).or_default();
+        month.0.insert(inc.victim);
+        month.1 += 1;
+        month.2 += inc.usd;
+        first_ts = first_ts.min(inc.timestamp);
+        last_ts = last_ts.max(inc.timestamp);
+    }
+    let pairs = |map: BTreeMap<Address, f64>| to_json(&map.into_iter().collect::<Vec<_>>());
+    let by_month: Vec<String> = months
+        .into_iter()
+        .map(|(month, (victims, incidents, usd))| {
+            let victims: Vec<Address> = victims.into_iter().collect();
+            format!(
+                "{{\"month\":{},\"victims\":{},\"incidents\":{incidents},\"usd\":{}}}",
+                to_json(&month),
+                to_json(&victims),
+                to_json(&usd)
+            )
+        })
+        .collect();
+    format!(
+        "\"loss_per_victim\":{},\"profit_per_operator\":{},\"profit_per_affiliate\":{},\
+         \"ratio_counts\":{},\"by_month\":[{}],\"first_ts\":{first_ts},\"last_ts\":{last_ts}",
+        pairs(loss),
+        pairs(operator),
+        pairs(affiliate),
+        to_json(&ratios.into_iter().collect::<Vec<_>>()),
+        by_month.join(",")
+    )
+}
+
+/// A checkpoint of the tiny world five 97-block windows in.
+fn mid_stream_checkpoint() -> EngineCheckpoint {
+    let snowball = SnowballConfig { threads: 1, ..Default::default() };
+    let mut engine = Engine::new(&WorldConfig::tiny(42), &snowball, 0).expect("engine");
+    for _ in 0..5 {
+        engine.ingest_window(97);
+    }
+    let ckpt = engine.checkpoint();
+    assert!(ckpt.clusterer.comps.len() >= 2, "the edits below need two components");
+    ckpt
+}
+
+/// Restores [`mid_stream_checkpoint`] with its clusterer state edited,
+/// and returns the refusal.
+fn refusal(edit: impl FnOnce(&mut ClustererCheckpoint)) -> String {
+    refusal_of(|ckpt| edit(&mut ckpt.clusterer))
+}
+
+/// Restores [`mid_stream_checkpoint`] edited, and returns the refusal.
+fn refusal_of(edit: impl FnOnce(&mut EngineCheckpoint)) -> String {
+    let mut ckpt = mid_stream_checkpoint();
+    edit(&mut ckpt);
+    match Engine::restore(&ckpt) {
+        Ok(_) => panic!("the edited checkpoint restored"),
+        Err(e) => e,
+    }
+}
+
+#[test]
+fn restore_refuses_an_address_the_chain_never_interned() {
+    let err = refusal(|c| c.comps[0].members.push(Address([0x42; 20])));
+    assert!(err.contains("is not interned"), "{err}");
+}
+
+#[test]
+fn restore_refuses_an_operator_in_two_components() {
+    let err = refusal(|c| {
+        let op = c.comps[0].members[0];
+        c.comps[1].members.push(op);
+    });
+    assert!(err.contains("listed in two components"), "{err}");
+}
+
+#[test]
+fn restore_refuses_a_component_id_at_or_above_next_cid() {
+    let err = refusal(|c| c.next_cid = c.comps.last().expect("a component").cid);
+    assert!(err.contains("next_cid"), "{err}");
+}
+
+#[test]
+fn restore_refuses_empty_and_repeated_components() {
+    let err = refusal(|c| c.comps[0].members.clear());
+    assert!(err.contains("has no members"), "{err}");
+    let err = refusal(|c| {
+        let mut twin = c.comps[0].clone();
+        twin.members = c.comps[1].members.clone();
+        c.comps.remove(1);
+        c.comps.push(twin);
+    });
+    assert!(err.contains("listed twice"), "{err}");
+}
+
+#[test]
+fn restore_refuses_incidents_out_of_transaction_order() {
+    let err = refusal_of(|ckpt| ckpt.measure.incidents.swap(0, 1));
+    assert!(err.contains("follows"), "{err}");
 }
 
 /// `save` replaces the file in one step: a reader loading the

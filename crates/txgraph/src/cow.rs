@@ -23,7 +23,7 @@
 //! (transaction-id) order reads it straight off the map without a sort.
 //! Lookups are two binary searches: fine for the incident set, and the
 //! reason state that is never shared with a reader (the clusterer's
-//! address-keyed indices) stays on plain [`eth_types::FxHashMap`]s.
+//! `AddrId`-keyed indices) stays on plain [`eth_types::FxHashMap`]s.
 
 use std::collections::HashSet;
 use std::sync::Arc;

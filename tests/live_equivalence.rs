@@ -101,15 +101,15 @@ proptest! {
             }
             at = (at + step_iter.next().unwrap()).min(total);
             let events = detector.poll_until(&world.chain, &world.labels, at);
-            clusterer.ingest(&world.chain, &world.labels, detector.dataset(), &events, at);
+            clusterer.ingest(&world.chain, &world.labels, &events, at);
             measure.ingest(&world.chain, &world.oracle, &events);
         }
         let events = detector.poll(&world.chain, &world.labels);
-        clusterer.ingest(&world.chain, &world.labels, detector.dataset(), &events, total);
+        clusterer.ingest(&world.chain, &world.labels, &events, total);
         measure.ingest(&world.chain, &world.oracle, &events);
 
         let dataset = detector.dataset();
-        let live_clustering = clusterer.clustering(&world.labels);
+        let live_clustering = clusterer.clustering(&world.chain, &world.labels);
         let batch_clustering = cluster_prefix(&world.chain, &world.labels, dataset, total);
         prop_assert_eq!(
             serde_json::to_string(&live_clustering).unwrap(),
