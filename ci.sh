@@ -47,7 +47,9 @@ cargo test -q --test live_equivalence -- --test-threads 4
 cargo test -q -p daas-serve --test checkpoint_restore -- --test-threads 4
 
 # ---- Observability: recorder-on runs must not change artifacts, and
-#      the --metrics-out summary must conform to the checked-in schema. ----
+#      the --metrics-out summaries of a batch and a live run (which
+#      carries the live-only counters) must conform to the checked-in
+#      schema. ----
 cargo test -q --test obs_equivalence -- --test-threads 4
 cargo test -q -p daas-detector --test cache_hit_rate -- --test-threads 4
 OBS_TMP="$(mktemp -d)"
@@ -55,6 +57,10 @@ cargo run -q --release -p daas-cli --bin daas-lab -- --scale 0.05 --exp table1 \
   --metrics-out "$OBS_TMP/metrics.json" --trace-out "$OBS_TMP/trace.jsonl" > /dev/null
 cargo run -q --release -p daas-obs --bin obs_validate -- \
   schemas/metrics_summary.schema.json "$OBS_TMP/metrics.json"
+cargo run -q --release -p daas-cli --bin daas-lab -- --scale 0.05 --live --window 720 \
+  --no-verify --metrics-out "$OBS_TMP/live.json" > /dev/null
+cargo run -q --release -p daas-obs --bin obs_validate -- \
+  schemas/metrics_summary.schema.json "$OBS_TMP/live.json"
 rm -rf "$OBS_TMP"
 
 # ---- Streaming perf smoke: replay a small world through the live
@@ -130,6 +136,7 @@ if [[ "${CI_FULL_SCALE:-1}" == "1" ]]; then
   cargo test -q --release -p daas-measure --test live_equivalence -- --ignored --test-threads 1
   cargo test -q --release --test live_equivalence -- --ignored --test-threads 1
   cargo test -q --release --test columnar_equivalence -- --ignored --test-threads 1
+  # The batch dataset pin and the online detector's event-stream pins.
   cargo test -q --release --test dataset_pins -- --ignored --test-threads 1
   cargo test -q --release -p daas-serve --test snapshot_queries -- --ignored --test-threads 1
   cargo test -q --release -p daas-serve --test checkpoint_restore -- --ignored --test-threads 1

@@ -100,7 +100,7 @@ impl ClassificationCache {
         cfg: &ClassifierConfig,
     ) -> Option<PsObservation> {
         self.fill(chain, cfg, txid + 1);
-        self.read().get(txid).map(|p| p.observation(chain.transactions()))
+        self.read().observation(chain, txid)
     }
 
     /// Classifies every transaction below `end` that the table does not
@@ -141,8 +141,8 @@ impl ClassificationCache {
 
     /// Classifies every transaction below `end` the table does not hold
     /// yet, then returns one read guard over the verdicts, for a pass of
-    /// many [`Verdicts::roles`] reads. Do not fill the table on the same
-    /// thread while the guard is held.
+    /// many [`Verdicts::roles`] or [`Verdicts::observation`] reads. Do
+    /// not fill the table on the same thread while the guard is held.
     pub fn read_to(&self, chain: &Chain, cfg: &ClassifierConfig, end: TxId) -> Verdicts<'_> {
         self.fill(chain, cfg, end);
         self.read()
@@ -225,6 +225,14 @@ impl Verdicts<'_> {
             operator: p.operator,
             affiliate: p.affiliate,
         })
+    }
+
+    /// The observation of `txid`'s positive, materialized from the
+    /// stored verdict, or `None` for a negative. Panics if the table has
+    /// not been filled up to `txid`.
+    #[inline]
+    pub fn observation(&self, chain: &Chain, txid: TxId) -> Option<PsObservation> {
+        self.get(txid).map(|p| p.observation(chain.transactions()))
     }
 }
 

@@ -147,16 +147,54 @@ pub fn build_dataset_with_cache(
     dataset
 }
 
-/// Role and traversal marks, one byte per interned address.
-const CONTRACT: u8 = 1;
-const OPERATOR: u8 = 2;
-const AFFILIATE: u8 = 4;
+/// Role and traversal marks, one byte per interned address. The online
+/// detector's role bytes use the same role bits.
+pub(crate) const CONTRACT: u8 = 1;
+pub(crate) const OPERATOR: u8 = 2;
+pub(crate) const AFFILIATE: u8 = 4;
 /// Any dataset role: the step-4 guard's membership test.
 const MEMBER: u8 = CONTRACT | OPERATOR | AFFILIATE;
 /// Queued for a history scan (or already scanned).
 const PROCESSED: u8 = 8;
 /// A contract step 2 rejected.
 const REJECTED: u8 = 16;
+
+/// The step-4 guard, shared by the batch walk and the online detector:
+/// has `contract` *previously* — in a transaction strictly before the
+/// one that surfaced it — interacted with an account other than itself
+/// that is already in the dataset? `roles` holds one byte per interned
+/// address, a dataset member's with a role bit set; each caller passes
+/// its own, as they stand at the check. Transaction ids are
+/// chronological and histories in chain order, so the walk reads the
+/// contract's history from the start and stops at the first contact or
+/// at the surfacing transaction. `touched` is the caller's reused
+/// scratch buffer.
+///
+/// A contract deployment by a dataset operator counts (that is exactly
+/// how rotated drainer contracts are linked); a one-off ratio-shaped
+/// payment through a benign contract does not.
+pub(crate) fn previously_interacted(
+    chain: &Chain,
+    roles: &[u8],
+    contract: AddrId,
+    surfacing_tx: TxId,
+    touched: &mut Vec<AddrId>,
+) -> bool {
+    let store = chain.transactions();
+    let mut entries = 0;
+    let contact = chain
+        .txs_of_id(contract)
+        .iter()
+        .take_while(|&&txid| txid < surfacing_tx)
+        .any(|&txid| {
+            entries += 1;
+            store.touched_ids_into(txid, touched);
+            touched.iter().any(|&id| id != contract && roles[id.index()] & MEMBER != 0)
+        });
+    daas_obs::add("detector.guard_checks", 1);
+    daas_obs::add("detector.guard_entries", entries);
+    contact
+}
 
 /// The §5.1 traversal's state, keyed by interned id: marks per
 /// [`AddrId`], and the profit-sharing transaction set as one flag per
@@ -248,7 +286,10 @@ impl<'a> Walk<'a> {
             if mark & REJECTED != 0 {
                 continue;
             }
-            if self.cfg.expansion_guard && !self.previously_interacted(contract, txid) {
+            let (chain, marks) = (self.chain, &self.marks);
+            if self.cfg.expansion_guard
+                && !previously_interacted(chain, marks, contract, txid, &mut self.touched)
+            {
                 continue;
             }
             // Re-apply step 2 on the new contract.
@@ -282,28 +323,6 @@ impl<'a> Walk<'a> {
         } else {
             Vec::new()
         }
-    }
-
-    /// The step-4 guard: has `contract` *previously* — in a transaction
-    /// strictly before the one that surfaced it — interacted with a
-    /// phishing account already in the dataset? Transaction ids are
-    /// chronological, so "previously" is an id comparison. A contract
-    /// deployment by a dataset operator counts (that is exactly how
-    /// rotated drainer contracts are linked); a one-off ratio-shaped
-    /// payment through a benign contract does not.
-    fn previously_interacted(&mut self, contract: AddrId, surfacing_tx: TxId) -> bool {
-        let store = self.chain.transactions();
-        for &txid in self.chain.txs_of_id(contract) {
-            if txid >= surfacing_tx {
-                break; // histories are in chain order
-            }
-            store.touched_ids_into(txid, &mut self.touched);
-            if self.touched.iter().any(|&id| id != contract && self.marks[id.index()] & MEMBER != 0)
-            {
-                return true;
-            }
-        }
-        false
     }
 
     /// One role's accounts across the absorbed positives, as distinct

@@ -133,3 +133,79 @@ fn seed_admissions_labeled_as_such() {
     assert!(seeds > 0, "no seed admissions");
     assert!(expansions > 0, "no expansion admissions");
 }
+
+/// A hand-built chain for the expansion guard's "prior contact" across a
+/// late join: `hidden`'s only transaction before the one that surfaces
+/// it is its deployment by `late`, and `late` joins the dataset (as an
+/// affiliate of the labelled contract) only *after* that deployment.
+/// `unlinked` is surfaced by a transaction touching `late` too, but its
+/// only earlier transaction touches no dataset account.
+struct LateJoin {
+    chain: daas_chain::Chain,
+    labels: daas_chain::LabelStore,
+    hidden: eth_types::Address,
+    unlinked: eth_types::Address,
+}
+
+fn late_join() -> LateJoin {
+    use daas_chain::{Chain, ContractKind, EntryStyle, LabelSource, LabelStore, ProfitSharingSpec};
+    use eth_types::units::ether;
+
+    let mut chain = Chain::new();
+    let spec = |operator| {
+        ContractKind::ProfitSharing(ProfitSharingSpec {
+            operator,
+            operator_bps: 2000,
+            entry: EntryStyle::PayableFallback,
+        })
+    };
+    let operator = chain.create_eoa_funded(b"late/op", ether(10)).unwrap();
+    let late = chain.create_eoa_funded(b"late/late", ether(10)).unwrap();
+    let stranger = chain.create_eoa_funded(b"late/stranger", ether(10)).unwrap();
+    let labelled = chain.deploy_contract(operator, spec(operator)).unwrap();
+    let hidden = chain.deploy_contract(late, spec(late)).unwrap();
+    let unlinked = chain.deploy_contract(stranger, spec(stranger)).unwrap();
+    let claim = |chain: &mut Chain, name: &str, contract, affiliate| {
+        let victim = chain.create_eoa_funded(name.as_bytes(), ether(100)).unwrap();
+        chain.advance(12);
+        chain.claim_eth(victim, contract, ether(10), affiliate).unwrap()
+    };
+    // `late` joins here, after `hidden`'s deployment.
+    let joins = claim(&mut chain, "late/v1", labelled, late);
+    let aff = chain.create_eoa(b"late/aff").unwrap();
+    let surfaces = claim(&mut chain, "late/v2", hidden, aff);
+    claim(&mut chain, "late/v3", unlinked, late);
+
+    let deployed = chain.txs_of(hidden)[0];
+    assert_eq!(chain.txs_of(hidden), [deployed, surfaces], "one transaction before surfacing");
+    assert!(deployed < joins, "the contact must predate the join");
+    let mut labels = LabelStore::new();
+    labels.add_phishing(labelled, LabelSource::Chainabuse, "reported");
+    LateJoin { chain, labels, hidden, unlinked }
+}
+
+#[test]
+fn guard_counts_contact_with_a_member_that_joined_later() {
+    let LateJoin { chain, labels, hidden, unlinked } = late_join();
+    let batch = build_dataset(&chain, &labels, &SnowballConfig::default());
+    assert!(batch.contracts.contains(&hidden), "batch missed the late-linked contract");
+    assert!(!batch.contracts.contains(&unlinked), "batch admitted a contract without a contact");
+
+    let total = chain.transactions().len() as u32;
+    for per_tx in [true, false] {
+        let mut online = OnlineDetector::new(SnowballConfig::default());
+        let events = if per_tx {
+            (1..=total).flat_map(|at| online.poll_until(&chain, &labels, at)).collect()
+        } else {
+            online.poll(&chain, &labels)
+        };
+        assert_equivalent(&batch, online.dataset());
+        assert!(
+            events.contains(&DetectorEvent::ContractAdmitted {
+                contract: hidden,
+                via: daas_detector::Admission::Expansion,
+            }),
+            "the online detector missed the late-linked contract (per-tx polls: {per_tx})"
+        );
+    }
+}

@@ -4,7 +4,10 @@
 //! [`LiveMeasure`] consumes [`DetectorEvent`]s and folds each new
 //! profit-sharing transaction, attributed and valued once, into only
 //! what its callers read: the incident set, the distinct-victim set,
-//! the §4.3 ratio counters and the running USD total. The counts
+//! the §4.3 ratio counters and the running USD total. An ingest takes
+//! one read guard over the shared verdict table, as the clusterer does,
+//! and materializes each new transaction's observation from its stored
+//! positive. The counts
 //! (`incident_count`, `victim_count`, `ratio_histogram`) are *exactly*
 //! the batch values at any poll; the total accumulates in event-arrival
 //! order and is monitoring-grade (ulp-level) only.
@@ -116,21 +119,28 @@ impl LiveMeasure {
     /// events are ignored here (the clusterer owns membership).
     pub fn ingest(&mut self, chain: &Chain, oracle: &Oracle, events: &[DetectorEvent]) -> LiveDelta {
         let mut delta = LiveDelta::default();
-        for event in events {
-            let DetectorEvent::PsTransaction { tx, .. } = event else { continue };
-            if self.incidents.contains_key(tx) {
+        let txs = events.iter().filter_map(|event| match event {
+            DetectorEvent::PsTransaction { tx, .. } => Some(*tx),
+            _ => None,
+        });
+        let Some(last) = txs.clone().max() else { return delta };
+        // One guard over the verdict table materializes every new
+        // transaction's observation.
+        let cache = Arc::clone(&self.cache);
+        let verdicts = cache.read_to(chain, &self.cfg, last + 1);
+        for tx in txs {
+            if self.incidents.contains_key(&tx) {
                 continue;
             }
-            let obs = self
-                .cache
-                .classify(chain, *tx, &self.cfg)
+            let obs = verdicts
+                .observation(chain, tx)
                 .expect("detector only emits positively classified txs");
             let inc = measure_observation(chain, oracle, &obs);
             delta.incidents += 1;
             delta.usd += inc.usd;
             delta.new_victims += usize::from(self.count(&inc));
             self.total_usd += inc.usd;
-            self.incidents.insert(*tx, inc);
+            self.incidents.insert(tx, inc);
             self.rev += 1;
         }
         delta

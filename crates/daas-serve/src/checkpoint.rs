@@ -39,7 +39,7 @@ pub struct EngineCheckpoint {
     pub epoch: u64,
     /// Windows ingested so far (continues the window index sequence).
     pub windows: usize,
-    /// Online detector state (cursor, dataset, first-contact index).
+    /// Online detector state (cursor, dataset).
     pub detector: DetectorCheckpoint,
     /// Incremental clusterer state (components, retained edges, votes).
     pub clusterer: ClustererCheckpoint,

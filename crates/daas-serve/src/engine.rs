@@ -343,7 +343,7 @@ impl Engine {
             snowball: self.snowball.clone(),
             epoch: self.epoch,
             windows: self.windows,
-            detector: self.detector.checkpoint(&self.world.chain),
+            detector: self.detector.checkpoint(),
             clusterer: self.clusterer.checkpoint(&self.world.chain),
             measure: self.measure.checkpoint(),
         }

@@ -10,12 +10,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::thread;
 
-use daas_chain::format_year_month;
+use daas_chain::{format_year_month, TxId};
 use daas_cluster::ClustererCheckpoint;
 use daas_detector::SnowballConfig;
 use daas_measure::{MeasureConfig, MeasuredIncident};
 use daas_serve::{Engine, EngineCheckpoint};
-use daas_world::WorldConfig;
+use daas_world::{World, WorldConfig};
 use eth_types::Address;
 use proptest::prelude::*;
 
@@ -115,6 +115,54 @@ fn checkpoint_with_retired_measure_fields_restores() {
         assert_dropped_on_load(&legacy, json);
         legacy
     });
+}
+
+/// Checkpoints from builds that kept a first-contact index for the
+/// expansion guard carry it in `"detector"`, after `"dataset"`; it is
+/// ignored on load.
+#[test]
+fn checkpoint_with_retired_touch_min_restores() {
+    assert_restart_converges_from(&WorldConfig::tiny(42), 97, 5, |json| {
+        let ckpt = EngineCheckpoint::from_json(json).expect("checkpoint parse");
+        let touch_min = retired_touch_min(&ckpt);
+        assert!(!touch_min.is_empty(), "no dataset contacts to index");
+        let anchor = "},\"clusterer\":";
+        assert_eq!(json.matches(anchor).count(), 1, "one clusterer field to anchor on");
+        let field = format!(",\"touch_min\":{}{anchor}", to_json(&touch_min));
+        let legacy = json.replacen(anchor, &field, 1);
+        assert_dropped_on_load(&legacy, json);
+        legacy
+    });
+}
+
+/// The first-contact index as the retired field held it: for every
+/// address, the earliest transaction below the detector's cursor that
+/// touches it and a dataset member other than itself, as `[address,
+/// tx]` pairs sorted by address.
+fn retired_touch_min(ckpt: &EngineCheckpoint) -> Vec<(Address, TxId)> {
+    let world = World::build(&ckpt.config).expect("world");
+    let chain = &world.chain;
+    let ds = &ckpt.detector.dataset;
+    let member = |a: &Address| {
+        ds.contracts.contains(a) || ds.operators.contains(a) || ds.affiliates.contains(a)
+    };
+    let mut first: BTreeMap<Address, TxId> = BTreeMap::new();
+    for txid in 0..ckpt.detector.cursor {
+        let touched: Vec<Address> = chain
+            .transactions()
+            .touched_ids(txid)
+            .into_iter()
+            .map(|id| chain.resolve_addr(id))
+            .collect();
+        let members = touched.iter().filter(|a| member(a)).count();
+        for a in touched {
+            // Transactions run in id order, so the first insert is the minimum.
+            if members > usize::from(member(&a)) {
+                first.entry(a).or_insert(txid);
+            }
+        }
+    }
+    first.into_iter().collect()
 }
 
 /// Vote multisets are counted on restore, so the order of the operators
