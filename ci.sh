@@ -37,14 +37,16 @@ cargo test -q --test determinism -- --test-threads 4
 
 # ---- Streaming (live) equivalence suites: online detector →
 #      incremental clusterer → live measurement vs the batch oracle,
-#      scoped rebuilds under revocation storms, and kill/restore
-#      convergence plus refusal of checkpoints restore cannot place. ----
+#      scoped rebuilds under revocation storms, kill/restore
+#      convergence plus refusal of checkpoints restore cannot place, and
+#      the role sets each publish shares with readers. ----
 cargo test -q -p daas-detector --test online_equivalence -- --test-threads 4
 cargo test -q -p daas-cluster --test live_equivalence -- --test-threads 4
 cargo test -q -p daas-cluster --test revocation_storm -- --test-threads 4
 cargo test -q -p daas-measure --test live_equivalence -- --test-threads 4
 cargo test -q --test live_equivalence -- --test-threads 4
 cargo test -q -p daas-serve --test checkpoint_restore -- --test-threads 4
+cargo test -q -p daas-serve --test role_sets -- --test-threads 4
 
 # ---- Observability: recorder-on runs must not change artifacts, and
 #      the --metrics-out summaries of a batch and a live run (which

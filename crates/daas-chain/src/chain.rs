@@ -284,6 +284,17 @@ impl Chain {
         self.nft_operators.contains(&(token, owner, operator))
     }
 
+    /// `(owner, spender)` of every live approval: each non-zero ERC-20
+    /// allowance and each NFT operator approval, in no fixed order (a
+    /// pair repeats once per token). Every one was set by an
+    /// [`Chain::approve_erc20`] or [`Chain::approve_nft_all`]
+    /// transaction of its owner.
+    pub fn live_approvals(&self) -> impl Iterator<Item = (AddrId, AddrId)> + '_ {
+        let erc20 = self.erc20_allowances.iter().filter(|(_, amount)| !amount.is_zero());
+        let erc20 = erc20.map(|(&(_, owner, spender), _)| (owner, spender));
+        erc20.chain(self.nft_operators.iter().map(|&(_, owner, operator)| (owner, operator)))
+    }
+
     /// Account kind, if the account exists.
     pub fn account_kind(&self, address: Address) -> Option<&AccountKind> {
         self.accounts.get(&address).map(|i| &i.kind)

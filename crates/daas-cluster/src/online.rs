@@ -30,13 +30,15 @@
 //!   O(n log n) across the stream.
 //! * **Vote assignment.** Contract/affiliate → family assignment (batch
 //!   step 2) is cached in `target_assign` and re-voted only for *dirty*
-//!   targets: those with new votes, those voting in a component whose
-//!   key or membership changed, and those assigned to a split
-//!   component. A target's votes are kept as distinct (operator, count)
-//!   pairs, read from the verdict table's role ids, so a re-vote reads
-//!   one entry per voter however many transactions the target has. An
-//!   `op_votes` reverse index makes the dirty set computable from the
-//!   merge delta.
+//!   targets: those with a new vote from outside the component that
+//!   holds them (a vote from the holder only widens its lead; a first
+//!   vote, or one from an operator not yet admitted, has no holder to
+//!   match), those voting in a component whose key or membership
+//!   changed, and those assigned to a split component. A target's votes
+//!   are kept as distinct (operator, count) pairs, read from the verdict
+//!   table's role ids, so a re-vote reads one entry per voter however
+//!   many transactions the target has. An `op_votes` reverse index makes
+//!   the dirty set computable from the merge delta.
 //! * **Revocation.** A phish-touch chain becomes invalid the moment the
 //!   touched account itself joins the dataset (the batch rule excludes
 //!   dataset members). Only the owning component is re-partitioned —
@@ -251,7 +253,9 @@ pub struct OnlineClusterer {
     target_assign: FxHashMap<Target, Cid>,
     /// Assembled families per component id.
     assembled: FxHashMap<Cid, Arc<Family>>,
-    /// Targets whose vote inputs changed since the last snapshot.
+    /// Targets owed a re-vote: those whose vote inputs changed since the
+    /// last snapshot in a way that can move them. Invariant: every other
+    /// target is assigned to the winner of its current votes.
     dirty_targets: FxHashSet<Target>,
     /// Components whose cached assembly is invalid.
     dirty_comps: BTreeSet<Cid>,
@@ -555,12 +559,15 @@ impl OnlineClusterer {
                 (DetectorEvent::PsTransaction { tx, .. }, _) => {
                     let roles =
                         verdicts.roles(*tx).expect("a PsTransaction event classifies positively");
-                    let contract = (T_CONTRACT, roles.contract);
-                    let affiliate = (T_AFFILIATE, roles.affiliate);
-                    self.cast_vote(contract, roles.operator);
-                    self.cast_vote(affiliate, roles.operator);
-                    self.dirty_targets.insert(contract);
-                    self.dirty_targets.insert(affiliate);
+                    // A vote from the component that holds the target
+                    // only widens the holder's lead: no re-vote.
+                    let voter = self.op_comp.get(&roles.operator).copied();
+                    for t in [(T_CONTRACT, roles.contract), (T_AFFILIATE, roles.affiliate)] {
+                        self.cast_vote(t, roles.operator);
+                        if voter.is_none() || self.target_assign.get(&t).copied() != voter {
+                            self.dirty_targets.insert(t);
+                        }
+                    }
                     let txs = self.contract_txs.entry(roles.contract).or_default();
                     if let Err(at) = txs.binary_search(tx) {
                         txs.insert(at, *tx);
@@ -1467,6 +1474,78 @@ mod tests {
             assert!(clustering.families[1].affiliates.is_empty());
         }
         assert_eq!(json(&live), json(&batch));
+    }
+
+    /// A new vote from the component that holds the target leaves no
+    /// target dirty, yet the family still gains the transaction.
+    #[test]
+    fn votes_from_the_holding_component_are_not_revoted() {
+        let (mut chain, labels, mut dataset, [op_a, ..]) = setup();
+        let mut online = OnlineClusterer::new(ClassifierConfig::default());
+        online.ingest(&chain, &labels, &events_for(&dataset), chain.transactions().len() as TxId);
+        online.clustering(&chain, &labels);
+
+        let held = dataset.observations.iter().find(|o| o.operator == op_a).unwrap().clone();
+        let victim = chain.create_eoa_funded(b"v-held", ether(50)).unwrap();
+        chain.advance(12);
+        let tx = chain.claim_eth(victim, held.contract, ether(5), held.affiliate).unwrap();
+        dataset.absorb(daas_detector::classify_tx(chain.tx(tx), &Default::default()).unwrap());
+        let events = [DetectorEvent::PsTransaction { tx, contract: held.contract }];
+        online.ingest(&chain, &labels, &events, chain.transactions().len() as TxId);
+        assert!(online.dirty_targets.is_empty(), "the holder's vote re-votes nothing");
+        let live = online.clustering(&chain, &labels);
+        assert_eq!(json(&live), json(&cluster(&chain, &labels, &dataset)));
+    }
+
+    /// Votes from another component still move a target once they
+    /// outnumber the holder's: the splitter contract and its affiliate
+    /// go from the tie winner to the operator that pays through them
+    /// more often.
+    #[test]
+    fn votes_that_outnumber_the_holder_move_the_target() {
+        let mut chain = Chain::new();
+        let labels = LabelStore::new();
+        let op_x = chain.create_eoa_funded(b"tie/opX", ether(1)).unwrap();
+        let op_y = chain.create_eoa_funded(b"tie/opY", ether(1)).unwrap();
+        let aff = chain.create_eoa(b"tie/aff").unwrap();
+        let payer = chain.create_eoa_funded(b"tie/payer", ether(100)).unwrap();
+        let splitter = chain.deploy_contract(payer, ContractKind::Benign).unwrap();
+        let (holder, other) = (op_x.min(op_y), op_x.max(op_y));
+        let mut dataset = Dataset::default();
+        let pay = |chain: &mut Chain, dataset: &mut Dataset, op: Address| {
+            chain.advance(12);
+            let tx = chain.split_payment(payer, splitter, ether(1), &[(op, 2000), (aff, 8000)]);
+            let tx = tx.unwrap();
+            dataset.absorb(daas_detector::classify_tx(chain.tx(tx), &Default::default()).unwrap());
+            [DetectorEvent::PsTransaction { tx, contract: splitter }]
+        };
+        pay(&mut chain, &mut dataset, op_x);
+        pay(&mut chain, &mut dataset, op_y);
+        let mut online = OnlineClusterer::new(ClassifierConfig::default());
+        let ingest = |online: &mut OnlineClusterer, chain: &Chain, events: &[DetectorEvent]| {
+            online.ingest(chain, &labels, events, chain.transactions().len() as TxId);
+        };
+        ingest(&mut online, &chain, &events_for(&dataset));
+        let holds = |clustering: &Clustering, op: Address| {
+            let fam = clustering.families.iter().find(|f| f.operators == [op]).unwrap();
+            fam.contracts == [splitter] && fam.affiliates == [aff]
+        };
+        assert!(holds(&online.clustering(&chain, &labels), holder), "the tie goes to {holder}");
+
+        // Holder 2, other 1: nothing to re-vote.
+        let events = pay(&mut chain, &mut dataset, holder);
+        ingest(&mut online, &chain, &events);
+        assert!(online.dirty_targets.is_empty());
+        // Holder 2, other 2: still the holder's on the tie. Holder 2,
+        // other 3: both targets move.
+        for (round, winner) in [holder, other].into_iter().enumerate() {
+            let events = pay(&mut chain, &mut dataset, other);
+            ingest(&mut online, &chain, &events);
+            assert_eq!(online.dirty_targets.len(), 2, "round {round}: the other vote re-votes");
+            let live = online.clustering(&chain, &labels);
+            assert!(holds(&live, winner), "round {round}: held by {winner}");
+            assert_eq!(json(&live), json(&cluster(&chain, &labels, &dataset)));
+        }
     }
 
     #[test]

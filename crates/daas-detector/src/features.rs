@@ -1,10 +1,12 @@
 //! Per-account feature extraction shared by family forensics and the
 //! measurement analytics.
 //!
-//! The Table 3 contract profiles, the §7.2 lifecycle analysis, the §6.2
-//! operator lifecycles, and the §6.1 repeat-victim study all read the
-//! same per-account facts — first/last activity, observation spans,
-//! live approvals. [`FeatureCache`] derives them from one
+//! The Table 3 contract profiles, the §7.2 lifecycle analysis and the
+//! §6.2 operator lifecycles read the same per-account facts —
+//! first/last activity, observation spans, live approvals. (The §6.1
+//! repeat-victim study reads the live approvals off the chain in one
+//! pass, `Chain::live_approvals`; its test checks that count against
+//! these walks.) [`FeatureCache`] derives them from one
 //! `(chain, dataset)` pair. An account's [`AccountFeatures`] are one
 //! walk of its history over the approval columns
 //! ([`daas_chain::TxView::approval_columns`]), computed on each call

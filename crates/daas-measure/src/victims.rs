@@ -1,6 +1,9 @@
 //! Victim-side measurements: Figure 6 and the §6.1 findings.
 
-use daas_chain::days_between;
+use std::collections::BTreeSet;
+
+use daas_chain::{days_between, Chain};
+use eth_types::{AddrId, Address, FxHashSet};
 use serde::{Deserialize, Serialize};
 
 use crate::incidents::MeasureCtx;
@@ -104,14 +107,14 @@ impl<'a> MeasureCtx<'a> {
 
         // (b) unrevoked approvals: the victim still has an active
         // ERC-20 allowance or NFT operator approval toward a dataset
-        // contract at the end of the observation window (one replay of
-        // the victim's approval history each).
+        // contract at the end of the observation window.
+        let approving = approving_owners(self.chain, &self.dataset.contracts);
         let unrevoked = t
             .victims
             .iter()
             .zip(&t.incidents_per_victim)
             .filter(|&(&victim, &n)| {
-                n > 1 && !self.features().features(victim).live_approval_spenders.is_empty()
+                n > 1 && self.chain.addr_id(victim).is_some_and(|id| approving.contains(&id))
             })
             .count();
 
@@ -121,6 +124,19 @@ impl<'a> MeasureCtx<'a> {
             unrevoked_pct: 100.0 * unrevoked as f64 / repeats.max(1) as f64,
         }
     }
+}
+
+/// The accounts holding a live approval toward one of `contracts`, in
+/// one pass over the chain's live approvals. Each of those was set by
+/// an approval transaction of its owner, so this is what a walk of each
+/// owner's approval history (`FeatureCache::features`) finds.
+fn approving_owners(chain: &Chain, contracts: &BTreeSet<Address>) -> FxHashSet<AddrId> {
+    let contracts: FxHashSet<AddrId> = contracts.iter().filter_map(|&c| chain.addr_id(c)).collect();
+    chain
+        .live_approvals()
+        .filter(|(_, spender)| contracts.contains(spender))
+        .map(|(owner, _)| owner)
+        .collect()
 }
 
 /// The §6.1 repeat-victim findings.
@@ -139,6 +155,71 @@ pub struct RepeatVictimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daas_chain::{ContractKind, EntryStyle, ProfitSharingSpec, TokenKind};
+    use daas_detector::{Dataset, FeatureCache};
+    use eth_types::units::ether;
+    use eth_types::U256;
+
+    /// The one-pass approval count equals the per-victim history walk on
+    /// every way an approval ends: revoked, consumed by a permit, spent
+    /// in part or in full, an NFT operator approval revoked or kept, and
+    /// one toward a contract outside the dataset.
+    #[test]
+    fn approving_owners_match_the_per_victim_walk() {
+        let mut chain = Chain::new();
+        let operator = chain.create_eoa_funded(b"rv/op", ether(1)).unwrap();
+        let affiliate = chain.create_eoa(b"rv/aff").unwrap();
+        let spec =
+            ProfitSharingSpec { operator, operator_bps: 2000, entry: EntryStyle::PayableFallback };
+        let contract = chain.deploy_contract(operator, ContractKind::ProfitSharing(spec)).unwrap();
+        let other = chain.deploy_contract(operator, ContractKind::Benign).unwrap();
+        let token = chain.deploy_token(operator, "USDC", 6, TokenKind::Erc20).unwrap();
+        let nft = chain.deploy_token(operator, "AZUKI", 0, TokenKind::Erc721).unwrap();
+        let victims: Vec<Address> = (0..7)
+            .map(|i| chain.create_eoa_funded(format!("rv/victim{i}").as_bytes(), ether(1)).unwrap())
+            .collect();
+        for (i, &victim) in victims.iter().enumerate() {
+            chain.mint_erc20(token, victim, U256::from_u64(1_000)).unwrap();
+            chain.mint_nft(nft, victim, i as u64).unwrap();
+        }
+        let amount = U256::from_u64;
+        let drain = |chain: &mut Chain, victim, n| {
+            chain.drain_erc20(operator, contract, token, victim, amount(n), affiliate).unwrap();
+        };
+        // Approved, then revoked.
+        chain.approve_erc20(victims[0], token, contract, U256::MAX).unwrap();
+        chain.approve_erc20(victims[0], token, contract, U256::ZERO).unwrap();
+        // A permit, consumed in its own transaction.
+        chain
+            .drain_erc20_permit(operator, contract, token, victims[1], amount(500), affiliate)
+            .unwrap();
+        // Spent in part: still live.
+        chain.approve_erc20(victims[2], token, contract, amount(800)).unwrap();
+        drain(&mut chain, victims[2], 300);
+        // Spent in full: a zero allowance stays on record.
+        chain.approve_erc20(victims[3], token, contract, amount(300)).unwrap();
+        drain(&mut chain, victims[3], 300);
+        // An NFT operator approval, later revoked.
+        chain.approve_nft_all(victims[4], nft, contract, true).unwrap();
+        chain.drain_nft(operator, contract, nft, victims[4], 4).unwrap();
+        chain.approve_nft_all(victims[4], nft, contract, false).unwrap();
+        // An NFT operator approval kept.
+        chain.approve_nft_all(victims[5], nft, contract, true).unwrap();
+        // An unlimited allowance toward a contract outside the dataset.
+        chain.approve_erc20(victims[6], token, other, U256::MAX).unwrap();
+
+        let mut dataset = Dataset::default();
+        dataset.contracts.insert(contract);
+        let approving = approving_owners(&chain, &dataset.contracts);
+        let features = FeatureCache::new(&chain, &dataset);
+        for (i, &victim) in victims.iter().enumerate() {
+            let walked = !features.features(victim).live_approval_spenders.is_empty();
+            let marked = approving.contains(&chain.addr_id(victim).unwrap());
+            assert_eq!(marked, walked, "victim {i}");
+            assert_eq!(marked, i == 2 || i == 5, "victim {i}");
+        }
+        assert_eq!(approving.len(), 2, "only victims hold approvals toward the contract");
+    }
 
     #[test]
     fn buckets_cover_the_line() {

@@ -8,16 +8,27 @@
 //! single-writer by construction: only `ingest_window` /
 //! `finish_stream` mutate state, and everything readers see goes
 //! through the epoch-swapped [`SnapshotCell`].
+//!
+//! A publish pays for what the window changed. The family vector is the
+//! clusterer's `Arc`-shared assembly and the incident map a
+//! copy-on-write clone; a role set that grew is rebuilt from the spare
+//! the engine keeps of the set it published before the current one.
+//! Once no reader holds that spare it is extended in place by the
+//! members admitted since (the window's detector events), so a window
+//! copies no role set; a spare a reader still holds, or one that does
+//! not come out the size of the dataset's set (after a restore), is
+//! replaced by a copy of the dataset's set.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use daas_cluster::{Clustering, OnlineClusterer, OnlineClustererStats};
-use daas_detector::{ClassificationCache, Dataset, DatasetCounts, OnlineDetector, SnowballConfig};
+use daas_detector::{ClassificationCache, Dataset, DetectorEvent, OnlineDetector, SnowballConfig};
 use daas_measure::{LiveMeasure, MeasureConfig, MeasureReports};
 use daas_world::{collection_end, World, WorldConfig};
 use daas_chain::TxId;
+use eth_types::Address;
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::snapshot::{Snapshot, SnapshotCell};
@@ -67,12 +78,10 @@ pub struct Engine {
     epoch: u64,
     next_block: usize,
     windows: usize,
-    /// Role sets shared into snapshots; refreshed only when the dataset
-    /// counts actually changed, so an idle window publishes for free.
-    role_counts: DatasetCounts,
-    contracts: Arc<BTreeSet<eth_types::Address>>,
-    operators: Arc<BTreeSet<eth_types::Address>>,
-    affiliates: Arc<BTreeSet<eth_types::Address>>,
+    /// The role sets shared into snapshots (module docs).
+    contracts: RoleSet,
+    operators: RoleSet,
+    affiliates: RoleSet,
     cell: Arc<SnapshotCell>,
     /// Live-telemetry hook, attached by the daemon (`None` for the CLI
     /// and tests — publication then has no observer).
@@ -107,10 +116,9 @@ impl Engine {
             epoch: 0,
             next_block: 0,
             windows: 0,
-            role_counts: DatasetCounts::default(),
-            contracts: Arc::new(BTreeSet::new()),
-            operators: Arc::new(BTreeSet::new()),
-            affiliates: Arc::new(BTreeSet::new()),
+            contracts: RoleSet::default(),
+            operators: RoleSet::default(),
+            affiliates: RoleSet::default(),
             cell: Arc::new(SnapshotCell::new(Snapshot::empty(total_blocks))),
             telemetry: None,
         })
@@ -176,7 +184,7 @@ impl Engine {
             measure_time,
         };
         self.windows += 1;
-        self.publish(clustering.families);
+        self.publish(clustering.families, &events);
 
         if daas_obs::enabled() {
             daas_obs::inc("live.windows");
@@ -198,7 +206,7 @@ impl Engine {
         self.measure.ingest(&self.world.chain, &self.world.oracle, &events);
         self.next_block = self.world.chain.blocks().len();
         let families = self.clusterer.clustering(&self.world.chain, &self.world.labels).families;
-        self.publish(families);
+        self.publish(families, &events);
     }
 
     /// Runs every remaining window, then the tail drain. `on_window`
@@ -217,19 +225,33 @@ impl Engine {
         windows
     }
 
-    /// Refreshes the role sets if the dataset grew, builds the next
-    /// snapshot and swaps it into the cell (`serve.publish_ms`).
-    fn publish(&mut self, families: Vec<Arc<daas_cluster::Family>>) {
+    /// Refreshes the role sets that grew, given the detector events
+    /// since the last publish, builds the next snapshot and swaps it into
+    /// the cell (`serve.publish_ms`).
+    fn publish(&mut self, families: Vec<Arc<daas_cluster::Family>>, events: &[DetectorEvent]) {
         let started = daas_obs::enabled().then(Instant::now);
         self.epoch += 1;
-        let counts = self.detector.dataset().counts();
-        if counts != self.role_counts {
-            let dataset = self.detector.dataset();
-            self.contracts = Arc::new(dataset.contracts.clone());
-            self.operators = Arc::new(dataset.operators.clone());
-            self.affiliates = Arc::new(dataset.affiliates.clone());
-            self.role_counts = counts;
+        let mut admitted: [Vec<Address>; 3] = Default::default();
+        for event in events {
+            match *event {
+                DetectorEvent::ContractAdmitted { contract, .. } => admitted[0].push(contract),
+                DetectorEvent::OperatorObserved(op) => admitted[1].push(op),
+                DetectorEvent::AffiliateObserved(aff) => admitted[2].push(aff),
+                DetectorEvent::PsTransaction { .. } => {}
+            }
         }
+        let dataset = self.detector.dataset();
+        let roles = [
+            (&mut self.contracts, &dataset.contracts),
+            (&mut self.operators, &dataset.operators),
+            (&mut self.affiliates, &dataset.affiliates),
+        ];
+        for ((set, members), admitted) in roles.into_iter().zip(admitted) {
+            if let Some(outcome) = set.refresh(members, admitted) {
+                daas_obs::add_l("serve.role_sets", "outcome", outcome, 1);
+            }
+        }
+        let counts = dataset.counts();
         let blocks = self.world.chain.blocks().len() as u64;
         let done = self.next_block as u64 >= blocks
             && self.detector.cursor() >= self.world.chain.transactions().len() as TxId;
@@ -241,9 +263,9 @@ impl Engine {
             done,
             counts,
             Arc::new(families),
-            Arc::clone(&self.contracts),
-            Arc::clone(&self.operators),
-            Arc::clone(&self.affiliates),
+            Arc::clone(&self.contracts.published),
+            Arc::clone(&self.operators.published),
+            Arc::clone(&self.affiliates.published),
             self.measure.incidents_snapshot(),
             self.measure.total_usd(),
         ));
@@ -395,7 +417,49 @@ impl Engine {
             .blocks()
             .partition_point(|b| b.first_tx + b.tx_count <= cursor);
         let families = engine.clustering().families;
-        engine.publish(families);
+        engine.publish(families, &[]);
         Ok(engine)
+    }
+}
+
+/// One role set as the snapshots share it, and the spare it is rebuilt
+/// from (module docs).
+#[derive(Default)]
+struct RoleSet {
+    /// The set the latest snapshot holds, equal to the dataset's.
+    published: Arc<BTreeSet<Address>>,
+    /// The set published before `published`, if any: a subset of it.
+    spare: Option<Arc<BTreeSet<Address>>>,
+    /// The members `published` holds and `spare` lacks.
+    behind: Vec<Address>,
+}
+
+impl RoleSet {
+    /// Brings the published set up to `members`, the dataset's set,
+    /// given the members `admitted` since the last publish. Returns
+    /// `None` when the set did not grow, else whether the spare was
+    /// `"reused"` or the set `"copied"`.
+    fn refresh(
+        &mut self,
+        members: &BTreeSet<Address>,
+        admitted: Vec<Address>,
+    ) -> Option<&'static str> {
+        // A set only grows, so an equal size means nothing was admitted.
+        if members.len() == self.published.len() {
+            return None;
+        }
+        // The spare is a past dataset's set, and every member added to
+        // it is in the dataset, so the right size means the same set.
+        let reused = self.spare.take().and_then(|mut spare| {
+            let set = Arc::get_mut(&mut spare)?;
+            set.extend(self.behind.iter().chain(&admitted).copied());
+            (set.len() == members.len()).then_some(spare)
+        });
+        let outcome = if reused.is_some() { "reused" } else { "copied" };
+        let next = reused.unwrap_or_else(|| Arc::new(members.clone()));
+        debug_assert!(*next == *members, "a published role set equals the dataset's");
+        self.spare = Some(std::mem::replace(&mut self.published, next));
+        self.behind = admitted;
+        Some(outcome)
     }
 }

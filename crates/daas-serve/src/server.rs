@@ -189,7 +189,7 @@ pub fn serve(mut engine: Engine, opts: ServeOptions) -> Result<(), String> {
     // Every listener is up and the boot snapshot is in the cell: the
     // daemon is ready. The flip happens exactly once for the process
     // lifetime (later engine publishes hit the already-set flag).
-    telemetry.on_publish(cell.load().epoch);
+    telemetry.on_publish(cell.read(|snap| snap.epoch));
 
     engine_thread.join().map_err(|_| "engine thread panicked".to_string())?;
     stop.store(true, Ordering::Relaxed);

@@ -75,10 +75,11 @@ impl AddressRisk {
 /// One immutable view of the engine's intelligence at a watermark.
 ///
 /// Construction is cheap by design: the family vector and the role sets
-/// are `Arc`-shared with the engine (role sets are refreshed only when
-/// a dataset count actually changed), and the incident map is a
-/// copy-on-write clone — O(chunks) pointer copies, not O(incidents),
-/// and the next window copies only the chunks it writes (module docs).
+/// are `Arc`-shared with the engine (a role set that grew is extended in
+/// place from a set no reader holds any more; see `engine.rs`), and the
+/// incident map is a copy-on-write clone — O(chunks) pointer copies, not
+/// O(incidents), and the next window copies only the chunks it writes
+/// (module docs).
 pub struct Snapshot {
     /// Publication sequence number (strictly increasing per engine).
     pub epoch: u64,
@@ -261,6 +262,15 @@ impl SnapshotCell {
     /// Clones the current snapshot pointer out of the cell.
     pub fn load(&self) -> Arc<Snapshot> {
         self.inner.lock().expect("snapshot cell poisoned").clone()
+    }
+
+    /// Reads the current snapshot under the cell's lock, without taking
+    /// a reference to it. The engine extends a role set in place only
+    /// once no snapshot holds it, and the current epoch never holds the
+    /// set it extends, so a reader that reads this way (the telemetry)
+    /// cannot change what a publish does.
+    pub fn read<R>(&self, f: impl FnOnce(&Snapshot) -> R) -> R {
+        f(&self.inner.lock().expect("snapshot cell poisoned"))
     }
 
     /// Publishes a new snapshot (readers holding the old epoch keep it

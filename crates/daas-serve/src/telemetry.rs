@@ -9,7 +9,11 @@
 //! `serve.snapshot.age_ms`, `serve.ingest.lag_windows`,
 //! `serve.engine.alive` — are appended to the *rendered* snapshot at
 //! scrape/query time only, so `drain()`-based end-of-run summaries stay
-//! byte-identical whether or not anyone ever scraped.
+//! byte-identical whether or not anyone ever scraped. For the same
+//! reason they read the published snapshot under the cell's lock
+//! (`SnapshotCell::read`) and never hold an epoch: a held epoch can
+//! make the engine copy a role set it would otherwise reuse, which the
+//! `serve.role_sets` counter records.
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -204,8 +208,7 @@ impl Telemetry {
 
     /// Windows of ingest still outstanding per the published snapshot.
     pub fn lag_windows(&self, cell: &SnapshotCell) -> u64 {
-        let snap = cell.load();
-        let remaining = snap.total_blocks.saturating_sub(snap.blocks_ingested);
+        let remaining = cell.read(|snap| snap.total_blocks.saturating_sub(snap.blocks_ingested));
         remaining.div_ceil(self.window_blocks)
     }
 
@@ -259,14 +262,11 @@ impl Telemetry {
         let metrics = self.augmented_snapshot(cell);
         self.rolling.lock().unwrap_or_else(|p| p.into_inner()).push(now, metrics);
         let _ = self.evaluate_slo(cell);
-        let snap = cell.load();
+        let (done, epoch) = cell.read(|snap| (snap.done, snap.epoch));
         let age = self.snapshot_age_ms();
-        if !snap.done && snap.epoch > 0 && age > stall_after_ms {
+        if !done && epoch > 0 && age > stall_after_ms {
             if !stall_flag.swap(true, Ordering::Relaxed) {
-                self.record(
-                    "stall",
-                    format!("{{\"age_ms\":{age},\"epoch\":{}}}", snap.epoch),
-                );
+                self.record("stall", format!("{{\"age_ms\":{age},\"epoch\":{epoch}}}"));
             }
         } else {
             stall_flag.store(false, Ordering::Relaxed);
