@@ -22,12 +22,14 @@ export BENCH_OUT_DIR
 cargo build --release
 cargo test -q
 
-# ---- eth-types and daas-chain in release too: debug and release
-#      builds treat integer overflow differently, and `mul_div`'s u128
-#      path must equal its 512-bit fallback, the interner's wrapping
-#      hash must place every address, and a tx hash derived on read
-#      must equal the one the arena was built with, under both. ----
-cargo test -q --release -p eth-types -p daas-chain
+# ---- eth-types, daas-chain and the serde_json shim in release too:
+#      debug and release builds treat integer overflow differently, and
+#      `mul_div`'s u128 path must equal its 512-bit fallback, the
+#      interner's wrapping hash must place every address, and a tx hash
+#      derived on read must equal the one the arena was built with, under
+#      both; the daemon and the benchmark run the codec's run-scanning
+#      loops only as release builds. ----
+cargo test -q --release -p eth-types -p daas-chain -p serde_json
 
 # ---- Sequential-oracle equivalence suites. ----
 cargo test -q -p daas-world --test parallel_equivalence -- --test-threads 4

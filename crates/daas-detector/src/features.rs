@@ -1,12 +1,14 @@
 //! Per-account feature extraction shared by family forensics and the
 //! measurement analytics.
 //!
-//! The Table 3 contract profiles, the §7.2 lifecycle analysis and the
-//! §6.2 operator lifecycles read the same per-account facts —
-//! first/last activity, observation spans, live approvals. (The §6.1
-//! repeat-victim study reads the live approvals off the chain in one
-//! pass, `Chain::live_approvals`; its test checks that count against
-//! these walks.) [`FeatureCache`] derives them from one
+//! The Table 3 contract profiles and the §7.2 lifecycle analysis read
+//! the observation indices below. [`FeatureCache::features`] derives an
+//! account's first/last activity, observation span and live approvals,
+//! and the measurement tests check the one-pass readings against it:
+//! the §6.1 repeat-victim study reads the live approvals off the chain
+//! in one pass (`Chain::live_approvals`), and the §6.2 operator
+//! lifecycles read an operator's first and last transaction straight
+//! off its history. [`FeatureCache`] derives everything from one
 //! `(chain, dataset)` pair. An account's [`AccountFeatures`] are one
 //! walk of its history over the approval columns
 //! ([`daas_chain::TxView::approval_columns`]), computed on each call
@@ -119,9 +121,7 @@ impl<'a> FeatureCache<'a> {
 
     /// The cache's counters: `misses` is the number of feature sets
     /// extracted (calls for accounts the chain has interned); nothing is
-    /// stored, so `hits` and `entries` stay 0. The observability layer
-    /// exports per-bundle deltas as `cache.features.hit` /
-    /// `cache.features.miss`.
+    /// stored, so `hits` and `entries` stay 0.
     pub fn stats(&self) -> MemoStats {
         MemoStats { hits: 0, misses: self.extracted.load(Ordering::Relaxed), entries: 0 }
     }

@@ -89,10 +89,13 @@ impl<'a> MeasureCtx<'a> {
     /// Lifecycles of operators already inactive for `inactive_secs`
     /// at `as_of` (§6.2: one month, 48 such operators).
     pub fn operator_lifecycles(&self, inactive_secs: u64, as_of: Timestamp) -> OperatorLifecycles {
+        let store = self.chain.transactions();
         let mut lifecycle_days = Vec::new();
-        for &op in self.dataset.operators.iter() {
-            let f = self.features().features(op);
-            let (Some(first_ts), Some(last_ts)) = (f.first_tx_ts, f.last_tx_ts) else { continue };
+        // An operator the chain never interned has no history.
+        for id in self.dataset.operators.iter().filter_map(|&op| self.chain.addr_id(op)) {
+            let history = self.chain.txs_of_id(id);
+            let (Some(&first), Some(&last)) = (history.first(), history.last()) else { continue };
+            let (first_ts, last_ts) = (store.view(first).timestamp(), store.view(last).timestamp());
             if as_of.saturating_sub(last_ts) <= inactive_secs {
                 continue; // still active
             }

@@ -122,7 +122,6 @@ impl<'a> MeasureCtx<'a> {
     ) -> MeasureReports {
         let threads = cfg.effective_threads();
         let _bundle_span = daas_obs::span!("measure.reports", threads = threads);
-        let feat_before = daas_obs::enabled().then(|| self.features().stats());
         // The shared role ranks and aggregates, built once before the
         // tasks read them.
         self.tables();
@@ -208,13 +207,6 @@ impl<'a> MeasureCtx<'a> {
             })
             .expect("report scope does not panic")
         };
-        if let Some(before) = feat_before {
-            // Feature sets this bundle extracted (deltas over the
-            // context's counters; nothing is stored, so hits stay 0).
-            let stats = self.features().stats();
-            daas_obs::add("cache.features.hit", stats.hits.saturating_sub(before.hits));
-            daas_obs::add("cache.features.miss", stats.misses.saturating_sub(before.misses));
-        }
         assemble(slots)
     }
 }

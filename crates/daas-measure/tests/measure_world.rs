@@ -107,6 +107,31 @@ fn operator_lifecycles_span_days_to_hundreds() {
 }
 
 #[test]
+fn operator_lifecycles_are_the_feature_walks_first_and_last_activity() {
+    // The report reads each operator's first and last transaction off its
+    // history, extracting no feature set; `FeatureCache::features`
+    // derives the same two timestamps in its full walk. The census date
+    // sits mid-collection so both the active and the inactive branch
+    // are taken.
+    let ctx = ctx();
+    let as_of = collection_end() - 120 * 86_400;
+    let lc = ctx.operator_lifecycles(30 * 86_400, as_of);
+    assert_eq!(ctx.features().stats().misses, 0);
+    let mut expect: Vec<f64> = fix()
+        .dataset
+        .operators
+        .iter()
+        .map(|&op| ctx.features().features(op))
+        .filter_map(|f| f.first_tx_ts.zip(f.last_tx_ts))
+        .filter(|&(_, last)| as_of.saturating_sub(last) > 30 * 86_400)
+        .map(|(first, last)| daas_chain::days_between(first, last) as f64)
+        .collect();
+    expect.sort_by(f64::total_cmp);
+    assert_eq!(lc.lifecycle_days, expect);
+    assert!(lc.inactive_operators > 0 && lc.inactive_operators < fix().dataset.operators.len());
+}
+
+#[test]
 fn affiliate_report_matches_fig7_shape() {
     let report = ctx().affiliate_report();
     // Paper: 50.2% above $1k, 22.0% above $10k.

@@ -35,6 +35,8 @@ use std::io::{self, BufRead, Read};
 use std::str::FromStr;
 use std::time::Instant;
 
+use daas_cluster::Family;
+use daas_measure::StatBundle;
 use daas_obs::json::escape_into;
 use eth_types::Address;
 use serde::{Deserialize, Serialize};
@@ -154,9 +156,9 @@ struct StatusResponse {
 struct RiskResponse {
     ok: bool,
     epoch: u64,
-    address: String,
+    address: Address,
     is_daas: bool,
-    roles: Vec<String>,
+    roles: Vec<&'static str>,
     family: Option<usize>,
     family_name: Option<String>,
 }
@@ -165,10 +167,42 @@ struct RiskResponse {
 struct VictimResponse {
     ok: bool,
     epoch: u64,
-    address: String,
+    address: Address,
     is_victim: bool,
     incidents: usize,
     usd: f64,
+}
+
+/// What a query found in the snapshot, before it is written as a reply
+/// line.
+enum Answer<'s> {
+    Status(StatusResponse),
+    Risk(RiskResponse),
+    Victim(VictimResponse),
+    /// The family a `family` query resolved to (`None`: the address is
+    /// in no family).
+    Family(Option<&'s Family>),
+    Stats(&'s StatBundle),
+    Error(String),
+}
+
+impl Answer<'_> {
+    /// The reply line, `epoch` being the snapshot's.
+    fn write(&self, epoch: u64) -> String {
+        match self {
+            Answer::Status(reply) => to_line(reply),
+            Answer::Risk(reply) => to_line(reply),
+            Answer::Victim(reply) => to_line(reply),
+            Answer::Family(Some(family)) => {
+                format!("{{\"ok\":true,\"epoch\":{epoch},\"family\":{}}}", to_line(family))
+            }
+            Answer::Family(None) => format!("{{\"ok\":true,\"epoch\":{epoch},\"family\":null}}"),
+            Answer::Stats(stats) => {
+                format!("{{\"ok\":true,\"epoch\":{epoch},\"stats\":{}}}", to_line(stats))
+            }
+            Answer::Error(message) => error_response(message),
+        }
+    }
 }
 
 fn parse_address(field: &Option<String>) -> Result<Address, String> {
@@ -180,16 +214,53 @@ fn to_line<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).unwrap_or_else(|e| error_response(&e.to_string()))
 }
 
+/// The clock of one query's stage split,
+/// `serve.query_stage_ms{stage=parse|answer|write}`: read only while the
+/// recorder is on, so a query with it off reads no clock at all.
+pub(crate) struct QueryClock(Option<Instant>);
+
+impl QueryClock {
+    /// Starts timing the first stage.
+    pub(crate) fn start() -> Self {
+        QueryClock(daas_obs::enabled().then(Instant::now))
+    }
+
+    /// Records the time since the start or the last lap as `stage`, and
+    /// returns it in ms.
+    pub(crate) fn lap(&mut self, stage: &str) -> f64 {
+        let Some(last) = &mut self.0 else { return 0.0 };
+        let now = Instant::now();
+        let ms = (now - *last).as_secs_f64() * 1e3;
+        daas_obs::observe_ms_l("serve.query_stage_ms", "stage", stage, ms);
+        *last = now;
+        ms
+    }
+}
+
 /// Answers a query command from a published snapshot; `None` when the
 /// command is a control command for the engine thread. Latency lands in
-/// the `serve.query_ms{endpoint=…}` histogram.
+/// the `serve.query_ms{endpoint=…}` histogram, split into the snapshot
+/// lookup and the reply's serialization as
+/// `serve.query_stage_ms{stage=answer|write}`.
 pub fn answer_query(snap: &Snapshot, req: &Request) -> Option<String> {
     if !req.is_query() {
         return None;
     }
-    let t0 = Instant::now();
-    let line = match req.cmd.as_str() {
-        "status" => to_line(&StatusResponse {
+    let mut clock = QueryClock::start();
+    let answer = lookup(snap, req);
+    let answer_ms = clock.lap("answer");
+    let line = answer.write(snap.epoch);
+    let write_ms = clock.lap("write");
+    if daas_obs::enabled() {
+        daas_obs::observe_ms_l("serve.query_ms", "endpoint", &req.cmd, answer_ms + write_ms);
+    }
+    Some(line)
+}
+
+/// The snapshot lookup of a query command.
+fn lookup<'s>(snap: &'s Snapshot, req: &Request) -> Answer<'s> {
+    match req.cmd.as_str() {
+        "status" => Answer::Status(StatusResponse {
             ok: true,
             epoch: snap.epoch,
             watermark: snap.watermark as u64,
@@ -207,17 +278,17 @@ pub fn answer_query(snap: &Snapshot, req: &Request) -> Option<String> {
         "risk" => match parse_address(&req.address) {
             Ok(address) => {
                 let risk = snap.risk(address);
-                to_line(&RiskResponse {
+                Answer::Risk(RiskResponse {
                     ok: true,
                     epoch: snap.epoch,
-                    address: address.to_string(),
+                    address,
                     is_daas: risk.is_daas,
-                    roles: risk.role_names().iter().map(|r| r.to_string()).collect(),
+                    roles: risk.role_names(),
                     family: risk.family,
                     family_name: risk.family_name,
                 })
             }
-            Err(e) => error_response(&e),
+            Err(e) => Answer::Error(e),
         },
         "family" => {
             let id = match (req.id, &req.address) {
@@ -227,58 +298,41 @@ pub fn answer_query(snap: &Snapshot, req: &Request) -> Option<String> {
             };
             match id {
                 Ok(Some(id)) => match snap.family(id) {
-                    Some(family) => format!(
-                        "{{\"ok\":true,\"epoch\":{},\"family\":{}}}",
-                        snap.epoch,
-                        serde_json::to_string(&**family)
-                            .unwrap_or_else(|e| error_response(&e.to_string())),
-                    ),
-                    None => error_response(&format!("no family {id}")),
+                    Some(family) => Answer::Family(Some(family)),
+                    None => Answer::Error(format!("no family {id}")),
                 },
-                Ok(None) => format!(
-                    "{{\"ok\":true,\"epoch\":{},\"family\":null}}",
-                    snap.epoch
-                ),
-                Err(e) => error_response(&e),
+                Ok(None) => Answer::Family(None),
+                Err(e) => Answer::Error(e),
             }
         }
         "victim" => match parse_address(&req.address) {
             Ok(address) => {
                 let (usd, incidents) =
                     snap.victim_losses().get(&address).copied().unwrap_or((0.0, 0));
-                to_line(&VictimResponse {
+                Answer::Victim(VictimResponse {
                     ok: true,
                     epoch: snap.epoch,
-                    address: address.to_string(),
+                    address,
                     is_victim: incidents > 0,
                     incidents,
                     usd,
                 })
             }
-            Err(e) => error_response(&e),
+            Err(e) => Answer::Error(e),
         },
-        "stats" => format!(
-            "{{\"ok\":true,\"epoch\":{},\"stats\":{}}}",
-            snap.epoch,
-            serde_json::to_string(snap.stat_bundle())
-                .unwrap_or_else(|e| error_response(&e.to_string())),
-        ),
+        "stats" => Answer::Stats(snap.stat_bundle()),
         _ => unreachable!("is_query gates the command set"),
-    };
-    if daas_obs::enabled() {
-        daas_obs::observe_ms_l(
-            "serve.query_ms",
-            "endpoint",
-            &req.cmd,
-            t0.elapsed().as_secs_f64() * 1e3,
-        );
     }
-    Some(line)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    use daas_detector::DatasetCounts;
+    use txgraph::CowMap;
 
     #[test]
     fn request_lines_are_capped() {
@@ -313,6 +367,80 @@ mod tests {
         assert_eq!(req.blocks, Some(64));
         assert!(!req.is_query());
         assert!(Request::parse("not json").is_err());
+    }
+
+    /// Epoch 3 of a world with one family, `Angel "Drainer"`, whose
+    /// contract is also an affiliate.
+    fn one_family_snapshot(flagged: Address) -> Snapshot {
+        let family = Family {
+            id: 0,
+            name: "Angel \"Drainer\"".into(),
+            operators: Vec::new(),
+            contracts: vec![flagged],
+            affiliates: vec![flagged],
+            ps_txs: vec![5],
+        };
+        let set = Arc::new(BTreeSet::from([flagged]));
+        Snapshot::new(
+            3,
+            10,
+            2,
+            4,
+            false,
+            DatasetCounts { contracts: 1, operators: 0, affiliates: 1, ps_txs: 1 },
+            Arc::new(vec![Arc::new(family)]),
+            Arc::clone(&set),
+            Arc::new(BTreeSet::new()),
+            set,
+            CowMap::new(),
+            0.0,
+        )
+    }
+
+    #[test]
+    fn risk_replies_keep_their_bytes() {
+        let flagged = Address::from_hex("0x7a0d6f390166b3eb4fa3f65bdc2c0bebbe37c9cb").unwrap();
+        let snap = one_family_snapshot(flagged);
+        let ask = |line: &str| answer_query(&snap, &Request::parse(line).unwrap()).unwrap();
+        assert_eq!(
+            ask("{\"cmd\":\"risk\",\"address\":\"0x7a0d6f390166b3eb4fa3f65bdc2c0bebbe37c9cb\"}"),
+            "{\"ok\":true,\"epoch\":3,\"address\":\"0x7a0d6f390166b3eb4fa3f65bdc2c0bebbe37c9cb\",\
+             \"is_daas\":true,\"roles\":[\"contract\",\"affiliate\"],\"family\":0,\
+             \"family_name\":\"Angel \\\"Drainer\\\"\"}"
+        );
+        // Upper-case hex in, the lower-case form out.
+        assert_eq!(
+            ask("{\"cmd\":\"risk\",\"address\":\"0x00000000000000000000000000000000000000AB\"}"),
+            "{\"ok\":true,\"epoch\":3,\"address\":\"0x00000000000000000000000000000000000000ab\",\
+             \"is_daas\":false,\"roles\":[],\"family\":null,\"family_name\":null}"
+        );
+        assert_eq!(
+            ask("{\"cmd\":\"risk\",\"address\":\"0x12\"}"),
+            "{\"ok\":false,\"error\":\"bad address \\\"0x12\\\"\"}"
+        );
+        assert_eq!(
+            ask("{\"cmd\":\"risk\"}"),
+            "{\"ok\":false,\"error\":\"missing \\\"address\\\"\"}"
+        );
+        assert_eq!(
+            Request::parse("{\"cmd\":\"risk\",\"address\":\"0x12").unwrap_err(),
+            "bad request: unterminated string at byte 29"
+        );
+        assert_eq!(
+            ask("{\"cmd\":\"family\",\"address\":\"0x7a0d6f390166b3eb4fa3f65bdc2c0bebbe37c9cb\"}"),
+            "{\"ok\":true,\"epoch\":3,\"family\":{\"id\":0,\"name\":\"Angel \\\"Drainer\\\"\",\
+             \"operators\":[],\"contracts\":[\"0x7a0d6f390166b3eb4fa3f65bdc2c0bebbe37c9cb\"],\
+             \"affiliates\":[\"0x7a0d6f390166b3eb4fa3f65bdc2c0bebbe37c9cb\"],\"ps_txs\":[5]}}"
+        );
+        assert_eq!(
+            ask("{\"cmd\":\"family\",\"id\":1}"),
+            "{\"ok\":false,\"error\":\"no family 1\"}"
+        );
+        assert_eq!(
+            ask("{\"cmd\":\"victim\",\"address\":\"0x7a0d6f390166b3eb4fa3f65bdc2c0bebbe37c9cb\"}"),
+            "{\"ok\":true,\"epoch\":3,\"address\":\"0x7a0d6f390166b3eb4fa3f65bdc2c0bebbe37c9cb\",\
+             \"is_victim\":false,\"incidents\":0,\"usd\":0.0}"
+        );
     }
 
     #[test]

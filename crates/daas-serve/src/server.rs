@@ -30,7 +30,8 @@ use daas_obs::SloSpec;
 use crate::checkpoint::EngineCheckpoint;
 use crate::engine::Engine;
 use crate::protocol::{
-    answer_query, error_response, read_request_line, Request, RequestLine, MAX_REQUEST_LINE,
+    answer_query, error_response, read_request_line, QueryClock, Request, RequestLine,
+    MAX_REQUEST_LINE,
 };
 use crate::scrape::spawn_scrape;
 use crate::snapshot::SnapshotCell;
@@ -277,17 +278,23 @@ pub(crate) fn accept_capped<S: Send + 'static>(
 
 /// Parses one line and answers it: live-telemetry queries from the
 /// telemetry state, snapshot queries from the snapshot cell, control
-/// commands via the engine channel.
+/// commands via the engine channel. The parse of a snapshot query is
+/// timed as `serve.query_stage_ms{stage=parse}`; no other request
+/// records it.
 fn dispatch(
     line: &str,
     cell: &SnapshotCell,
     ctl_tx: &Sender<Control>,
     telemetry: &Telemetry,
 ) -> String {
+    let mut clock = QueryClock::start();
     let req = match Request::parse(line) {
         Ok(req) => req,
         Err(e) => return error_response(&e),
     };
+    if req.is_query() {
+        clock.lap("parse");
+    }
     if let Some(reply) = answer_live(&req, cell, telemetry) {
         return reply;
     }

@@ -207,6 +207,10 @@ fn live_daemon_scrapes_cleanly_through_ingest_checkpoint_and_restore() {
     assert!(body.contains("daas_serve_snapshot_age_ms"), "missing age gauge:\n{body}");
     assert!(body.contains("daas_serve_ingest_lag_windows 0"), "lag should be 0 when done");
     assert!(body.contains("daas_serve_query_ms_bucket{endpoint=\"status\""), "{body}");
+    for stage in ["parse", "answer", "write"] {
+        let bucket = format!("daas_serve_query_stage_ms_bucket{{stage=\"{stage}\"");
+        assert!(body.contains(&bucket), "{bucket} missing:\n{body}");
+    }
     assert_untorn(&body);
 
     // The journal tells the readiness story: exactly one ready flip,

@@ -56,13 +56,20 @@ impl Address {
 
     /// Full hex form with `0x` prefix, lowercase.
     pub fn to_hex(&self) -> String {
-        let mut s = String::with_capacity(42);
-        s.push_str("0x");
-        for b in self.0 {
-            s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-            s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
+        self.hex().as_str().to_owned()
+    }
+
+    /// The [`to_hex`](Self::to_hex) form on the stack, for the writers
+    /// that copy it straight into their output.
+    fn hex(&self) -> HexForm {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [b'0'; 42];
+        out[1] = b'x';
+        for (i, b) in self.0.iter().enumerate() {
+            out[2 + 2 * i] = DIGITS[usize::from(b >> 4)];
+            out[3 + 2 * i] = DIGITS[usize::from(b & 0xf)];
         }
-        s
+        HexForm(out)
     }
 
     /// EIP-55 mixed-case checksummed form, as explorers display
@@ -160,15 +167,26 @@ impl PartialOrd for Address {
     }
 }
 
-impl fmt::Debug for Address {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_hex())
+/// An address's `0x` + 40 lowercase hex digits.
+struct HexForm([u8; 42]);
+
+impl HexForm {
+    fn as_str(&self) -> &str {
+        core::str::from_utf8(&self.0).expect("hex digits are ASCII")
     }
 }
 
+/// The hex form as it is: width, fill and alignment flags are ignored.
+impl fmt::Debug for Address {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.hex().as_str())
+    }
+}
+
+/// The hex form as it is: width, fill and alignment flags are ignored.
 impl fmt::Display for Address {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_hex())
+        f.write_str(self.hex().as_str())
     }
 }
 
@@ -181,7 +199,7 @@ impl FromStr for Address {
 
 impl Serialize for Address {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_hex())
+        serializer.serialize_str(self.hex().as_str())
     }
 }
 
@@ -273,6 +291,24 @@ mod tests {
         let s = serde_json::to_string(&a).unwrap();
         let back: Address = serde_json::from_str(&s).unwrap();
         assert_eq!(back, a);
+    }
+
+    #[test]
+    fn every_text_form_is_the_hex_form() {
+        let a = Address::from_hex("0x7a0d6f390166b3eb4fa3f65bdc2c0bebbe37c9cb").unwrap();
+        let hex = a.to_hex();
+        assert_eq!(hex, "0x7a0d6f390166b3eb4fa3f65bdc2c0bebbe37c9cb");
+        for addr in [a, Address::ZERO, Address([0xff; 20])] {
+            let hex = addr.to_hex();
+            assert_eq!(format!("{addr}"), hex);
+            assert_eq!(format!("{addr:?}"), hex);
+            // Width and alignment flags do not pad the form.
+            assert_eq!(format!("{addr:>50}"), hex);
+            assert_eq!(format!("{addr:<50?}"), hex);
+            assert_eq!(serde_json::to_string(&addr).unwrap(), format!("\"{hex}\""));
+        }
+        assert_eq!(Address::ZERO.to_hex(), format!("0x{}", "0".repeat(40)));
+        assert_eq!(Address([0xff; 20]).to_hex(), format!("0x{}", "f".repeat(40)));
     }
 
     #[test]

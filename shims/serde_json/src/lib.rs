@@ -5,11 +5,17 @@
 //! model. Output matches serde_json's formatting conventions: compact
 //! form without spaces, pretty form with two-space indentation, floats
 //! rendered with `{:?}` so they round-trip.
+//!
+//! Strings are read and written in runs: the parser copies everything
+//! up to the next `"` or `\` in one piece, and the writer copies
+//! everything between two bytes that need an escape in one piece. Both
+//! stop only at ASCII bytes, so every run ends on a char boundary of
+//! the `&str` it is cut from.
 
 #![forbid(unsafe_code)]
 
 use serde::Value;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Error produced by serialization or parsing.
 #[derive(Debug, Clone)]
@@ -31,18 +37,12 @@ impl From<serde::Error> for Error {
 
 /// Serializes a value to compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let v = serde::to_value(value)?;
-    let mut out = String::new();
-    write_value(&v, &mut out, None, 0);
-    Ok(out)
+    Ok(render(&serde::to_value(value)?, None))
 }
 
 /// Serializes a value to pretty JSON (two-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let v = serde::to_value(value)?;
-    let mut out = String::new();
-    write_value(&v, &mut out, Some("  "), 0);
-    Ok(out)
+    Ok(render(&serde::to_value(value)?, Some("  ")))
 }
 
 /// Parses JSON text into a typed value.
@@ -58,15 +58,78 @@ where
 // Writer
 // ---------------------------------------------------------------------
 
+/// Writes `value` into a buffer allocated once, at [`rendered_len`].
+fn render(value: &Value, indent: Option<&str>) -> String {
+    let mut out = String::with_capacity(rendered_len(value, indent, 0));
+    write_value(value, &mut out, indent, 0);
+    out
+}
+
+/// The longest `{:?}` form of a finite `f64`, as in
+/// `-1.2345678901234567e-300`.
+const MAX_F64_LEN: usize = 24;
+
+/// What [`write_value`] writes for `value`, in bytes, counting each
+/// float at [`MAX_F64_LEN`] and each string without its escapes: exact
+/// for everything else, so the buffer grows only for a string that
+/// needs escaping.
+fn rendered_len(value: &Value, indent: Option<&str>, depth: usize) -> usize {
+    let newline = |depth: usize| indent.map_or(0, |unit| 1 + unit.len() * depth);
+    // A non-empty array or object: the members, the brackets, the commas
+    // between members, and a line break before each member and before
+    // the closing bracket.
+    let container = |members: usize, inner: usize| {
+        inner + 2 + (members - 1) + members * newline(depth + 1) + newline(depth)
+    };
+    match value {
+        Value::Null => 4,
+        Value::Bool(true) => 4,
+        Value::Bool(false) => 5,
+        Value::U64(n) => decimal_len(*n),
+        Value::I64(n) => decimal_len(n.unsigned_abs()) + usize::from(*n < 0),
+        Value::F64(_) => MAX_F64_LEN,
+        Value::Str(s) => s.len() + 2,
+        Value::Seq(items) if items.is_empty() => 2,
+        Value::Seq(items) => container(
+            items.len(),
+            items.iter().map(|item| rendered_len(item, indent, depth + 1)).sum(),
+        ),
+        Value::Map(entries) if entries.is_empty() => 2,
+        Value::Map(entries) => container(
+            entries.len(),
+            entries
+                .iter()
+                .map(|(key, item)| {
+                    // The quoted key, the colon and the pretty form's space.
+                    key.len()
+                        + 3
+                        + usize::from(indent.is_some())
+                        + rendered_len(item, indent, depth + 1)
+                })
+                .sum(),
+        ),
+    }
+}
+
+/// Digits of `n` in decimal.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
 fn write_value(value: &Value, out: &mut String, indent: Option<&str>, depth: usize) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
+        // Writing into a `String` cannot fail.
+        Value::U64(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::I64(n) => {
+            let _ = write!(out, "{n}");
+        }
         Value::F64(n) => {
             if n.is_finite() {
-                out.push_str(&format!("{n:?}"));
+                let _ = write!(out, "{n:?}");
             } else {
                 // serde_json emits null for non-finite floats.
                 out.push_str("null");
@@ -122,21 +185,34 @@ fn newline_indent(out: &mut String, indent: Option<&str>, depth: usize) {
     }
 }
 
+/// The escape of each C0 control character: the short form where JSON
+/// has one, `\u00xx` otherwise.
+#[rustfmt::skip]
+const CONTROL_ESCAPES: [&str; 32] = [
+    "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+    "\\b", "\\t", "\\n", "\\u000b", "\\f", "\\r", "\\u000e", "\\u000f",
+    "\\u0010", "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+    "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+];
+
+/// Writes `s` quoted: `"`, `\` and the C0 controls escaped, every other
+/// character (DEL and multi-byte UTF-8 included) as it is, each run
+/// between two escapes copied in one piece.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            0x00..=0x1f => CONTROL_ESCAPES[usize::from(b)],
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -150,6 +226,7 @@ fn write_string(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open at `pos`.
@@ -157,8 +234,8 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0, depth: 0 }
+    fn new(src: &'a str) -> Self {
+        Parser { src, bytes: src.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn parse_document(mut self) -> Result<Value, Error> {
@@ -282,70 +359,61 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| self.err("unterminated string"))?;
+            // The run of plain content up to the next `"` or `\`, copied
+            // in one piece: it starts on a char boundary (after an ASCII
+            // quote or escape) and ends on one.
+            let run = self.pos;
+            self.pos += self.bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - run);
+            out.push_str(&self.src[run..self.pos]);
+            let b = *self.bytes.get(self.pos).ok_or_else(|| self.err("unterminated string"))?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let first = self.parse_hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair.
-                                if self.bytes.get(self.pos) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let second = self.parse_hex4()?;
-                                    0x10000
-                                        + ((first - 0xD800) << 10)
-                                        + (second.wrapping_sub(0xDC00) & 0x3FF)
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else {
-                                first
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    }
+            if b == b'"' {
+                return Ok(out);
+            }
+            let esc = *self.bytes.get(self.pos).ok_or_else(|| self.err("unterminated escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let first = self.parse_hex4()?;
+                    let code = if (0xD800..0xDC00).contains(&first) {
+                        self.low_surrogate(first)?
+                    } else {
+                        first
+                    };
+                    out.push(
+                        char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))?,
+                    );
                 }
-                _ => {
-                    // Re-decode UTF-8 starting at the byte we just consumed.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| self.err("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(chunk)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("invalid escape sequence")),
             }
         }
+    }
+
+    /// The code point of the surrogate pair `high` opens: the next
+    /// escape must be a low surrogate (DC00–DFFF). Anything else is an
+    /// unpaired surrogate, reported where the low one should start.
+    fn low_surrogate(&mut self, high: u32) -> Result<u32, Error> {
+        let at = self.pos;
+        if self.bytes[at..].starts_with(b"\\u") {
+            self.pos += 2;
+            let low = self.parse_hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                return Ok(0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00));
+            }
+            self.pos = at;
+        }
+        Err(self.err("unpaired surrogate"))
     }
 
     fn parse_hex4(&mut self) -> Result<u32, Error> {
@@ -389,15 +457,6 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Value::F64)
             .map_err(|_| self.err(&format!("invalid number `{text}`")))
-    }
-}
-
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
@@ -467,5 +526,140 @@ mod tests {
     fn negative_integers_parse_as_i64() {
         assert_eq!(from_str::<i64>("-7").unwrap(), -7);
         assert_eq!(from_str::<i32>("-2147483648").unwrap(), i32::MIN);
+    }
+
+    #[test]
+    fn every_escape_class_has_its_golden_encoding() {
+        let enc = |s: &str| to_string(s).unwrap();
+        assert_eq!(enc(""), r#""""#);
+        assert_eq!(enc("plain run"), r#""plain run""#);
+        assert_eq!(enc("\""), r#""\"""#);
+        assert_eq!(enc("\\"), r#""\\""#);
+        assert_eq!(enc("\n\r\t\u{8}\u{c}"), r#""\n\r\t\b\f""#);
+        // Every other C0 control as `\u00xx`, in lower-case hex.
+        for c in (0u8..0x20).filter(|c| !b"\n\r\t\x08\x0c".contains(c)) {
+            assert_eq!(enc(&char::from(c).to_string()), format!("\"\\u{c:04x}\""));
+        }
+        assert_eq!(enc("\u{1b}"), r#""\u001b""#);
+        // DEL, `/` and multi-byte UTF-8 as they are.
+        assert_eq!(enc("\u{7f}/é中😀\u{2028}"), "\"\u{7f}/é中😀\u{2028}\"");
+        // Escapes next to runs, at both ends and back to back.
+        assert_eq!(enc("\"ab\\\n\u{1}cd\""), r#""\"ab\\\n\u0001cd\"""#);
+        assert_eq!(enc("é\"中"), "\"é\\\"中\"");
+        // Map keys take the same escapes; non-finite floats are null.
+        let mut m = BTreeMap::new();
+        m.insert("k\"\n".to_string(), f64::NAN);
+        assert_eq!(to_string(&m).unwrap(), r#"{"k\"\n":null}"#);
+    }
+
+    #[test]
+    fn rendered_len_is_exact_without_floats_or_escapes() {
+        let doc = Value::Map(vec![
+            ("ok".into(), Value::Bool(true)),
+            ("epoch".into(), Value::U64(1_000)),
+            ("delta".into(), Value::I64(-42)),
+            ("roles".into(), Value::Seq(vec![Value::Str("contract".into()), Value::Null])),
+            ("empty".into(), Value::Seq(Vec::new())),
+            ("nested".into(), Value::Map(vec![("a".into(), Value::Map(Vec::new()))])),
+            ("no".into(), Value::Bool(false)),
+            ("zero".into(), Value::U64(0)),
+            ("max".into(), Value::U64(u64::MAX)),
+            ("min".into(), Value::I64(i64::MIN)),
+        ]);
+        for indent in [None, Some("  ")] {
+            assert_eq!(render(&doc, indent).len(), rendered_len(&doc, indent, 0));
+        }
+        for n in [0.0, -1.2345678901234567e-300, f64::MIN, 1e-5, -1.2345678901234567e-4] {
+            assert!(render(&Value::F64(n), None).len() <= MAX_F64_LEN);
+        }
+    }
+
+    /// A xorshift64 stream: a deterministic corpus with no dev-dependency.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Pieces the corpus strings are made of: plain runs, every escape
+    /// class, and characters of every UTF-8 length.
+    #[rustfmt::skip]
+    const PIECES: [&str; 22] = [
+        "a", "Z", " ", "0x5a3f", "\"", "\\", "/", "\n", "\r", "\t", "\u{8}", "\u{c}", "\u{0}",
+        "\u{1b}", "\u{1f}", "\u{7f}", "é", "中", "😀", "\u{ffff}", "\u{2028}", "plain run",
+    ];
+
+    fn corpus_string(rng: &mut XorShift) -> String {
+        (0..rng.below(12)).map(|_| PIECES[rng.below(PIECES.len())]).collect()
+    }
+
+    fn corpus_value(rng: &mut XorShift, depth: usize) -> Value {
+        match rng.below(if depth < 4 { 8 } else { 6 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 0),
+            2 => Value::U64([0, 7, 1 << 40, u64::MAX][rng.below(4)]),
+            // Only negative integers parse back as `I64`.
+            3 => Value::I64(-(rng.below(1 << 40) as i64) - 1),
+            4 => Value::F64([0.5, -1e-300, 1.0 / 3.0, 1e16, -0.0][rng.below(5)]),
+            5 => Value::Str(corpus_string(rng)),
+            6 => Value::Seq((0..rng.below(5)).map(|_| corpus_value(rng, depth + 1)).collect()),
+            _ => Value::Map(
+                (0..rng.below(5))
+                    .map(|_| (corpus_string(rng), corpus_value(rng, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn strings_and_documents_round_trip() {
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..2_000 {
+            let s = corpus_string(&mut rng);
+            assert_eq!(from_str::<String>(&to_string(&s).unwrap()).unwrap(), s);
+            let doc = corpus_value(&mut rng, 0);
+            for indent in [None, Some("  ")] {
+                let text = render(&doc, indent);
+                assert_eq!(Parser::new(&text).parse_document().unwrap(), doc, "{text}");
+                // Only an escape (each starts with a backslash) outgrows the size.
+                assert!(text.contains('\\') || text.len() <= rendered_len(&doc, indent, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn parse_errors_name_the_byte() {
+        let err = |s: &str| from_str::<String>(s).unwrap_err().to_string();
+        assert_eq!(err(r#""abc"#), "unterminated string at byte 4");
+        assert_eq!(err(r#""a\x""#), "invalid escape sequence at byte 4");
+        assert_eq!(err(r#""a\"#), "unterminated escape at byte 3");
+        assert_eq!(err(r#""\u12""#), "truncated \\u escape at byte 3");
+        assert_eq!(err(r#""\u12g4""#), "invalid \\u escape at byte 3");
+        assert_eq!(err(r#""\ude00""#), "invalid unicode escape at byte 7");
+        assert_eq!(err(r#""\ud83d""#), "unpaired surrogate at byte 7");
+        assert_eq!(err(r#""\ud83dx""#), "unpaired surrogate at byte 7");
+        assert_eq!(err(r#"["a" "b"]"#), "expected `,` or `]` in array at byte 5");
+    }
+
+    #[test]
+    fn a_high_surrogate_takes_only_a_low_one() {
+        let err = |s: &str| from_str::<String>(s).unwrap_err().to_string();
+        // A second high surrogate, or any escape outside DC00–DFFF, is
+        // refused where the low surrogate should start.
+        assert_eq!(err(r#""\ud83d\ud83d""#), "unpaired surrogate at byte 7");
+        assert_eq!(err(r#""\ud83d\u0041""#), "unpaired surrogate at byte 7");
+        assert_eq!(err(r#""ab\udbff\ue000""#), "unpaired surrogate at byte 9");
+        // A truncated second escape keeps its own error.
+        assert_eq!(err(r#""\ud83d\u12""#), "truncated \\u escape at byte 9");
+        assert_eq!(from_str::<String>(r#""\ud83d\ude00""#).unwrap(), "😀");
+        assert_eq!(
+            from_str::<String>(r#""\ud800\udc00\udbff\udfff""#).unwrap(),
+            "\u{10000}\u{10ffff}"
+        );
     }
 }
