@@ -40,8 +40,10 @@ cargo test -q --test determinism -- --test-threads 4
 # ---- Streaming (live) equivalence suites: online detector →
 #      incremental clusterer → live measurement vs the batch oracle,
 #      scoped rebuilds under revocation storms, kill/restore
-#      convergence plus refusal of checkpoints restore cannot place, and
-#      the role sets each publish shares with readers. ----
+#      convergence (replay to the checkpoint's cursor) plus refusal of
+#      truncated checkpoints and of cursors or chain fingerprints the
+#      rebuilt chain cannot place, and the role sets each publish shares
+#      with readers. ----
 cargo test -q -p daas-detector --test online_equivalence -- --test-threads 4
 cargo test -q -p daas-cluster --test live_equivalence -- --test-threads 4
 cargo test -q -p daas-cluster --test revocation_storm -- --test-threads 4

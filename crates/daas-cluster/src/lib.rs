@@ -37,7 +37,7 @@ mod profile;
 pub use families::{
     cluster, cluster_prefix, cluster_with, family_holding, ClusterConfig, Clustering, Family, Role,
 };
-pub use online::{ClustererCheckpoint, CompCheckpoint, OnlineClusterer, OnlineClustererStats};
+pub use online::{OnlineClusterer, OnlineClustererStats};
 pub use forensics::{family_forensics, FamilyForensics};
 pub use lifecycle::{primary_lifecycles, primary_lifecycles_with, LifecycleStats};
 pub use profile::{contract_profile, contract_profile_with, ContractProfile};

@@ -62,8 +62,10 @@
 //! smallest member address, the vote tie-break compares keys, and the
 //! family lists are sorted by address on assembly. None of this state
 //! is shared with a reader — a published snapshot holds only the
-//! `Arc<Family>` values — and checkpoints resolve every id to its
-//! address.
+//! `Arc<Family>` values — and none of it is checkpointed: whatever the
+//! ingest history, the snapshot at a boundary is `cluster_prefix` at
+//! that watermark, so an engine restore rebuilds the clusterer by
+//! ingesting the replayed stream in one poll.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -71,14 +73,13 @@ use std::sync::Arc;
 use daas_chain::{Chain, LabelStore, TxId};
 use daas_detector::{ClassificationCache, ClassifierConfig, DetectorEvent};
 use eth_types::{AddrId, Address, FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 use txgraph::UnionFind;
 
 use crate::families::{family_name, is_labeled_phishing, Clustering, Family};
 
 /// Counters describing how much incremental work the clusterer did —
 /// the observable evidence that snapshots reuse prior state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OnlineClustererStats {
     /// Component merges (edges that actually joined two components).
     pub merges: usize,
@@ -151,74 +152,6 @@ const MEMBER: u8 = 2;
 /// Mark bit of an account carrying an explorer phishing or
 /// drainer-family label.
 const PHISH: u8 = 4;
-
-/// One component in a [`ClustererCheckpoint`]. Member and edge *order*
-/// is preserved verbatim (arrival order); restore re-derives the key
-/// from the members.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompCheckpoint {
-    /// Stable component id.
-    pub cid: u64,
-    /// Smallest member (the batch tie-break key).
-    pub key: Address,
-    /// Member operators, in live (arrival) order.
-    pub members: Vec<Address>,
-    /// Internal direct edges, in live order.
-    pub edges: Vec<(Address, Address)>,
-    /// Labeled-phish accounts owned by this component (sorted).
-    pub phish: Vec<Address>,
-    /// Vote-assigned contracts (sorted).
-    pub contracts: Vec<Address>,
-    /// Vote-assigned affiliates (sorted).
-    pub affiliates: Vec<Address>,
-}
-
-/// Serialized [`OnlineClusterer`] state (DESIGN.md §13).
-///
-/// Everything is address-keyed (interned ids are resolved on export and
-/// re-interned on restore), so the checkpoint is portable across process
-/// restarts; maps and sets are sorted by address on export, so
-/// checkpoint bytes are deterministic, and the member/edge lists and
-/// the `txs_new` splice queue keep their live order. Each vote multiset
-/// is written expanded, its operators in address order; restore counts
-/// it back, so the order of a multiset never matters. `op_votes` is
-/// derivable from the multisets and is rebuilt from them on restore.
-/// The assembled-family cache is *not* serialized: it is a pure
-/// performance cache, rebuilt lazily by the first snapshot after
-/// restore.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClustererCheckpoint {
-    /// Transactions ingested (exclusive upper bound).
-    pub watermark: TxId,
-    /// Next component id to allocate (ids are never reused).
-    pub next_cid: u64,
-    /// Live components, sorted by id.
-    pub comps: Vec<CompCheckpoint>,
-    /// Global direct-edge dedup set, sorted.
-    pub direct_edges: Vec<(Address, Address)>,
-    /// Phish account → touching operators (sorted by account).
-    pub phish_touch: Vec<(Address, Vec<Address>)>,
-    /// Contract vote multisets, operators in address order.
-    pub contract_ops: Vec<(Address, Vec<Address>)>,
-    /// Affiliate vote multisets, operators in address order.
-    pub affiliate_ops: Vec<(Address, Vec<Address>)>,
-    /// Profit-sharing transactions per contract.
-    pub contract_txs: Vec<(Address, Vec<TxId>)>,
-    /// Operator → targets it voted for.
-    pub op_votes: Vec<(Address, Vec<(u8, Address)>)>,
-    /// Target → assigned component id.
-    pub target_assign: Vec<((u8, Address), u64)>,
-    /// Targets whose votes changed since the last snapshot.
-    pub dirty_targets: Vec<(u8, Address)>,
-    /// Components whose cached assembly was invalid.
-    pub dirty_comps: Vec<u64>,
-    /// Pending (contract, tx) splices, in arrival order.
-    pub txs_new: Vec<(Address, TxId)>,
-    /// Components owed a scoped rebuild.
-    pub pending_rebuild: Vec<u64>,
-    /// Incremental-work counters at the checkpoint.
-    pub stats: OnlineClustererStats,
-}
 
 /// Incremental §7.1 clusterer. See the module docs for the invariants.
 #[derive(Debug, Clone)]
@@ -311,174 +244,6 @@ impl OnlineClusterer {
     /// Incremental-work counters.
     pub fn stats(&self) -> OnlineClustererStats {
         self.stats
-    }
-
-    /// Exports the clusterer's full retained state, every id resolved
-    /// against `chain` (the chain it ingested). See
-    /// [`ClustererCheckpoint`] for the ordering contract; the marks, the
-    /// operator→component index and the `op_votes` reverse index are
-    /// derived state and are rebuilt on restore.
-    pub fn checkpoint(&self, chain: &Chain) -> ClustererCheckpoint {
-        fn sorted<T: Ord>(mut items: Vec<T>) -> Vec<T> {
-            items.sort_unstable();
-            items
-        }
-        let addr = |id: AddrId| chain.resolve_addr(id);
-        let edge = |&(a, b): &(AddrId, AddrId)| {
-            let (a, b) = (addr(a), addr(b));
-            (a.min(b), a.max(b))
-        };
-        let addrs = |ids: &BTreeSet<AddrId>| sorted(ids.iter().map(|&id| addr(id)).collect());
-        let target = |&(kind, id): &Target| (kind, addr(id));
-        let multisets = |votes: &FxHashMap<AddrId, Voters>| {
-            let expand = |voters: &Voters| {
-                let voters = sorted(voters.iter().map(|&(op, n)| (addr(op), n)).collect());
-                voters.into_iter().flat_map(|(op, n)| std::iter::repeat_n(op, n as usize)).collect()
-            };
-            sorted(votes.iter().map(|(&t, voters)| (addr(t), expand(voters))).collect())
-        };
-        let mut comps: Vec<CompCheckpoint> = self
-            .comps
-            .iter()
-            .map(|(&cid, c)| CompCheckpoint {
-                cid,
-                key: c.key,
-                members: c.members.iter().map(|&m| addr(m)).collect(),
-                edges: c.edges.iter().map(edge).collect(),
-                phish: addrs(&c.phish),
-                contracts: addrs(&c.contracts),
-                affiliates: addrs(&c.affiliates),
-            })
-            .collect();
-        comps.sort_unstable_by_key(|c| c.cid);
-        ClustererCheckpoint {
-            watermark: self.watermark,
-            next_cid: self.next_cid,
-            comps,
-            direct_edges: sorted(self.direct_edges.iter().map(edge).collect()),
-            phish_touch: sorted(
-                self.phish_touch.iter().map(|(&p, ops)| (addr(p), addrs(ops))).collect(),
-            ),
-            contract_ops: multisets(&self.votes[T_CONTRACT as usize]),
-            affiliate_ops: multisets(&self.votes[T_AFFILIATE as usize]),
-            contract_txs: sorted(
-                self.contract_txs.iter().map(|(&c, txs)| (addr(c), txs.clone())).collect(),
-            ),
-            op_votes: sorted(
-                self.op_votes
-                    .iter()
-                    .map(|(&op, targets)| (addr(op), sorted(targets.iter().map(target).collect())))
-                    .collect(),
-            ),
-            target_assign: sorted(
-                self.target_assign.iter().map(|(t, &cid)| (target(t), cid)).collect(),
-            ),
-            dirty_targets: sorted(self.dirty_targets.iter().map(target).collect()),
-            dirty_comps: self.dirty_comps.iter().copied().collect(),
-            txs_new: self.txs_new.iter().map(|&(c, tx)| (addr(c), tx)).collect(),
-            pending_rebuild: self.pending_rebuild.iter().copied().collect(),
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds a clusterer from a checkpoint against `chain` and
-    /// `labels`, which must be (deterministic rebuilds of) the ones the
-    /// checkpointed clusterer ingested: every address re-interns, and
-    /// the marks are rebuilt from the labels and the checkpoint's roles.
-    /// The assembled-family cache starts empty (the next
-    /// [`Self::clustering`] re-assembles lazily — identical output, the
-    /// work counters just attribute the assemblies to the post-restore
-    /// snapshot). `classifier` and `cache` follow the same contract as
-    /// [`Self::with_cache`].
-    ///
-    /// Refuses a checkpoint that names an address the chain never
-    /// interned, lists an operator in two components, or lists a
-    /// component with no members, twice, or with an id at or above
-    /// `next_cid`.
-    pub fn restore(
-        classifier: ClassifierConfig,
-        cache: Arc<ClassificationCache>,
-        chain: &Chain,
-        labels: &LabelStore,
-        ckpt: &ClustererCheckpoint,
-    ) -> Result<Self, String> {
-        let id = |address: Address| intern(chain, address);
-        let edge = |&(a, b): &(Address, Address)| -> Result<(AddrId, AddrId), String> {
-            let (a, b) = (id(a)?, id(b)?);
-            Ok((a.min(b), a.max(b)))
-        };
-        let mut c = Self::with_cache(classifier, cache);
-        c.size_marks(chain, labels);
-        c.watermark = ckpt.watermark;
-        c.next_cid = ckpt.next_cid;
-        for comp in &ckpt.comps {
-            let cid = comp.cid;
-            if cid >= ckpt.next_cid {
-                return Err(format!("component {cid} is not below next_cid {}", ckpt.next_cid));
-            }
-            let key = *comp
-                .members
-                .iter()
-                .min()
-                .ok_or_else(|| format!("component {cid} has no members"))?;
-            let members: Vec<AddrId> = intern_all(chain, &comp.members)?;
-            for &m in &members {
-                if c.op_comp.insert(m, cid).is_some() {
-                    let op = chain.resolve_addr(m);
-                    return Err(format!("operator {op} is listed in two components"));
-                }
-                c.marks[m.index()] |= OPERATOR | MEMBER;
-                c.operators.push(m);
-            }
-            let state = CompState {
-                key,
-                members,
-                edges: comp.edges.iter().map(edge).collect::<Result<_, _>>()?,
-                phish: intern_all(chain, &comp.phish)?,
-                contracts: intern_all(chain, &comp.contracts)?,
-                affiliates: intern_all(chain, &comp.affiliates)?,
-            };
-            if c.comps.insert(cid, state).is_some() {
-                return Err(format!("component {cid} is listed twice"));
-            }
-        }
-        for e in &ckpt.direct_edges {
-            c.direct_edges.insert(edge(e)?);
-        }
-        for (phish, ops) in &ckpt.phish_touch {
-            c.phish_touch.insert(id(*phish)?, intern_all(chain, ops)?);
-        }
-        let multisets = [(T_CONTRACT, &ckpt.contract_ops), (T_AFFILIATE, &ckpt.affiliate_ops)];
-        for (kind, multisets) in multisets {
-            for (target, ops) in multisets {
-                let t = id(*target)?;
-                c.marks[t.index()] |= MEMBER;
-                for &op in ops {
-                    let op = id(op)?;
-                    c.marks[op.index()] |= MEMBER;
-                    c.cast_vote((kind, t), op);
-                }
-            }
-        }
-        for (contract, txs) in &ckpt.contract_txs {
-            let mut txs = txs.clone();
-            txs.sort_unstable();
-            txs.dedup();
-            c.contract_txs.insert(id(*contract)?, txs);
-        }
-        for &((kind, target), cid) in &ckpt.target_assign {
-            c.target_assign.insert((kind, id(target)?), cid);
-        }
-        for &(kind, target) in &ckpt.dirty_targets {
-            c.dirty_targets.insert((kind, id(target)?));
-        }
-        c.dirty_comps = ckpt.dirty_comps.iter().copied().collect();
-        for &(contract, tx) in &ckpt.txs_new {
-            c.txs_new.push((id(contract)?, tx));
-        }
-        c.pending_rebuild = ckpt.pending_rebuild.iter().copied().collect();
-        c.stats = ckpt.stats;
-        Ok(c)
     }
 
     /// Grows the marks to the chain's interner, marking every interned
@@ -1082,16 +847,6 @@ impl OnlineClusterer {
         }
         Clustering { families }
     }
-}
-
-/// The id `chain` interned `address` under, or the restore error.
-fn intern(chain: &Chain, address: Address) -> Result<AddrId, String> {
-    chain.addr_id(address).ok_or_else(|| format!("checkpoint address {address} is not interned"))
-}
-
-/// [`intern`] over a list.
-fn intern_all<C: FromIterator<AddrId>>(chain: &Chain, addresses: &[Address]) -> Result<C, String> {
-    addresses.iter().map(|&a| intern(chain, a)).collect()
 }
 
 /// What one snapshot adds to a component whose structure did not

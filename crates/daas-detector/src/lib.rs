@@ -35,6 +35,6 @@ pub use classify::{classify_tx, ClassifierConfig, PsObservation, DEFAULT_RATIOS_
 pub use features::{AccountFeatures, FeatureCache};
 pub use dataset::{Dataset, DatasetCounts};
 pub use evaluate::{evaluate, validation_sample, ClassScores, Evaluation, ValidationSample};
-pub use online::{Admission, DetectorCheckpoint, DetectorEvent, OnlineDetector};
+pub use online::{Admission, DetectorEvent, OnlineDetector};
 pub use robustness::{pairwise_family_scores, LossAttribution};
 pub use snowball::{build_dataset, build_dataset_with_cache, SnowballConfig};

@@ -18,7 +18,8 @@
 //! expansion guard is the batch walk's own check
 //! (`snowball::previously_interacted`), evaluated against the role
 //! bytes at the moment of the check, so the detector keeps no derived
-//! contact state and its checkpoint is the cursor plus the dataset.
+//! contact state: everything it holds is a function of the chain prefix
+//! below its cursor, and an engine checkpoint records only the cursor.
 //!
 //! The poll-based shape (caller drives, detector returns the events
 //! since the last poll) follows the workspace's event-driven style.
@@ -68,23 +69,6 @@ pub enum DetectorEvent {
     AffiliateObserved(Address),
 }
 
-/// Serialized [`OnlineDetector`] state (DESIGN.md §13).
-///
-/// Every field is *address*-keyed: interned [`AddrId`]s are instance-
-/// local to one chain arena and never appear in a checkpoint. On
-/// restore, the (deterministically rebuilt) chain re-interns the
-/// dataset's addresses, so the restored detector is byte-equivalent to
-/// the one that was checkpointed. Checkpoints written with the retired
-/// first-contact index (`touch_min`) restore unchanged: unknown fields
-/// are ignored on load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DetectorCheckpoint {
-    /// Transactions processed so far (exclusive upper bound).
-    pub cursor: TxId,
-    /// The maintained dataset at the cursor.
-    pub dataset: Dataset,
-}
-
 /// Incremental detector state.
 #[derive(Debug, Clone)]
 pub struct OnlineDetector {
@@ -127,45 +111,6 @@ impl OnlineDetector {
     /// The dataset maintained so far.
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
-    }
-
-    /// Exports the detector's full live state as an address-keyed
-    /// checkpoint: the cursor and the dataset. The role bytes are the
-    /// interned dataset role sets and are rebuilt on restore rather
-    /// than serialized.
-    pub fn checkpoint(&self) -> DetectorCheckpoint {
-        DetectorCheckpoint { cursor: self.cursor, dataset: self.dataset.clone() }
-    }
-
-    /// Rebuilds a detector from a checkpoint against a chain that must
-    /// be (a deterministic rebuild of) the chain the checkpoint was
-    /// taken on — every address in the checkpoint re-interns to the id
-    /// it had, so the restored state is byte-equivalent. `cfg` and
-    /// `cache` follow the same contract as [`Self::with_cache`].
-    pub fn restore(
-        cfg: SnowballConfig,
-        cache: Arc<ClassificationCache>,
-        chain: &Chain,
-        ckpt: &DetectorCheckpoint,
-    ) -> Result<Self, String> {
-        let mut detector = Self::with_cache(cfg, cache);
-        detector.cursor = ckpt.cursor;
-        detector.dataset = ckpt.dataset.clone();
-        // The role bytes are exactly the interned role sets (the only
-        // writer is `absorb`, and role ids come from the verdict table).
-        detector.size_roles(chain);
-        let ds = &ckpt.dataset;
-        for (set, bit) in
-            [(&ds.contracts, CONTRACT), (&ds.operators, OPERATOR), (&ds.affiliates, AFFILIATE)]
-        {
-            for &addr in set {
-                let id = chain
-                    .addr_id(addr)
-                    .ok_or_else(|| format!("checkpoint dataset member {addr} is not interned"))?;
-                detector.roles[id.index()] |= bit;
-            }
-        }
-        Ok(detector)
     }
 
     /// Grows the role bytes to the chain's interner (the chain may have

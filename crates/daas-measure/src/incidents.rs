@@ -7,12 +7,11 @@ use daas_chain::{Asset, AssetRef, Chain, Timestamp, TxId};
 use daas_detector::{Dataset, FeatureCache};
 use daas_pricing::Oracle;
 use eth_types::Address;
-use serde::{Deserialize, Serialize};
 
 use crate::tables::Tables;
 
 /// One profit-sharing transaction, attributed and valued.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredIncident {
     /// The profit-sharing transaction.
     pub tx: TxId,

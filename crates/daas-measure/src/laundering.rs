@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use daas_chain::{Asset, AssetRef, ContractKind};
+use daas_chain::{AssetRef, ContractKind};
 use eth_types::{Address, U256};
 use serde::{Deserialize, Serialize};
 
@@ -90,32 +90,6 @@ impl<'a> MeasureCtx<'a> {
                 .filter_map(|(&kind, wei)| Some((kind, wei?)))
                 .collect(),
         }
-    }
-
-    /// Maximum value (wei) routable from `source` to `sink` through the
-    /// ETH transfers of dataset accounts — the DenseFlow-style trace of
-    /// how much of a contract's takings can reach a mixer through
-    /// intermediate hops, not just directly.
-    pub fn laundering_max_flow(&self, source: Address, sink: Address) -> u128 {
-        let mut graph = txgraph::ValueGraph::new();
-        let mut accounts: Vec<Address> = self.dataset.contracts.iter().copied().collect();
-        accounts.extend(self.dataset.operators.iter().copied());
-        accounts.extend(self.dataset.affiliates.iter().copied());
-        let mut seen_tx = std::collections::HashSet::new();
-        for acc in accounts {
-            for &txid in self.chain.txs_of(acc) {
-                if !seen_tx.insert(txid) {
-                    continue;
-                }
-                let tx = self.chain.tx(txid);
-                for t in tx.transfers() {
-                    if t.asset == Asset::Eth {
-                        graph.add_transfer(t.from, t.to, t.amount.low_u128());
-                    }
-                }
-            }
-        }
-        graph.max_flow(source, sink)
     }
 
     fn classify_sink(&self, to: Address, labels: &daas_chain::LabelStore) -> SinkKind {
@@ -238,45 +212,6 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(bits(&ctx.laundering_report(&labels)), bits(&first));
         }
-    }
-
-    #[test]
-    fn max_flow_traces_through_intermediaries() {
-        // victim → contract (split to op+aff) … op → mixer: the flow
-        // from the CONTRACT to the mixer goes through the operator hop.
-        let (chain, ds, mixer, op, contract) = {
-            let mut chain = Chain::new();
-            let op = chain.create_eoa_funded(b"f/op", ether(1)).unwrap();
-            let aff = chain.create_eoa(b"f/aff").unwrap();
-            let victim = chain.create_eoa_funded(b"f/v", ether(50)).unwrap();
-            let deployer = chain.create_eoa_funded(b"f/d", ether(1)).unwrap();
-            let mixer = chain.deploy_contract(deployer, ContractKind::Mixer).unwrap();
-            let contract = chain
-                .deploy_contract(
-                    op,
-                    ContractKind::ProfitSharing(ProfitSharingSpec {
-                        operator: op,
-                        operator_bps: 2000,
-                        entry: EntryStyle::PayableFallback,
-                    }),
-                )
-                .unwrap();
-            let mut ds = Dataset::default();
-            chain.advance(12);
-            let tx = chain.claim_eth(victim, contract, ether(10), aff).unwrap();
-            ds.absorb(classify_tx(chain.tx(tx), &Default::default()).unwrap());
-            chain.advance(12);
-            chain.transfer_eth(op, mixer, ether(2)).unwrap();
-            (chain, ds, mixer, op, contract)
-        };
-        let oracle = Oracle::new();
-        let ctx = MeasureCtx::new(&chain, &ds, &oracle);
-        // Operator received 2 ETH of the split and sent 2 to the mixer.
-        assert_eq!(ctx.laundering_max_flow(op, mixer), ether(2).low_u128());
-        // From the contract, the 2 ETH reach the mixer via the operator.
-        assert_eq!(ctx.laundering_max_flow(contract, mixer), ether(2).low_u128());
-        // Nothing flows backwards.
-        assert_eq!(ctx.laundering_max_flow(mixer, contract), 0);
     }
 
     #[test]

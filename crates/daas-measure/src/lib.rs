@@ -36,7 +36,7 @@ pub use bundle::{stat_bundle, StatBundle};
 pub use family_table::{dominant_share, family_table, FamilyRow};
 pub use incidents::{MeasureCtx, MeasuredIncident};
 pub use laundering::{LaunderingReport, SinkKind};
-pub use live::{LiveDelta, LiveMeasure, MeasureCheckpoint};
+pub use live::{LiveDelta, LiveMeasure};
 pub use management::{RewardReport, TierCensus};
 pub use timeline::MonthRow;
 pub use operators::{OperatorLifecycles, OperatorReport};

@@ -24,11 +24,12 @@
 //! append to its tail chunk, so ingesting while the previous epoch is
 //! still held copies O(window) entries, not the whole set, and the
 //! canonical order is the map's own iteration order — the canonical
-//! vector and the checkpoint read it out without a sort. The vector is
-//! `Arc`-shared and revision-stamped: polls that add no incidents
-//! re-serve the previous allocation. The victim set and the ratio
-//! counters are derived from the incidents, so a checkpoint stores only
-//! the incidents and the running total.
+//! vector reads it out without a sort. The vector is `Arc`-shared and
+//! revision-stamped: polls that add no incidents re-serve the previous
+//! allocation. Nothing here is checkpointed: an engine restore replays
+//! the same event stream in one poll, which adds the same incidents in
+//! the same order, so even the order-dependent running total comes out
+//! bit-identical.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -37,7 +38,6 @@ use daas_chain::{Chain, LabelStore, Timestamp, TxId};
 use daas_detector::{ClassificationCache, ClassifierConfig, Dataset, DetectorEvent};
 use daas_pricing::Oracle;
 use eth_types::{Address, FxHashSet};
-use serde::{Deserialize, Serialize};
 
 use crate::incidents::{measure_observation, MeasureCtx, MeasuredIncident};
 use crate::ratios::{ratio_rows, RatioRow};
@@ -52,23 +52,6 @@ pub struct LiveDelta {
     pub new_victims: usize,
     /// USD stolen across the new incidents.
     pub usd: f64,
-}
-
-/// Serialized [`LiveMeasure`] state (DESIGN.md §13).
-///
-/// The running total depends on event-arrival order, so it is
-/// serialized *exactly* rather than recomputed: the workspace JSON shim
-/// renders `f64` with shortest-round-trip formatting and parses it back
-/// bit-for-bit. Everything else is derived from the incidents on
-/// restore. Checkpoints written with the retired running-view fields
-/// (per-account sums, monthly buckets, first/last timestamps) restore
-/// unchanged: unknown fields are ignored on load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MeasureCheckpoint {
-    /// Attributed incidents, sorted by transaction id.
-    pub incidents: Vec<MeasuredIncident>,
-    /// Running USD total.
-    pub total_usd: f64,
 }
 
 /// Incremental measurement accumulators over a detector event stream.
@@ -138,19 +121,13 @@ impl LiveMeasure {
             let inc = measure_observation(chain, oracle, &obs);
             delta.incidents += 1;
             delta.usd += inc.usd;
-            delta.new_victims += usize::from(self.count(&inc));
+            *self.ratio_counts.entry(inc.ratio_bps).or_default() += 1;
+            delta.new_victims += usize::from(self.victims.insert(inc.victim));
             self.total_usd += inc.usd;
             self.incidents.insert(tx, inc);
             self.rev += 1;
         }
         delta
-    }
-
-    /// Counts one incident into the victim set and the ratio counters;
-    /// returns whether its victim is new.
-    fn count(&mut self, inc: &MeasuredIncident) -> bool {
-        *self.ratio_counts.entry(inc.ratio_bps).or_default() += 1;
-        self.victims.insert(inc.victim)
     }
 
     /// An O(chunks) copy-on-write clone of the incident set — the cheap
@@ -159,38 +136,6 @@ impl LiveMeasure {
     /// accumulator again.
     pub fn incidents_snapshot(&self) -> txgraph::CowMap<TxId, MeasuredIncident> {
         self.incidents.clone()
-    }
-
-    /// Exports the accumulator's state. See [`MeasureCheckpoint`] for
-    /// the float-exactness contract.
-    pub fn checkpoint(&self) -> MeasureCheckpoint {
-        MeasureCheckpoint {
-            incidents: self.incidents.values().cloned().collect(),
-            total_usd: self.total_usd,
-        }
-    }
-
-    /// Rebuilds an accumulator from a checkpoint, deriving the victim
-    /// set and the ratio counters from its incidents. Refuses incidents
-    /// that are not in strictly ascending transaction order, as a
-    /// checkpoint writes them. `cfg` and `cache` follow the same
-    /// contract as [`Self::with_cache`].
-    pub fn restore(
-        cfg: ClassifierConfig,
-        cache: Arc<ClassificationCache>,
-        ckpt: &MeasureCheckpoint,
-    ) -> Result<Self, String> {
-        if let Some(pair) = ckpt.incidents.windows(2).find(|pair| pair[0].tx >= pair[1].tx) {
-            return Err(format!("incident of tx {} follows tx {}", pair[1].tx, pair[0].tx));
-        }
-        let mut live = Self::with_cache(cfg, cache);
-        for inc in &ckpt.incidents {
-            live.count(inc);
-            live.incidents.insert(inc.tx, inc.clone());
-        }
-        live.rev = ckpt.incidents.len() as u64;
-        live.total_usd = ckpt.total_usd;
-        Ok(live)
     }
 
     /// Measured incidents so far.

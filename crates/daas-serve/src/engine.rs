@@ -14,23 +14,29 @@
 //! copy-on-write clone; a role set that grew is rebuilt from the spare
 //! the engine keeps of the set it published before the current one.
 //! Once no reader holds that spare it is extended in place by the
-//! members admitted since (the window's detector events), so a window
-//! copies no role set; a spare a reader still holds, or one that does
-//! not come out the size of the dataset's set (after a restore), is
-//! replaced by a copy of the dataset's set.
+//! members admitted since (the detector events of every publish since
+//! the spare's, a restore's replay included), so a window copies no
+//! role set; a spare a reader still holds is replaced by a copy of the
+//! dataset's set, as is, defensively, one that does not come out the
+//! size of the dataset's set.
+//!
+//! Every window, the tail drain and a restore run one stage chain,
+//! [`Engine::pass`]: a restore rebuilds the world and replays the chain
+//! to its checkpoint's cursor in a single pass, which rebuilds the state
+//! an uninterrupted run holds there (DESIGN.md §13).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use daas_cluster::{Clustering, OnlineClusterer, OnlineClustererStats};
+use daas_cluster::{Clustering, Family, OnlineClusterer, OnlineClustererStats};
 use daas_detector::{ClassificationCache, Dataset, DetectorEvent, OnlineDetector, SnowballConfig};
 use daas_measure::{LiveMeasure, MeasureConfig, MeasureReports};
 use daas_world::{collection_end, World, WorldConfig};
 use daas_chain::TxId;
 use eth_types::Address;
 
-use crate::checkpoint::EngineCheckpoint;
+use crate::checkpoint::{ChainFingerprint, EngineCheckpoint, StreamCursor};
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::telemetry::Telemetry;
 
@@ -151,21 +157,9 @@ impl Engine {
         let _window_span = daas_obs::span!("live.window", index = self.windows, watermark = watermark);
 
         let before = self.detector.dataset().counts();
-        let td = Instant::now();
-        let events =
-            self.detector.poll_until(&self.world.chain, &self.world.labels, watermark);
-        let detect_time = td.elapsed();
+        let Pass { events, families, usd, detect_time, cluster_time, measure_time } =
+            self.pass(watermark);
         let after = self.detector.dataset().counts();
-
-        let tc = Instant::now();
-        self.clusterer.ingest(&self.world.chain, &self.world.labels, &events, watermark);
-        let clustering = self.clusterer.clustering(&self.world.chain, &self.world.labels);
-        let families = clustering.families.len();
-        let cluster_time = tc.elapsed();
-
-        let tm = Instant::now();
-        let delta = self.measure.ingest(&self.world.chain, &self.world.oracle, &events);
-        let measure_time = tm.elapsed();
 
         self.next_block = end;
         let stats = LiveWindowStats {
@@ -177,14 +171,14 @@ impl Engine {
             new_operators: after.operators - before.operators,
             new_affiliates: after.affiliates - before.affiliates,
             new_ps_txs: after.ps_txs - before.ps_txs,
-            families,
-            usd_delta: delta.usd,
+            families: families.len(),
+            usd_delta: usd,
             detect_time,
             cluster_time,
             measure_time,
         };
         self.windows += 1;
-        self.publish(clustering.families, &events);
+        self.publish(families, &events);
 
         if daas_obs::enabled() {
             daas_obs::inc("live.windows");
@@ -200,13 +194,29 @@ impl Engine {
     /// Drains any tail past the last sealed block (also covers empty
     /// worlds) and publishes a final epoch. Idempotent.
     pub fn finish_stream(&mut self) {
-        let total_txs = self.world.chain.transactions().len() as TxId;
-        let events = self.detector.poll(&self.world.chain, &self.world.labels);
-        self.clusterer.ingest(&self.world.chain, &self.world.labels, &events, total_txs);
-        self.measure.ingest(&self.world.chain, &self.world.oracle, &events);
+        let pass = self.pass(self.world.chain.transactions().len() as TxId);
         self.next_block = self.world.chain.blocks().len();
-        let families = self.clusterer.clustering(&self.world.chain, &self.world.labels).families;
-        self.publish(families, &events);
+        self.publish(pass.families, &pass.events);
+    }
+
+    /// Runs the stage chain over the transactions from the cursor up to
+    /// `watermark`: the detector's poll, the clusterer's ingest and
+    /// snapshot, and the measurement's ingest of the poll's events.
+    fn pass(&mut self, watermark: TxId) -> Pass {
+        let (chain, labels) = (&self.world.chain, &self.world.labels);
+        let td = Instant::now();
+        let events = self.detector.poll_until(chain, labels, watermark);
+        let detect_time = td.elapsed();
+
+        let tc = Instant::now();
+        self.clusterer.ingest(chain, labels, &events, watermark);
+        let families = self.clusterer.clustering(chain, labels).families;
+        let cluster_time = tc.elapsed();
+
+        let tm = Instant::now();
+        let usd = self.measure.ingest(chain, &self.world.oracle, &events).usd;
+        let measure_time = tm.elapsed();
+        Pass { events, families, usd, detect_time, cluster_time, measure_time }
     }
 
     /// Runs every remaining window, then the tail drain. `on_window`
@@ -228,7 +238,7 @@ impl Engine {
     /// Refreshes the role sets that grew, given the detector events
     /// since the last publish, builds the next snapshot and swaps it into
     /// the cell (`serve.publish_ms`).
-    fn publish(&mut self, families: Vec<Arc<daas_cluster::Family>>, events: &[DetectorEvent]) {
+    fn publish(&mut self, families: Vec<Arc<Family>>, events: &[DetectorEvent]) {
         let started = daas_obs::enabled().then(Instant::now);
         self.epoch += 1;
         let mut admitted: [Vec<Address>; 3] = Default::default();
@@ -314,7 +324,9 @@ impl Engine {
         self.clusterer.clustering(&self.world.chain, &self.world.labels)
     }
 
-    /// Incremental-clusterer work counters.
+    /// Incremental-clusterer work counters of this process: a
+    /// checkpoint does not carry them, so after a restore they count
+    /// the replay and what followed.
     pub fn clusterer_stats(&self) -> OnlineClustererStats {
         self.clusterer.stats()
     }
@@ -355,71 +367,59 @@ impl Engine {
         self.world
     }
 
-    /// Exports the full live state. Call only between windows (never
-    /// mid-poll); see [`EngineCheckpoint`] for the determinism
-    /// contract.
+    /// The stream's position as a checkpoint. Call only between windows
+    /// (never mid-poll), so the cursor sits on a block boundary; see
+    /// [`EngineCheckpoint`] for the format.
     pub fn checkpoint(&self) -> EngineCheckpoint {
+        let cursor = self.detector.cursor();
         EngineCheckpoint {
             version: EngineCheckpoint::VERSION,
             config: self.config.clone(),
             snowball: self.snowball.clone(),
             epoch: self.epoch,
             windows: self.windows,
-            detector: self.detector.checkpoint(),
-            clusterer: self.clusterer.checkpoint(&self.world.chain),
-            measure: self.measure.checkpoint(),
+            detector: StreamCursor { cursor },
+            chain: Some(ChainFingerprint::of(&self.world.chain, cursor)),
         }
     }
 
     /// Rebuilds an engine from a checkpoint: the world is regenerated
-    /// deterministically from the embedded config, every address
-    /// re-interns against the fresh arena, and the restored engine
-    /// resumes mid-stream — converging to artifacts byte-identical to
-    /// an uninterrupted run.
+    /// from the embedded config, the checkpoint is checked against the
+    /// rebuilt chain, and the stage chain a window runs replays the
+    /// chain to the cursor, once. The replay rebuilds the state an
+    /// uninterrupted run holds there, so the restored engine converges
+    /// to artifacts byte-identical to that run's. The restore publishes
+    /// epoch `ckpt.epoch + 1`, and the next window is number
+    /// `ckpt.windows`.
+    ///
+    /// Refuses, with an error naming the field, an unknown version, a
+    /// version-2 checkpoint without its chain fingerprint or with one
+    /// the rebuilt chain does not match, and a cursor past the chain or
+    /// off a block boundary.
     pub fn restore(ckpt: &EngineCheckpoint) -> Result<Self, String> {
-        if ckpt.version != EngineCheckpoint::VERSION {
-            return Err(format!(
-                "checkpoint version {} (this build reads {})",
-                ckpt.version,
-                EngineCheckpoint::VERSION
-            ));
-        }
+        ckpt.check_format()?;
         let mut engine = Engine::new(&ckpt.config, &ckpt.snowball, 0)?;
-        engine.detector = OnlineDetector::restore(
-            ckpt.snowball.clone(),
-            Arc::clone(&engine.cache),
-            &engine.world.chain,
-            &ckpt.detector,
-        )
-        .map_err(|e| format!("detector checkpoint: {e}"))?;
-        engine.clusterer = OnlineClusterer::restore(
-            ckpt.snowball.classifier.clone(),
-            Arc::clone(&engine.cache),
-            &engine.world.chain,
-            &engine.world.labels,
-            &ckpt.clusterer,
-        )
-        .map_err(|e| format!("clusterer checkpoint: {e}"))?;
-        engine.measure = LiveMeasure::restore(
-            ckpt.snowball.classifier.clone(),
-            Arc::clone(&engine.cache),
-            &ckpt.measure,
-        )
-        .map_err(|e| format!("measure checkpoint: {e}"))?;
+        let next_block = ckpt.resume_block(&engine.world.chain)?;
+        let pass = engine.pass(ckpt.detector.cursor);
+        engine.next_block = next_block;
         engine.epoch = ckpt.epoch;
         engine.windows = ckpt.windows;
-        // Cursor → block index: a window always ends on a block
-        // boundary, so the cursor partitions the block list exactly.
-        let cursor = engine.detector.cursor();
-        engine.next_block = engine
-            .world
-            .chain
-            .blocks()
-            .partition_point(|b| b.first_tx + b.tx_count <= cursor);
-        let families = engine.clustering().families;
-        engine.publish(families, &[]);
+        engine.publish(pass.families, &pass.events);
         Ok(engine)
     }
+}
+
+/// What one [`Engine::pass`] produced.
+struct Pass {
+    /// The detector's events, in admission order.
+    events: Vec<DetectorEvent>,
+    /// The clusterer's snapshot after the pass.
+    families: Vec<Arc<Family>>,
+    /// USD stolen across the pass's new incidents.
+    usd: f64,
+    detect_time: Duration,
+    cluster_time: Duration,
+    measure_time: Duration,
 }
 
 /// One role set as the snapshots share it, and the spare it is rebuilt

@@ -9,10 +9,11 @@
 //! victim-loss and §6-stat queries from snapshots without ever blocking
 //! the ingest thread.
 //!
-//! [`EngineCheckpoint`] serializes the engine's entire retained state
-//! keyed by address; a restarted daemon restores it against a
-//! deterministically regenerated world and converges to artifacts
-//! byte-identical to an uninterrupted run (DESIGN.md §13).
+//! [`EngineCheckpoint`] records the engine's stream position (its
+//! cursor, with a fingerprint of the chain) and the configs; a restarted
+//! daemon regenerates the world, replays it to the cursor in one window
+//! and converges to artifacts byte-identical to an uninterrupted run
+//! (DESIGN.md §13).
 //!
 //! The `daas-serve` binary wraps all of this in a JSONL protocol over
 //! stdin/stdout and an optional Unix socket ([`protocol`], [`serve`]),
@@ -33,10 +34,10 @@ mod server;
 mod snapshot;
 pub mod telemetry;
 
-pub use checkpoint::EngineCheckpoint;
+pub use checkpoint::{ChainFingerprint, EngineCheckpoint, StreamCursor};
 pub use engine::{Engine, LiveWindowStats};
 pub use scrape::spawn_scrape;
-pub use server::{answer_live, handle_control, restore_from, serve, ServeOptions};
+pub use server::{answer_live, handle_control, serve, ServeOptions};
 pub use snapshot::{
     AddressRisk, Snapshot, SnapshotCell, ROLE_AFFILIATE, ROLE_CONTRACT, ROLE_OPERATOR,
 };

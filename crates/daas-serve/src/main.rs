@@ -17,18 +17,20 @@
 //! `/readyz` (first-snapshot readiness); `--slo` replaces the built-in
 //! serve SLO thresholds with a spec file (see `daas_obs::SloSpec`).
 //! `--restore` resumes from an [`daas_serve::EngineCheckpoint`] instead
-//! of starting at transaction 0. `--metrics-out` / `--trace-out` write
-//! the final drained metrics summary (plus a Prometheus exposition at
-//! `PATH.prom`) and the span trace at shutdown, matching daas-cli's
-//! flags. Diagnostics go to stderr so stdout stays a clean protocol
-//! channel.
+//! of starting at transaction 0: the world is rebuilt and replayed to
+//! the checkpoint's cursor, and a checkpoint that cannot be read or does
+//! not match the rebuilt chain ends the process with an error.
+//! `--metrics-out` / `--trace-out` write the final drained metrics
+//! summary (plus a Prometheus exposition at `PATH.prom`) and the span
+//! trace at shutdown, matching daas-cli's flags. Diagnostics go to
+//! stderr so stdout stays a clean protocol channel.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use daas_detector::SnowballConfig;
 use daas_obs::SloSpec;
-use daas_serve::{serve, Engine, ServeOptions};
+use daas_serve::{serve, Engine, EngineCheckpoint, ServeOptions};
 use daas_world::WorldConfig;
 
 fn main() -> ExitCode {
@@ -115,7 +117,7 @@ fn main() -> ExitCode {
     };
 
     let engine = match &restore {
-        Some(path) => daas_serve::restore_from(path),
+        Some(path) => EngineCheckpoint::load(path).and_then(|ckpt| Engine::restore(&ckpt)),
         None => {
             let mut config = match preset.as_str() {
                 "paper" => WorldConfig::paper_scale(seed),

@@ -27,7 +27,6 @@ use daas_measure::MeasureConfig;
 use daas_obs::json::escape_into;
 use daas_obs::SloSpec;
 
-use crate::checkpoint::EngineCheckpoint;
 use crate::engine::Engine;
 use crate::protocol::{
     answer_query, error_response, read_request_line, QueryClock, Request, RequestLine,
@@ -573,9 +572,4 @@ pub fn handle_control(
         ),
         other => (error_response(&format!("unknown command {other:?}")), false),
     }
-}
-
-/// Restores an engine from a checkpoint file (the `--restore` path).
-pub fn restore_from(path: &Path) -> Result<Engine, String> {
-    Engine::restore(&EngineCheckpoint::load(path)?)
 }

@@ -3,21 +3,26 @@
 //! image (new chain arena, new interner) and run to the end must
 //! produce the final dataset, clustering and §6 reports byte-for-byte
 //! identical to an uninterrupted run — and to the batch pipeline, which
-//! the uninterrupted live run is already gated against elsewhere.
+//! the uninterrupted live run is already gated against elsewhere. A
+//! checkpoint is a cursor plus a chain fingerprint: version-1 files,
+//! which also carried the stages' state, restore from their cursor, and
+//! a checkpoint that is truncated, edited off a block boundary or taken
+//! on another chain is refused with an error naming the field.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::thread;
 
-use daas_chain::{format_year_month, TxId};
-use daas_cluster::ClustererCheckpoint;
 use daas_detector::SnowballConfig;
-use daas_measure::{MeasureConfig, MeasuredIncident};
+use daas_measure::MeasureConfig;
 use daas_serve::{Engine, EngineCheckpoint};
-use daas_world::{World, WorldConfig};
-use eth_types::Address;
+use daas_world::WorldConfig;
 use proptest::prelude::*;
+
+/// `micro(42)` checkpointed after two 40-block windows by a build that
+/// wrote format version 1 (the stages' full state, keyed by address).
+const V1_MICRO42: &str = include_str!("data/engine_v1_micro42.json");
 
 fn to_json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("serialize")
@@ -32,28 +37,25 @@ fn final_artifact(engine: &mut Engine) -> String {
     format!("{}\n{}\n{}", to_json(&dataset), to_json(&clustering), to_json(&reports))
 }
 
+fn sequential() -> SnowballConfig {
+    SnowballConfig { threads: 1, ..Default::default() }
+}
+
+/// The final artifact of `config` replayed straight through in
+/// `window`-block windows.
+fn uninterrupted(config: &WorldConfig, window: u64) -> String {
+    let mut engine = Engine::new(config, &sequential(), 0).expect("engine");
+    while engine.ingest_window(window).is_some() {}
+    final_artifact(&mut engine)
+}
+
 /// Runs `config` straight through, then again with a kill at window
 /// boundary `kill_after`, a JSON checkpoint round-trip and a restore;
 /// asserts byte-identical final artifacts.
 fn assert_restart_converges(config: &WorldConfig, window: u64, kill_after: usize) {
-    assert_restart_converges_from(config, window, kill_after, str::to_owned);
-}
+    let expected = uninterrupted(config, window);
 
-/// [`assert_restart_converges`], restoring from `stored(json)` — the
-/// checkpoint as some other build may have written it.
-fn assert_restart_converges_from(
-    config: &WorldConfig,
-    window: u64,
-    kill_after: usize,
-    stored: impl Fn(&str) -> String,
-) {
-    let snowball = SnowballConfig { threads: 1, ..Default::default() };
-
-    let mut uninterrupted = Engine::new(config, &snowball, 0).expect("engine");
-    while uninterrupted.ingest_window(window).is_some() {}
-    let expected = final_artifact(&mut uninterrupted);
-
-    let mut engine = Engine::new(config, &snowball, 0).expect("engine");
+    let mut engine = Engine::new(config, &sequential(), 0).expect("engine");
     for _ in 0..kill_after {
         if engine.ingest_window(window).is_none() {
             break;
@@ -66,7 +68,6 @@ fn assert_restart_converges_from(
     let ckpt = EngineCheckpoint::from_json(&json).expect("checkpoint parse");
     assert_eq!(ckpt.to_json().expect("re-serialize"), json);
 
-    let ckpt = EngineCheckpoint::from_json(&stored(&json)).expect("stored checkpoint parse");
     let mut restored = Engine::restore(&ckpt).expect("restore");
     while restored.ingest_window(window).is_some() {}
     let actual = final_artifact(&mut restored);
@@ -88,178 +89,83 @@ fn restore_after_final_window_is_idempotent() {
     assert_restart_converges(&WorldConfig::micro(42), 50, usize::MAX);
 }
 
-/// Checkpoints from builds that still had a shard setting carry a
-/// `"shards"` field after `"snowball"`; it is ignored on load.
-#[test]
-fn checkpoint_with_retired_shards_field_restores() {
-    assert_restart_converges_from(&WorldConfig::tiny(42), 97, 5, |json| {
-        let legacy = json.replacen(",\"epoch\":", ",\"shards\":16,\"epoch\":", 1);
-        assert_ne!(legacy, json, "no epoch field to anchor the shards field on");
-        assert_dropped_on_load(&legacy, json);
-        legacy
-    });
+/// Restores `ckpt`, checks where it resumed, runs it to the end in
+/// 40-block windows and returns the final artifact.
+fn resume(ckpt: &EngineCheckpoint) -> String {
+    let mut restored = Engine::restore(ckpt).expect("restore");
+    assert_eq!(restored.watermark(), ckpt.detector.cursor);
+    assert_eq!(restored.epoch(), ckpt.epoch + 1);
+    while restored.ingest_window(40).is_some() {}
+    final_artifact(&mut restored)
 }
 
-/// Checkpoints from builds that kept running per-account, per-victim
-/// and per-month views carry those accumulators in `"measure"`, before
-/// `"total_usd"`; they are ignored on load.
-#[test]
-fn checkpoint_with_retired_measure_fields_restores() {
-    assert_restart_converges_from(&WorldConfig::tiny(42), 97, 5, |json| {
-        let ckpt = EngineCheckpoint::from_json(json).expect("checkpoint parse");
-        assert!(!ckpt.measure.incidents.is_empty(), "no incidents to derive the views from");
-        let anchor = ",\"total_usd\":";
-        assert_eq!(json.matches(anchor).count(), 1, "one total_usd field to anchor on");
-        let fields = retired_measure_fields(&ckpt.measure.incidents);
-        let legacy = json.replacen(anchor, &format!(",{fields}{anchor}"), 1);
-        assert_dropped_on_load(&legacy, json);
-        legacy
-    });
+fn parse(json: &str) -> EngineCheckpoint {
+    EngineCheckpoint::from_json(json).expect("checkpoint parse")
 }
 
-/// Checkpoints from builds that kept a first-contact index for the
-/// expansion guard carry it in `"detector"`, after `"dataset"`; it is
-/// ignored on load.
-#[test]
-fn checkpoint_with_retired_touch_min_restores() {
-    assert_restart_converges_from(&WorldConfig::tiny(42), 97, 5, |json| {
-        let ckpt = EngineCheckpoint::from_json(json).expect("checkpoint parse");
-        let touch_min = retired_touch_min(&ckpt);
-        assert!(!touch_min.is_empty(), "no dataset contacts to index");
-        let anchor = "},\"clusterer\":";
-        assert_eq!(json.matches(anchor).count(), 1, "one clusterer field to anchor on");
-        let field = format!(",\"touch_min\":{}{anchor}", to_json(&touch_min));
-        let legacy = json.replacen(anchor, &field, 1);
-        assert_dropped_on_load(&legacy, json);
-        legacy
-    });
+/// `json` with the first object of the list that follows `anchor`
+/// removed.
+fn without_first_object(json: &str, anchor: &str) -> String {
+    let open = json.find(anchor).expect("anchor") + anchor.len();
+    assert_eq!(&json[open..=open], "{", "the list after {anchor} is empty");
+    let mut depth = 0;
+    let close = open
+        + json[open..]
+            .bytes()
+            .position(|b| {
+                depth += i32::from(b == b'{') - i32::from(b == b'}');
+                depth == 0
+            })
+            .expect("a closed object");
+    let rest = &json[close + 1..];
+    format!("{}{}", &json[..open], rest.strip_prefix(',').unwrap_or(rest))
 }
 
-/// The first-contact index as the retired field held it: for every
-/// address, the earliest transaction below the detector's cursor that
-/// touches it and a dataset member other than itself, as `[address,
-/// tx]` pairs sorted by address.
-fn retired_touch_min(ckpt: &EngineCheckpoint) -> Vec<(Address, TxId)> {
-    let world = World::build(&ckpt.config).expect("world");
-    let chain = &world.chain;
-    let ds = &ckpt.detector.dataset;
-    let member = |a: &Address| {
-        ds.contracts.contains(a) || ds.operators.contains(a) || ds.affiliates.contains(a)
-    };
-    let mut first: BTreeMap<Address, TxId> = BTreeMap::new();
-    for txid in 0..ckpt.detector.cursor {
-        let touched: Vec<Address> = chain
-            .transactions()
-            .touched_ids(txid)
-            .into_iter()
-            .map(|id| chain.resolve_addr(id))
-            .collect();
-        let members = touched.iter().filter(|a| member(a)).count();
-        for a in touched {
-            // Transactions run in id order, so the first insert is the minimum.
-            if members > usize::from(member(&a)) {
-                first.entry(a).or_insert(txid);
-            }
-        }
+/// A version-1 checkpoint restores from its cursor. The stage state it
+/// also carries is ignored, so dropping a clusterer component or a
+/// measured incident (edits that used to restore into a silently
+/// diverging engine) changes nothing. A cursor moved 7 transactions on
+/// lands on a later block boundary here (this world's blocks hold one
+/// to three transactions), so the replay resumes there and converges
+/// too; a cursor moved inside a block is refused.
+#[test]
+fn version_1_checkpoints_restore_from_their_cursor() {
+    let ckpt = parse(V1_MICRO42);
+    assert_eq!((ckpt.version, ckpt.detector.cursor, ckpt.epoch, ckpt.windows), (1, 125, 2, 2));
+    assert!(ckpt.chain.is_none(), "version 1 has no chain fingerprint");
+
+    let expected = uninterrupted(&WorldConfig::micro(42), 40);
+    assert_eq!(resume(&ckpt), expected, "the v1 restore diverged");
+    for anchor in ["\"comps\":[", "\"measure\":{\"incidents\":["] {
+        let edited = without_first_object(V1_MICRO42, anchor);
+        assert!(edited.len() < V1_MICRO42.len());
+        assert_eq!(resume(&parse(&edited)), expected, "dropping the first of {anchor} diverged");
     }
-    first.into_iter().collect()
+
+    let mut moved = ckpt.clone();
+    moved.detector.cursor += 7;
+    assert_eq!(resume(&moved), expected, "a cursor moved to a later boundary diverged");
+    let mut inside = ckpt;
+    inside.detector.cursor += 1;
+    let err = Engine::restore(&inside).err().expect("a cursor inside a block restored");
+    assert!(err.contains("detector.cursor") && err.contains("block boundary"), "{err}");
 }
 
-/// Vote multisets are counted on restore, so the order of the operators
-/// in each one does not matter. Targets voted for by two operators
-/// first appear at about scale 0.1; the tiny and micro worlds have none.
-#[test]
-fn checkpoint_with_reordered_vote_multisets_restores() {
-    let mut config = WorldConfig::paper_scale(42);
-    config.scale = 0.1;
-    assert_restart_converges_from(&config, 720, 12, |json| {
-        let mut ckpt = EngineCheckpoint::from_json(json).expect("checkpoint parse");
-        let clusterer = &mut ckpt.clusterer;
-        let mut reordered = 0;
-        for (_, ops) in clusterer.contract_ops.iter_mut().chain(&mut clusterer.affiliate_ops) {
-            let before = ops.clone();
-            ops.reverse();
-            reordered += usize::from(*ops != before);
-        }
-        assert!(reordered > 0, "no multiset with two distinct operators to reorder");
-        ckpt.to_json().expect("re-serialize")
-    });
-}
-
-/// Asserts that loading `stored` and writing it back gives `json`: the
-/// fields it adds are dropped on load.
-fn assert_dropped_on_load(stored: &str, json: &str) {
-    let loaded = EngineCheckpoint::from_json(stored).expect("stored checkpoint parse");
-    assert_eq!(loaded.to_json().expect("re-serialize"), json, "the extra fields survived a load");
-}
-
-/// The `"measure"` fields the retired running views were written as,
-/// derived from `incidents` in the shapes and order those builds used.
-fn retired_measure_fields(incidents: &[MeasuredIncident]) -> String {
-    let mut loss: BTreeMap<Address, f64> = BTreeMap::new();
-    let mut operator: BTreeMap<Address, f64> = BTreeMap::new();
-    let mut affiliate: BTreeMap<Address, f64> = BTreeMap::new();
-    let mut ratios: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut months: BTreeMap<String, (BTreeSet<Address>, usize, f64)> = BTreeMap::new();
-    let (mut first_ts, mut last_ts) = (u64::MAX, 0);
-    for inc in incidents {
-        *loss.entry(inc.victim).or_default() += inc.usd;
-        *operator.entry(inc.operator).or_default() += inc.operator_usd;
-        *affiliate.entry(inc.affiliate).or_default() += inc.affiliate_usd;
-        *ratios.entry(inc.ratio_bps).or_default() += 1;
-        let month = months.entry(format_year_month(inc.timestamp)).or_default();
-        month.0.insert(inc.victim);
-        month.1 += 1;
-        month.2 += inc.usd;
-        first_ts = first_ts.min(inc.timestamp);
-        last_ts = last_ts.max(inc.timestamp);
-    }
-    let pairs = |map: BTreeMap<Address, f64>| to_json(&map.into_iter().collect::<Vec<_>>());
-    let by_month: Vec<String> = months
-        .into_iter()
-        .map(|(month, (victims, incidents, usd))| {
-            let victims: Vec<Address> = victims.into_iter().collect();
-            format!(
-                "{{\"month\":{},\"victims\":{},\"incidents\":{incidents},\"usd\":{}}}",
-                to_json(&month),
-                to_json(&victims),
-                to_json(&usd)
-            )
-        })
-        .collect();
-    format!(
-        "\"loss_per_victim\":{},\"profit_per_operator\":{},\"profit_per_affiliate\":{},\
-         \"ratio_counts\":{},\"by_month\":[{}],\"first_ts\":{first_ts},\"last_ts\":{last_ts}",
-        pairs(loss),
-        pairs(operator),
-        pairs(affiliate),
-        to_json(&ratios.into_iter().collect::<Vec<_>>()),
-        by_month.join(",")
-    )
-}
-
-/// A checkpoint of the tiny world five 97-block windows in.
-fn mid_stream_checkpoint() -> EngineCheckpoint {
-    let snowball = SnowballConfig { threads: 1, ..Default::default() };
-    let mut engine = Engine::new(&WorldConfig::tiny(42), &snowball, 0).expect("engine");
-    for _ in 0..5 {
-        engine.ingest_window(97);
-    }
+/// `micro(42)` checkpointed in version 2 after two 40-block windows,
+/// with the engine it was taken from.
+fn micro_checkpoint() -> (Engine, EngineCheckpoint) {
+    let mut engine = Engine::new(&WorldConfig::micro(42), &sequential(), 0).expect("engine");
+    engine.ingest_window(40).expect("a first window");
+    engine.ingest_window(40).expect("a second window");
     let ckpt = engine.checkpoint();
-    assert!(ckpt.clusterer.comps.len() >= 2, "the edits below need two components");
-    ckpt
+    assert_eq!(ckpt.version, EngineCheckpoint::VERSION);
+    (engine, ckpt)
 }
 
-/// Restores [`mid_stream_checkpoint`] with its clusterer state edited,
-/// and returns the refusal.
-fn refusal(edit: impl FnOnce(&mut ClustererCheckpoint)) -> String {
-    refusal_of(|ckpt| edit(&mut ckpt.clusterer))
-}
-
-/// Restores [`mid_stream_checkpoint`] edited, and returns the refusal.
-fn refusal_of(edit: impl FnOnce(&mut EngineCheckpoint)) -> String {
-    let mut ckpt = mid_stream_checkpoint();
-    edit(&mut ckpt);
+/// Restores [`micro_checkpoint`] edited, and returns the refusal.
+fn refusal(edit: impl FnOnce(&Engine, &mut EngineCheckpoint)) -> String {
+    let (engine, mut ckpt) = micro_checkpoint();
+    edit(&engine, &mut ckpt);
     match Engine::restore(&ckpt) {
         Ok(_) => panic!("the edited checkpoint restored"),
         Err(e) => e,
@@ -267,43 +173,97 @@ fn refusal_of(edit: impl FnOnce(&mut EngineCheckpoint)) -> String {
 }
 
 #[test]
-fn restore_refuses_an_address_the_chain_never_interned() {
-    let err = refusal(|c| c.comps[0].members.push(Address([0x42; 20])));
-    assert!(err.contains("is not interned"), "{err}");
+fn truncated_checkpoints_never_parse() {
+    let (_, ckpt) = micro_checkpoint();
+    let json = ckpt.to_json().expect("checkpoint json");
+    for cut in (0..json.len()).filter(|&cut| json.is_char_boundary(cut)) {
+        assert!(EngineCheckpoint::from_json(&json[..cut]).is_err(), "{cut} bytes parsed");
+    }
 }
 
 #[test]
-fn restore_refuses_an_operator_in_two_components() {
-    let err = refusal(|c| {
-        let op = c.comps[0].members[0];
-        c.comps[1].members.push(op);
+fn restore_refuses_a_cursor_off_a_block_boundary() {
+    let err = refusal(|engine, ckpt| {
+        let blocks = engine.world().chain.blocks();
+        let block = blocks.iter().find(|b| b.tx_count > 1).expect("a block of two transactions");
+        ckpt.detector.cursor = block.first_tx + 1;
     });
-    assert!(err.contains("listed in two components"), "{err}");
+    assert!(err.contains("detector.cursor") && err.contains("block boundary"), "{err}");
 }
 
 #[test]
-fn restore_refuses_a_component_id_at_or_above_next_cid() {
-    let err = refusal(|c| c.next_cid = c.comps.last().expect("a component").cid);
-    assert!(err.contains("next_cid"), "{err}");
-}
-
-#[test]
-fn restore_refuses_empty_and_repeated_components() {
-    let err = refusal(|c| c.comps[0].members.clear());
-    assert!(err.contains("has no members"), "{err}");
-    let err = refusal(|c| {
-        let mut twin = c.comps[0].clone();
-        twin.members = c.comps[1].members.clone();
-        c.comps.remove(1);
-        c.comps.push(twin);
+fn restore_refuses_a_cursor_past_the_chain() {
+    let err = refusal(|engine, ckpt| {
+        ckpt.detector.cursor = engine.world().chain.transactions().len() as u32 + 1;
     });
-    assert!(err.contains("listed twice"), "{err}");
+    assert!(err.contains("detector.cursor") && err.contains("past the chain"), "{err}");
+}
+
+/// A checkpoint whose config rebuilds another chain, or whose
+/// fingerprint was edited, does not match the rebuilt chain.
+#[test]
+fn restore_refuses_a_fingerprint_the_rebuilt_chain_does_not_match() {
+    let err = refusal(|_, ckpt| ckpt.config.seed += 1);
+    assert!(err.contains("chain.") && err.contains("does not match"), "{err}");
+    let err = refusal(|_, ckpt| ckpt.chain.as_mut().expect("a fingerprint").blocks += 1);
+    assert!(err.contains("chain.blocks"), "{err}");
+    let err = refusal(|engine, ckpt| {
+        let first = engine.world().chain.tx(0).hash();
+        ckpt.chain.as_mut().expect("a fingerprint").last_tx_hash = first;
+    });
+    assert!(err.contains("chain.last_tx_hash"), "{err}");
 }
 
 #[test]
-fn restore_refuses_incidents_out_of_transaction_order() {
-    let err = refusal_of(|ckpt| ckpt.measure.incidents.swap(0, 1));
-    assert!(err.contains("follows"), "{err}");
+fn restore_refuses_a_version_2_checkpoint_without_its_fingerprint() {
+    let err = refusal(|_, ckpt| ckpt.chain = None);
+    assert!(err.contains("version 2") && err.contains("field chain"), "{err}");
+}
+
+#[test]
+fn restore_refuses_unknown_versions() {
+    for version in [0, 3] {
+        let err = refusal(|_, ckpt| ckpt.version = version);
+        assert!(err.contains(&format!("checkpoint version {version}")), "{err}");
+    }
+}
+
+/// The daemon turns a checkpoint it cannot restore into an error line
+/// and a failing exit, never a panic.
+#[test]
+fn the_daemon_refuses_a_bad_checkpoint_cleanly() {
+    let (_, ckpt) = micro_checkpoint();
+    let json = ckpt.to_json().expect("checkpoint json");
+    let truncated = &json[..json.len() / 2];
+    let unparsable = EngineCheckpoint::from_json(truncated).expect_err("half a checkpoint parsed");
+    let mut other_chain = ckpt;
+    other_chain.config.seed += 1;
+    let mismatch = Engine::restore(&other_chain).err().expect("another chain restored");
+    assert!(mismatch.contains("chain."), "{mismatch}");
+    let dir = std::env::temp_dir().join(format!("daas_ckpt_refusal_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let cases = [
+        ("truncated", truncated.to_owned(), unparsable),
+        ("seed-edited", other_chain.to_json().expect("edited json"), mismatch),
+    ];
+    for (name, contents, reason) in cases {
+        let reason = format!("daas-serve: {reason}");
+        let path = dir.join(format!("{name}.ckpt.json"));
+        std::fs::write(&path, contents).expect("write checkpoint");
+        let out = Command::new(env!("CARGO_BIN_EXE_daas-serve"))
+            .arg("--restore")
+            .arg(&path)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run daas-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "the {name} checkpoint restored: {stderr}");
+        assert!(stderr.contains(&reason), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `save` replaces the file in one step: a reader loading the

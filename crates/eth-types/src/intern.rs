@@ -13,10 +13,8 @@
 //! artifacts (the chain's serializer resolves every id back to its
 //! address), so a deserialized chain may assign different ids without
 //! changing a single artifact byte. The daas-serve engine checkpoint
-//! honours the same rule: checkpointed state is keyed by address, and
-//! restore re-interns against the freshly rebuilt chain (which replays
-//! the same deterministic world and therefore assigns the same ids in
-//! the same first-intern order).
+//! holds no ids either: it records a transaction cursor, and restore
+//! replays the freshly rebuilt chain to it.
 //!
 //! Concurrency contract: interning requires `&mut self`; every lookup
 //! (`resolve`, `lookup`) takes `&self` and touches no interior

@@ -7,7 +7,6 @@
 //!
 //! * [`UnionFind`] — path-compressed, union-by-rank disjoint sets keyed
 //!   by [`Address`].
-//! * [`ValueGraph`] — max-flow over value-weighted transfers.
 //! * [`CowMap`] — a key-ordered map of `Arc`-shared sorted chunks that
 //!   gives published snapshots O(chunks) clones and O(delta) divergence.
 
@@ -15,10 +14,8 @@
 #![warn(missing_docs)]
 
 mod cow;
-mod flow;
 
 pub use cow::CowMap;
-pub use flow::ValueGraph;
 
 use std::collections::HashMap;
 
@@ -145,8 +142,8 @@ impl UnionFind {
 /// The serialized shape of a [`UnionFind`]: the intern list plus the
 /// parent/rank forest in intern order. The address→index map is
 /// derivable (it is the inverse of `addrs`) and rebuilt on
-/// deserialization, so the checkpoint carries no redundant state and a
-/// round trip reproduces the forest exactly — same representatives,
+/// deserialization, so the serialized form carries no redundant state
+/// and a round trip reproduces the forest exactly — same representatives,
 /// same ranks, same compression state.
 #[derive(Serialize, Deserialize)]
 struct UnionFindState {
@@ -278,7 +275,7 @@ mod tests {
 
     /// A serialized forest restores to the same partition *and* the
     /// same internal forest: further unions behave identically on both
-    /// sides (the daas-serve checkpoint contract).
+    /// sides.
     #[test]
     fn union_find_serde_round_trip() {
         let mut uf = UnionFind::new();
