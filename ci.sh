@@ -129,21 +129,28 @@ rm -rf "$ROB_TMP"
 #      corrupted oracle fails the run (~25 s plus a build). ----
 python3 perfbench/tests/selftest.py
 
+# ---- Paper-scale world pins, every run (seconds each in release):
+#      the scale-1 world's chain, its batch dataset, the online
+#      detector's event streams and the site population stay
+#      byte-identical, every planner thread count builds the same world,
+#      and the contract pickers' index returns what the scans it
+#      replaced returned. ----
+cargo test -q --release --test columnar_equivalence -- --ignored --test-threads 1
+cargo test -q --release --test dataset_pins -- --ignored --test-threads 1
+cargo test -q --release -p daas-world --test site_pins -- --ignored --test-threads 1
+cargo test -q --release -p daas-world --test parallel_equivalence -- --ignored --test-threads 1
+cargo test -q --release -p daas-world --lib -- --ignored --test-threads 1
+
 # ---- Everything else. ----
 cargo test -q --workspace
 
 # ---- Slow full-scale equivalence (paper-scale world, opt-out with
 #      CI_FULL_SCALE=0). ----
 if [[ "${CI_FULL_SCALE:-1}" == "1" ]]; then
-  cargo test -q --release -p daas-world --test parallel_equivalence -- --ignored --test-threads 1
-  cargo test -q --release -p daas-world --test site_pins -- --ignored --test-threads 1
   cargo test -q --release -p daas-measure --test parallel_equivalence -- --ignored --test-threads 1
   cargo test -q --release -p daas-cluster --test live_equivalence -- --ignored --test-threads 1
   cargo test -q --release -p daas-measure --test live_equivalence -- --ignored --test-threads 1
   cargo test -q --release --test live_equivalence -- --ignored --test-threads 1
-  cargo test -q --release --test columnar_equivalence -- --ignored --test-threads 1
-  # The batch dataset pin and the online detector's event-stream pins.
-  cargo test -q --release --test dataset_pins -- --ignored --test-threads 1
   cargo test -q --release -p daas-serve --test snapshot_queries -- --ignored --test-threads 1
   cargo test -q --release -p daas-serve --test checkpoint_restore -- --ignored --test-threads 1
 fi

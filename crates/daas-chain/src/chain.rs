@@ -1,5 +1,6 @@
 //! The ledger: state, execution engine, and explorer-style query API.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -15,13 +16,40 @@ use crate::error::ChainError;
 use crate::store::{TxStore, TxView};
 use crate::tx::{Approval, Transaction, Transfer, TxId};
 
-/// Per-account ledger record.
+/// Per-account ledger record, as serialized.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct AccountInfo {
     kind: AccountKind,
     nonce: u64,
     balance: U256,
     created_at: Timestamp,
+}
+
+/// What the account map holds per account: the fields transactions
+/// touch, with the kind as an index into [`Chain`]'s side table of
+/// contract kinds, so that every entry stays small.
+#[derive(Debug, Clone, Copy)]
+struct Account {
+    balance: U256,
+    nonce: u64,
+    created_at: Timestamp,
+    /// The index of a contract's kind, or [`EOA`].
+    kind: u32,
+}
+
+/// The [`Account::kind`] of an externally owned account.
+const EOA: u32 = u32::MAX;
+
+/// The [`Account::kind`] of an account of kind `kind`, pushing a
+/// contract's kind onto `kinds`.
+fn kind_index(kinds: &mut Vec<AccountKind>, kind: AccountKind) -> u32 {
+    match kind {
+        AccountKind::Eoa => EOA,
+        contract => {
+            kinds.push(contract);
+            (kinds.len() - 1) as u32
+        }
+    }
 }
 
 /// Aggregate counters, handy for sanity checks and reports.
@@ -56,7 +84,10 @@ pub struct Chain {
     now: Timestamp,
     blocks: Vec<BlockHeader>,
     store: TxStore,
-    accounts: FxHashMap<Address, AccountInfo>,
+    accounts: FxHashMap<Address, Account>,
+    /// The kind of each contract account, indexed by [`Account::kind`].
+    /// EOAs have no entry, so an empty table is a valid one.
+    kinds: Vec<AccountKind>,
     tokens: FxHashMap<Address, TokenMeta>,
     erc20_balances: FxHashMap<(AddrId, AddrId), U256>,
     erc20_allowances: FxHashMap<(AddrId, AddrId, AddrId), U256>,
@@ -214,14 +245,24 @@ impl Chain {
     }
 
     fn register(&mut self, address: Address, kind: AccountKind) -> Result<(), ChainError> {
-        if self.accounts.contains_key(&address) {
-            return Err(ChainError::AccountExists(address));
+        match self.accounts.entry(address) {
+            Entry::Occupied(_) => Err(ChainError::AccountExists(address)),
+            Entry::Vacant(slot) => {
+                let kind = kind_index(&mut self.kinds, kind);
+                slot.insert(Account { balance: U256::ZERO, nonce: 0, created_at: self.now, kind });
+                Ok(())
+            }
         }
-        self.accounts.insert(
-            address,
-            AccountInfo { kind, nonce: 0, balance: U256::ZERO, created_at: self.now },
-        );
-        Ok(())
+    }
+
+    /// Makes room for `accounts` more accounts and `txs` more
+    /// transactions in the account map, the history table and the
+    /// transaction arena, so that a build that knows its size up front
+    /// neither rehashes nor copies them while they grow.
+    pub fn reserve(&mut self, accounts: usize, txs: usize) {
+        self.accounts.reserve(accounts);
+        self.history.reserve(accounts);
+        self.store.reserve(accounts, txs);
     }
 
     // ------------------------------------------------------------------
@@ -297,7 +338,12 @@ impl Chain {
 
     /// Account kind, if the account exists.
     pub fn account_kind(&self, address: Address) -> Option<&AccountKind> {
-        self.accounts.get(&address).map(|i| &i.kind)
+        self.accounts.get(&address).map(|account| self.kind_of(account))
+    }
+
+    fn kind_of(&self, account: &Account) -> &AccountKind {
+        static EOA_KIND: AccountKind = AccountKind::Eoa;
+        self.kinds.get(account.kind as usize).unwrap_or(&EOA_KIND)
     }
 
     /// `true` if the address is a contract account.
@@ -378,7 +424,7 @@ impl Chain {
     pub fn stats(&self) -> ChainStats {
         ChainStats {
             accounts: self.accounts.len(),
-            contracts: self.accounts.values().filter(|i| i.kind.is_contract()).count(),
+            contracts: self.kinds.len(),
             transactions: self.store.len(),
             blocks: self.blocks.len(),
         }
@@ -984,10 +1030,19 @@ impl Serialize for Chain {
         }
         // Address-keyed tables in address order, which is the order of
         // their lowercase hex keys: the bytes a sorted default-hasher
-        // `HashMap` field produced.
+        // `HashMap` field produced. Accounts read back their kinds.
         fn sorted<V>(map: &FxHashMap<Address, V>) -> BTreeMap<&Address, &V> {
             map.iter().collect()
         }
+        let accounts: BTreeMap<&Address, AccountInfo> = self
+            .accounts
+            .iter()
+            .map(|(address, account)| {
+                let kind = self.kind_of(account).clone();
+                let Account { balance, nonce, created_at, .. } = *account;
+                (address, AccountInfo { kind, nonce, balance, created_at })
+            })
+            .collect();
 
         // Materialized transactions: identical bytes to the old
         // `Vec<Transaction>` field (one tx at a time — no full vector).
@@ -1050,7 +1105,7 @@ impl Serialize for Chain {
             ("now".to_owned(), val::<S, _>(&self.now)?),
             ("blocks".to_owned(), val::<S, _>(&self.blocks)?),
             ("txs".to_owned(), Value::Seq(txs)),
-            ("accounts".to_owned(), val::<S, _>(&sorted(&self.accounts))?),
+            ("accounts".to_owned(), val::<S, _>(&accounts)?),
             ("tokens".to_owned(), val::<S, _>(&sorted(&self.tokens))?),
             ("erc20_balances".to_owned(), val::<S, _>(&balances)?),
             ("erc20_allowances".to_owned(), val::<S, _>(&allowances)?),
@@ -1123,12 +1178,22 @@ impl<'de> Deserialize<'de> for Chain {
             .iter()
             .filter_map(|(&a, info)| Some((a, entry_point(&info.kind)?)))
             .collect();
+        let mut kinds = Vec::new();
+        let accounts = accounts
+            .into_iter()
+            .map(|(address, info)| {
+                let AccountInfo { kind, nonce, balance, created_at } = info;
+                let kind = kind_index(&mut kinds, kind);
+                (address, Account { balance, nonce, created_at, kind })
+            })
+            .collect();
 
         Ok(Chain {
             now,
             blocks,
             store,
-            accounts: accounts.into_iter().collect(),
+            accounts,
+            kinds,
             tokens: tokens.into_iter().collect(),
             erc20_balances,
             erc20_allowances,

@@ -176,6 +176,33 @@ impl TxStore {
         }
     }
 
+    /// Makes room for `addresses` more interned addresses and `txs` more
+    /// transactions, sized for the two transfers and half an approval
+    /// most of a simulated world's transactions carry, so that
+    /// appending them copies no column while it grows.
+    pub(crate) fn reserve(&mut self, addresses: usize, txs: usize) {
+        self.interner.reserve(addresses);
+        self.block.reserve(txs);
+        self.timestamp.reserve(txs);
+        self.from.reserve(txs);
+        self.to.reserve(txs);
+        self.value.reserve(txs);
+        self.selector.reserve(txs);
+        self.function.reserve(txs);
+        self.created.reserve(txs);
+        self.t_off.reserve(txs);
+        self.a_off.reserve(txs);
+        let (transfers, approvals) = (2 * txs, txs / 2);
+        self.t_asset.reserve(transfers);
+        self.t_from.reserve(transfers);
+        self.t_to.reserve(transfers);
+        self.t_amount.reserve(transfers);
+        self.a_token.reserve(approvals);
+        self.a_owner.reserve(approvals);
+        self.a_spender.reserve(approvals);
+        self.a_amount.reserve(approvals);
+    }
+
     /// Number of transactions.
     pub fn len(&self) -> usize {
         self.block.len()

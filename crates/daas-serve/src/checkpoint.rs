@@ -10,7 +10,8 @@
 //! [`crate::Engine::restore`] rebuilds the world and replays the chain
 //! to the cursor in one window. A fingerprint of the chain the cursor
 //! was taken on lets restore refuse a checkpoint the rebuilt chain does
-//! not match.
+//! not match, and a checksum over the other fields lets it refuse one
+//! edited after it was written, before building the world.
 
 use std::fmt::Display;
 use std::fs;
@@ -27,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// world and caches. Version 1 also carried the detector, clusterer and
 /// measurement state; unknown fields are ignored on load, so a
 /// version-1 file parses into this struct without that state and
-/// restores from its cursor.
+/// restores from its cursor. Version 3 adds the checksum.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
     /// Format version ([`EngineCheckpoint::VERSION`]; version 1 still
@@ -47,6 +48,10 @@ pub struct EngineCheckpoint {
     /// absent in version 1.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub chain: Option<ChainFingerprint>,
+    /// [`EngineCheckpoint::payload_checksum`] as the checkpoint was
+    /// taken: required from version 3, absent before.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub checksum: Option<u64>,
 }
 
 /// The stream position a checkpoint resumes from.
@@ -80,21 +85,60 @@ impl ChainFingerprint {
     }
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 impl EngineCheckpoint {
     /// Current checkpoint format version.
-    pub const VERSION: u32 = 2;
+    pub const VERSION: u32 = 3;
 
-    /// Refuses a version this build does not read, and a version-2
-    /// checkpoint without its chain fingerprint. Needs no world, so
-    /// restore checks it before the build.
+    /// FNV-1a 64 over the JSON of every field but `checksum`, in
+    /// declaration order: what a version-3 checkpoint's `checksum` must
+    /// equal.
+    pub fn payload_checksum(&self) -> u64 {
+        let payload = EngineCheckpoint { checksum: None, ..self.clone() };
+        fnv1a64(payload.to_json().expect("a checkpoint serializes").as_bytes())
+    }
+
+    /// The checkpoint with its checksum set to that of its other fields.
+    pub fn sealed(self) -> Self {
+        let checksum = Some(self.payload_checksum());
+        EngineCheckpoint { checksum, ..self }
+    }
+
+    /// Refuses a version this build does not read, a version-2 or
+    /// version-3 checkpoint without its chain fingerprint, and a
+    /// version-3 checkpoint without its checksum or with one its other
+    /// fields do not match. Needs no world, so restore checks it before
+    /// the build.
     pub(crate) fn check_format(&self) -> Result<(), String> {
-        match (self.version, &self.chain) {
-            (1, _) | (2, Some(_)) => Ok(()),
-            (2, None) => Err("checkpoint version 2 has no chain fingerprint (field chain)".into()),
-            (version, _) => {
-                Err(format!("checkpoint version {version} (this build reads versions 1 and 2)"))
+        let version = self.version;
+        if !(1..=Self::VERSION).contains(&version) {
+            return Err(format!(
+                "checkpoint version {version} (this build reads versions 1 to {})",
+                Self::VERSION
+            ));
+        }
+        if version >= 2 && self.chain.is_none() {
+            return Err(format!("checkpoint version {version} has no chain fingerprint (field chain)"));
+        }
+        if version >= 3 {
+            let Some(saved) = self.checksum else {
+                return Err(format!("checkpoint version {version} has no checksum (field checksum)"));
+            };
+            let computed = self.payload_checksum();
+            if saved != computed {
+                return Err(format!(
+                    "checkpoint checksum {saved} does not match its other fields ({computed}): \
+                     the file was edited or damaged after it was written"
+                ));
             }
         }
+        Ok(())
     }
 
     /// The index of the block the stream resumes at on `chain`, the

@@ -380,7 +380,9 @@ impl Engine {
             windows: self.windows,
             detector: StreamCursor { cursor },
             chain: Some(ChainFingerprint::of(&self.world.chain, cursor)),
+            checksum: None,
         }
+        .sealed()
     }
 
     /// Rebuilds an engine from a checkpoint: the world is regenerated
@@ -392,9 +394,11 @@ impl Engine {
     /// epoch `ckpt.epoch + 1`, and the next window is number
     /// `ckpt.windows`.
     ///
-    /// Refuses, with an error naming the field, an unknown version, a
-    /// version-2 checkpoint without its chain fingerprint or with one
-    /// the rebuilt chain does not match, and a cursor past the chain or
+    /// Refuses, with an error naming the field, an unknown version; a
+    /// version-3 checkpoint without its checksum or with one its other
+    /// fields do not match, before building the world; a version-2 or
+    /// version-3 checkpoint without its chain fingerprint or with one
+    /// the rebuilt chain does not match; and a cursor past the chain or
     /// off a block boundary.
     pub fn restore(ckpt: &EngineCheckpoint) -> Result<Self, String> {
         ckpt.check_format()?;

@@ -4,10 +4,11 @@
 //! produce the final dataset, clustering and §6 reports byte-for-byte
 //! identical to an uninterrupted run — and to the batch pipeline, which
 //! the uninterrupted live run is already gated against elsewhere. A
-//! checkpoint is a cursor plus a chain fingerprint: version-1 files,
-//! which also carried the stages' state, restore from their cursor, and
-//! a checkpoint that is truncated, edited off a block boundary or taken
-//! on another chain is refused with an error naming the field.
+//! checkpoint is a cursor plus a chain fingerprint and a checksum:
+//! version-1 files, which also carried the stages' state, restore from
+//! their cursor, and a checkpoint that is truncated, edited after it was
+//! written, off a block boundary or taken on another chain is refused
+//! with an error naming the field.
 
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -151,8 +152,8 @@ fn version_1_checkpoints_restore_from_their_cursor() {
     assert!(err.contains("detector.cursor") && err.contains("block boundary"), "{err}");
 }
 
-/// `micro(42)` checkpointed in version 2 after two 40-block windows,
-/// with the engine it was taken from.
+/// `micro(42)` checkpointed in the current version after two 40-block
+/// windows, with the engine it was taken from.
 fn micro_checkpoint() -> (Engine, EngineCheckpoint) {
     let mut engine = Engine::new(&WorldConfig::micro(42), &sequential(), 0).expect("engine");
     engine.ingest_window(40).expect("a first window");
@@ -162,11 +163,14 @@ fn micro_checkpoint() -> (Engine, EngineCheckpoint) {
     (engine, ckpt)
 }
 
-/// Restores [`micro_checkpoint`] edited, and returns the refusal.
+/// Restores [`micro_checkpoint`] edited and sealed again, and returns
+/// the refusal. Sealing makes the edit one the checksum cannot see, as
+/// in a checkpoint written by a build whose world differs: these are
+/// the checks behind the checksum.
 fn refusal(edit: impl FnOnce(&Engine, &mut EngineCheckpoint)) -> String {
     let (engine, mut ckpt) = micro_checkpoint();
     edit(&engine, &mut ckpt);
-    match Engine::restore(&ckpt) {
+    match Engine::restore(&ckpt.sealed()) {
         Ok(_) => panic!("the edited checkpoint restored"),
         Err(e) => e,
     }
@@ -216,16 +220,55 @@ fn restore_refuses_a_fingerprint_the_rebuilt_chain_does_not_match() {
 
 #[test]
 fn restore_refuses_a_version_2_checkpoint_without_its_fingerprint() {
-    let err = refusal(|_, ckpt| ckpt.chain = None);
+    let err = refusal(|_, ckpt| {
+        ckpt.version = 2;
+        ckpt.chain = None;
+    });
     assert!(err.contains("version 2") && err.contains("field chain"), "{err}");
+    let err = refusal(|_, ckpt| ckpt.chain = None);
+    assert!(err.contains("version 3") && err.contains("field chain"), "{err}");
 }
 
 #[test]
 fn restore_refuses_unknown_versions() {
-    for version in [0, 3] {
+    for version in [0, 4] {
         let err = refusal(|_, ckpt| ckpt.version = version);
         assert!(err.contains(&format!("checkpoint version {version}")), "{err}");
     }
+}
+
+/// `json` with the first occurrence of `from` replaced by `to`.
+fn edited(json: &str, from: &str, to: &str) -> String {
+    assert!(json.contains(from), "{from} is not in the checkpoint");
+    json.replacen(from, to, 1)
+}
+
+/// A version-3 file edited after it was written is refused before the
+/// world build, naming the checksum, even where the edit leaves the
+/// chain fingerprint matching: a classifier setting, the epoch or the
+/// window count; without the checksum they restore and replay under the
+/// edited settings. The unedited file restores to the uninterrupted
+/// run's artifact.
+#[test]
+fn restore_refuses_a_file_edited_after_it_was_written() {
+    let (_, ckpt) = micro_checkpoint();
+    let json = ckpt.to_json().expect("checkpoint json");
+    assert_eq!(parse(&json).checksum, Some(ckpt.payload_checksum()));
+    let ratios = format!("\"ratios_bps\":{}", to_json(&ckpt.snowball.classifier.ratios_bps));
+    let edits = [
+        edited(&json, &ratios, "\"ratios_bps\":[2000]"),
+        edited(&json, &format!("\"epoch\":{}", ckpt.epoch), &format!("\"epoch\":{}", ckpt.epoch + 5)),
+        edited(&json, &format!("\"windows\":{}", ckpt.windows), "\"windows\":0"),
+    ];
+    for edit in edits {
+        let err = Engine::restore(&parse(&edit)).err().expect("an edited checkpoint restored");
+        assert!(err.contains("checkpoint checksum") && err.contains("edited"), "{err}");
+    }
+    let mut unsealed = parse(&json);
+    unsealed.checksum = None;
+    let err = Engine::restore(&unsealed).err().expect("a version-3 file without its checksum restored");
+    assert!(err.contains("field checksum"), "{err}");
+    assert_eq!(resume(&parse(&json)), uninterrupted(&WorldConfig::micro(42), 40));
 }
 
 /// The daemon turns a checkpoint it cannot restore into an error line
@@ -236,14 +279,19 @@ fn the_daemon_refuses_a_bad_checkpoint_cleanly() {
     let json = ckpt.to_json().expect("checkpoint json");
     let truncated = &json[..json.len() / 2];
     let unparsable = EngineCheckpoint::from_json(truncated).expect_err("half a checkpoint parsed");
+    let windows_edited = edited(&json, &format!("\"windows\":{}", ckpt.windows), "\"windows\":9");
+    let tampered = Engine::restore(&parse(&windows_edited)).err().expect("an edited file restored");
+    assert!(tampered.contains("checksum"), "{tampered}");
     let mut other_chain = ckpt;
     other_chain.config.seed += 1;
+    let other_chain = other_chain.sealed();
     let mismatch = Engine::restore(&other_chain).err().expect("another chain restored");
     assert!(mismatch.contains("chain."), "{mismatch}");
     let dir = std::env::temp_dir().join(format!("daas_ckpt_refusal_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let cases = [
         ("truncated", truncated.to_owned(), unparsable),
+        ("windows-edited", windows_edited, tampered),
         ("seed-edited", other_chain.to_json().expect("edited json"), mismatch),
     ];
     for (name, contents, reason) in cases {

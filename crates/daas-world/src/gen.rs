@@ -2,6 +2,8 @@
 //! background traffic and label coverage, then executes everything on the
 //! ledger in timestamp order.
 
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use daas_chain::{
@@ -15,7 +17,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{collection_end, collection_start, WorldConfig, KIND_MIX, LOSS_BUCKETS, RATIO_TABLE};
-use crate::sampler::{chance, exponential, log_uniform, lognormal_weights, uniform_time, zipf_weights, Weighted};
+use crate::sampler::{
+    chance, exponential, log_uniform, lognormal_weights, pick_weighted, sample_cumulative, uniform_time,
+    zipf_weights, Weighted,
+};
 use crate::truth::{ContractTruth, FamilyTruth, GroundTruth, IncidentKind, IncidentTruth};
 use crate::World;
 
@@ -84,6 +89,161 @@ struct FamilyPlan {
     /// Contract indices per operator.
     op_contracts: Vec<Vec<usize>>,
     victims: Vec<Address>,
+    /// Where the contract pickers find the contracts live at a time.
+    index: PickIndex,
+}
+
+/// The contracts live at a time, found without scanning the family.
+/// Built once per family when its contracts are final; every lookup
+/// returns what the scan it replaces returned, in the same order, so
+/// every weighted pick draws the same contract.
+#[derive(Debug, Clone)]
+struct PickIndex {
+    /// `span_start[span_off[op]..span_off[op + 1]]`: the times, ascending,
+    /// at which the set of operator `op`'s live contracts changes. A span
+    /// runs from its start up to the next span's start.
+    span_start: Vec<Timestamp>,
+    span_off: Vec<u32>,
+    /// `live[live_off[s]..live_off[s + 1]]`: the contracts live through
+    /// span `s`, in `op_contracts` order. `sums` holds the running sums
+    /// of their weights at the same positions, accumulated as
+    /// [`Weighted::new`] accumulates them.
+    live_off: Vec<u32>,
+    live: Vec<u32>,
+    sums: Vec<f64>,
+    /// The primaries lead `contracts`, one era after another, so both
+    /// ends of their windows are nondecreasing.
+    n_primary: usize,
+}
+
+impl PickIndex {
+    fn new(contracts: &[ContractPlan], op_contracts: &[Vec<usize>], n_primary: usize) -> Self {
+        debug_assert!(contracts.iter().take_while(|c| c.primary).count() == n_primary);
+        debug_assert!(contracts[n_primary..].iter().all(|c| !c.primary));
+        debug_assert!(contracts[..n_primary]
+            .windows(2)
+            .all(|p| p[0].window.0 <= p[1].window.0 && p[0].window.1 <= p[1].window.1));
+        let mut index = PickIndex {
+            span_start: Vec::new(),
+            span_off: vec![0],
+            live_off: vec![0],
+            live: Vec::new(),
+            sums: Vec::new(),
+            n_primary,
+        };
+        // A sweep per operator over the times at which its contracts
+        // start and stop covering (a window covers both of its ends),
+        // keeping the live ones by their position in the operator's list.
+        let mut changes: Vec<(Timestamp, bool, u32)> = Vec::new();
+        let mut live = BTreeSet::new();
+        for owned in op_contracts {
+            changes.clear();
+            for (pos, &c) in owned.iter().enumerate() {
+                let (a, b) = contracts[c].window;
+                changes.extend([(a, true, pos as u32), (b + 1, false, pos as u32)]);
+            }
+            changes.sort_unstable();
+            for at in changes.chunk_by(|x, y| x.0 == y.0) {
+                for &(_, enters, pos) in at {
+                    if enters {
+                        live.insert(pos);
+                    } else {
+                        live.remove(&pos);
+                    }
+                }
+                index.span_start.push(at[0].0);
+                let mut sum = 0.0;
+                for &pos in &live {
+                    let c = owned[pos as usize];
+                    let weight = contracts[c].weight;
+                    assert!(weight >= 0.0 && weight.is_finite(), "bad contract weight {weight}");
+                    sum += weight;
+                    index.live.push(c as u32);
+                    index.sums.push(sum);
+                }
+                assert!(live.is_empty() || sum > 0.0, "live contracts all of zero weight");
+                index.live_off.push(index.live.len() as u32);
+            }
+            index.span_off.push(index.span_start.len() as u32);
+        }
+        index
+    }
+
+    /// The contracts of `op` whose window covers `t`, in `op_contracts`
+    /// order, and the running sums of their weights.
+    fn operator_live(&self, op: usize, t: Timestamp, tally: &mut PickTally) -> (&[u32], &[f64]) {
+        let first = self.span_off[op] as usize;
+        let starts = &self.span_start[first..self.span_off[op + 1] as usize];
+        tally.search(starts.len());
+        match starts.partition_point(|&s| s <= t) {
+            0 => (&[], &[]),
+            k => {
+                let span = first + k - 1;
+                let (a, b) = (self.live_off[span] as usize, self.live_off[span + 1] as usize);
+                (&self.live[a..b], &self.sums[a..b])
+            }
+        }
+    }
+
+    /// The primaries whose window covers `t`: one index range, since
+    /// both ends of their windows are nondecreasing.
+    fn primaries_live(
+        &self,
+        contracts: &[ContractPlan],
+        t: Timestamp,
+        tally: &mut PickTally,
+    ) -> std::ops::Range<usize> {
+        let primaries = &contracts[..self.n_primary];
+        tally.search(primaries.len());
+        tally.search(primaries.len());
+        let first = primaries.partition_point(|c| c.window.1 < t);
+        first..primaries.partition_point(|c| c.window.0 <= t)
+    }
+}
+
+/// What the contract pickers read and drew from, for the
+/// `world.pick.*` counters.
+#[derive(Debug, Default)]
+struct PickTally {
+    /// Index entries read: each one a binary search probes, and each
+    /// live primary a draw sums.
+    scanned: u64,
+    /// Candidates drawn from.
+    candidates: u64,
+}
+
+impl PickTally {
+    /// Counts a binary search over `n` entries, which probes
+    /// ⌈log2 n⌉ + 1 of them.
+    fn search(&mut self, n: usize) {
+        if n > 0 {
+            self.scanned += u64::from(usize::BITS - (n - 1).leading_zeros()) + 1;
+        }
+    }
+
+    /// The [`sample_cumulative`] pick among `live`, whose weights' running
+    /// sums are `sums`; `None`, drawing nothing, when there are none.
+    fn draw_live(&mut self, rng: &mut StdRng, live: &[u32], sums: &[f64]) -> Option<usize> {
+        if live.is_empty() {
+            return None;
+        }
+        self.search(sums.len());
+        self.candidates += live.len() as u64;
+        Some(live[sample_cumulative(rng, sums)] as usize)
+    }
+
+    /// [`pick_weighted`] over contract indices, counting the candidates,
+    /// each of which it reads.
+    fn draw(
+        &mut self,
+        rng: &mut StdRng,
+        candidates: impl Iterator<Item = (usize, f64)> + Clone,
+    ) -> Option<usize> {
+        let (c, n) = pick_weighted(rng, candidates)?;
+        self.scanned += n as u64;
+        self.candidates += n as u64;
+        Some(c)
+    }
 }
 
 /// How an ERC-20 drain is authorised.
@@ -114,12 +274,14 @@ enum PlanKind {
     Nft { collection: usize, mode: NftMode },
 }
 
+/// A planned incident. The victim, affiliate and contract are indices
+/// into the family plan's lists, which `execute` resolves.
 #[derive(Debug, Clone)]
 struct IncidentPlan {
-    fam: usize,
-    victim: Address,
-    affiliate: Address,
-    contract: usize,
+    fam: u32,
+    victim: u32,
+    affiliate: u32,
+    contract: u32,
     kind: PlanKind,
     loss_usd: f64,
     simultaneous_with_first: bool,
@@ -130,7 +292,8 @@ struct IncidentPlan {
 enum Ev {
     Deploy { fam: usize, contract: usize },
     Incident(IncidentPlan),
-    Revoke { victim: Address, kind: PlanKind, contract_of: (usize, usize) },
+    /// Family-local indices, like [`IncidentPlan`]'s.
+    Revoke { fam: u32, victim: u32, contract: u32, kind: PlanKind },
     OpTransfer { fam: usize, from: usize, to: usize },
     OpSharedPhish { fam: usize, a: usize, b: usize, link: usize },
     Launder { fam: usize, op: usize },
@@ -180,6 +343,7 @@ pub fn build_with(config: &WorldConfig, threads: usize) -> Result<World, String>
 
     // Phase 1 (sequential): infrastructure and family account creation
     // both mutate the chain, so they stay on the master stream.
+    chain.reserve(planned_accounts(config), 0);
     let infra = {
         let _s = daas_obs::span!("world.deploy_infra");
         deploy_infra(&mut chain, &mut oracle, &mut labels)?
@@ -201,6 +365,10 @@ pub fn build_with(config: &WorldConfig, threads: usize) -> Result<World, String>
     };
     daas_obs::add("world.events.planned", events.len() as u64);
     daas_obs::add("world.incidents.planned", incident_count as u64);
+    let launder_hops = config.adversarial.launder_hops as usize;
+    let txs: usize = events.iter().map(|(.., ev)| max_txs(ev, launder_hops)).sum();
+    // Execution also deploys one noisy splitter per family, plus a shared one.
+    chain.reserve(0, txs + config.families.len() + 1);
 
     // Order by (time, kind priority): deployments first at a given
     // timestamp so incident execution always finds its contract. The
@@ -240,6 +408,45 @@ pub fn build_with(config: &WorldConfig, threads: usize) -> Result<World, String>
         site_rng: rng,
         sites: OnceLock::new(),
     })
+}
+
+/// About how many accounts a world registers, from the config's scaled
+/// populations: each family's operators with as many linkage accounts,
+/// its affiliates, victims and contracts; the benign users; and the 20
+/// infrastructure accounts and 8 benign split sinks. A capacity hint:
+/// adversarial extras are left out.
+fn planned_accounts(config: &WorldConfig) -> usize {
+    let families: usize = config
+        .families
+        .iter()
+        .map(|f| {
+            let contracts = config.scaled(f.contracts) as usize;
+            let victims = (config.scaled(f.victims) as usize).max(contracts);
+            let operators = 2 * config.scaled(f.operators) as usize;
+            operators + config.scaled(f.affiliates) as usize + victims + contracts
+        })
+        .sum();
+    families + config.scaled(config.benign_users) as usize + 28
+}
+
+/// The most transactions `ev` records when executed. An NFT approval
+/// sweep records the most: the approval, the sweep, the sale and the
+/// payout.
+fn max_txs(ev: &Ev, launder_hops: usize) -> usize {
+    match ev {
+        Ev::Incident(plan) => match plan.kind {
+            PlanKind::Eth => 1,
+            PlanKind::Erc20 { mode: Erc20Mode::Approve, .. } => 2,
+            PlanKind::Erc20 { .. } => 1,
+            PlanKind::Nft { mode: NftMode::ApprovalSweep, .. } => 4,
+            PlanKind::Nft { mode: NftMode::ZeroOrder, .. } => 3,
+        },
+        Ev::OpSharedPhish { .. } => 2,
+        Ev::Launder { .. } => 1 + launder_hops,
+        // At most five affiliates are rewarded per round.
+        Ev::RewardRound { .. } => 5,
+        _ => 1,
+    }
 }
 
 /// Resolves a thread-count knob: `0` means every available core.
@@ -417,15 +624,20 @@ fn plan_families(
         let n_affs = config.scaled(fam.affiliates) as usize;
         let n_victims = (config.scaled(fam.victims) as usize).max(n_contracts);
 
-        let mut operators = Vec::with_capacity(n_ops);
-        for i in 0..n_ops {
-            let seed = format!("op/{}/{i}", fam.slug);
-            operators.push(
-                chain
-                    .create_eoa_funded(seed.as_bytes(), ether(10))
-                    .map_err(|e| format!("operator: {e}"))?,
-            );
-        }
+        // Accounts first: registering one draws nothing from the RNG,
+        // and operators, affiliates and victims keep their relative
+        // order, so the chain and the draws below do not depend on
+        // where the registration happens.
+        let (operators, affiliates, victims) = {
+            let _s = daas_obs::span!("world.family.accounts", fam = fi);
+            let slug = &fam.slug;
+            (
+                create_accounts(chain, "op", slug, n_ops, Some(ether(10)))?,
+                create_accounts(chain, "aff", slug, n_affs, None)?,
+                create_accounts(chain, "victim", slug, n_victims, None)?,
+            )
+        };
+        let contracts_span = daas_obs::span!("world.family.contracts", fam = fi);
 
         // Operator eras: the family window is divided into rotation
         // epochs; each operator is active in one of them, so operators
@@ -472,13 +684,14 @@ fn plan_families(
 
         // Contracts: primaries on a rotation schedule, throwaways short.
         let mut contracts: Vec<ContractPlan> = Vec::with_capacity(n_contracts);
+        let mut n_primary = 0;
         if fam.primary_lifecycle_days.is_some() {
             // Each rotation epoch runs several primaries concurrently —
             // one per active operator at minimum, so no operator's
             // traffic is forced through short-lived throwaways.
             let concurrent = ops_in_era.iter().map(Vec::len).max().unwrap_or(1).max(3);
             let epochs = n_eras;
-            let n_primary = (epochs * concurrent).min(n_contracts);
+            n_primary = (epochs * concurrent).min(n_contracts);
             // Expected volume share of each primary slot: era volume is
             // front-loaded (zipf 0.8 over epochs) and each era's volume
             // splits across its operators by local rank (zipf 1.8), then
@@ -583,25 +796,21 @@ fn plan_families(
             }
         }
 
+        drop(contracts_span);
+        let affiliates_span = daas_obs::span!("world.family.affiliates", fam = fi);
+
         // Affiliates and their operator associations (§6.3: 60.4% single
         // operator, 90.2% within three). Each affiliate campaigns during
         // one home era and deals with that era's operators (spilling into
         // the neighbouring era when it needs more partners than the era
         // has).
-        let mut affiliates = Vec::with_capacity(n_affs);
         let mut affiliate_ops = Vec::with_capacity(n_affs);
         let mut affiliate_era = Vec::with_capacity(n_affs);
         // Campaign volume peaks early in a family's life (Inferno's 2023
         // heyday): early eras attract more affiliates, which is also
         // what concentrates profits on the early operators (§6.2).
         let era_picker = Weighted::new(&zipf_weights(n_eras, 0.8));
-        for i in 0..n_affs {
-            let seed = format!("aff/{}/{i}", fam.slug);
-            affiliates.push(
-                chain
-                    .create_eoa(seed.as_bytes())
-                    .map_err(|e| format!("affiliate: {e}"))?,
-            );
+        for _ in 0..n_affs {
             let home = era_picker.sample(rng);
             affiliate_era.push(home);
             // Calibrated so the *measured* association mix (§6.3) lands
@@ -638,10 +847,11 @@ fn plan_families(
             let mut guard = 0;
             // Pool positions are home-era-first: weighting by position
             // makes each era's lead operator dominate its cohort, which
-            // is what concentrates profits on a few operators (§6.2).
-            let pool_weights = zipf_weights(pool.len(), 1.8);
+            // is what concentrates profits on a few operators (§6.2). The
+            // pool holds at least one operator: every family has one.
+            let pool_picker = Weighted::new(&zipf_weights(pool.len(), 1.8));
             while ops.len() < target.min(pool.len()) && guard < 200 {
-                let o = pool[Weighted::new(&pool_weights).sample(rng)];
+                let o = pool[pool_picker.sample(rng)];
                 if !ops.contains(&o) {
                     ops.push(o);
                 }
@@ -655,17 +865,7 @@ fn plan_families(
         // Log-normal traffic weights: most affiliates barely convert,
         // a few reach thousands of victims (§6.3 / Figure 7's tail).
         let affiliate_weights = lognormal_weights(rng, n_affs, 1.7);
-
-        // Victims.
-        let mut victims = Vec::with_capacity(n_victims);
-        for i in 0..n_victims {
-            let seed = format!("victim/{}/{i}", fam.slug);
-            victims.push(
-                chain
-                    .create_eoa(seed.as_bytes())
-                    .map_err(|e| format!("victim: {e}"))?,
-            );
-        }
+        drop(affiliates_span);
 
         // Adversarial ratio rewrites and payout-hop chains. Both passes
         // draw RNG and create accounts only when their knob is on, so a
@@ -701,8 +901,8 @@ fn plan_families(
             }
         }
 
-        let _ = fi;
         let eras: Vec<(Timestamp, Timestamp)> = (0..n_eras).map(era_bounds).collect();
+        let index = PickIndex::new(&contracts, &op_contracts, n_primary);
         plans.push(FamilyPlan {
             operators,
             op_eras,
@@ -714,9 +914,33 @@ fn plan_families(
             contracts,
             op_contracts,
             victims,
+            index,
         });
     }
     Ok(plans)
+}
+
+/// Registers `count` EOAs seeded `{prefix}/{slug}/{i}`, each funded
+/// with `funds` wei when given, formatting every seed into one buffer.
+fn create_accounts(
+    chain: &mut Chain,
+    prefix: &str,
+    slug: &str,
+    count: usize,
+    funds: Option<U256>,
+) -> Result<Vec<Address>, String> {
+    let mut seed = String::new();
+    let mut accounts = Vec::with_capacity(count);
+    for i in 0..count {
+        seed.clear();
+        write!(seed, "{prefix}/{slug}/{i}").expect("a String takes any write");
+        let created = match funds {
+            Some(wei) => chain.create_eoa_funded(seed.as_bytes(), wei),
+            None => chain.create_eoa(seed.as_bytes()),
+        };
+        accounts.push(created.map_err(|e| format!("account {seed}: {e}"))?);
+    }
+    Ok(accounts)
 }
 
 // ---------------------------------------------------------------------
@@ -724,6 +948,9 @@ fn plan_families(
 // ---------------------------------------------------------------------
 
 type TimedEv = (Timestamp, u8, u64, Ev);
+
+// Every planned event is pushed, merged, sorted and replayed by value.
+const _: () = assert!(std::mem::size_of::<TimedEv>() <= 80);
 
 #[allow(clippy::too_many_lines)]
 /// Events synthesised per benign-traffic planning chunk. Fixed — never
@@ -886,6 +1113,7 @@ fn plan_family_events(
         *seq += 1;
     };
     let mut incident_count = 0usize;
+    let mut tally = PickTally::default();
 
     // Per-family override of the asset-kind mix (NFT-phishing-heavy
     // adversarial families); `Weighted` normalises, so a `None` keeps
@@ -1016,8 +1244,13 @@ fn plan_family_events(
         // second incident (neither flag).
     }
 
+    // Every victim plans at least one incident, a repeat victim up to
+    // three, and about a third of victims revoke what they granted.
+    events.reserve(n_victims * 3 / 2 + n_repeat);
+    let fam = fi as u32;
+    // Approvals granted along the way, for the revocation pass.
+    let mut granted: Vec<(PlanKind, usize, u64)> = Vec::with_capacity(3);
     for vi in 0..n_victims {
-        let victim = plan.victims[vi];
         let is_repeat = vi < n_repeat;
         let fl = flags[vi];
         let n_incidents = 1 + usize::from(is_repeat) + usize::from(fl.sim && fl.rev);
@@ -1027,12 +1260,12 @@ fn plan_family_events(
         // `n_contracts` victims are routed to contract `vi` directly
         // so every contract sees at least one transaction.
         let n_affs = plan.affiliates.len();
-        let (affiliate_idx, op_idx, contract_idx, t) = if vi < n_contracts {
+        let (affiliate_idx, contract_idx, t) = if vi < n_contracts {
             let c = vi;
             let op = plan.contracts[c].operator_idx;
             let aff = pick_affiliate_of_op(rng, plan, op, &aff_picker);
             let w = plan.contracts[c].window;
-            (aff, op, c, uniform_time(rng, w.0, w.1))
+            (aff, c, uniform_time(rng, w.0, w.1))
         } else if vi < n_contracts + n_affs {
             // Coverage pass: every affiliate earns from at least one
             // victim, so the discovered affiliate census matches the
@@ -1043,8 +1276,8 @@ fn plan_family_events(
             let op = ops[rng.gen_range(0..ops.len())];
             let era = plan.eras[plan.affiliate_era[aff]];
             let t0 = uniform_time(rng, era.0, era.1);
-            let (c, t) = pick_contract(rng, plan, op, t0);
-            (aff, op, c, t)
+            let (c, t) = pick_contract(rng, plan, op, t0, &mut tally);
+            (aff, c, t)
         } else {
             let whale = losses[vi] >= 4_000.0;
             let picker = if whale { &aff_picker_whale } else { &aff_picker };
@@ -1058,16 +1291,26 @@ fn plan_family_events(
                 // deals: the paper's value-weighted operator take
                 // ($23.1M of $135M ≈ 17%) sits below the
                 // transaction-weighted ratio mix.
-                pick_low_ratio_primary(rng, plan, t0)
-                    .unwrap_or_else(|| pick_contract(rng, plan, op, t0))
+                pick_low_ratio_primary(rng, plan, t0, &mut tally)
+                    .unwrap_or_else(|| pick_contract(rng, plan, op, t0, &mut tally))
             } else {
-                pick_contract(rng, plan, op, t0)
+                pick_contract(rng, plan, op, t0, &mut tally)
             };
-            (aff, op, c, t)
+            (aff, c, t)
         };
-        let _ = op_idx;
-        let affiliate = plan.affiliates[affiliate_idx];
         let cwin = plan.contracts[contract_idx].window;
+        let incident = |contract: usize, kind, simultaneous_with_first, reused_approval| {
+            Ev::Incident(IncidentPlan {
+                fam,
+                victim: vi as u32,
+                affiliate: affiliate_idx as u32,
+                contract: contract as u32,
+                kind,
+                loss_usd: loss_each,
+                simultaneous_with_first,
+                reused_approval,
+            })
+        };
 
         // Base incident. Victims flagged for approval-reuse must hold
         // an ERC-20 approval, so force that kind.
@@ -1076,28 +1319,12 @@ fn plan_family_events(
         } else {
             sample_kind(rng, &kind_picker, &token_picker)
         };
-        // Approvals granted along the way, for the revocation pass.
-        let mut granted: Vec<(PlanKind, usize, u64)> = Vec::new();
+        granted.clear();
         if matches!(base_kind, PlanKind::Erc20 { .. } | PlanKind::Nft { .. }) {
             granted.push((base_kind, contract_idx, t));
         }
         plan.contracts[contract_idx].tx_count += 1;
-        push(
-            &mut events,
-            t,
-            1,
-            Ev::Incident(IncidentPlan {
-                fam: fi,
-                victim,
-                affiliate,
-                contract: contract_idx,
-                kind: base_kind,
-                loss_usd: loss_each,
-                simultaneous_with_first: false,
-                reused_approval: false,
-            }),
-            &mut seq,
-        );
+        push(&mut events, t, 1, incident(contract_idx, base_kind, false, false), &mut seq);
         incident_count += 1;
 
         if is_repeat {
@@ -1109,22 +1336,7 @@ fn plan_family_events(
                     granted.push((kind, contract_idx, t));
                 }
                 plan.contracts[contract_idx].tx_count += 1;
-                push(
-                    &mut events,
-                    t,
-                    1,
-                    Ev::Incident(IncidentPlan {
-                        fam: fi,
-                        victim,
-                        affiliate,
-                        contract: contract_idx,
-                        kind,
-                        loss_usd: loss_each,
-                        simultaneous_with_first: true,
-                        reused_approval: false,
-                    }),
-                    &mut seq,
-                );
+                push(&mut events, t, 1, incident(contract_idx, kind, true, false), &mut seq);
                 incident_count += 1;
             }
             if fl.rev {
@@ -1135,22 +1347,8 @@ fn plan_family_events(
                     unreachable!("rev flag forces ERC-20 base")
                 };
                 plan.contracts[contract_idx].tx_count += 1;
-                push(
-                    &mut events,
-                    t2,
-                    1,
-                    Ev::Incident(IncidentPlan {
-                        fam: fi,
-                        victim,
-                        affiliate,
-                        contract: contract_idx,
-                        kind: PlanKind::Erc20 { token, mode: Erc20Mode::Reuse },
-                        loss_usd: loss_each,
-                        simultaneous_with_first: false,
-                        reused_approval: true,
-                    }),
-                    &mut seq,
-                );
+                let kind = PlanKind::Erc20 { token, mode: Erc20Mode::Reuse };
+                push(&mut events, t2, 1, incident(contract_idx, kind, false, true), &mut seq);
                 incident_count += 1;
             }
             if !fl.sim && !fl.rev {
@@ -1160,29 +1358,14 @@ fn plan_family_events(
                 let ops = &plan.affiliate_ops[affiliate_idx];
                 let op2 = ops[rng.gen_range(0..ops.len())];
                 let t0 = uniform_time(rng, t, fam_cfg.end.max(t + 1));
-                let (c2, t2) = pick_contract(rng, plan, op2, t0);
+                let (c2, t2) = pick_contract(rng, plan, op2, t0, &mut tally);
                 let t2 = t2.max(t + 3_600);
                 let kind = sample_kind(rng, &kind_picker, &token_picker);
                 if matches!(kind, PlanKind::Erc20 { .. } | PlanKind::Nft { .. }) {
                     granted.push((kind, c2, t2));
                 }
                 plan.contracts[c2].tx_count += 1;
-                push(
-                    &mut events,
-                    t2,
-                    1,
-                    Ev::Incident(IncidentPlan {
-                        fam: fi,
-                        victim,
-                        affiliate,
-                        contract: c2,
-                        kind,
-                        loss_usd: loss_each,
-                        simultaneous_with_first: false,
-                        reused_approval: false,
-                    }),
-                    &mut seq,
-                );
+                push(&mut events, t2, 1, incident(c2, kind, false, false), &mut seq);
                 incident_count += 1;
             }
 
@@ -1193,29 +1376,21 @@ fn plan_family_events(
             if !fl.rev {
                 for (kind, c, granted_at) in granted.drain(..) {
                     let tr = granted_at + (exponential(rng, 5.0 * 86_400.0) as u64).max(3_600);
-                    push(
-                        &mut events,
-                        tr.min(collection_end()),
-                        1,
-                        Ev::Revoke { victim, kind, contract_of: (fi, c) },
-                        &mut seq,
-                    );
+                    let revoke = Ev::Revoke { fam, victim: vi as u32, contract: c as u32, kind };
+                    push(&mut events, tr.min(collection_end()), 1, revoke, &mut seq);
                 }
             }
         } else if !granted.is_empty() && chance(rng, 0.5) {
             // Half of single-hit victims clean up their approvals.
             for (kind, c, granted_at) in granted.drain(..) {
                 let tr = granted_at + (exponential(rng, 7.0 * 86_400.0) as u64).max(3_600);
-                push(
-                    &mut events,
-                    tr.min(collection_end()),
-                    1,
-                    Ev::Revoke { victim, kind, contract_of: (fi, c) },
-                    &mut seq,
-                );
+                let revoke = Ev::Revoke { fam, victim: vi as u32, contract: c as u32, kind };
+                push(&mut events, tr.min(collection_end()), 1, revoke, &mut seq);
             }
         }
     }
+    daas_obs::add("world.pick.scanned", tally.scanned);
+    daas_obs::add("world.pick.candidates", tally.candidates);
 
     (events, incident_count)
 }
@@ -1334,25 +1509,19 @@ fn pick_affiliate_of_op(
 /// drainer backend always points phishing sites at the live rotation.
 /// Only when nothing at all covers `t` is the timestamp clamped into a
 /// contract of `op`.
-fn pick_contract(rng: &mut StdRng, plan: &FamilyPlan, op: usize, t: Timestamp) -> (usize, Timestamp) {
-    let covering = |c: usize| {
-        let w = plan.contracts[c].window;
-        w.0 <= t && t <= w.1
-    };
-    let candidates: Vec<usize> =
-        plan.op_contracts[op].iter().copied().filter(|&c| covering(c)).collect();
-    if !candidates.is_empty() {
-        let weights: Vec<f64> = candidates.iter().map(|&c| plan.contracts[c].weight).collect();
-        let c = candidates[Weighted::new(&weights).sample(rng)];
+fn pick_contract(
+    rng: &mut StdRng,
+    plan: &FamilyPlan,
+    op: usize,
+    t: Timestamp,
+    tally: &mut PickTally,
+) -> (usize, Timestamp) {
+    let (live, sums) = plan.index.operator_live(op, t, tally);
+    if let Some(c) = tally.draw_live(rng, live, sums) {
         return (c, t);
     }
-    let live_primaries: Vec<usize> = (0..plan.contracts.len())
-        .filter(|&c| plan.contracts[c].primary && covering(c))
-        .collect();
-    if !live_primaries.is_empty() {
-        let weights: Vec<f64> =
-            live_primaries.iter().map(|&c| plan.contracts[c].weight).collect();
-        let c = live_primaries[Weighted::new(&weights).sample(rng)];
+    let primaries = plan.index.primaries_live(&plan.contracts, t, tally);
+    if let Some(c) = tally.draw(rng, primaries.map(|c| (c, plan.contracts[c].weight))) {
         return (c, t);
     }
     let all = &plan.op_contracts[op];
@@ -1414,27 +1583,16 @@ fn pick_low_ratio_primary(
     rng: &mut StdRng,
     plan: &FamilyPlan,
     t: Timestamp,
+    tally: &mut PickTally,
 ) -> Option<(usize, Timestamp)> {
-    let live: Vec<usize> = (0..plan.contracts.len())
-        .filter(|&c| {
-            let p = &plan.contracts[c];
-            p.primary && p.window.0 <= t && t <= p.window.1
-        })
-        .collect();
-    if live.is_empty() {
-        return None;
-    }
+    let live = plan.index.primaries_live(&plan.contracts, t, tally);
     // Prefer low ratios (negotiated deals) *and* early slots (the era
     // lead's contract): whale value must land on the dominant operators
     // without inflating the operator take.
-    let weights: Vec<f64> = live
-        .iter()
-        .enumerate()
-        .map(|(pos, &c)| {
-            (1_500.0 / plan.contracts[c].bps as f64) / (pos + 1) as f64
-        })
-        .collect();
-    Some((live[Weighted::new(&weights).sample(rng)], t))
+    let first = live.start;
+    let weighted =
+        live.map(|c| (c, (1_500.0 / plan.contracts[c].bps as f64) / (c - first + 1) as f64));
+    tally.draw(rng, weighted).map(|c| (c, t))
 }
 
 /// Rescales sampled losses so they sum to `target`: whale-bucket losses
@@ -1542,15 +1700,27 @@ fn execute(
                 c.address = Some(address);
             }
             Ev::Incident(plan) => {
-                let contract = plans[plan.fam].contracts[plan.contract]
+                let family = &plans[plan.fam as usize];
+                let contract = family.contracts[plan.contract as usize]
                     .address
                     .expect("incident before deployment");
-                let ps_tx = run_incident(chain, oracle, infra, &plan, contract, &mut nft_counter)
-                    .map_err(|e| format!("incident: {e}"))?;
+                let victim = family.victims[plan.victim as usize];
+                let affiliate = family.affiliates[plan.affiliate as usize];
+                let ps_tx = run_incident(
+                    chain,
+                    oracle,
+                    infra,
+                    &plan,
+                    victim,
+                    contract,
+                    affiliate,
+                    &mut nft_counter,
+                )
+                .map_err(|e| format!("incident: {e}"))?;
                 incidents.push(IncidentTruth {
-                    family: plan.fam,
-                    victim: plan.victim,
-                    affiliate: plan.affiliate,
+                    family: plan.fam as usize,
+                    victim,
+                    affiliate,
                     contract,
                     time: chain.now(),
                     kind: plan_kind_to_truth(&plan.kind, infra, nft_counter),
@@ -1560,8 +1730,10 @@ fn execute(
                     reused_approval: plan.reused_approval,
                 });
             }
-            Ev::Revoke { victim, kind, contract_of: (fam, ci) } => {
-                let Some(contract) = plans[fam].contracts[ci].address else { continue };
+            Ev::Revoke { fam, victim, contract, kind } => {
+                let family = &plans[fam as usize];
+                let Some(contract) = family.contracts[contract as usize].address else { continue };
+                let victim = family.victims[victim as usize];
                 match kind {
                     PlanKind::Erc20 { token, .. } => {
                         let (token, _) = infra.erc20_tokens[token];
@@ -1781,17 +1953,19 @@ fn plan_kind_to_truth(kind: &PlanKind, infra: &Infra, nft_counter: u64) -> Incid
     }
 }
 
-/// Executes one incident's transaction sequence; returns the
-/// profit-sharing transaction id.
+/// Executes one incident's transaction sequence between the accounts
+/// its indices resolve to; returns the profit-sharing transaction id.
 // ChainError carries U256 diagnostics by value; boxing it for these two
 // internal helpers would cost more churn than the cold error path saves.
-#[allow(clippy::result_large_err)]
+#[allow(clippy::result_large_err, clippy::too_many_arguments)]
 fn run_incident(
     chain: &mut Chain,
     oracle: &Oracle,
     infra: &Infra,
     plan: &IncidentPlan,
+    victim: Address,
     contract: Address,
+    affiliate: Address,
     nft_counter: &mut u64,
 ) -> Result<TxId, daas_chain::ChainError> {
     let t = chain.now();
@@ -1802,28 +1976,28 @@ fn run_incident(
     match plan.kind {
         PlanKind::Eth => {
             let wei = oracle.usd_to_wei(plan.loss_usd, t);
-            chain.mint_eth(plan.victim, wei)?;
-            chain.claim_eth(plan.victim, contract, wei, plan.affiliate)
+            chain.mint_eth(victim, wei)?;
+            chain.claim_eth(victim, contract, wei, affiliate)
         }
         PlanKind::Erc20 { token, mode } => {
             let (token, _) = infra.erc20_tokens[token];
             let amount = token_amount(oracle, token, plan.loss_usd, t);
-            chain.mint_erc20(token, plan.victim, amount)?;
+            chain.mint_erc20(token, victim, amount)?;
             match mode {
                 Erc20Mode::Approve => {
-                    chain.approve_erc20(plan.victim, token, contract, U256::MAX)?;
-                    chain.drain_erc20(operator, contract, token, plan.victim, amount, plan.affiliate)
+                    chain.approve_erc20(victim, token, contract, U256::MAX)?;
+                    chain.drain_erc20(operator, contract, token, victim, amount, affiliate)
                 }
                 Erc20Mode::Permit => chain.drain_erc20_permit(
                     operator,
                     contract,
                     token,
-                    plan.victim,
+                    victim,
                     amount,
-                    plan.affiliate,
+                    affiliate,
                 ),
                 Erc20Mode::Reuse => {
-                    chain.drain_erc20(operator, contract, token, plan.victim, amount, plan.affiliate)
+                    chain.drain_erc20(operator, contract, token, victim, amount, affiliate)
                 }
             }
         }
@@ -1831,11 +2005,11 @@ fn run_incident(
             let token = infra.nft_collections[collection];
             let id = *nft_counter;
             *nft_counter += 1;
-            chain.mint_nft(token, plan.victim, id)?;
+            chain.mint_nft(token, victim, id)?;
             match mode {
                 NftMode::ApprovalSweep => {
-                    chain.approve_nft_all(plan.victim, token, contract, true)?;
-                    chain.drain_nft(operator, contract, token, plan.victim, id)?;
+                    chain.approve_nft_all(victim, token, contract, true)?;
+                    chain.drain_nft(operator, contract, token, victim, id)?;
                 }
                 NftMode::ZeroOrder => {
                     chain.zero_value_order(
@@ -1843,7 +2017,7 @@ fn run_incident(
                         infra.marketplace,
                         token,
                         id,
-                        plan.victim,
+                        victim,
                         contract,
                     )?;
                 }
@@ -1854,7 +2028,7 @@ fn run_incident(
             // across the whole timeline in dense periods.)
             let price = oracle.usd_to_wei(plan.loss_usd, chain.now());
             chain.sell_nft(operator, infra.marketplace, token, id, contract, price)?;
-            chain.distribute_eth(operator, contract, price, plan.affiliate)
+            chain.distribute_eth(operator, contract, price, affiliate)
         }
     }
 }
@@ -2064,6 +2238,96 @@ fn assign_labels(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn covers(c: &ContractPlan, t: Timestamp) -> bool {
+        c.window.0 <= t && t <= c.window.1
+    }
+
+    /// The scans [`PickIndex`] replaced, kept as its reference: the
+    /// contracts of `op` whose window covers `t`, in `op_contracts`
+    /// order.
+    fn scan_operator(plan: &FamilyPlan, op: usize, t: Timestamp) -> Vec<usize> {
+        plan.op_contracts[op].iter().copied().filter(|&c| covers(&plan.contracts[c], t)).collect()
+    }
+
+    /// The family's primaries whose window covers `t`, in index order.
+    fn scan_primaries(plan: &FamilyPlan, t: Timestamp) -> Vec<usize> {
+        (0..plan.contracts.len())
+            .filter(|&c| plan.contracts[c].primary && covers(&plan.contracts[c], t))
+            .collect()
+    }
+
+    /// Plans every family of `config` and checks the index against the
+    /// scans for every operator, at each contract window's start and
+    /// end, each ±1 s, and at 1,000 seeded timestamps across the family
+    /// window and a month either side of it: the same candidates in the
+    /// same order, with the running sums `Weighted::new` would build
+    /// from their weights, so `sample_cumulative` draws what
+    /// `Weighted::sample` drew.
+    fn assert_index_matches_scans(config: &WorldConfig) {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let plans = plan_families(&mut rng, config, &mut Chain::new()).expect("families plan");
+        let mut tally = PickTally::default();
+        for (fi, (plan, fam)) in plans.iter().zip(&config.families).enumerate() {
+            let mut times: Vec<Timestamp> = plan
+                .contracts
+                .iter()
+                .flat_map(|c| [c.window.0, c.window.1])
+                .flat_map(|t| [t - 1, t, t + 1])
+                .collect();
+            let margin = 30 * 86_400;
+            let mut draws = StdRng::seed_from_u64(fi as u64);
+            times.extend((0..1_000).map(|_| draws.gen_range(fam.start - margin..=fam.end + margin)));
+            for t in times {
+                for op in 0..plan.operators.len() {
+                    let (live, sums) = plan.index.operator_live(op, t, &mut tally);
+                    let live: Vec<usize> = live.iter().map(|&c| c as usize).collect();
+                    let scanned = scan_operator(plan, op, t);
+                    assert_eq!(live, scanned, "{}: operator {op} at {t}", fam.slug);
+                    let mut sum = 0.0;
+                    let running: Vec<f64> = scanned
+                        .iter()
+                        .map(|&c| {
+                            sum += plan.contracts[c].weight;
+                            sum
+                        })
+                        .collect();
+                    assert_eq!(sums, running, "{}: operator {op}'s sums at {t}", fam.slug);
+                }
+                let primaries: Vec<usize> =
+                    plan.index.primaries_live(&plan.contracts, t, &mut tally).collect();
+                assert_eq!(primaries, scan_primaries(plan, t), "{}: primaries at {t}", fam.slug);
+            }
+        }
+    }
+
+    #[test]
+    fn pick_index_matches_the_scans_on_small_worlds() {
+        assert_index_matches_scans(&WorldConfig::tiny(7));
+        assert_index_matches_scans(&WorldConfig::micro(5));
+    }
+
+    #[test]
+    fn pick_index_matches_the_scans_on_every_scenario() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).expect("the scenario pack") {
+            let path = entry.expect("a directory entry").path();
+            if path.extension().is_some_and(|x| x == "json") {
+                let json = std::fs::read_to_string(&path).expect("a readable scenario");
+                let config: WorldConfig = serde_json::from_str(&json).expect("a scenario config");
+                assert_index_matches_scans(&config);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 6, "found {checked} scenarios in {}", dir.display());
+    }
+
+    #[test]
+    #[ignore = "paper scale: run in release"]
+    fn pick_index_matches_the_scans_at_paper_scale() {
+        assert_index_matches_scans(&WorldConfig::paper_scale(7));
+    }
 
     #[test]
     fn rescale_hits_target_via_whales() {

@@ -31,9 +31,7 @@ impl Weighted {
 
     /// Samples an index.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let total = *self.cumulative.last().unwrap();
-        let x = rng.gen::<f64>() * total;
-        self.cumulative.partition_point(|&c| c <= x).min(self.cumulative.len() - 1)
+        sample_cumulative(rng, &self.cumulative)
     }
 
     /// Number of categories.
@@ -45,6 +43,54 @@ impl Weighted {
     pub fn is_empty(&self) -> bool {
         false
     }
+}
+
+/// The index [`Weighted::sample`] draws from `cumulative`, the running
+/// sums of the weights: one draw scaled by their total, and the first
+/// index whose running sum exceeds it (the last if none does).
+///
+/// # Panics
+/// On an empty `cumulative`.
+pub(crate) fn sample_cumulative<R: Rng>(rng: &mut R, cumulative: &[f64]) -> usize {
+    let total = *cumulative.last().expect("Weighted: empty weights");
+    let x = rng.gen::<f64>() * total;
+    cumulative.partition_point(|&c| c <= x).min(cumulative.len() - 1)
+}
+
+/// The pick `Weighted::new(&weights).sample(rng)` makes, where `weights`
+/// are the weights of `candidates` in order, without collecting either: the
+/// same running sums, one draw scaled by their total, and the first
+/// candidate whose running sum exceeds it (the last if none does). So
+/// the pick and the RNG stream are the same. Returns the pick and the
+/// number of candidates; `None`, drawing nothing, when there are none.
+///
+/// # Panics
+/// On the weights [`Weighted::new`] rejects: a negative or non-finite
+/// weight, or an all-zero set.
+pub(crate) fn pick_weighted<R: Rng>(
+    rng: &mut R,
+    candidates: impl Iterator<Item = (usize, f64)> + Clone,
+) -> Option<(usize, usize)> {
+    let (mut total, mut count) = (0.0, 0usize);
+    for (_, w) in candidates.clone() {
+        assert!(w >= 0.0 && w.is_finite(), "Weighted: bad weight {w}");
+        total += w;
+        count += 1;
+    }
+    if count == 0 {
+        return None;
+    }
+    assert!(total > 0.0, "Weighted: all weights zero");
+    let x = rng.gen::<f64>() * total;
+    let (mut acc, mut last) = (0.0, None);
+    for (c, w) in candidates {
+        acc += w;
+        if acc > x {
+            return Some((c, count));
+        }
+        last = Some(c);
+    }
+    last.map(|c| (c, count))
 }
 
 /// Zipf rank weights: `w_i = 1 / (i+1)^s` for `i = 0..n`. The standard
@@ -134,6 +180,38 @@ mod tests {
     #[should_panic(expected = "all weights zero")]
     fn weighted_rejects_zero() {
         let _ = Weighted::new(&[0.0, 0.0]);
+    }
+
+    /// The allocation-free pick equals `Weighted`'s from the same RNG
+    /// state and leaves the stream where `Weighted` leaves it, on
+    /// seeded weight vectors of length 1 to 40 with zero weights mixed
+    /// in.
+    #[test]
+    fn pick_weighted_matches_weighted_sample() {
+        let mut cases = StdRng::seed_from_u64(11);
+        for case in 0..10_000u64 {
+            let len = if case % 10 == 0 { 1 } else { cases.gen_range(1..40) };
+            let mut weights: Vec<f64> = (0..len)
+                .map(|_| match cases.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => cases.gen::<f64>(),
+                    2 => log_uniform(&mut cases, 0.5, 5.0),
+                    _ => cases.gen_range(1..1_000) as f64,
+                })
+                .collect();
+            if weights.iter().all(|&w| w == 0.0) {
+                weights[cases.gen_range(0..len)] = 300.0;
+            }
+            let start = StdRng::seed_from_u64(case);
+            let (mut expected_rng, mut rng) = (start.clone(), start);
+            let expected = Weighted::new(&weights).sample(&mut expected_rng);
+            let got = pick_weighted(&mut rng, weights.iter().copied().enumerate());
+            assert_eq!(got, Some((expected, len)), "case {case}: {weights:?}");
+            assert_eq!(rng.gen::<u64>(), expected_rng.gen::<u64>(), "case {case}: stream moved");
+        }
+        let (mut picked, mut untouched) = (rng(), rng());
+        assert_eq!(pick_weighted(&mut picked, std::iter::empty()), None);
+        assert_eq!(picked.gen::<u64>(), untouched.gen::<u64>(), "an empty pick draws nothing");
     }
 
     #[test]

@@ -113,6 +113,16 @@ impl AddrInterner {
         AddrInterner { addrs: Vec::with_capacity(capacity), slots: vec![u32::MAX; slots] }
     }
 
+    /// Makes room for `additional` more addresses, so that interning
+    /// them neither regrows the slot table nor copies the arena.
+    pub fn reserve(&mut self, additional: usize) {
+        self.addrs.reserve(additional);
+        let wanted = ((self.addrs.len() + additional) * 2).next_power_of_two().max(16);
+        if self.slots.len() < wanted {
+            self.rehash(wanted);
+        }
+    }
+
     /// Number of distinct interned addresses.
     pub fn len(&self) -> usize {
         self.addrs.len()
@@ -130,7 +140,7 @@ impl AddrInterner {
     /// orders of magnitude beyond any simulated world.
     pub fn intern(&mut self, addr: Address) -> AddrId {
         if self.slots.len() < (self.addrs.len() + 1) * 2 {
-            self.grow();
+            self.rehash((self.slots.len() * 2).max(16));
         }
         let mask = self.slots.len() - 1;
         let mut slot = hash_addr(&addr) as usize & mask;
@@ -203,9 +213,9 @@ impl AddrInterner {
             + self.slots.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Doubles the slot table and re-seats every id.
-    fn grow(&mut self) {
-        let new_len = (self.slots.len() * 2).max(16);
+    /// Replaces the slot table with one of `new_len` slots, a power of
+    /// two, and re-seats every id.
+    fn rehash(&mut self, new_len: usize) {
         let mask = new_len - 1;
         let mut slots = vec![u32::MAX; new_len];
         for (id, addr) in self.addrs.iter().enumerate() {
@@ -337,6 +347,22 @@ mod tests {
         let ids: Vec<AddrId> = (0..100).map(|n| interner.intern(addr(n))).collect();
         for (n, id) in ids.iter().enumerate() {
             assert_eq!(interner.lookup(addr(n as u8)), Some(*id));
+        }
+    }
+
+    /// After `reserve`, interning that many more addresses keeps the
+    /// slot table it sized, and every id still resolves.
+    #[test]
+    fn reserve_sizes_the_table_once() {
+        let mut interner = AddrInterner::new();
+        let first = interner.intern(addr(0));
+        interner.reserve(99);
+        let slots = interner.slots.len();
+        let ids: Vec<AddrId> = (1..100).map(|n| interner.intern(addr(n))).collect();
+        assert_eq!(interner.slots.len(), slots);
+        assert_eq!(interner.lookup(addr(0)), Some(first));
+        for (n, id) in (1..100).zip(&ids) {
+            assert_eq!(interner.lookup(addr(n)), Some(*id));
         }
     }
 
