@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# CI gate: the tier-1 contract (ROADMAP.md) plus the equivalence suites:
-# world-build and §6-report thread counts and the streaming stack, all
-# against the sequential batch pipeline; the daemon's serve and scrape
-# gates; the live-smoke, scale-sweep and robustness smokes; the
-# benchmark's self-test; and the obs_overhead micro bench. Stage timings
-# come from the benchmark (perfbench/, see BENCHMARK.json), not from
-# this script. Test threads are pinned so the harness schedule is
-# reproducible; the pipeline's own worker counts are set per-test.
+# CI gate: the tier-1 contract (ROADMAP.md) plus the pins and the
+# equivalence suites: the world, dataset and site pins, and the
+# streaming stack against the batch pipeline, which runs on one thread;
+# the daemon's serve and scrape gates; the live-smoke, scale-sweep and
+# robustness smokes; the benchmark's self-test, which must leave the
+# benchmark's lock file as it found it; and the obs_overhead micro
+# bench. Stage timings come from the benchmark (perfbench/, see
+# BENCHMARK.json), not from this script. Test threads are pinned so the
+# harness schedule is reproducible.
 #
 # A run leaves `git status` clean: the bench's BENCH_<group>.json goes to
 # $BENCH_OUT_DIR, a temporary directory unless the caller sets one.
@@ -31,10 +32,9 @@ cargo test -q
 #      loops only as release builds. ----
 cargo test -q --release -p eth-types -p daas-chain -p serde_json
 
-# ---- Sequential-oracle equivalence suites. ----
-cargo test -q -p daas-world --test parallel_equivalence -- --test-threads 4
+# ---- World pins and the batch pipeline's properties. ----
+cargo test -q -p daas-world --test world_pins -- --test-threads 4
 cargo test -q -p daas-detector --test snowball_props -- --test-threads 4
-cargo test -q -p daas-measure --test parallel_equivalence -- --test-threads 4
 cargo test -q --test determinism -- --test-threads 4
 
 # ---- Streaming (live) equivalence suites: online detector →
@@ -113,8 +113,8 @@ rm -rf "$SWEEP_TMP"
 
 # ---- Scenario pack: every shipped scenario must conform to the
 #      scenario schema, and the robustness harness must run the full
-#      matrix at a fast smoke scale (honours DAAS_THREADS /
-#      DAAS_TRACE / DAAS_METRICS like every exp_* harness). ----
+#      matrix at a fast smoke scale (honours DAAS_TRACE /
+#      DAAS_METRICS like every exp_* harness). ----
 cargo run -q --release -p daas-obs --bin scenario_validate -- \
   schemas/scenario.schema.json scenarios
 ROB_TMP="$(mktemp -d)"
@@ -126,19 +126,28 @@ rm -rf "$ROB_TMP"
 # ---- Benchmark self-test: builds perfbench/ (which compiles against
 #      the engine, snapshot and CowMap APIs) and runs every workload at
 #      micro scale, traced and untraced, including the checks that a
-#      corrupted oracle fails the run (~25 s plus a build). ----
+#      corrupted oracle fails the run (~25 s plus a build). The build
+#      must leave perfbench/Cargo.lock byte-identical: a manifest edit
+#      that rewrites the benchmark's lock fails here. ----
+LOCK_TMP="$(mktemp)"
+cp perfbench/Cargo.lock "$LOCK_TMP"
 python3 perfbench/tests/selftest.py
+if ! cmp perfbench/Cargo.lock "$LOCK_TMP"; then
+  rm -f "$LOCK_TMP"
+  echo "ci: the perfbench build rewrote perfbench/Cargo.lock" >&2
+  exit 1
+fi
+rm -f "$LOCK_TMP"
 
 # ---- Paper-scale world pins, every run (seconds each in release):
 #      the scale-1 world's chain, its batch dataset, the online
-#      detector's event streams and the site population stay
-#      byte-identical, every planner thread count builds the same world,
-#      and the contract pickers' index returns what the scans it
-#      replaced returned. ----
+#      detector's event streams, the site population and the whole
+#      world's fingerprint stay byte-identical, and the contract
+#      pickers' index returns what the scans it replaced returned. ----
 cargo test -q --release --test columnar_equivalence -- --ignored --test-threads 1
 cargo test -q --release --test dataset_pins -- --ignored --test-threads 1
 cargo test -q --release -p daas-world --test site_pins -- --ignored --test-threads 1
-cargo test -q --release -p daas-world --test parallel_equivalence -- --ignored --test-threads 1
+cargo test -q --release -p daas-world --test world_pins -- --ignored --test-threads 1
 cargo test -q --release -p daas-world --lib -- --ignored --test-threads 1
 
 # ---- Everything else. ----
@@ -147,7 +156,6 @@ cargo test -q --workspace
 # ---- Slow full-scale equivalence (paper-scale world, opt-out with
 #      CI_FULL_SCALE=0). ----
 if [[ "${CI_FULL_SCALE:-1}" == "1" ]]; then
-  cargo test -q --release -p daas-measure --test parallel_equivalence -- --ignored --test-threads 1
   cargo test -q --release -p daas-cluster --test live_equivalence -- --ignored --test-threads 1
   cargo test -q --release -p daas-measure --test live_equivalence -- --ignored --test-threads 1
   cargo test -q --release --test live_equivalence -- --ignored --test-threads 1

@@ -19,7 +19,7 @@ use daas_world::{World, WorldConfig};
 
 fn bench_obs_overhead(c: &mut Criterion) {
     let world = World::build(&WorldConfig::micro(7)).expect("world");
-    let snowball = SnowballConfig { threads: 1, ..Default::default() };
+    let snowball = SnowballConfig::default();
 
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(20);

@@ -11,7 +11,7 @@ fn main() {
     let _obs = daas_bench::obs_from_env();
     let seed = std::env::var("DAAS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(42);
     let scale = std::env::var("DAAS_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(1.0);
-    let base = daas_bench::snowball_config();
+    let base = SnowballConfig::default();
     eprintln!("[exp_ablations] seed {seed}, scale {scale}");
     let config = WorldConfig { scale, ..WorldConfig::paper_scale(seed) };
     let world = World::build(&config).expect("world");

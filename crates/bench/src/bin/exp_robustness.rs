@@ -10,13 +10,15 @@
 //! * a human scenario-matrix report on stdout.
 //!
 //! Environment: `DAAS_SCALE` multiplies every scenario's own scale
-//! (CI smoke runs use a fraction); `DAAS_THREADS` / `DAAS_TRACE` /
-//! `DAAS_METRICS` behave as in every other `exp_*` harness. Scenario
+//! (CI smoke runs use a fraction); `DAAS_TRACE` / `DAAS_METRICS`
+//! behave as in every other `exp_*` harness. Scenario
 //! seeds are pinned by the scenario files themselves so the scores are
 //! reproducible artifacts, not run-dependent noise.
 
 use daas_cli::run_pipeline;
-use daas_detector::{evaluate, pairwise_family_scores, ClassScores, LossAttribution};
+use daas_detector::{
+    evaluate, pairwise_family_scores, ClassScores, LossAttribution, SnowballConfig,
+};
 use daas_world::WorldConfig;
 use serde::Serialize;
 
@@ -81,8 +83,7 @@ fn main() {
     let _obs = daas_bench::obs_from_env();
     let scale_mult: f64 =
         std::env::var("DAAS_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(1.0);
-    let snowball = daas_bench::snowball_config();
-    let measure = daas_bench::measure_config();
+    let snowball = SnowballConfig::default();
 
     let dir = scenario_dir();
     let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
@@ -93,11 +94,7 @@ fn main() {
         .collect();
     paths.sort();
     assert!(!paths.is_empty(), "no scenario files in {}", dir.display());
-    eprintln!(
-        "[exp_robustness] {} scenario(s), scale x{scale_mult}, threads {}",
-        paths.len(),
-        snowball.effective_threads()
-    );
+    eprintln!("[exp_robustness] {} scenario(s), scale x{scale_mult}", paths.len());
 
     let mut scenarios = Vec::new();
     for path in &paths {
@@ -138,7 +135,7 @@ fn main() {
 
         // §6 loss attribution: the measured victim-loss total against
         // the ground-truth incident sum.
-        let measured = pipeline.measured(&measure);
+        let measured = pipeline.measured();
         let loss = LossAttribution {
             measured_usd: measured.reports.victims.total_usd,
             truth_usd: truth.incidents.iter().map(|i| i.loss_usd).sum(),

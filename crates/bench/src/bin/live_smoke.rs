@@ -17,7 +17,6 @@ use std::time::Instant;
 
 use daas_chain::TxId;
 use daas_cluster::cluster_prefix;
-use daas_measure::MeasureConfig;
 use daas_world::WorldConfig;
 
 fn fail(msg: &str) -> ! {
@@ -33,18 +32,10 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(720);
     let config = WorldConfig { scale, ..WorldConfig::paper_scale(7) };
-    let snowball = daas_bench::snowball_config();
 
     daas_obs::set_enabled(true);
-    let run = daas_cli::Pipeline::live(
-        &config,
-        &snowball,
-        window_blocks,
-        &MeasureConfig::sequential(),
-        true,
-        |_| {},
-    )
-    .unwrap_or_else(|e| fail(&format!("pipeline failed: {e}")));
+    let run = daas_cli::Pipeline::live(&config, &Default::default(), window_blocks, true, |_| {})
+        .unwrap_or_else(|e| fail(&format!("pipeline failed: {e}")));
     daas_obs::set_enabled(false);
     let report = daas_obs::drain();
 

@@ -10,7 +10,6 @@
 //! Environment:
 //! * `DAAS_SCALES` — comma-separated scale multipliers (default `2`;
 //!   scale 1.0 is the paper-calibrated world, ~218k txs).
-//! * `DAAS_THREADS` — as everywhere else.
 //! * `DAAS_RSS_CEILING_MB` — optional gate: exit non-zero if peak RSS
 //!   exceeds the ceiling after the sweep (the ci.sh smoke sets this).
 //! * `DAAS_SCALE_SWEEP_OUT` — output path (default
@@ -20,7 +19,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use daas_cluster::cluster;
-use daas_detector::{build_dataset_with_cache, ClassificationCache};
+use daas_detector::{build_dataset_with_cache, ClassificationCache, SnowballConfig};
 use daas_measure::{MeasureConfig, MeasureCtx};
 use daas_world::{collection_end, World, WorldConfig};
 
@@ -53,7 +52,7 @@ struct Run {
 
 fn run_at(scale: f64) -> Run {
     let config = WorldConfig { scale, ..WorldConfig::paper_scale(7) };
-    let snowball = daas_bench::snowball_config();
+    let snowball = SnowballConfig::default();
 
     let t = Instant::now();
     let world = World::build(&config).expect("world builds");

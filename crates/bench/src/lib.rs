@@ -1,6 +1,6 @@
-//! Shared scaffolding for the experiment harnesses: seed, scale,
-//! thread and sink settings read from the environment, so every
-//! `exp_*` binary behaves the same.
+//! Shared scaffolding for the experiment harnesses: seed, scale and
+//! sink settings read from the environment, so every `exp_*` binary
+//! behaves the same.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,29 +59,10 @@ pub fn env_config() -> (u64, f64) {
     (seed, scale)
 }
 
-/// The standard snowball configuration, honouring `DAAS_THREADS`
-/// (default 0 = all cores) as the world-build thread count. Snowball
-/// sampling itself is sequential; every artifact is byte-identical at
-/// every setting.
-pub fn snowball_config() -> daas_detector::SnowballConfig {
-    let threads = std::env::var("DAAS_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
-    daas_detector::SnowballConfig { threads, ..Default::default() }
-}
-
-/// The standard measurement configuration, honouring `DAAS_THREADS`
-/// like [`snowball_config`]. The report bundle is byte-identical at
-/// every setting.
-pub fn measure_config() -> daas_measure::MeasureConfig {
-    let threads = std::env::var("DAAS_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
-    daas_measure::MeasureConfig { threads }
-}
-
-/// Builds the standard pipeline at the env-configured seed/scale,
-/// honouring `DAAS_THREADS`.
+/// Builds the standard pipeline at the env-configured seed/scale.
 pub fn standard_pipeline() -> daas_cli::Pipeline {
     let (seed, scale) = env_config();
-    let snowball = snowball_config();
     let config = daas_world::WorldConfig { scale, ..daas_world::WorldConfig::paper_scale(seed) };
-    eprintln!("[exp] seed {seed}, scale {scale}, threads {}", snowball.effective_threads());
-    daas_cli::run_pipeline(&config, &snowball).expect("pipeline builds")
+    eprintln!("[exp] seed {seed}, scale {scale}");
+    daas_cli::run_pipeline(&config, &Default::default()).expect("pipeline builds")
 }

@@ -6,11 +6,6 @@
 //!
 //!   --seed N     RNG seed (default 42)
 //!   --scale F    world scale, 1.0 = paper scale (default 0.1)
-//!   --threads N  worker threads for world planning and the §6
-//!                measurement reports, 0 = all cores (default 0);
-//!                snowball sampling, clustering and forensics always
-//!                run sequentially; every artifact is byte-identical at
-//!                every setting
 //!   --timings    enable the observability recorder and print the
 //!                per-stage wall-clock breakdown (read back from the
 //!                metrics registry) plus the recorder's human summary,
@@ -42,7 +37,6 @@ use daas_cli::{
     render_timeline, render_validation, run_pipeline, run_website_pipeline,
 };
 use daas_detector::SnowballConfig;
-use daas_measure::MeasureConfig;
 use daas_world::WorldConfig;
 
 const ALL_EXPERIMENTS: [&str; 13] = [
@@ -53,7 +47,6 @@ const ALL_EXPERIMENTS: [&str; 13] = [
 fn main() -> ExitCode {
     let mut seed = 42u64;
     let mut scale = 0.1f64;
-    let mut threads = 0usize;
     let mut timings = false;
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -83,10 +76,6 @@ fn main() -> ExitCode {
                     scale_set = true;
                 }
                 _ => return usage("--scale needs a positive number"),
-            },
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => threads = v,
-                None => return usage("--threads needs an integer (0 = all cores)"),
             },
             "--timings" => timings = true,
             "--trace-out" => match args.next() {
@@ -188,9 +177,9 @@ fn main() -> ExitCode {
         daas_obs::set_enabled(true);
     }
     eprintln!("building world (seed {seed}, scale {scale}) …");
-    let snowball = SnowballConfig { threads, ..Default::default() };
+    let snowball = SnowballConfig::default();
     if live {
-        let code = run_live(&config, &snowball, window_blocks, threads, verify);
+        let code = run_live(&config, &snowball, window_blocks, verify);
         return match finish_obs(obs_on, timings, trace_out.as_deref(), metrics_out.as_deref()) {
             Ok(()) => code,
             Err(e) => {
@@ -240,7 +229,7 @@ fn main() -> ExitCode {
         ["table2", "fig4", "fig6", "fig7", "ratios", "scale", "community", "timeline"];
     let needs_measure = experiments.iter().any(|e| MEASURED_EXPS.contains(&e.as_str()));
     let tm0 = Instant::now();
-    let measured = needs_measure.then(|| pipeline.measured(&MeasureConfig { threads }));
+    let measured = needs_measure.then(|| pipeline.measured());
     daas_obs::gauge_l("pipeline.stage_ms", "stage", "measure", ms(tm0.elapsed()));
     let m = || measured.as_ref().expect("measurement bundle built");
 
@@ -341,15 +330,12 @@ fn run_live(
     config: &WorldConfig,
     snowball: &SnowballConfig,
     window_blocks: u64,
-    threads: usize,
     verify: bool,
 ) -> ExitCode {
-    let measure_cfg = MeasureConfig { threads };
     let run = match daas_cli::Pipeline::live(
         config,
         snowball,
         window_blocks,
-        &measure_cfg,
         verify,
         |w| {
             if w.new_ps_txs > 0 || w.new_contracts > 0 {
@@ -426,7 +412,7 @@ fn usage(error: &str) -> ExitCode {
         eprintln!("error: {error}\n");
     }
     eprintln!(
-        "usage: daas-lab [--seed N] [--scale F] [--threads N] [--config FILE] [--dump-config FILE] [--export FILE] [--live] [--no-verify] [--window N] [--timings] [--trace-out FILE] [--metrics-out FILE] [--exp NAME]...\n       experiments: {} all",
+        "usage: daas-lab [--seed N] [--scale F] [--config FILE] [--dump-config FILE] [--export FILE] [--live] [--no-verify] [--window N] [--timings] [--trace-out FILE] [--metrics-out FILE] [--exp NAME]...\n       experiments: {} all",
         ALL_EXPERIMENTS.join(" ")
     );
     if error.is_empty() {

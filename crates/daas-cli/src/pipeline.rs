@@ -51,10 +51,11 @@ impl Pipeline {
 
     /// Builds the measurement context and the full §6 report bundle once
     /// (the paper's parameters: one-month inactivity threshold, census at
-    /// collection end), fanning the reports across `cfg.threads`.
-    pub fn measured(&self, cfg: &MeasureConfig) -> Measured<'_> {
+    /// collection end).
+    pub fn measured(&self) -> Measured<'_> {
         let ctx = self.measure();
-        let reports = ctx.reports(&self.world.labels, 30 * 86_400, collection_end(), cfg);
+        let cfg = MeasureConfig::sequential();
+        let reports = ctx.reports(&self.world.labels, 30 * 86_400, collection_end(), &cfg);
         Measured { ctx, reports }
     }
 
@@ -114,7 +115,6 @@ impl Pipeline {
         config: &WorldConfig,
         snowball: &SnowballConfig,
         window_blocks: u64,
-        measure_cfg: &MeasureConfig,
         verify: bool,
         mut on_window: impl FnMut(&LiveWindowStats),
     ) -> Result<LiveRun, String> {
@@ -135,7 +135,8 @@ impl Pipeline {
         let t2 = Instant::now();
 
         let dataset = engine.dataset().clone();
-        let reports = engine.reports(measure_cfg);
+        let measure_cfg = MeasureConfig::sequential();
+        let reports = engine.reports(&measure_cfg);
         let t3 = Instant::now();
 
         let clusterer_stats = engine.clusterer_stats();
@@ -152,7 +153,7 @@ impl Pipeline {
                     &world.labels,
                     30 * 86_400,
                     collection_end(),
-                    measure_cfg,
+                    &measure_cfg,
                 );
             dataset.contracts == batch_dataset.contracts
                 && dataset.operators == batch_dataset.operators
@@ -203,12 +204,11 @@ fn record_stage_obs(chain: &Chain, stages: &[(&str, Duration)]) {
     }
 }
 
-/// Runs world generation, snowball sampling and clustering. The snowball
-/// `threads` knob sets the world planner's worker count; snowball and
-/// clustering are sequential.
+/// Runs world generation, snowball sampling and clustering, one stage
+/// after another on the calling thread.
 pub fn run_pipeline(config: &WorldConfig, snowball: &SnowballConfig) -> Result<Pipeline, String> {
     let t0 = Instant::now();
-    let world = World::build_with(config, snowball.threads)?;
+    let world = World::build(config)?;
     let t1 = Instant::now();
     let dataset = build_dataset(&world.chain, &world.labels, snowball);
     let t2 = Instant::now();

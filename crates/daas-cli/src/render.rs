@@ -396,8 +396,8 @@ pub fn render_scale_stats(m: &Measured<'_>, scale: f64) -> String {
     format!("§6 — Scale of DaaS\n{}", t.render())
 }
 
-/// §7.2: primary-contract lifecycles, extracted for every family at
-/// once via the forensics fan-out.
+/// §7.2: primary-contract lifecycles, extracted for every family in
+/// one forensics pass.
 pub fn render_lifecycles(p: &Pipeline, min_txs: usize) -> String {
     let forensics: FamilyForensics = p.forensics(min_txs, 30 * 86_400, collection_end());
     let mut t = Table::new(vec!["Family", "Primary contracts", "Mean lifecycle (measured)", "Paper"]);

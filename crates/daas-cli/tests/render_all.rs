@@ -10,7 +10,6 @@ use daas_cli::{
     WebsitePipelineResult,
 };
 use daas_detector::SnowballConfig;
-use daas_measure::MeasureConfig;
 use daas_world::WorldConfig;
 
 struct Fix {
@@ -29,7 +28,7 @@ fn fix() -> &'static Fix {
 }
 
 fn measured() -> Measured<'static> {
-    fix().pipeline.measured(&MeasureConfig::sequential())
+    fix().pipeline.measured()
 }
 
 #[test]

@@ -396,12 +396,22 @@ pub fn cluster_prefix(
 /// The vote of an operator outside every component (not in the dataset).
 const NO_VOTE: u32 = u32::MAX;
 
+/// The §7.1 vote rule, for the batch assembly (`assign`) and the live
+/// re-vote (`OnlineClusterer::revote_target`) alike: of `tally`'s
+/// distinct keys, each with its vote count, the one with the most votes
+/// wins and a tie goes to the smaller key; `None` when `tally` is
+/// empty.
+pub(crate) fn vote_winner<K: Ord>(tally: impl IntoIterator<Item = (K, u64)>) -> Option<K> {
+    tally
+        .into_iter()
+        .max_by(|(ka, na), (kb, nb)| na.cmp(nb).then_with(|| kb.cmp(ka)))
+        .map(|(key, _)| key)
+}
+
 /// The component each of `members` ranks is assigned to by its
-/// observations' votes (`member_of[i]` casts `votes[i]`), or `NO_VOTE`.
-/// The component with the most votes wins, ties to the smaller index
-/// (components are sorted by first operator); `NO_VOTE`s count for
-/// nobody. `OnlineClusterer::revote_target` (`online.rs`) applies the
-/// same rule to its live components, keyed by their first operator.
+/// observations' votes (`member_of[i]` casts `votes[i]`), or `NO_VOTE`,
+/// by [`vote_winner`] over component indices (components are sorted by
+/// first operator); `NO_VOTE`s count for nobody.
 fn assign(member_of: &[u32], votes: &[u32], members: usize) -> Vec<u32> {
     let mut ballots: Vec<u64> = member_of
         .iter()
@@ -412,13 +422,8 @@ fn assign(member_of: &[u32], votes: &[u32], members: usize) -> Vec<u32> {
     ballots.sort_unstable();
     let mut winner = vec![NO_VOTE; members];
     for member in ballots.chunk_by(|a, b| a >> 32 == b >> 32) {
-        let (mut best, mut best_n) = (NO_VOTE, 0);
-        for run in member.chunk_by(|a, b| a == b) {
-            if run.len() > best_n {
-                (best, best_n) = (run[0] as u32, run.len());
-            }
-        }
-        winner[(member[0] >> 32) as usize] = best;
+        let tally = member.chunk_by(|a, b| a == b).map(|run| (run[0] as u32, run.len() as u64));
+        winner[(member[0] >> 32) as usize] = vote_winner(tally).unwrap_or(NO_VOTE);
     }
     winner
 }

@@ -75,7 +75,7 @@ use daas_detector::{ClassificationCache, ClassifierConfig, DetectorEvent};
 use eth_types::{AddrId, Address, FxHashMap, FxHashSet};
 use txgraph::UnionFind;
 
-use crate::families::{family_name, is_labeled_phishing, Clustering, Family};
+use crate::families::{family_name, is_labeled_phishing, vote_winner, Clustering, Family};
 
 /// Counters describing how much incremental work the clusterer did —
 /// the observable evidence that snapshots reuse prior state.
@@ -647,12 +647,12 @@ impl OnlineClusterer {
 
     /// Recomputes one target's majority vote and moves it between
     /// component assignment sets when the winner changed. The winner is
-    /// the component with the most votes, ties to the smallest key. The
-    /// batch assembly applies the same rule in `families.rs` (`assign`),
-    /// where components are index-sorted by smallest member, so smaller
-    /// index ⟺ smaller key; `tied_votes_go_to_the_smaller_first_operator`
-    /// pins the two copies together. `tally` is scratch space, and
-    /// `entries` counts the vote entries read.
+    /// [`vote_winner`] over the components' keys, as in the batch
+    /// assembly (`assign`), where components are index-sorted by
+    /// smallest member, so smaller index ⟺ smaller key;
+    /// `tied_votes_go_to_the_smaller_first_operator` pins the two paths
+    /// together. `tally` is scratch space, and `entries` counts the vote
+    /// entries read.
     ///
     /// The component that lost the target is structurally dirty; the
     /// one that gained it is returned instead, because a gain alone can
@@ -674,11 +674,9 @@ impl OnlineClusterer {
                 None => tally.push((cid, u64::from(n))),
             }
         }
-        let key = |cid: &Cid| self.comps.get(cid).expect("voted comps are live").key;
-        let new_cid = tally
-            .iter()
-            .max_by_key(|&&(cid, n)| (n, std::cmp::Reverse(key(&cid))))
-            .map(|&(cid, _)| cid);
+        // Keys are distinct per component, so (key, cid) orders as the key.
+        let key = |cid: Cid| (self.comps.get(&cid).expect("voted comps are live").key, cid);
+        let new_cid = vote_winner(tally.iter().map(|&(cid, n)| (key(cid), n))).map(|(_, cid)| cid);
         let old_cid = self.target_assign.get(&t).copied();
         if old_cid == new_cid {
             return None;

@@ -25,12 +25,11 @@ pub struct SnowballConfig {
     pub expansion_guard: bool,
     /// Safety bound on expansion rounds.
     pub max_rounds: usize,
-    /// Worker threads for the world build (`0` = all available cores);
-    /// callers reuse it for the §6 report bundle. Snowball sampling
-    /// itself is sequential and never reads this: the field rides here
-    /// because `run_pipeline` and the daemon's `Engine::new` (and its
-    /// checkpoint) take it from the snowball settings. Artifacts are
-    /// byte-identical at every value.
+    /// Ignored: nothing reads it, and every stage runs on one thread.
+    /// It stays because the benchmark runner reads it and because a
+    /// saved checkpoint's checksum covers this struct re-serialized, so
+    /// dropping the field would make every version-3 checkpoint fail to
+    /// restore. ROADMAP item 1 retires it.
     pub threads: usize,
 }
 
@@ -47,12 +46,10 @@ impl Default for SnowballConfig {
 }
 
 impl SnowballConfig {
-    /// Resolves `threads`: `0` means all available cores.
+    /// Always 1: every stage runs on one thread, whatever `threads`
+    /// holds. Kept for the benchmark runner, like `threads`.
     pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        }
+        1
     }
 }
 

@@ -193,9 +193,9 @@ impl LiveMeasure {
         labels: &LabelStore,
         inactive_secs: u64,
         as_of: Timestamp,
-        cfg: &MeasureConfig,
     ) -> MeasureReports {
-        self.ctx(chain, dataset, oracle).reports(labels, inactive_secs, as_of, cfg)
+        let cfg = MeasureConfig::sequential();
+        self.ctx(chain, dataset, oracle).reports(labels, inactive_secs, as_of, &cfg)
     }
 }
 
@@ -281,7 +281,7 @@ mod tests {
         let as_of = chain.now();
         let cfg = MeasureConfig::sequential();
         let batch = MeasureCtx::new(&chain, &dataset, &oracle).reports(&labels, 3600, as_of, &cfg);
-        let streamed = live.reports(&chain, &dataset, &oracle, &labels, 3600, as_of, &cfg);
+        let streamed = live.reports(&chain, &dataset, &oracle, &labels, 3600, as_of);
         assert_eq!(
             serde_json::to_string(&batch).unwrap(),
             serde_json::to_string(&streamed).unwrap()

@@ -46,7 +46,6 @@ fn replay(config: &WorldConfig, steps: &[u32], check_boundaries: bool) {
         &world.labels,
         30 * 86_400,
         collection_end(),
-        &cfg,
     );
     assert_eq!(
         serde_json::to_string(&batch).unwrap(),

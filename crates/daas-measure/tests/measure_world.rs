@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use daas_cluster::cluster;
 use daas_detector::{build_dataset, Dataset, SnowballConfig};
-use daas_measure::{dominant_share, family_table, ratio_histogram, MeasureCtx};
+use daas_measure::{dominant_share, family_table, ratio_histogram, MeasureConfig, MeasureCtx};
 use daas_world::{collection_end, World, WorldConfig};
 
 struct Fix {
@@ -195,4 +195,46 @@ fn measured_counts_match_dataset() {
     for op in ops.keys() {
         assert!(f.dataset.operators.contains(op));
     }
+}
+
+#[test]
+fn bundle_matches_per_report_entry_points() {
+    // The bundle wraps the reports and reimplements none: every field
+    // must serialise exactly like the standalone report call it holds.
+    const INACTIVE_SECS: u64 = 30 * 86_400;
+    let f = fix();
+    let ctx = ctx();
+    let reports =
+        ctx.reports(&f.world.labels, INACTIVE_SECS, collection_end(), &MeasureConfig::sequential());
+
+    fn j<T: serde::Serialize>(v: &T) -> String {
+        serde_json::to_string(v).expect("report serialises")
+    }
+    assert_eq!(j(&reports.victims), j(&ctx.victim_report()), "victim report diverged");
+    assert_eq!(
+        j(&reports.repeat_victims),
+        j(&ctx.repeat_victim_report()),
+        "repeat-victim report diverged"
+    );
+    assert_eq!(j(&reports.operators), j(&ctx.operator_report()), "operator report diverged");
+    assert_eq!(
+        j(&reports.operator_lifecycles),
+        j(&ctx.operator_lifecycles(INACTIVE_SECS, collection_end())),
+        "operator lifecycles diverged"
+    );
+    assert_eq!(j(&reports.affiliates), j(&ctx.affiliate_report()), "affiliate report diverged");
+    let operators: Vec<_> = ctx.dataset.operators.iter().copied().collect();
+    let affiliates: Vec<_> = ctx.dataset.affiliates.iter().copied().collect();
+    assert_eq!(
+        j(&reports.associations),
+        j(&ctx.reward_transfers(&operators, &affiliates)),
+        "associations diverged"
+    );
+    assert_eq!(j(&reports.ratios), j(&ratio_histogram(&ctx)), "ratio histogram diverged");
+    assert_eq!(j(&reports.timeline), j(&ctx.monthly_series()), "timeline diverged");
+    assert_eq!(
+        j(&reports.laundering),
+        j(&ctx.laundering_report(&f.world.labels)),
+        "laundering report diverged"
+    );
 }

@@ -28,8 +28,8 @@
 //!
 //! The recorder is process-global. [`drain`] flushes the calling
 //! thread's local aggregates plus everything worker threads flushed on
-//! exit (crossbeam-scoped workers always exit — and therefore flush —
-//! before their scope returns), then clears all state. Instrumentation
+//! exit (scoped workers always exit — and therefore flush — before
+//! their scope returns), then clears all state. Instrumentation
 //! never feeds back into the pipeline: enabling it cannot change any
 //! artifact, only record what happened.
 

@@ -104,7 +104,7 @@ impl Engine {
         snowball: &SnowballConfig,
         _shards: usize,
     ) -> Result<Self, String> {
-        let world = World::build_with(config, snowball.threads)?;
+        let world = World::build(config)?;
         let cache = Arc::new(ClassificationCache::new());
         let detector = OnlineDetector::with_cache(snowball.clone(), Arc::clone(&cache));
         let clusterer =
@@ -333,8 +333,9 @@ impl Engine {
 
     /// The canonical §6 bundle from the live accumulators (routes
     /// through the identical batch path; byte-identical at equal
-    /// watermarks).
-    pub fn reports(&mut self, measure_cfg: &MeasureConfig) -> MeasureReports {
+    /// watermarks). `_measure_cfg` is ignored and stays only because the
+    /// benchmark runner passes one (see [`MeasureConfig`]).
+    pub fn reports(&mut self, _measure_cfg: &MeasureConfig) -> MeasureReports {
         self.measure.reports(
             &self.world.chain,
             self.detector.dataset(),
@@ -342,7 +343,6 @@ impl Engine {
             &self.world.labels,
             30 * 86_400,
             collection_end(),
-            measure_cfg,
         )
     }
 

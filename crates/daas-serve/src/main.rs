@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! daas-serve [--seed N] [--scale F] [--preset paper|small|tiny|micro]
-//!            [--threads N] [--window BLOCKS] [--socket PATH]
+//!            [--window BLOCKS] [--socket PATH]
 //!            [--scrape-addr HOST:PORT] [--slo SPEC.json]
 //!            [--restore CKPT.json] [--metrics-out PATH] [--trace-out PATH]
 //! ```
@@ -10,8 +10,9 @@
 //! Speaks the JSONL protocol (see `protocol.rs`) on stdin/stdout and,
 //! when `--socket` is given, on a Unix socket that answers each
 //! connection on its own thread, up to 64 at once.
-//! `--threads` sets the world build's worker count (0 = all cores);
-//! everything after the build is sequential on the engine thread.
+//! The world build runs on the main thread and every window after it
+//! on the engine thread; neither fans out, and no option sets a worker
+//! count.
 //! `--scrape-addr` adds a std-only HTTP listener with `GET /metrics`
 //! (Prometheus text), `/healthz` (SLO verdicts + engine liveness) and
 //! `/readyz` (first-snapshot readiness); `--slo` replaces the built-in
@@ -37,7 +38,6 @@ fn main() -> ExitCode {
     let mut seed = 42u64;
     let mut scale = 0.1f64;
     let mut preset = String::from("paper");
-    let mut threads = 0usize;
     let mut window = 64u64;
     let mut socket: Option<PathBuf> = None;
     let mut restore: Option<PathBuf> = None;
@@ -74,10 +74,6 @@ fn main() -> ExitCode {
                 _ => return usage("--scale needs a positive number"),
             },
             "--preset" => preset = operand!("--preset"),
-            "--threads" => match operand!("--threads").parse() {
-                Ok(v) => threads = v,
-                Err(_) => return usage("--threads needs an integer"),
-            },
             "--window" => match operand!("--window").parse() {
                 Ok(v) if v > 0 => window = v,
                 _ => return usage("--window needs a positive block count"),
@@ -136,8 +132,7 @@ fn main() -> ExitCode {
                 eprintln!("daas-serve: invalid configuration: {e}");
                 return ExitCode::FAILURE;
             }
-            let snowball = SnowballConfig { threads, ..Default::default() };
-            Engine::new(&config, &snowball, 0)
+            Engine::new(&config, &SnowballConfig::default(), 0)
         }
     };
     let engine = match engine {
@@ -165,7 +160,6 @@ fn main() -> ExitCode {
         scrape_addr,
         slo,
         restored: restore.is_some(),
-        ..ServeOptions::default()
     };
     let mut code = ExitCode::SUCCESS;
     if let Err(e) = serve(engine, opts) {
@@ -189,10 +183,9 @@ fn usage(error: &str) -> ExitCode {
     }
     eprintln!(
         "usage: daas-serve [--seed N] [--scale F] [--preset paper|small|tiny|micro]\n\
-         \x20                 [--threads N] [--window BLOCKS] [--socket PATH]\n\
+         \x20                 [--window BLOCKS] [--socket PATH]\n\
          \x20                 [--scrape-addr HOST:PORT] [--slo SPEC.json]\n\
-         \x20                 [--restore CKPT.json] [--metrics-out PATH] [--trace-out PATH]\n\
-         --threads N: world-build worker threads (0 = all cores)"
+         \x20                 [--restore CKPT.json] [--metrics-out PATH] [--trace-out PATH]"
     );
     if error.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE }
 }

@@ -55,8 +55,6 @@ pub struct ServeOptions {
     /// Default window size in blocks for `ingest` / `run` when the
     /// request doesn't name one.
     pub window_blocks: u64,
-    /// Measurement settings for `reports` / `artifact`.
-    pub measure: MeasureConfig,
     /// TCP address for the Prometheus scrape listener (`None` = no
     /// listener; port 0 picks a free port, discoverable via the `obs`
     /// query).
@@ -74,7 +72,6 @@ impl Default for ServeOptions {
         ServeOptions {
             socket: None,
             window_blocks: 64,
-            measure: MeasureConfig::sequential(),
             scrape_addr: None,
             slo: None,
             restored: false,
@@ -94,7 +91,6 @@ pub fn serve(mut engine: Engine, opts: ServeOptions) -> Result<(), String> {
     let cell = engine.snapshot_cell();
     let (ctl_tx, ctl_rx) = channel::<Control>();
     let window_blocks = opts.window_blocks;
-    let measure = opts.measure.clone();
     let stop = Arc::new(AtomicBool::new(false));
 
     let telemetry = Arc::new(Telemetry::new(
@@ -123,9 +119,7 @@ pub fn serve(mut engine: Engine, opts: ServeOptions) -> Result<(), String> {
     let engine_telemetry = Arc::clone(&telemetry);
     let engine_thread = thread::Builder::new()
         .name("daas-serve-engine".into())
-        .spawn(move || {
-            engine_loop(engine, ctl_rx, window_blocks, &measure, &engine_stop, &engine_telemetry)
-        })
+        .spawn(move || engine_loop(engine, ctl_rx, window_blocks, &engine_stop, &engine_telemetry))
         .map_err(|e| e.to_string())?;
 
     if let Some(addr) = opts.scrape_addr {
@@ -396,7 +390,6 @@ fn engine_loop(
     mut engine: Engine,
     ctl_rx: Receiver<Control>,
     default_window: u64,
-    measure: &MeasureConfig,
     stop: &AtomicBool,
     telemetry: &Telemetry,
 ) {
@@ -414,7 +407,7 @@ fn engine_loop(
         match ctl_rx.recv_timeout(SAMPLE_EVERY) {
             Ok(Control { req, reply }) => {
                 telemetry.touch();
-                let (line, shutdown) = handle_control(&mut engine, &req, default_window, measure);
+                let (line, shutdown) = handle_control(&mut engine, &req, default_window);
                 if req.cmd == "checkpoint" {
                     if let Some(path) = &req.path {
                         let mut event = String::from("{\"path\":");
@@ -444,12 +437,7 @@ fn engine_loop(
 
 /// Executes one control command against the engine. Returns the reply
 /// line and whether the daemon should shut down.
-pub fn handle_control(
-    engine: &mut Engine,
-    req: &Request,
-    default_window: u64,
-    measure: &MeasureConfig,
-) -> (String, bool) {
+pub fn handle_control(engine: &mut Engine, req: &Request, default_window: u64) -> (String, bool) {
     match req.cmd.as_str() {
         "ingest" => {
             let window = req.blocks.unwrap_or(default_window);
@@ -497,7 +485,7 @@ pub fn handle_control(
             )
         }
         "reports" => {
-            let reports = engine.reports(measure);
+            let reports = engine.reports(&MeasureConfig::sequential());
             match serde_json::to_string(&reports) {
                 Ok(json) => (
                     format!("{{\"ok\":true,\"epoch\":{},\"reports\":{json}}}", engine.epoch()),
@@ -516,7 +504,7 @@ pub fn handle_control(
             engine.finish_stream();
             let dataset = engine.dataset().clone();
             let clustering = engine.clustering();
-            let reports = engine.reports(measure);
+            let reports = engine.reports(&MeasureConfig::sequential());
             let parts = (
                 serde_json::to_string(&dataset.contracts),
                 serde_json::to_string(&dataset.operators),

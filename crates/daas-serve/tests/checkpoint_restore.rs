@@ -25,6 +25,11 @@ use proptest::prelude::*;
 /// wrote format version 1 (the stages' full state, keyed by address).
 const V1_MICRO42: &str = include_str!("data/engine_v1_micro42.json");
 
+/// The same checkpoint written by a build that wrote format version 3
+/// and still planned the world on worker threads: its checksum covers
+/// the `WorldConfig` and `SnowballConfig` as that build serialized them.
+const V3_MICRO42: &str = include_str!("data/engine_v3_micro42.json");
+
 fn to_json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("serialize")
 }
@@ -38,14 +43,10 @@ fn final_artifact(engine: &mut Engine) -> String {
     format!("{}\n{}\n{}", to_json(&dataset), to_json(&clustering), to_json(&reports))
 }
 
-fn sequential() -> SnowballConfig {
-    SnowballConfig { threads: 1, ..Default::default() }
-}
-
 /// The final artifact of `config` replayed straight through in
 /// `window`-block windows.
 fn uninterrupted(config: &WorldConfig, window: u64) -> String {
-    let mut engine = Engine::new(config, &sequential(), 0).expect("engine");
+    let mut engine = Engine::new(config, &SnowballConfig::default(), 0).expect("engine");
     while engine.ingest_window(window).is_some() {}
     final_artifact(&mut engine)
 }
@@ -56,7 +57,7 @@ fn uninterrupted(config: &WorldConfig, window: u64) -> String {
 fn assert_restart_converges(config: &WorldConfig, window: u64, kill_after: usize) {
     let expected = uninterrupted(config, window);
 
-    let mut engine = Engine::new(config, &sequential(), 0).expect("engine");
+    let mut engine = Engine::new(config, &SnowballConfig::default(), 0).expect("engine");
     for _ in 0..kill_after {
         if engine.ingest_window(window).is_none() {
             break;
@@ -152,10 +153,28 @@ fn version_1_checkpoints_restore_from_their_cursor() {
     assert!(err.contains("detector.cursor") && err.contains("block boundary"), "{err}");
 }
 
+/// A version-3 checkpoint written by an earlier build restores, checksum
+/// and all, to the uninterrupted run's artifact. The checksum is taken
+/// over the configs re-serialized, so a field dropped from
+/// `WorldConfig` or `SnowballConfig` (even an ignored one, such as
+/// `SnowballConfig::threads`) makes this file fail to restore.
+#[test]
+fn version_3_checkpoints_from_an_earlier_build_restore() {
+    let ckpt = parse(V3_MICRO42);
+    assert_eq!((ckpt.version, ckpt.detector.cursor, ckpt.epoch, ckpt.windows), (3, 125, 2, 2));
+    assert_eq!(ckpt.checksum, Some(ckpt.payload_checksum()), "the checksum no longer verifies");
+    assert_eq!(
+        resume(&ckpt),
+        uninterrupted(&WorldConfig::micro(42), 40),
+        "the v3 restore diverged"
+    );
+}
+
 /// `micro(42)` checkpointed in the current version after two 40-block
 /// windows, with the engine it was taken from.
 fn micro_checkpoint() -> (Engine, EngineCheckpoint) {
-    let mut engine = Engine::new(&WorldConfig::micro(42), &sequential(), 0).expect("engine");
+    let mut engine =
+        Engine::new(&WorldConfig::micro(42), &SnowballConfig::default(), 0).expect("engine");
     engine.ingest_window(40).expect("a first window");
     engine.ingest_window(40).expect("a second window");
     let ckpt = engine.checkpoint();
@@ -318,7 +337,7 @@ fn the_daemon_refuses_a_bad_checkpoint_cleanly() {
 /// checkpoint while it is rewritten always gets a whole one.
 #[test]
 fn loads_during_saves_always_parse() {
-    let snowball = SnowballConfig { threads: 1, ..Default::default() };
+    let snowball = SnowballConfig::default();
     let mut engine = Engine::new(&WorldConfig::micro(42), &snowball, 0).expect("engine");
     while engine.ingest_window(40).is_some() {}
     let ckpt = engine.checkpoint();
@@ -362,7 +381,7 @@ fn loads_during_saves_always_parse() {
 #[test]
 fn restored_engine_resumes_at_the_checkpoint_watermark() {
     let config = WorldConfig::micro(42);
-    let snowball = SnowballConfig { threads: 1, ..Default::default() };
+    let snowball = SnowballConfig::default();
     let mut engine = Engine::new(&config, &snowball, 0).expect("engine");
     engine.ingest_window(40);
     engine.ingest_window(40);

@@ -36,7 +36,7 @@ fn dataset_sets(engine: &Engine) -> Sets {
 }
 
 fn engine() -> Engine {
-    let snowball = SnowballConfig { threads: 1, ..Default::default() };
+    let snowball = SnowballConfig::default();
     Engine::new(&WorldConfig::tiny(42), &snowball, 0).expect("engine")
 }
 

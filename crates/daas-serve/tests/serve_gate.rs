@@ -169,7 +169,7 @@ fn killed_daemon_restores_and_matches_batch_under_query_load() {
     // byte-for-byte.
     let mut config = WorldConfig::paper_scale(42);
     config.scale = 0.05;
-    let world = World::build_with(&config, 0).expect("world");
+    let world = World::build(&config).expect("world");
     let snowball = SnowballConfig::default();
     let cache = ClassificationCache::new();
     let dataset = build_dataset_with_cache(&world.chain, &world.labels, &snowball, &cache);

@@ -14,7 +14,7 @@ use daas_world::WorldConfig;
 use eth_types::Address;
 
 fn engine(config: &WorldConfig) -> Engine {
-    let snowball = SnowballConfig { threads: 1, ..Default::default() };
+    let snowball = SnowballConfig::default();
     Engine::new(config, &snowball, 0).expect("engine")
 }
 

@@ -323,23 +323,13 @@ enum BenignKind {
 /// internal invariant violations; configuration problems are returned as
 /// `Err`.
 pub fn build(config: &WorldConfig) -> Result<World, String> {
-    build_with(config, 0)
-}
-
-/// Builds a world with an explicit planner thread count (`0` = all
-/// cores, `1` = the sequential oracle). The thread count is a schedule,
-/// never data: every phase that fans out draws its per-task RNG streams
-/// from the master stream in a fixed order and merges results in task
-/// order, so the built world is byte-identical for every `threads`.
-pub fn build_with(config: &WorldConfig, threads: usize) -> Result<World, String> {
     config.validate()?;
-    let threads = effective_threads(threads);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut chain = Chain::new();
     let mut labels = LabelStore::new();
     let mut oracle = Oracle::new();
 
-    let _build_span = daas_obs::span!("world.build", threads = threads);
+    let _build_span = daas_obs::span!("world.build");
 
     // Phase 1 (sequential): infrastructure and family account creation
     // both mutate the chain, so they stay on the master stream.
@@ -356,12 +346,12 @@ pub fn build_with(config: &WorldConfig, threads: usize) -> Result<World, String>
     // chain nor the RNG unless the knob is on).
     let pyramid = plan_pyramid(config, &mut chain)?;
 
-    // Phase 2 (parallel plan): event synthesis touches only its own
-    // family plan (or the benign index space), so it fans out across
-    // the pool on RNG streams derived from the master stream.
+    // Phase 2 (plan): event synthesis touches only its own family plan
+    // (or the benign index space), each task on an RNG stream derived
+    // from the master stream.
     let (mut events, incident_count) = {
-        let _s = daas_obs::span!("world.plan_events", threads = threads);
-        plan_events(&mut rng, config, &mut plans, &infra, &pyramid, threads)
+        let _s = daas_obs::span!("world.plan_events");
+        plan_events(&mut rng, config, &mut plans, &infra, &pyramid)
     };
     daas_obs::add("world.events.planned", events.len() as u64);
     daas_obs::add("world.incidents.planned", incident_count as u64);
@@ -446,14 +436,6 @@ fn max_txs(ev: &Ev, launder_hops: usize) -> usize {
         // At most five affiliates are rewarded per round.
         Ev::RewardRound { .. } => 5,
         _ => 1,
-    }
-}
-
-/// Resolves a thread-count knob: `0` means every available core.
-fn effective_threads(threads: usize) -> usize {
-    match threads {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
     }
 }
 
@@ -952,10 +934,9 @@ type TimedEv = (Timestamp, u8, u64, Ev);
 // Every planned event is pushed, merged, sorted and replayed by value.
 const _: () = assert!(std::mem::size_of::<TimedEv>() <= 80);
 
-#[allow(clippy::too_many_lines)]
-/// Events synthesised per benign-traffic planning chunk. Fixed — never
-/// derived from the thread count — so the chunk → RNG-stream mapping,
-/// and therefore the planned traffic, is identical for every schedule.
+/// Events synthesised per benign-traffic planning chunk. Fixed, so the
+/// chunk → RNG-stream mapping, and therefore the planned traffic, never
+/// changes with anything but the configuration.
 const BENIGN_PLAN_CHUNK: usize = 8_192;
 
 fn plan_events(
@@ -964,13 +945,12 @@ fn plan_events(
     plans: &mut [FamilyPlan],
     infra: &Infra,
     pyramid: &PyramidPlan,
-    threads: usize,
 ) -> (Vec<TimedEv>, usize) {
     // Split the master stream: one derived seed per family plus one per
-    // benign chunk, drawn in a fixed order. Each planning task owns an
-    // independent RNG, so the fan-out below cannot observe the thread
-    // schedule. The pyramid seed is drawn last and only when the knob
-    // is on, so calibrated worlds see an unchanged draw sequence.
+    // benign chunk, drawn in a fixed order, so each planning task owns
+    // an independent RNG. The pyramid seed is drawn last and only when
+    // the knob is on, so calibrated worlds see an unchanged draw
+    // sequence.
     let fam_seeds: Vec<u64> = plans.iter().map(|_| rng.gen()).collect();
     let n_benign_txs = config.scaled(config.benign_txs) as usize;
     let n_chunks = n_benign_txs.div_ceil(BENIGN_PLAN_CHUNK);
@@ -982,100 +962,32 @@ fn plan_events(
     };
 
     // Per-family synthesis: each task reads shared config/infra and
-    // mutates only its own plan (contract traffic counters), so the
-    // families fan out with disjoint `&mut` chunks.
-    let fam_results: Vec<(Vec<TimedEv>, usize)> = if threads <= 1 || plans.len() < 2 {
-        plans
-            .iter_mut()
-            .enumerate()
-            .map(|(fi, plan)| {
-                plan_family_events(&mut StdRng::seed_from_u64(fam_seeds[fi]), fi, config, plan, infra)
-            })
-            .collect()
-    } else {
-        let workers = threads.min(plans.len());
-        let chunk = plans.len().div_ceil(workers);
-        let fam_seeds = &fam_seeds;
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = plans
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(wi, part)| {
-                    scope.spawn(move |_| {
-                        part.iter_mut()
-                            .enumerate()
-                            .map(|(j, plan)| {
-                                let fi = wi * chunk + j;
-                                plan_family_events(
-                                    &mut StdRng::seed_from_u64(fam_seeds[fi]),
-                                    fi,
-                                    config,
-                                    plan,
-                                    infra,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // Joining in spawn order keeps the family order — and the
-            // merge below — independent of the thread schedule.
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("family planners do not panic"))
-                .collect()
+    // mutates only its own plan (contract traffic counters).
+    let fam_results: Vec<(Vec<TimedEv>, usize)> = plans
+        .iter_mut()
+        .enumerate()
+        .map(|(fi, plan)| {
+            plan_family_events(&mut StdRng::seed_from_u64(fam_seeds[fi]), fi, config, plan, infra)
         })
-        .expect("family plan scope does not panic")
-    };
+        .collect();
 
     // Benign traffic in fixed-size chunks, one derived stream per chunk.
     let n_benign_users = config.scaled(config.benign_users) as usize;
     let chunk_len =
         |ci: usize| (n_benign_txs - ci * BENIGN_PLAN_CHUNK).min(BENIGN_PLAN_CHUNK);
-    let benign_results: Vec<Vec<TimedEv>> = if threads <= 1 || n_chunks < 2 {
-        (0..n_chunks)
-            .map(|ci| {
-                plan_benign_chunk(
-                    &mut StdRng::seed_from_u64(benign_seeds[ci]),
-                    chunk_len(ci),
-                    n_benign_users,
-                    infra,
-                )
-            })
-            .collect()
-    } else {
-        let workers = threads.min(n_chunks);
-        let stride = n_chunks.div_ceil(workers);
-        let chunk_ids: Vec<usize> = (0..n_chunks).collect();
-        let benign_seeds = &benign_seeds;
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = chunk_ids
-                .chunks(stride)
-                .map(|part| {
-                    scope.spawn(move |_| {
-                        part.iter()
-                            .map(|&ci| {
-                                plan_benign_chunk(
-                                    &mut StdRng::seed_from_u64(benign_seeds[ci]),
-                                    chunk_len(ci),
-                                    n_benign_users,
-                                    infra,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("benign planners do not panic"))
-                .collect()
+    let benign_results: Vec<Vec<TimedEv>> = (0..n_chunks)
+        .map(|ci| {
+            plan_benign_chunk(
+                &mut StdRng::seed_from_u64(benign_seeds[ci]),
+                chunk_len(ci),
+                n_benign_users,
+                infra,
+            )
         })
-        .expect("benign plan scope does not panic")
-    };
+        .collect();
 
     // Merge in task order and renumber the planning sequence globally,
-    // so the (t, prio, seq) sort key is total and schedule-independent.
+    // so the (t, prio, seq) sort key is total.
     let total = fam_results.iter().map(|(e, _)| e.len()).sum::<usize>()
         + benign_results.iter().map(Vec::len).sum::<usize>();
     let mut events: Vec<TimedEv> = Vec::with_capacity(total);

@@ -76,19 +76,13 @@ impl World {
         gen::build(config)
     }
 
-    /// [`World::build`] with an explicit planner thread count (`0` = all
-    /// cores, `1` = the sequential oracle). The thread count is a
-    /// schedule, never data: the world is byte-identical at every
-    /// setting.
-    pub fn build_with(config: &WorldConfig, threads: usize) -> Result<World, String> {
-        gen::build_with(config, threads)
-    }
-
-    /// [`World::build_with`] under its earlier signature, kept for the
-    /// benchmark runner: the chain has no shard layout any more, so
-    /// `shards` is ignored. Workspace code calls [`World::build_with`].
-    pub fn build_opts(config: &WorldConfig, threads: usize, _shards: usize) -> Result<World, String> {
-        gen::build_with(config, threads)
+    /// [`World::build`] under an earlier signature, kept only because
+    /// the benchmark runner calls it. Both arguments are ignored: the
+    /// build runs on one thread and the chain has no shard layout.
+    /// Workspace code calls [`World::build`]; the benchmark's API move
+    /// (ROADMAP item 1) deletes this.
+    pub fn build_opts(config: &WorldConfig, _threads: usize, _shards: usize) -> Result<World, String> {
+        gen::build(config)
     }
 
     /// Websites, CT certificates and toolkit fingerprints: the §8.2

@@ -20,7 +20,6 @@ pub use cow::CowMap;
 use std::collections::HashMap;
 
 use eth_types::Address;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// Disjoint-set forest over addresses, with path compression and union by
 /// rank. Addresses are interned on first use.
@@ -139,38 +138,6 @@ impl UnionFind {
     }
 }
 
-/// The serialized shape of a [`UnionFind`]: the intern list plus the
-/// parent/rank forest in intern order. The address→index map is
-/// derivable (it is the inverse of `addrs`) and rebuilt on
-/// deserialization, so the serialized form carries no redundant state
-/// and a round trip reproduces the forest exactly — same representatives,
-/// same ranks, same compression state.
-#[derive(Serialize, Deserialize)]
-struct UnionFindState {
-    addrs: Vec<Address>,
-    parent: Vec<usize>,
-    rank: Vec<u8>,
-}
-
-impl Serialize for UnionFind {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        UnionFindState {
-            addrs: self.addrs.clone(),
-            parent: self.parent.clone(),
-            rank: self.rank.clone(),
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for UnionFind {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let state = UnionFindState::deserialize(deserializer)?;
-        let index = state.addrs.iter().enumerate().map(|(i, &a)| (a, i)).collect();
-        Ok(UnionFind { index, addrs: state.addrs, parent: state.parent, rank: state.rank })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,29 +238,5 @@ mod tests {
         // n nodes split into k components need exactly n - k merges.
         let nodes = inc.len();
         assert_eq!(merges, nodes - inc.components().len());
-    }
-
-    /// A serialized forest restores to the same partition *and* the
-    /// same internal forest: further unions behave identically on both
-    /// sides.
-    #[test]
-    fn union_find_serde_round_trip() {
-        let mut uf = UnionFind::new();
-        uf.union(addr(1), addr(2));
-        uf.union(addr(3), addr(4));
-        uf.insert(addr(9));
-        let json = serde_json::to_string(&uf).expect("serializes");
-        let mut back: UnionFind = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back.components(), uf.components());
-        assert_eq!(back.len(), uf.len());
-        assert_eq!(back.find(addr(1)), uf.find(addr(1)));
-        // Post-restore unions stay in lockstep with the original.
-        assert_eq!(back.union(addr(2), addr(3)), uf.union(addr(2), addr(3)));
-        assert_eq!(back.components(), uf.components());
-        assert_eq!(
-            serde_json::to_string(&back).expect("serializes"),
-            serde_json::to_string(&uf).expect("serializes"),
-            "round trip is byte-stable"
-        );
     }
 }

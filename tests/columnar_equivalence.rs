@@ -30,7 +30,7 @@ fn artifact_hashes(config: &WorldConfig) -> [u64; 3] {
     let clusters = fnv(&serde_json::to_string(&clustering).expect("clustering serialises"));
     let ctx = MeasureCtx::new(&world.chain, &dataset, &world.oracle);
     let reports =
-        ctx.reports(&world.labels, 30 * 86_400, collection_end(), &MeasureConfig::default());
+        ctx.reports(&world.labels, 30 * 86_400, collection_end(), &MeasureConfig::sequential());
     let measure = fnv(&serde_json::to_string(&reports).expect("reports serialise"));
     [chain, clusters, measure]
 }

@@ -30,9 +30,8 @@ fn different_seeds_differ() {
 
 /// One number summarising a full detection run: FNV-1a over the
 /// serialized dataset plus the clustering's family names.
-fn pipeline_fingerprint(world: &World, threads: usize) -> u64 {
-    let cfg = SnowballConfig { threads, ..Default::default() };
-    let dataset = build_dataset(&world.chain, &world.labels, &cfg);
+fn pipeline_fingerprint(world: &World) -> u64 {
+    let dataset = build_dataset(&world.chain, &world.labels, &SnowballConfig::default());
     let clustering = cluster(&world.chain, &world.labels, &dataset);
     let mut text = serde_json::to_string(&dataset).expect("dataset serialises");
     for family in &clustering.families {
@@ -46,56 +45,17 @@ fn pipeline_fingerprint(world: &World, threads: usize) -> u64 {
     hash
 }
 
-/// One number summarising a generated world: FNV-1a over the serialized
-/// chain artifact.
-fn world_fingerprint(threads: usize) -> u64 {
-    let world = World::build_with(&WorldConfig::tiny(7), threads).expect("world");
-    let mut hash = 0xcbf29ce484222325u64;
-    for byte in serde_json::to_string(&world.chain).expect("chain serialises").bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
-#[test]
-fn world_hash_stable_across_thread_counts() {
-    // Planner threads are a schedule — the generated world never
-    // changes with them.
-    let reference = world_fingerprint(1);
-    for threads in [1usize, 2, 4, 0] {
-        assert_eq!(
-            world_fingerprint(threads),
-            reference,
-            "world hash drifted at threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn pipeline_hash_stable_across_thread_counts() {
-    let world = World::build(&WorldConfig::tiny(7)).expect("world");
-    let reference = pipeline_fingerprint(&world, 1);
-    for threads in [1usize, 2, 4, 8, 0] {
-        assert_eq!(
-            pipeline_fingerprint(&world, threads),
-            reference,
-            "pipeline hash drifted at threads={threads}"
-        );
-    }
-}
-
 #[test]
 fn pipeline_hash_stable_across_repeat_runs() {
-    // Fresh world builds and repeated parallel detection runs all land
-    // on the same fingerprint — no schedule leaks into the output.
+    // Fresh world builds and repeated detection runs all land on the
+    // same fingerprint: no hidden state leaks into the output.
     let reference = {
         let world = World::build(&WorldConfig::tiny(13)).expect("world");
-        pipeline_fingerprint(&world, 0)
+        pipeline_fingerprint(&world)
     };
     for _ in 0..2 {
         let world = World::build(&WorldConfig::tiny(13)).expect("world");
-        assert_eq!(pipeline_fingerprint(&world, 0), reference);
+        assert_eq!(pipeline_fingerprint(&world), reference);
     }
 }
 

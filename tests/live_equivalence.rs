@@ -17,15 +17,8 @@ use daas_lab::world::{collection_end, World, WorldConfig};
 use proptest::prelude::*;
 
 fn assert_live_matches(config: &WorldConfig, window_blocks: u64) {
-    let run = Pipeline::live(
-        config,
-        &SnowballConfig::default(),
-        window_blocks,
-        &MeasureConfig::sequential(),
-        true,
-        |_| {},
-    )
-    .expect("live pipeline");
+    let run = Pipeline::live(config, &SnowballConfig::default(), window_blocks, true, |_| {})
+        .expect("live pipeline");
     assert!(
         run.batch_matches,
         "streaming (window {window_blocks}) diverged from batch at scale {} seed {}",
@@ -118,7 +111,7 @@ proptest! {
 
         let cfg = MeasureConfig::sequential();
         let live_reports = measure.reports(
-            &world.chain, dataset, &world.oracle, &world.labels, 30 * 86_400, collection_end(), &cfg,
+            &world.chain, dataset, &world.oracle, &world.labels, 30 * 86_400, collection_end(),
         );
         let batch_reports = MeasureCtx::new(&world.chain, dataset, &world.oracle).reports(
             &world.labels, 30 * 86_400, collection_end(), &cfg,

@@ -1,10 +1,9 @@
 //! The observability layer's core contract: enabling the recorder
 //! changes **no artifact**. Every test here runs the same pipeline with
 //! the recorder off and on and diffs the serialized outputs byte for
-//! byte — batch and `--live`, micro and tiny worlds, sequential and
-//! all-cores schedules — then sanity-checks that the enabled run
-//! actually recorded something (the equivalence would be vacuous if the
-//! instrumentation never fired).
+//! byte — batch and `--live`, micro and tiny worlds — then
+//! sanity-checks that the enabled run actually recorded something (the
+//! equivalence would be vacuous if the instrumentation never fired).
 //!
 //! The recorder is process-global, so the tests in this binary
 //! serialize on a mutex; other test binaries are separate processes and
@@ -14,7 +13,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use daas_cli::{render_table4, run_pipeline, run_website_pipeline, Pipeline};
 use daas_lab::detector::SnowballConfig;
-use daas_lab::measure::MeasureConfig;
 use daas_lab::obs;
 use daas_lab::world::{World, WorldConfig};
 
@@ -28,44 +26,33 @@ fn json<T: serde::Serialize>(value: &T) -> String {
 }
 
 /// (dataset, clustering, reports) of a one-shot batch run.
-fn batch_artifacts(config: &WorldConfig, threads: usize) -> (String, String, String) {
-    let snowball = SnowballConfig { threads, ..Default::default() };
-    let pipeline = run_pipeline(config, &snowball).expect("pipeline");
-    let measured = pipeline.measured(&MeasureConfig { threads });
+fn batch_artifacts(config: &WorldConfig) -> (String, String, String) {
+    let pipeline = run_pipeline(config, &SnowballConfig::default()).expect("pipeline");
+    let measured = pipeline.measured();
     (json(&pipeline.dataset), json(&pipeline.clustering), json(&measured.reports))
 }
 
 /// (dataset, clustering, reports, batch_matches) of a streaming replay.
-fn live_artifacts(config: &WorldConfig, threads: usize) -> (String, String, String, bool) {
-    let snowball = SnowballConfig { threads, ..Default::default() };
-    let run = Pipeline::live(config, &snowball, 7, &MeasureConfig { threads }, true, |_| {})
-        .expect("live pipeline");
+fn live_artifacts(config: &WorldConfig) -> (String, String, String, bool) {
+    let run =
+        Pipeline::live(config, &SnowballConfig::default(), 7, true, |_| {}).expect("live pipeline");
     (json(&run.dataset), json(&run.clustering), json(&run.reports), run.batch_matches)
 }
 
 #[test]
 fn batch_artifacts_identical_with_recorder_on() {
     let _guard = lock();
-    for (config, threads) in [
-        (WorldConfig::micro(91), 1usize),
-        (WorldConfig::micro(91), 0),
-        (WorldConfig::tiny(92), 1),
-        (WorldConfig::tiny(92), 0),
-    ] {
+    for config in [WorldConfig::micro(91), WorldConfig::tiny(92)] {
         obs::set_enabled(false);
         let _ = obs::drain();
-        let off = batch_artifacts(&config, threads);
+        let off = batch_artifacts(&config);
 
         obs::set_enabled(true);
-        let on = batch_artifacts(&config, threads);
+        let on = batch_artifacts(&config);
         obs::set_enabled(false);
         let report = obs::drain();
 
-        assert_eq!(
-            off, on,
-            "recorder changed a batch artifact (scale {}, threads {threads})",
-            config.scale
-        );
+        assert_eq!(off, on, "recorder changed a batch artifact (scale {})", config.scale);
         assert!(!report.spans.is_empty(), "enabled run recorded no spans");
         assert!(
             report.metrics.counter("cache.classify.miss") > 0,
@@ -81,26 +68,17 @@ fn batch_artifacts_identical_with_recorder_on() {
 #[test]
 fn live_artifacts_identical_with_recorder_on() {
     let _guard = lock();
-    for (config, threads) in [
-        (WorldConfig::micro(91), 1usize),
-        (WorldConfig::micro(91), 0),
-        (WorldConfig::tiny(92), 1),
-        (WorldConfig::tiny(92), 0),
-    ] {
+    for config in [WorldConfig::micro(91), WorldConfig::tiny(92)] {
         obs::set_enabled(false);
         let _ = obs::drain();
-        let off = live_artifacts(&config, threads);
+        let off = live_artifacts(&config);
 
         obs::set_enabled(true);
-        let on = live_artifacts(&config, threads);
+        let on = live_artifacts(&config);
         obs::set_enabled(false);
         let report = obs::drain();
 
-        assert_eq!(
-            off, on,
-            "recorder changed a live artifact (scale {}, threads {threads})",
-            config.scale
-        );
+        assert_eq!(off, on, "recorder changed a live artifact (scale {})", config.scale);
         assert!(on.3, "live replay diverged from batch with the recorder on");
         assert!(
             report.metrics.counter("live.windows") > 0,
@@ -147,7 +125,7 @@ fn drained_state_does_not_leak_across_runs() {
     let _ = obs::drain();
 
     obs::set_enabled(true);
-    let _ = batch_artifacts(&WorldConfig::micro(91), 1);
+    let _ = batch_artifacts(&WorldConfig::micro(91));
     obs::set_enabled(false);
     let first = obs::drain();
     assert!(!first.spans.is_empty());
